@@ -1,10 +1,10 @@
-"""Max-affine fitting: exact recovery and the 1/R error law.
+"""Max-affine fitting: exact recovery and the error decay law.
 
 A convex function sampled on a grid is approximated by the max of R
 affine pieces.  Data that already comes from a max-affine function is
 recovered to round-off; for a strictly convex target like x^2 the sup
-error decays like c/R (slope about -2 on this smooth case, comfortably
-beating the guaranteed -1).
+error decays like c/R^2 (log-log slope about -2 on this smooth case,
+comfortably beating the guaranteed -1).
 """
 
 import numpy as np

@@ -18,7 +18,6 @@ from .layers import (
     Dense,
     Network,
     SkipBlock,
-    layer_forward_hard,
     layer_selected_affine,
     network_forward_batch,
 )
@@ -59,6 +58,23 @@ def _prefix_count(net: Network, upto_layer) -> int:
     return n
 
 
+def _walk(net: Network, x: Tensor, n: int):
+    """Yield (layer, z, A, b) for each of the first n layers around x.
+
+    z is the layer's input and (A, b) the affine map of the layers so far.
+    z advances through the map the layer just selected, so the walk runs
+    no separate forward pass; the first layer's map is taken as it is,
+    not multiplied into an identity.
+    """
+    z = _check_input(net, x)
+    A = b = None
+    for layer in net.layers[:n]:
+        Asel, bsel = layer_selected_affine(layer, z)
+        A, b = (Asel, bsel) if A is None else (Asel @ A, Asel @ b + bsel)
+        yield layer, z, A, b
+        z = Asel @ z + bsel
+
+
 def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineForm:
     """The affine map the first `upto_layer` layers apply around x.
 
@@ -67,16 +83,9 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
     Evaluating the result at x reproduces the forward output up to float
     accumulation; inputs whose codes match x's get the identical (A, b).
     """
-    z = _check_input(net, x)
-    n = _prefix_count(net, upto_layer)
-    A = np.eye(z.shape[0])
-    b = np.zeros(z.shape[0])
-    for layer in net.layers[:n]:
-        Asel, bsel = layer_selected_affine(layer, z)
-        A = Asel @ A
-        b = Asel @ b + bsel
-        z, _ = layer_forward_hard(layer, z[None, :])
-        z = z[0]
+    A, b = np.eye(net.dims[0]), np.zeros(net.dims[0])
+    for _, _, A, b in _walk(net, x, _prefix_count(net, upto_layer)):
+        pass
     return AffineForm(A, b)
 
 
@@ -106,18 +115,11 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
     matrix of the block prefix.  A trailing Dense classifier is allowed
     and excluded from the expansion.
     """
-    z = _check_input(net, x)
     blocks = []
-    for i, layer in enumerate(net.layers):
+    for i, (layer, z, _, _) in enumerate(_walk(net, x, len(net.layers))):
         if isinstance(layer, SkipBlock):
-            pre = layer.conv.matrix() @ z + layer.conv.bias_flat()
-            Aact, _ = layer_selected_affine(layer.activation, pre)
-            blocks.append((layer.skip.matrix(), Aact @ layer.conv.matrix()))
-            out, _ = layer_forward_hard(layer, z[None, :])
-            z = out[0]
-        elif isinstance(layer, Dense) and i == len(net.layers) - 1:
-            break
-        else:
+            blocks.append(layer.branches(z)[:2])
+        elif not (isinstance(layer, Dense) and i == len(net.layers) - 1):
             raise StructureError(
                 f"layer {i} is {type(layer).__name__}; expansion needs skip blocks "
                 "(a final Dense excepted)"
@@ -136,16 +138,7 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
 
 def partial_product_norms(net: Network, x: Tensor) -> list:
     """Frobenius norms of the depth-d selected products, d = 1 .. L-1."""
-    z = _check_input(net, x)
-    norms = []
-    A = np.eye(z.shape[0])
-    for layer in net.layers[:-1]:
-        Asel, _ = layer_selected_affine(layer, z)
-        A = Asel @ A
-        norms.append(float(np.linalg.norm(A)))
-        out, _ = layer_forward_hard(layer, z[None, :])
-        z = out[0]
-    return norms
+    return [float(np.linalg.norm(A)) for _, _, A, _ in _walk(net, x, len(net.layers) - 1)]
 
 
 def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9):

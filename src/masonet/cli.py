@@ -165,42 +165,10 @@ def load_dataset_csv(path: str, class_count: int | None = None):
 # network JSON files
 # ---------------------------------------------------------------------------
 
-def _layer_to_json(layer) -> dict:
-    if isinstance(layer, L.Dense):
-        return {"kind": "dense", "W": layer.W.tolist(), "b": layer.b.tolist()}
-    if isinstance(layer, L.Conv):
-        return {
-            "kind": "conv",
-            "filters": layer.filters.tolist(),
-            "bias": layer.bias.tolist(),
-            "stride": list(layer.stride),
-            "padding": layer.padding,
-            "in_shape": list(layer.in_shape),
-        }
-    if isinstance(layer, L.Activation):
-        return {"kind": "activation", "activation": layer.kind, "dim": layer.dim, "nu": layer.nu}
-    if isinstance(layer, L.MaxPool):
-        return {"kind": "maxpool", "regions": [list(r) for r in layer.regions], "in_dim": layer.in_dim}
-    if isinstance(layer, L.AvgPool):
-        return {"kind": "avgpool", "regions": [list(r) for r in layer.regions], "in_dim": layer.in_dim}
-    if isinstance(layer, L.BatchNorm):
-        return {
-            "kind": "batchnorm",
-            "mean": layer.mean.tolist(),
-            "var": layer.var.tolist(),
-            "scale": layer.scale.tolist(),
-            "shift": layer.shift.tolist(),
-            "epsilon": layer.epsilon,
-        }
-    if isinstance(layer, L.SkipBlock):
-        return {
-            "kind": "skip",
-            "conv": _layer_to_json(layer.conv),
-            "activation": _layer_to_json(layer.activation),
-            "skip": _layer_to_json(layer.skip),
-            "skip_bias": layer.skip_bias.tolist(),
-        }
-    raise ValidationError(f"cannot serialize layer {type(layer).__name__}")
+_LAYER_KINDS = {
+    cls.tag: cls
+    for cls in (L.Dense, L.Conv, L.Activation, L.MaxPool, L.AvgPool, L.BatchNorm, L.SkipBlock)
+}
 
 
 def _layer_from_json(obj: dict, where: str):
@@ -208,50 +176,27 @@ def _layer_from_json(obj: dict, where: str):
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ValidationError(f"{where}: layer object lacks a 'kind' tag")
+    cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(f"{where}: unknown layer kind {kind!r}")
+    # nested layer objects (the parts of a skip block) decode first
+    doc = {
+        key: _layer_from_json(value, f"{where}.{key}") if isinstance(value, dict) else value
+        for key, value in obj.items()
+    }
     try:
-        if kind == "dense":
-            return L.Dense(np.array(obj["W"], dtype=np.float64), np.array(obj["b"], dtype=np.float64))
-        if kind == "conv":
-            return L.Conv(
-                np.array(obj["filters"], dtype=np.float64),
-                np.array(obj["bias"], dtype=np.float64),
-                tuple(obj["stride"]),
-                obj["padding"],
-                tuple(obj["in_shape"]),
-            )
-        if kind == "activation":
-            return L.Activation(obj["activation"], int(obj["dim"]), float(obj.get("nu", 0.01)))
-        if kind == "maxpool":
-            return L.MaxPool(tuple(tuple(r) for r in obj["regions"]), int(obj["in_dim"]))
-        if kind == "avgpool":
-            return L.AvgPool(tuple(tuple(r) for r in obj["regions"]), int(obj["in_dim"]))
-        if kind == "batchnorm":
-            return L.BatchNorm(
-                np.array(obj["mean"], dtype=np.float64),
-                np.array(obj["var"], dtype=np.float64),
-                np.array(obj["scale"], dtype=np.float64),
-                np.array(obj["shift"], dtype=np.float64),
-                float(obj.get("epsilon", 1e-5)),
-            )
-        if kind == "skip":
-            conv = _layer_from_json(obj["conv"], where + ".conv")
-            act = _layer_from_json(obj["activation"], where + ".activation")
-            skip = _layer_from_json(obj["skip"], where + ".skip")
-            return L.SkipBlock(conv, act, skip, np.array(obj["skip_bias"], dtype=np.float64))
-    except ValidationError:
-        raise
+        return cls.from_json(doc)
     except KeyError as exc:
         raise ValidationError(f"{where}: missing field {exc} for kind {kind!r}")
     except (MasonetError, ValueError, TypeError) as exc:
         raise ValidationError(f"{where}: {exc}")
-    raise ValidationError(f"{where}: unknown layer kind {kind!r}")
 
 
 def save_network(net: L.Network, path: str) -> None:
     doc = {
         "input_shape": list(net.input_shape),
         "class_count": net.class_count,
-        "layers": [_layer_to_json(layer) for layer in net.layers],
+        "layers": [layer.to_json() for layer in net.layers],
     }
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=1)

@@ -9,13 +9,18 @@ nonlinearities collapses into a single MASO via
 
 Networks are ordered layer lists acting on flat row-major vectors; images
 enter flattened and convolutions carry their expected (C, H, W) input
-shape.  Convolution is applied through its explicit matrix form so the
-matrix route and the forward route are the same arithmetic.
+shape.  Each layer kind is one class that owns its dimensions, its
+batched forward in the hard, soft and beta regimes (the hard one is the
+inference forward), the matching backward, the affine map it selects
+around an input, its trainable arrays and its JSON form.  Convolution is
+applied through its explicit matrix form, lowered afresh from the current
+filters on every use, so the matrix route and the forward route are the
+same arithmetic and no lowered copy can go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .ndcore import (
 )
 
 __all__ = [
+    "Layer",
     "Dense",
     "Conv",
     "Activation",
@@ -62,15 +68,99 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# layer specifications
+# layer kinds
 # ---------------------------------------------------------------------------
 
+class Layer:
+    """Behaviour every layer kind defines; the kinds below are dataclasses.
+
+    forward(Z, mode, beta, batch_stats) maps a batch (n, in) to (n, out)
+    and returns (out, cache).  Its defaults, hard mode without batch
+    statistics, are the inference forward; a selector's hard cache holds
+    its (n, K) region codes under "codes".  backward(cache, G) returns
+    (G w.r.t. the input, parameter gradients keyed like params(),
+    d loss / d beta or None).  selected_affine(z) is the (A, b) the layer
+    applies around one input; dims() is (input width, output width).  The
+    JSON form is the "kind" tag followed by the dataclass fields in order.
+    """
+
+    tag = ""  # the JSON "kind"
+    selector = False  # picks a region per unit: has codes and a beta
+    _json_names: dict = {}  # field -> JSON key, where the two differ
+
+    def params(self) -> dict:
+        """Trainable arrays keyed by field name."""
+        return {}
+
+    def near_boundary(self, cache: dict, gap: float) -> bool:
+        """Does a hard-mode cache hold a unit within gap of a region tie?"""
+        return False
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.tag}
+        for f in fields(self):
+            doc[self._json_names.get(f.name, f.name)] = _json_value(getattr(self, f.name))
+        return doc
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        """Inverse of to_json; nested layers arrive already decoded."""
+        args = {}
+        for f in fields(cls):
+            key = cls._json_names.get(f.name, f.name)
+            if key in doc:
+                args[f.name] = doc[key]
+            elif f.default is MISSING:
+                raise KeyError(key)
+        return cls(**args)
+
+
+def _json_value(v):
+    if isinstance(v, Layer):
+        return v.to_json()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_json_value(e) for e in v]
+    return v
+
+
+def _soft_select_forward(s: Tensor, beta: float):
+    """Weighted output of scores s (.., R) under T = softmax(eta * s).
+
+    eta = beta / (1 - beta); beta = 1/2 is soft VQ.
+    """
+    t = beta / (1.0 - beta) * s
+    t = t - t.max(axis=-1, keepdims=True)
+    T = np.exp(t)
+    T /= T.sum(axis=-1, keepdims=True)
+    out = np.sum(T * s, axis=-1)
+    return out, T
+
+
+def _soft_select_backward(G: Tensor, cache: dict):
+    """Backward through out = sum_r T_r s_r, T = softmax(eta s).
+
+    Returns (G pushed onto the scores s, d loss / d beta summed over the
+    cache's units and batch).
+    """
+    s, T, beta = cache["s"], cache["T"], cache["beta"]
+    eta = beta / (1.0 - beta)
+    out = np.sum(T * s, axis=-1)
+    w = T * (1.0 + eta * (s - out[..., None]))
+    # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
+    dout_deta = np.sum(T * s * s, axis=-1) - out * out
+    deta = float(np.sum(G * dout_deta))
+    return G[..., None] * w, deta / (1.0 - beta) ** 2
+
+
 @dataclass(eq=False)
-class Dense:
+class Dense(Layer):
     """Fully connected affine map z -> W z + b."""
 
     W: Tensor
     b: Tensor
+    tag = "dense"
 
     def __post_init__(self):
         self.W = as_tensor(self.W)
@@ -78,14 +168,30 @@ class Dense:
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
             raise ShapeError(f"dense shapes disagree: W {self.W.shape}, b {self.b.shape}")
 
+    def dims(self) -> tuple[int, int]:
+        return self.W.shape[1], self.W.shape[0]
+
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        return Z @ self.W.T + self.b, {"Z": Z}
+
+    def backward(self, cache, G):
+        return G @ self.W, {"W": G.T @ cache["Z"], "b": G.sum(axis=0)}, None
+
+    def selected_affine(self, z):
+        return self.W.copy(), self.b.copy()
+
+    def params(self) -> dict:
+        return {"W": self.W, "b": self.b}
+
 
 @dataclass(eq=False)
-class Conv:
+class Conv(Layer):
     """2-D convolution, stride pair, 'valid' or zero-padded 'same' boundary.
 
     filters: (out_ch, in_ch, kh, kw); bias: per-out-channel.  in_shape is
-    the (C, H, W) the layer expects; the lowered matrix is cached on first
-    use since the geometry is fixed.
+    the (C, H, W) the layer expects.  matrix() lowers the current filters
+    on every call; a forward keeps its lowered matrix in the cache for the
+    backward of the same step.
     """
 
     filters: Tensor
@@ -93,7 +199,7 @@ class Conv:
     stride: tuple[int, int]
     padding: str
     in_shape: tuple[int, int, int]
-    _matrix: Tensor | None = field(default=None, repr=False)
+    tag = "conv"
 
     def __post_init__(self):
         self.filters = as_tensor(self.filters)
@@ -116,13 +222,46 @@ class Conv:
         conv_out_shape(self, self.in_shape)
 
     def matrix(self) -> Tensor:
-        if self._matrix is None:
-            self._matrix = conv_to_matrix(self, self.in_shape)
-        return self._matrix
+        return conv_to_matrix(self, self.in_shape)
 
     def bias_flat(self) -> Tensor:
         _, ho, wo = conv_out_shape(self, self.in_shape)
         return np.repeat(self.bias, ho * wo)
+
+    def dims(self) -> tuple[int, int]:
+        return int(np.prod(self.in_shape)), int(np.prod(conv_out_shape(self, self.in_shape)))
+
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        M = self.matrix()
+        return Z @ M.T + self.bias_flat(), {"Z": Z, "M": M}
+
+    def backward(self, cache, G):
+        """Input gradient through the lowered matrix; filter gradients by
+        correlating the padded input images with the output gradient."""
+        Z = cache["Z"]
+        n = Z.shape[0]
+        c_in, h, w = self.in_shape
+        c_out, h_out, w_out = conv_out_shape(self, self.in_shape)
+        kh, kw = self.filters.shape[2], self.filters.shape[3]
+        sh, sw = self.stride
+        ph, pw = _pad_before(self)
+        pad_h = max(0, (h_out - 1) * sh + kh - ph - h)
+        pad_w = max(0, (w_out - 1) * sw + kw - pw - w)
+        Zpad = np.pad(Z.reshape(n, c_in, h, w), ((0, 0), (0, 0), (ph, pad_h), (pw, pad_w)))
+        Gimg = G.reshape(n, c_out, h_out, w_out)
+        dfil = np.zeros_like(self.filters)
+        for p in range(kh):
+            for q in range(kw):
+                patch = Zpad[:, :, p : p + sh * h_out : sh, q : q + sw * w_out : sw]
+                dfil[:, :, p, q] = np.einsum("noyx,niyx->oi", Gimg, patch)
+        grads = {"filters": dfil, "bias": Gimg.sum(axis=(0, 2, 3))}
+        return G @ cache["M"], grads, None
+
+    def selected_affine(self, z):
+        return self.matrix(), self.bias_flat()
+
+    def params(self) -> dict:
+        return {"filters": self.filters, "bias": self.bias}
 
 
 ACTIVATION_SLOPES = {
@@ -134,14 +273,19 @@ ACTIVATION_SLOPES = {
 
 
 @dataclass(eq=False)
-class Activation:
+class Activation(Layer):
     """Elementwise two-region nonlinearity: relu, lrelu(nu) or abs."""
 
     kind: str
     dim: int
     nu: float = 0.01
+    tag = "activation"
+    selector = True
+    _json_names = {"kind": "activation"}
 
     def __post_init__(self):
+        self.dim = int(self.dim)
+        self.nu = float(self.nu)
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
         if self.kind == "lrelu" and not self.nu > 0:
@@ -153,28 +297,63 @@ class Activation:
         lo, hi = ACTIVATION_SLOPES[self.kind]
         return (self.nu if lo is None else lo, hi)
 
+    def dims(self) -> tuple[int, int]:
+        return self.dim, self.dim
 
-def _check_regions(regions, in_dim: int):
-    regs = tuple(tuple(int(i) for i in r) for r in regions)
-    if not regs:
-        raise DomainError("pooling needs at least one region")
-    for r in regs:
-        if not r:
-            raise DomainError("empty pooling region")
-        if min(r) < 0 or max(r) >= in_dim:
-            raise DomainError(f"region index out of range for input dim {in_dim}")
-    return regs
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        lo, hi = self.slopes()
+        if mode == "hard":
+            on = Z > 0
+            out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
+            return out, {"Z": Z, "codes": on.astype(np.int64)}
+        s = np.stack([lo * Z, hi * Z], axis=-1)
+        out, T = _soft_select_forward(s, beta)
+        return out, {"s": s, "T": T, "beta": beta}
+
+    def backward(self, cache, G):
+        lo, hi = self.slopes()
+        if "codes" in cache:
+            return G * np.where(cache["codes"] == 1, hi, lo), {}, None
+        Gs, dbeta = _soft_select_backward(G, cache)
+        return Gs[..., 0] * lo + Gs[..., 1] * hi, {}, dbeta
+
+    def near_boundary(self, cache, gap):
+        return bool(np.any(np.abs(cache["Z"]) < gap))
+
+    def selected_affine(self, z):
+        lo, hi = self.slopes()
+        return np.diag(np.where(z > 0, hi, lo)), np.zeros(self.dim)
 
 
 @dataclass(eq=False)
-class MaxPool:
-    """Max over explicit index regions of the flat input."""
+class _Pool(Layer):
+    """Explicit index regions of the flat input, one output per region."""
 
     regions: tuple
     in_dim: int
 
     def __post_init__(self):
-        self.regions = _check_regions(self.regions, self.in_dim)
+        self.in_dim = int(self.in_dim)
+        regs = tuple(tuple(int(i) for i in r) for r in self.regions)
+        if not regs:
+            raise DomainError("pooling needs at least one region")
+        for r in regs:
+            if not r:
+                raise DomainError("empty pooling region")
+            if min(r) < 0 or max(r) >= self.in_dim:
+                raise DomainError(f"region index out of range for input dim {self.in_dim}")
+        self.regions = regs
+
+    def dims(self) -> tuple[int, int]:
+        return self.in_dim, len(self.regions)
+
+
+@dataclass(eq=False)
+class MaxPool(_Pool):
+    """Max over explicit index regions of the flat input."""
+
+    tag = "maxpool"
+    selector = True
 
     def padded_indices(self) -> np.ndarray:
         """(K, R) index matrix; short regions repeat their last index."""
@@ -183,16 +362,49 @@ class MaxPool:
             [list(r) + [r[-1]] * (r_max - len(r)) for r in self.regions], dtype=np.int64
         )
 
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        idx = self.padded_indices()
+        s = Z[:, idx]
+        if mode == "hard":
+            return s.max(axis=2), {"idx": idx, "s": s, "codes": np.argmax(s, axis=2)}
+        out, T = _soft_select_forward(s, beta)
+        return out, {"idx": idx, "s": s, "T": T, "beta": beta}
+
+    def backward(self, cache, G):
+        idx = cache["idx"]
+        if "codes" in cache:
+            winners = idx[np.arange(idx.shape[0]), cache["codes"]]
+            return self._scatter(winners, G), {}, None
+        Gs, dbeta = _soft_select_backward(G, cache)
+        return self._scatter(idx, Gs), {}, dbeta
+
+    def _scatter(self, cols, V):
+        """(n, in_dim) sums of the values V (n, ...) at the input indices cols."""
+        n = V.shape[0]
+        Gin = np.zeros((n, self.in_dim))
+        np.add.at(Gin, (np.arange(n).reshape((n,) + (1,) * (V.ndim - 1)), cols), V)
+        return Gin
+
+    def near_boundary(self, cache, gap):
+        s = cache["s"]
+        if s.shape[-1] < 2:
+            return False
+        top2 = np.sort(s, axis=-1)[..., -2:]
+        return bool(np.any(top2[..., 1] - top2[..., 0] < gap))
+
+    def selected_affine(self, z):
+        idx = self.padded_indices()
+        units = np.arange(idx.shape[0])
+        A = np.zeros((idx.shape[0], self.in_dim))
+        A[units, idx[units, np.argmax(z[idx], axis=1)]] = 1.0
+        return A, np.zeros(idx.shape[0])
+
 
 @dataclass(eq=False)
-class AvgPool:
+class AvgPool(_Pool):
     """Mean over explicit index regions of the flat input."""
 
-    regions: tuple
-    in_dim: int
-
-    def __post_init__(self):
-        self.regions = _check_regions(self.regions, self.in_dim)
+    tag = "avgpool"
 
     def matrix(self) -> Tensor:
         P = np.zeros((len(self.regions), self.in_dim))
@@ -200,31 +412,82 @@ class AvgPool:
             np.add.at(P[k], list(r), 1.0 / len(r))
         return P
 
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        P = self.matrix()
+        return Z @ P.T, {"P": P}
+
+    def backward(self, cache, G):
+        return G @ cache["P"], {}, None
+
+    def selected_affine(self, z):
+        P = self.matrix()
+        return P, np.zeros(P.shape[0])
+
 
 @dataclass(eq=False)
-class BatchNorm:
-    """Per-feature normalization; at inference a fixed affine map."""
+class BatchNorm(Layer):
+    """Per-feature normalization; at inference a fixed affine map.
+
+    With batch_stats on and more than one row, forward normalizes by the
+    batch's own mean and variance (training view); otherwise it applies
+    the stored statistics folded into Z * scale + shift.
+    """
 
     mean: Tensor
     var: Tensor
     scale: Tensor
     shift: Tensor
     epsilon: float = 1e-5
+    tag = "batchnorm"
 
     def __post_init__(self):
         self.mean = as_tensor(self.mean)
         self.var = as_tensor(self.var)
         self.scale = as_tensor(self.scale)
         self.shift = as_tensor(self.shift)
+        self.epsilon = float(self.epsilon)
         shapes = {self.mean.shape, self.var.shape, self.scale.shape, self.shift.shape}
         if len(shapes) != 1 or self.mean.ndim != 1:
             raise ShapeError("batch-norm fields must be equal-length vectors")
         if np.any(self.var + self.epsilon <= 0):
             raise DomainError("var + epsilon must be positive")
 
+    def dims(self) -> tuple[int, int]:
+        return self.mean.shape[0], self.mean.shape[0]
+
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        if batch_stats and Z.shape[0] > 1:
+            Zc = Z - Z.mean(axis=0)
+            denom = np.sqrt(Z.var(axis=0) + self.epsilon)
+            xhat = Zc / denom
+            return self.scale * xhat + self.shift, {"Zc": Zc, "xhat": xhat, "denom": denom}
+        scale, shift = bn_fold_affine(self)
+        return Z * scale + shift, {"Z": Z}
+
+    def backward(self, cache, G):
+        batch = "Zc" in cache
+        denom = cache["denom"] if batch else np.sqrt(self.var + self.epsilon)
+        xhat = cache["xhat"] if batch else (cache["Z"] - self.mean) / denom
+        grads = {"scale": np.sum(G * xhat, axis=0), "shift": G.sum(axis=0)}
+        dxhat = G * self.scale
+        if not batch:
+            return dxhat / denom, grads, None
+        n = G.shape[0]
+        Zc = cache["Zc"]
+        dvar = np.sum(dxhat * Zc, axis=0) * (-0.5) * denom**-3
+        dmu = -np.sum(dxhat, axis=0) / denom + dvar * (-2.0 / n) * Zc.sum(axis=0)
+        return dxhat / denom + dvar * 2.0 * Zc / n + dmu / n, grads, None
+
+    def selected_affine(self, z):
+        scale, shift = bn_fold_affine(self)
+        return np.diag(scale), shift
+
+    def params(self) -> dict:
+        return {"scale": self.scale, "shift": self.shift}
+
 
 @dataclass(eq=False)
-class SkipBlock:
+class SkipBlock(Layer):
     """Residual block z -> skip(z) + act(conv(z) + bias) + skip_bias.
 
     The skip path is a pure linear convolution; its own bias field must be
@@ -235,54 +498,66 @@ class SkipBlock:
     activation: Activation
     skip: Conv
     skip_bias: Tensor
+    tag = "skip"
+    selector = True
 
     def __post_init__(self):
         self.skip_bias = as_tensor(self.skip_bias)
-        out_dim = int(np.prod(conv_out_shape(self.conv, self.conv.in_shape)))
-        skip_out = int(np.prod(conv_out_shape(self.skip, self.skip.in_shape)))
+        out_dim = self.conv.dims()[1]
         if self.activation.dim != out_dim:
             raise ShapeError("activation width must match conv output")
-        if skip_out != out_dim or self.skip.in_shape != self.conv.in_shape:
+        if self.skip.dims()[1] != out_dim or self.skip.in_shape != self.conv.in_shape:
             raise ShapeError("skip path must map the block input to the block output")
         if np.any(self.skip.bias != 0.0):
             raise DomainError("skip convolution must be bias-free; use skip_bias")
         if self.skip_bias.shape != (out_dim,):
             raise ShapeError(f"skip_bias must have length {out_dim}")
 
+    def dims(self) -> tuple[int, int]:
+        return self.conv.dims()
 
-LayerSpec = Dense | Conv | Activation | MaxPool | AvgPool | BatchNorm | SkipBlock
+    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+        pre, conv_cache = self.conv.forward(Z)
+        act, act_cache = self.activation.forward(pre, mode, beta)
+        skip, skip_cache = self.skip.forward(Z)
+        cache = {"conv": conv_cache, "act": act_cache, "skip": skip_cache}
+        cache["codes"] = act_cache.get("codes")
+        return skip + act + self.skip_bias, cache
+
+    def backward(self, cache, G):
+        Gpre, _, dbeta = self.activation.backward(cache["act"], G)
+        Gconv, conv_grads, _ = self.conv.backward(cache["conv"], Gpre)
+        Gskip, skip_grads, _ = self.skip.backward(cache["skip"], G)
+        grads = {f"conv.{k}": g for k, g in conv_grads.items()}
+        grads.update({"skip.filters": skip_grads["filters"], "skip_bias": G.sum(axis=0)})
+        return Gconv + Gskip, grads, dbeta
+
+    def near_boundary(self, cache, gap):
+        return self.activation.near_boundary(cache["act"], gap)
+
+    def branches(self, z) -> tuple[Tensor, Tensor, Tensor]:
+        """(skip matrix, activation-branch matrix, offset) around input z."""
+        Mc, bc = self.conv.matrix(), self.conv.bias_flat()
+        Aact, bact = self.activation.selected_affine(Mc @ z + bc)
+        return self.skip.matrix(), Aact @ Mc, Aact @ bc + bact + self.skip_bias
+
+    def selected_affine(self, z):
+        skip, act, b = self.branches(z)
+        return skip + act, b
+
+    def params(self) -> dict:
+        # the skip conv's bias is pinned at zero, so only its filters train
+        params = {f"conv.{k}": v for k, v in self.conv.params().items()}
+        params.update({"skip.filters": self.skip.filters, "skip_bias": self.skip_bias})
+        return params
 
 
-def layer_in_dim(layer: LayerSpec) -> int:
-    if isinstance(layer, Dense):
-        return layer.W.shape[1]
-    if isinstance(layer, Conv):
-        return int(np.prod(layer.in_shape))
-    if isinstance(layer, Activation):
-        return layer.dim
-    if isinstance(layer, (MaxPool, AvgPool)):
-        return layer.in_dim
-    if isinstance(layer, BatchNorm):
-        return layer.mean.shape[0]
-    if isinstance(layer, SkipBlock):
-        return layer_in_dim(layer.conv)
-    raise StructureError(f"unknown layer {type(layer).__name__}")
+def layer_in_dim(layer: Layer) -> int:
+    return layer.dims()[0]
 
 
-def layer_out_dim(layer: LayerSpec) -> int:
-    if isinstance(layer, Dense):
-        return layer.W.shape[0]
-    if isinstance(layer, Conv):
-        return int(np.prod(conv_out_shape(layer, layer.in_shape)))
-    if isinstance(layer, Activation):
-        return layer.dim
-    if isinstance(layer, (MaxPool, AvgPool)):
-        return len(layer.regions)
-    if isinstance(layer, BatchNorm):
-        return layer.mean.shape[0]
-    if isinstance(layer, SkipBlock):
-        return layer_out_dim(layer.conv)
-    raise StructureError(f"unknown layer {type(layer).__name__}")
+def layer_out_dim(layer: Layer) -> int:
+    return layer.dims()[1]
 
 
 @dataclass(eq=False)
@@ -299,10 +574,12 @@ class Network:
         dim = int(np.prod(self.input_shape))
         dims = [dim]
         for i, layer in enumerate(self.layers):
-            need = layer_in_dim(layer)
+            if not isinstance(layer, Layer):
+                raise StructureError(f"unknown layer {type(layer).__name__}")
+            need, out = layer.dims()
             if need != dim:
                 raise ShapeError(f"layer {i} expects input dim {need}, chain gives {dim}")
-            dim = layer_out_dim(layer)
+            dim = out
             dims.append(dim)
         if dim != self.class_count:
             raise ShapeError(
@@ -409,32 +686,24 @@ def _pad_before(conv: Conv) -> tuple[int, int]:
 def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
     """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
 
-    Out-of-range taps under 'same-zero' padding read zeros, which is why
-    those filter entries simply never land in M.
+    Every (output, channel, tap) triple is indexed at once on a broadcast
+    grid.  Out-of-range taps under 'same-zero' padding read zeros, which
+    is why those filter entries simply never land in M; no two taps of one
+    output read the same input entry, so each lands by plain assignment.
     """
     c_in, h, w = (int(s) for s in input_shape)
     c_out, h_out, w_out = conv_out_shape(conv, input_shape)
-    if tuple(input_shape) == conv.in_shape and conv._matrix is not None:
-        return conv._matrix
     kh, kw = conv.filters.shape[2], conv.filters.shape[3]
     sh, sw = conv.stride
     ph, pw = _pad_before(conv)
+    o, y, x, i, p, q = np.ix_(*(np.arange(n) for n in (c_out, h_out, w_out, c_in, kh, kw)))
+    yy, xx = y * sh + p - ph, x * sw + q - pw
+    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    rows, cols, vals, inside = np.broadcast_arrays(
+        (o * h_out + y) * w_out + x, (i * h + yy) * w + xx, conv.filters[:, None, None], inside
+    )
     M = np.zeros((c_out * h_out * w_out, c_in * h * w))
-    for o in range(c_out):
-        for y in range(h_out):
-            for x in range(w_out):
-                row = (o * h_out + y) * w_out + x
-                for i in range(c_in):
-                    for p in range(kh):
-                        yy = y * sh + p - ph
-                        if yy < 0 or yy >= h:
-                            continue
-                        for q in range(kw):
-                            xx = x * sw + q - pw
-                            if 0 <= xx < w:
-                                M[row, (i * h + yy) * w + xx] += conv.filters[o, i, p, q]
-    if tuple(input_shape) == conv.in_shape:
-        conv._matrix = M
+    M[rows[inside], cols[inside]] = vals[inside]
     return M
 
 
@@ -442,40 +711,15 @@ def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
 # forward evaluation
 # ---------------------------------------------------------------------------
 
-def layer_forward_hard(layer: LayerSpec, Z: Tensor):
+def layer_forward_hard(layer: Layer, Z: Tensor):
     """Batched hard forward: (n, in) -> ((n, out), codes or None).
 
     codes is an (n, K) int array for layers that select a region (the
     activation inside a skip block speaks for the block); affine layers
     return None.
     """
-    if isinstance(layer, Dense):
-        return Z @ layer.W.T + layer.b, None
-    if isinstance(layer, Conv):
-        return Z @ layer.matrix().T + layer.bias_flat(), None
-    if isinstance(layer, Activation):
-        lo, hi = layer.slopes()
-        codes = (Z > 0).astype(np.int64)
-        if layer.kind == "relu":
-            out = np.maximum(Z, 0.0)
-        elif layer.kind == "lrelu":
-            out = np.where(Z > 0, Z, lo * Z)
-        else:
-            out = np.where(Z > 0, Z, -Z)
-        return out, codes
-    if isinstance(layer, MaxPool):
-        gathered = Z[:, layer.padded_indices()]
-        return gathered.max(axis=2), np.argmax(gathered, axis=2)
-    if isinstance(layer, AvgPool):
-        return Z @ layer.matrix().T, None
-    if isinstance(layer, BatchNorm):
-        scale, shift = bn_fold_affine(layer)
-        return Z * scale + shift, None
-    if isinstance(layer, SkipBlock):
-        pre = Z @ layer.conv.matrix().T + layer.conv.bias_flat()
-        act, codes = layer_forward_hard(layer.activation, pre)
-        return Z @ layer.skip.matrix().T + act + layer.skip_bias, codes
-    raise StructureError(f"unknown layer {type(layer).__name__}")
+    out, cache = layer.forward(Z)
+    return out, cache.get("codes")
 
 
 def network_forward_batch(net: Network, X: Tensor):
@@ -520,43 +764,18 @@ def skip_block_forward(blk: SkipBlock, z: Tensor) -> Tensor:
     return out[0]
 
 
-def layer_selected_affine(layer: LayerSpec, z: Tensor) -> tuple[Tensor, Tensor]:
+def layer_selected_affine(layer: Layer, z: Tensor) -> tuple[Tensor, Tensor]:
     """(A, b) of the affine map the layer applies around the given input.
 
     For affine layers this is the layer itself; for selector layers it is
-    the region the input falls in (ties to the lowest region index).
+    the region the input falls in (ties to the lowest region index).  The
+    arrays are fresh, never views of the layer's parameters.
     """
     z = as_tensor(z).reshape(-1)
     d = layer_in_dim(layer)
     if z.shape[0] != d:
         raise ShapeError(f"input has {z.shape[0]} entries, expected {d}")
-    if isinstance(layer, Dense):
-        return layer.W.copy(), layer.b.copy()
-    if isinstance(layer, Conv):
-        return layer.matrix().copy(), layer.bias_flat()
-    if isinstance(layer, Activation):
-        lo, hi = layer.slopes()
-        slope = np.where(z > 0, hi, lo)
-        return np.diag(slope), np.zeros(d)
-    if isinstance(layer, MaxPool):
-        idx = layer.padded_indices()
-        winners = idx[np.arange(idx.shape[0]), np.argmax(z[idx], axis=1)]
-        A = np.zeros((idx.shape[0], d))
-        A[np.arange(idx.shape[0]), winners] = 1.0
-        return A, np.zeros(idx.shape[0])
-    if isinstance(layer, AvgPool):
-        P = layer.matrix()
-        return P, np.zeros(P.shape[0])
-    if isinstance(layer, BatchNorm):
-        scale, shift = bn_fold_affine(layer)
-        return np.diag(scale), shift.copy()
-    if isinstance(layer, SkipBlock):
-        pre = layer.conv.matrix() @ z + layer.conv.bias_flat()
-        Aact, bact = layer_selected_affine(layer.activation, pre)
-        A = layer.skip.matrix() + Aact @ layer.conv.matrix()
-        b = Aact @ layer.conv.bias_flat() + bact + layer.skip_bias
-        return A, b
-    raise StructureError(f"unknown layer {type(layer).__name__}")
+    return layer.selected_affine(z)
 
 
 # ---------------------------------------------------------------------------

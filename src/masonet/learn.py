@@ -1,7 +1,7 @@
 """Training machinery: loss, exact gradients, Adam, orthogonality tools.
 
-Gradients are computed analytically for every layer kind in three
-selection regimes:
+Gradients are computed analytically, by each layer kind's backward in
+`layers`, in three selection regimes:
 
 * hard  -- the selection found at the forward pass is frozen and the
            gradient of the resulting affine map is returned (exact almost
@@ -134,17 +134,13 @@ def _cross_entropy_batch(logits: Tensor, labels: np.ndarray) -> tuple[float, Ten
 # mode-aware forward with caches
 # ---------------------------------------------------------------------------
 
-def _eta_of(beta: float) -> float:
-    return beta / (1.0 - beta)
-
-
 def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     """Per-selector-layer beta value for the given mode."""
     if mode == "hard":
         return {}
     out = {}
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, (L.Activation, L.MaxPool, L.SkipBlock)):
+        if layer.selector:
             if mode == "soft":
                 out[i] = 0.5
             elif isinstance(beta, dict):
@@ -159,83 +155,11 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     return out
 
 
-def _soft_select_forward(s: Tensor, eta: float):
-    """Weighted output of scores s (.., R) under T = softmax(eta * s)."""
-    t = eta * s
-    t = t - t.max(axis=-1, keepdims=True)
-    T = np.exp(t)
-    T /= T.sum(axis=-1, keepdims=True)
-    out = np.sum(T * s, axis=-1)
-    return out, T
-
-
-def _activation_forward(layer: L.Activation, Z: Tensor, mode: str, beta):
-    lo, hi = layer.slopes()
-    if mode == "hard":
-        out, codes = L.layer_forward_hard(layer, Z)
-        return out, {"kind": "act-hard", "codes": codes, "slopes": (lo, hi)}
-    s = np.stack([lo * Z, hi * Z], axis=-1)
-    out, T = _soft_select_forward(s, _eta_of(beta))
-    return out, {"kind": "act-soft", "s": s, "T": T, "beta": beta, "slopes": (lo, hi)}
-
-
-def _maxpool_forward(layer: L.MaxPool, Z: Tensor, mode: str, beta):
-    idx = layer.padded_indices()
-    gathered = Z[:, idx]
-    if mode == "hard":
-        codes = np.argmax(gathered, axis=2)
-        cache = {"kind": "pool-hard", "idx": idx, "codes": codes, "s": gathered}
-        return gathered.max(axis=2), cache
-    out, T = _soft_select_forward(gathered, _eta_of(beta))
-    return out, {"kind": "pool-soft", "idx": idx, "s": gathered, "T": T, "beta": beta}
-
-
-def _bn_forward(layer: L.BatchNorm, Z: Tensor, batch_stats: bool):
-    if batch_stats and Z.shape[0] > 1:
-        mu = Z.mean(axis=0)
-        var = Z.var(axis=0)
-    else:
-        mu, var = layer.mean, layer.var
-    denom = np.sqrt(var + layer.epsilon)
-    xhat = (Z - mu) / denom
-    out = layer.scale * xhat + layer.shift
-    return out, {
-        "kind": "bn",
-        "xhat": xhat,
-        "denom": denom,
-        "Zc": Z - mu,
-        "batch": batch_stats and Z.shape[0] > 1,
-        "mu": mu,
-        "var": var,
-    }
-
-
-def _layer_forward_train(layer, Z: Tensor, mode: str, beta, bn_batch_stats: bool):
-    if isinstance(layer, L.Dense):
-        return Z @ layer.W.T + layer.b, {"kind": "dense", "Zin": Z}
-    if isinstance(layer, L.Conv):
-        return Z @ layer.matrix().T + layer.bias_flat(), {"kind": "conv", "Zin": Z}
-    if isinstance(layer, L.Activation):
-        return _activation_forward(layer, Z, mode, beta)
-    if isinstance(layer, L.MaxPool):
-        return _maxpool_forward(layer, Z, mode, beta)
-    if isinstance(layer, L.AvgPool):
-        return Z @ layer.matrix().T, {"kind": "avg"}
-    if isinstance(layer, L.BatchNorm):
-        return _bn_forward(layer, Z, bn_batch_stats)
-    if isinstance(layer, L.SkipBlock):
-        pre = Z @ layer.conv.matrix().T + layer.conv.bias_flat()
-        act, sub = _layer_forward_train(layer.activation, pre, mode, beta, bn_batch_stats)
-        out = Z @ layer.skip.matrix().T + act + layer.skip_bias
-        return out, {"kind": "skip", "Zin": Z, "pre": pre, "sub": sub}
-    raise ShapeError(f"unknown layer {type(layer).__name__}")
-
-
 def _forward_train(net: L.Network, X: Tensor, mode: str, betas: dict, bn_batch_stats: bool):
     Z = X
     caches = []
     for i, layer in enumerate(net.layers):
-        Z, cache = _layer_forward_train(layer, Z, mode, betas.get(i), bn_batch_stats)
+        Z, cache = layer.forward(Z, mode, betas.get(i), bn_batch_stats)
         caches.append(cache)
     return Z, caches
 
@@ -252,8 +176,9 @@ def forward_loss(
 
     This is exactly the function whose gradients `backward` returns, which
     makes it the reference for finite-difference checks.  Batch-norm uses
-    batch statistics here (training view); `network_forward` keeps using
-    the stored inference statistics.
+    batch statistics here (training view) unless bn_batch_stats is off;
+    a hard-mode forward without them is the inference forward that
+    `network_forward` runs.
     """
     X, labels = _as_batch(net, X, labels)
     betas = _beta_for_layers(net, mode, beta)
@@ -265,113 +190,6 @@ def forward_loss(
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
-
-def _soft_select_backward(G: Tensor, cache: dict):
-    """Shared backward through out = sum_r T_r s_r, T = softmax(eta s).
-
-    Returns (dout/ds contracted with G, d(loss)/d(eta) summed over the
-    cache's units and batch).
-    """
-    s, T = cache["s"], cache["T"]
-    eta = _eta_of(cache["beta"])
-    out = np.sum(T * s, axis=-1)
-    w = T * (1.0 + eta * (s - out[..., None]))
-    Gs = G[..., None] * w
-    # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
-    dout_deta = np.sum(T * s * s, axis=-1) - out * out
-    deta = float(np.sum(G * dout_deta))
-    return Gs, deta
-
-
-def _conv_param_grads(conv: L.Conv, Zin: Tensor, Gout: Tensor):
-    """Filter/bias gradients from the batched input and output gradient."""
-    n = Zin.shape[0]
-    c_in, h, w = conv.in_shape
-    c_out, h_out, w_out = L.conv_out_shape(conv, conv.in_shape)
-    kh, kw = conv.filters.shape[2], conv.filters.shape[3]
-    sh, sw = conv.stride
-    ph, pw = L._pad_before(conv)
-    pad_h = max(0, (h_out - 1) * sh + kh - ph - h)
-    pad_w = max(0, (w_out - 1) * sw + kw - pw - w)
-    Zimg = Zin.reshape(n, c_in, h, w)
-    Zpad = np.pad(Zimg, ((0, 0), (0, 0), (ph, pad_h), (pw, pad_w)))
-    Gimg = Gout.reshape(n, c_out, h_out, w_out)
-    dfil = np.zeros_like(conv.filters)
-    for p in range(kh):
-        for q in range(kw):
-            patch = Zpad[:, :, p : p + sh * h_out : sh, q : q + sw * w_out : sw]
-            dfil[:, :, p, q] = np.einsum("noyx,niyx->oi", Gimg, patch)
-    dbias = Gimg.sum(axis=(0, 2, 3))
-    return dfil, dbias
-
-
-def _layer_backward(layer, cache: dict, G: Tensor):
-    """Returns (G w.r.t. layer input, param grads dict, d loss/d beta or None)."""
-    kind = cache["kind"]
-    if kind == "dense":
-        Zin = cache["Zin"]
-        return G @ layer.W, {"W": G.T @ Zin, "b": G.sum(axis=0)}, None
-    if kind == "conv":
-        dfil, dbias = _conv_param_grads(layer, cache["Zin"], G)
-        return G @ layer.matrix(), {"filters": dfil, "bias": dbias}, None
-    if kind == "act-hard":
-        lo, hi = cache["slopes"]
-        slope = np.where(cache["codes"] == 1, hi, lo)
-        return G * slope, {}, None
-    if kind == "act-soft":
-        Gs, deta = _soft_select_backward(G, cache)
-        lo, hi = cache["slopes"]
-        Gin = Gs[..., 0] * lo + Gs[..., 1] * hi
-        return Gin, {}, deta / (1.0 - cache["beta"]) ** 2
-    if kind == "pool-hard":
-        idx, codes = cache["idx"], cache["codes"]
-        n, K = G.shape
-        winners = idx[np.arange(K)[None, :], codes]
-        Gin = np.zeros((n, layer.in_dim))
-        np.add.at(Gin, (np.repeat(np.arange(n), K), winners.ravel()), G.ravel())
-        return Gin, {}, None
-    if kind == "pool-soft":
-        Gs, deta = _soft_select_backward(G, cache)
-        idx = cache["idx"]
-        n = G.shape[0]
-        Gin = np.zeros((n, layer.in_dim))
-        rows = np.repeat(np.arange(n), idx.size)
-        cols = np.tile(idx.ravel(), n)
-        np.add.at(Gin, (rows, cols), Gs.reshape(n, -1).ravel())
-        return Gin, {}, deta / (1.0 - cache["beta"]) ** 2
-    if kind == "avg":
-        return G @ layer.matrix(), {}, None
-    if kind == "bn":
-        return _bn_backward(layer, cache, G)
-    if kind == "skip":
-        dskip_bias = G.sum(axis=0)
-        Gpre, _, dbeta = _layer_backward(layer.activation, cache["sub"], G)
-        dfil, dbias = _conv_param_grads(layer.conv, cache["Zin"], Gpre)
-        dskip_fil, _ = _conv_param_grads(layer.skip, cache["Zin"], G)
-        Gin = Gpre @ layer.conv.matrix() + G @ layer.skip.matrix()
-        grads = {
-            "conv.filters": dfil,
-            "conv.bias": dbias,
-            "skip.filters": dskip_fil,
-            "skip_bias": dskip_bias,
-        }
-        return Gin, grads, dbeta
-    raise ShapeError(f"unknown cache kind {kind!r}")
-
-
-def _bn_backward(layer: L.BatchNorm, cache: dict, G: Tensor):
-    xhat, denom = cache["xhat"], cache["denom"]
-    grads = {"scale": np.sum(G * xhat, axis=0), "shift": G.sum(axis=0)}
-    dxhat = G * layer.scale
-    if not cache["batch"]:
-        return dxhat / denom, grads, None
-    n = G.shape[0]
-    Zc = cache["Zc"]
-    dvar = np.sum(dxhat * Zc, axis=0) * (-0.5) * denom**-3
-    dmu = -np.sum(dxhat, axis=0) / denom + dvar * (-2.0 / n) * Zc.sum(axis=0)
-    Gin = dxhat / denom + dvar * 2.0 * Zc / n + dmu / n
-    return Gin, grads, None
-
 
 def _as_batch(net: L.Network, X, labels):
     X = as_tensor(X)
@@ -385,22 +203,6 @@ def _as_batch(net: L.Network, X, labels):
     if labels.size and (labels.min() < 0 or labels.max() >= net.class_count):
         raise DomainError("label out of range")
     return X, labels
-
-
-def _cache_near_boundary(cache: dict, Zin: Tensor) -> bool:
-    """Any unit of a hard-mode selector within the gap of a region tie?"""
-    kind = cache["kind"]
-    if kind == "act-hard":
-        return bool(np.any(np.abs(Zin) < _BOUNDARY_GAP))
-    if kind == "pool-hard":
-        s = cache["s"]
-        if s.shape[-1] < 2:
-            return False
-        top2 = np.sort(s, axis=-1)[..., -2:]
-        return bool(np.any(top2[..., 1] - top2[..., 0] < _BOUNDARY_GAP))
-    if kind == "skip":
-        return _cache_near_boundary(cache["sub"], cache["pre"])
-    return False
 
 
 def backward(
@@ -421,16 +223,10 @@ def backward(
     """
     X, labels = _as_batch(net, x, label)
     betas = _beta_for_layers(net, mode, beta)
-    Zs = [X]
-    caches = []
-    Z = X
-    for i, layer in enumerate(net.layers):
-        Z, cache = _layer_forward_train(layer, Z, mode, betas.get(i), bn_batch_stats)
-        caches.append(cache)
-        Zs.append(Z)
+    Z, caches = _forward_train(net, X, mode, betas, bn_batch_stats)
     if mode == "hard":
-        for i, cache in enumerate(caches):
-            if _cache_near_boundary(cache, Zs[i]):
+        for i, (layer, cache) in enumerate(zip(net.layers, caches)):
+            if layer.near_boundary(cache, _BOUNDARY_GAP):
                 warnings.warn(
                     f"layer {i}: input within {_BOUNDARY_GAP} of a region boundary; "
                     "the hard-mode gradient is one-sided; consider resampling",
@@ -439,7 +235,7 @@ def backward(
     loss, G = _cross_entropy_batch(Z, labels)
     values: dict = {}
     for i in range(len(net.layers) - 1, -1, -1):
-        G, grads, dbeta = _layer_backward(net.layers[i], caches[i], G)
+        G, grads, dbeta = net.layers[i].backward(caches[i], G)
         for name, g in grads.items():
             values[f"{i}.{name}"] = g
         if mode == "beta" and dbeta is not None:
@@ -542,20 +338,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
 
 def layer_params(layer) -> dict:
     """Trainable arrays of one layer, keyed by field name."""
-    if isinstance(layer, L.Dense):
-        return {"W": layer.W, "b": layer.b}
-    if isinstance(layer, L.Conv):
-        return {"filters": layer.filters, "bias": layer.bias}
-    if isinstance(layer, L.BatchNorm):
-        return {"scale": layer.scale, "shift": layer.shift}
-    if isinstance(layer, L.SkipBlock):
-        return {
-            "conv.filters": layer.conv.filters,
-            "conv.bias": layer.conv.bias,
-            "skip.filters": layer.skip.filters,
-            "skip_bias": layer.skip_bias,
-        }
-    return {}
+    return layer.params()
 
 
 def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
@@ -563,13 +346,16 @@ def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def _invalidate_conv_caches(net: L.Network):
-    for layer in net.layers:
-        if isinstance(layer, L.Conv):
-            layer._matrix = None
-        elif isinstance(layer, L.SkipBlock):
-            layer.conv._matrix = None
-            layer.skip._matrix = None
+def _filter_penalty(params: dict, keys, lam: float):
+    """Filter-orthogonality penalty summed over the weights under keys, and
+    each weight's gradient; a conv contributes one row per output channel."""
+    total, grads = 0.0, {}
+    for key in keys:
+        W = params[key]
+        pen, g = ortho_penalty_filters(W.reshape(W.shape[0], -1), lam)
+        total += pen
+        grads[key] = g.reshape(W.shape)
+    return total, grads
 
 
 def _sigmoid(x):
@@ -604,7 +390,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
     theta = {}
     if config.beta_mode == "beta" and config.beta_learnable:
         for i, layer in enumerate(net.layers):
-            if isinstance(layer, (L.Activation, L.MaxPool, L.SkipBlock)):
+            if layer.selector:
                 # logistic pre-parameter; beta = sigmoid(theta), init at config.beta
                 theta[i] = np.array(np.log(config.beta / (1.0 - config.beta)))
                 params[f"{i}.beta_raw"] = theta[i]
@@ -614,7 +400,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
         if isinstance(layer, L.Dense):
             last_dense = i
     penalized = [
-        (i, layer)
+        f"{i}.W" if isinstance(layer, L.Dense) else f"{i}.filters"
         for i, layer in enumerate(net.layers)
         if isinstance(layer, (L.Dense, L.Conv)) and i != last_dense
     ]
@@ -643,15 +429,9 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 _, gpen = ortho_penalty_templates(net.layers[last_dense].W, config.gamma)
                 gvals[f"{last_dense}.W"] = gvals.get(f"{last_dense}.W", 0.0) + gpen
             if config.lam > 0:
-                for i, layer in penalized:
-                    Wmat = layer.W if isinstance(layer, L.Dense) else layer.filters.reshape(
-                        layer.filters.shape[0], -1
-                    )
-                    _, gpen = ortho_penalty_filters(Wmat, config.lam)
-                    key = f"{i}.W" if isinstance(layer, L.Dense) else f"{i}.filters"
-                    gvals[key] = gvals.get(key, 0.0) + gpen.reshape(
-                        np.asarray(gvals[key]).shape
-                    )
+                _, gpens = _filter_penalty(params, penalized, config.lam)
+                for key, gpen in gpens.items():
+                    gvals[key] = gvals[key] + gpen
             if theta:
                 for i, t in theta.items():
                     b = float(_sigmoid(t))
@@ -661,7 +441,6 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 for i in range(len(net.layers)):
                     gvals.pop(f"{i}.beta", None)
             adam_step(params, gvals, state, config)
-            _invalidate_conv_caches(net)
 
         acc = accuracy(net, X, y)
         with warnings.catch_warnings():
@@ -670,13 +449,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
         tpen = 0.0
         if last_dense is not None:
             tpen, _ = ortho_penalty_templates(net.layers[last_dense].W, config.gamma)
-        fpen = 0.0
-        for i, layer in penalized:
-            Wmat = layer.W if isinstance(layer, L.Dense) else layer.filters.reshape(
-                layer.filters.shape[0], -1
-            )
-            pen, _ = ortho_penalty_filters(Wmat, config.lam)
-            fpen += pen
+        fpen, _ = _filter_penalty(params, penalized, config.lam)
         entry = {
             "epoch": epoch,
             "loss": epoch_loss,

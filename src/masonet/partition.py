@@ -182,8 +182,5 @@ def nearest_neighbors(
     else:
         dist = np.zeros(n)
     euclid = np.linalg.norm(X - X[query_index], axis=1)
-    order = sorted(
-        (i for i in range(n) if i != query_index),
-        key=lambda i: (dist[i], euclid[i], i),
-    )
-    return order[:k]
+    order = np.lexsort((np.arange(n), euclid, dist))
+    return order[order != query_index][:k].tolist()

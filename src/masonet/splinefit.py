@@ -4,8 +4,10 @@ A budget of R affine pieces is fit by alternating two steps: assign each
 sample to the piece whose affine value is largest, then refit each piece
 by least squares on its samples.  Pieces that lose all samples are
 reseeded to pass through the worst-fit sample.  The result is a K = 1
-MasoParams, convex by construction, and the sup error against the sample
-grid decays like 1/R (measured by the log-log slope of the error curve).
+MasoParams, convex by construction.  The sup error against the sample
+grid falls at least as fast as 1/R; on a smooth strictly convex target
+such as x^2 it falls like 1/R^2 (log-log slope about -2 on the error
+curve).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masonet import layers as L
 from masonet.analysis import (
@@ -33,6 +35,58 @@ def make_skip_chain(rng, blocks=2, with_head=True, shape=(2, 3, 3)):
 
 
 # --- decomposition ------------------------------------------------------------
+
+def every_kind_net(rng):
+    """Random conv -> act -> batch norm -> skip block -> max pool -> avg pool
+    -> dense chain; conv padding, stride, kernel and activation vary."""
+    c, h, w = int(rng.integers(1, 3)), int(rng.integers(5, 8)), int(rng.integers(5, 8))
+    padding = ("valid", "same-zero")[int(rng.integers(2))]
+    stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+    k = int(rng.integers(1, 4))
+    conv = L.Conv(rng.standard_normal((2, c, k, k)) * 0.5, rng.standard_normal(2) * 0.1,
+                  stride, padding, (c, h, w))
+    shape = L.conv_out_shape(conv, conv.in_shape)
+    d1 = int(np.prod(shape))
+    bn = L.BatchNorm(rng.standard_normal(d1) * 0.1, rng.random(d1) + 0.5,
+                     1.0 + 0.1 * rng.standard_normal(d1), 0.1 * rng.standard_normal(d1))
+    block = L.SkipBlock(
+        L.Conv(rng.standard_normal((2, 2, 3, 3)) * 0.3, rng.standard_normal(2) * 0.1,
+               (1, 1), "same-zero", shape),
+        L.Activation("relu", d1),
+        L.Conv(rng.standard_normal((2, 2, 1, 1)) * 0.3, np.zeros(2), (1, 1), "same-zero", shape),
+        rng.standard_normal(d1) * 0.1,
+    )
+    max_regions, pooled = L.pool_regions_2d(shape, (2, 2), (1, 1))
+    avg_regions, averaged = L.pool_regions_2d(pooled, (1, pooled[2]))
+    return L.Network(
+        [
+            conv,
+            L.Activation(("relu", "lrelu", "abs")[int(rng.integers(3))], d1, nu=0.1),
+            bn,
+            block,
+            L.MaxPool(max_regions, d1),
+            L.AvgPool(avg_regions, len(max_regions)),
+            L.Dense(rng.standard_normal((3, len(avg_regions))), rng.standard_normal(3) * 0.1),
+        ],
+        (c, h, w),
+        3,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_walks_reproduce_forward_for_every_layer_kind(seed):
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    x = rng.standard_normal(net.dims[0])
+    f, _ = L.network_forward(net, x)
+    bound = 1e-6 * (1.0 + np.max(np.abs(f)))  # criterion 1's bound
+    assert np.max(np.abs(decompose(net, x)(x) - f)) <= bound
+    T, biases = class_templates(net, x)
+    assert np.max(np.abs(T @ x + biases - f)) <= bound
+    expect = [np.linalg.norm(decompose(net, x, upto_layer=d).A) for d in range(1, 7)]
+    assert partial_product_norms(net, x) == expect
+
 
 def test_decompose_identity_on_empty_prefix(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
@@ -162,7 +216,6 @@ def test_ensemble_zero_skips_leave_plain_chain(rng):
     net = make_skip_chain(rng, blocks=2, with_head=False)
     for blk in net.layers:
         blk.skip.filters[:] = 0.0
-        blk.skip._matrix = None
     x = rng.standard_normal(18)
     terms = resnet_ensemble_terms(net, x)
     # only the all-activation branch survives

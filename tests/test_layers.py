@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from masonet import layers as L
+from masonet import learn
+from masonet.analysis import decompose
 from masonet.maso import MasoParams, forward_hard
 from masonet.ndcore import DomainError, ShapeError, WindowError
 
@@ -192,9 +194,41 @@ def test_conv_same_zero_geometry():
     assert out[0] == 4.0  # (3-1)//2 = 1 pad row/col of zeros at the corner
 
 
-def test_conv_matrix_is_cached(rng):
-    conv = L.Conv(rng.standard_normal((1, 1, 2, 2)), np.zeros(1), (1, 1), "valid", (1, 4, 4))
-    assert conv.matrix() is conv.matrix()
+def conv_skip_net(conv_filters, block_filters, skip_filters):
+    """conv -> abs -> skip block -> dense on 2x4x4 inputs, built from the filters."""
+    shape = (2, 4, 4)
+    conv = L.Conv(conv_filters, np.array([0.1, -0.2]), (1, 1), "same-zero", shape)
+    block = L.SkipBlock(
+        L.Conv(block_filters, np.array([0.05, 0.0]), (1, 1), "same-zero", shape),
+        L.Activation("relu", 32),
+        L.Conv(skip_filters, np.zeros(2), (1, 1), "same-zero", shape),
+        np.linspace(-0.1, 0.1, 32),
+    )
+    head = L.Dense(np.linspace(-1.0, 1.0, 96).reshape(3, 32), np.zeros(3))
+    return L.Network([conv, L.Activation("abs", 32), block, head], shape, 3)
+
+
+def test_forward_sees_filters_edited_in_place(rng):
+    # each edit must reach every route that lowers a convolution: nothing
+    # computed from the old filters may survive the first forward
+    net = conv_skip_net(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal((2, 2, 3, 3)),
+                        rng.standard_normal((2, 2, 1, 1)))
+    X = rng.standard_normal((5, 32))
+    y = np.array([0, 1, 2, 0, 1])
+
+    def results(n):
+        form = decompose(n, X[0])
+        return L.network_forward(n, X[0])[0], form.A, form.b, learn.forward_loss(n, X, y)
+
+    block = net.layers[2]
+    for filters in (net.layers[0].filters, block.conv.filters, block.skip.filters):
+        before = results(net)
+        filters *= -2.0
+        fresh = conv_skip_net(net.layers[0].filters.copy(), block.conv.filters.copy(),
+                              block.skip.filters.copy())
+        for got, want, old in zip(results(net), results(fresh), before):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, old)
 
 
 def test_conv_then_maxpool_composes_to_one_maso(rng):

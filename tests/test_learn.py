@@ -30,8 +30,6 @@ from masonet.ndcore import (
 
 def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
     """Central finite differences against the analytic gradients."""
-    from masonet.learn import _invalidate_conv_caches
-
     loss, g = backward(net, X, y, mode=mode, beta=beta)
     for key in keys:
         li, field = key.split(".", 1)
@@ -48,10 +46,8 @@ def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
                 target = getattr(target, part)
             arr = getattr(target, field.split(".")[-1])
             arr[idx] += h
-            _invalidate_conv_caches(net2)
             lp = forward_loss(net2, X, y, mode=mode, beta=beta)
             arr[idx] -= 2 * h
-            _invalidate_conv_caches(net2)
             lm = forward_loss(net2, X, y, mode=mode, beta=beta)
             fd = (lp - lm) / (2 * h)
             assert abs(G[idx] - fd) <= rtol * max(abs(fd), 1e-8), (key, idx, G[idx], fd)
