@@ -116,9 +116,13 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
     and excluded from the expansion.
     """
     blocks = []
-    for i, (layer, z, _, _) in enumerate(_walk(net, x, len(net.layers))):
+    z = _check_input(net, x)
+    for i, layer in enumerate(net.layers):
         if isinstance(layer, SkipBlock):
-            blocks.append(layer.branches(z)[:2])
+            # each block's branches are computed once; z advances through them
+            skip, act, b = layer.branches(z)
+            blocks.append((skip, act))
+            z = (skip + act) @ z + b
         elif not (isinstance(layer, Dense) and i == len(net.layers) - 1):
             raise StructureError(
                 f"layer {i} is {type(layer).__name__}; expansion needs skip blocks "

@@ -1,14 +1,18 @@
 """Command-line front end: datasets, network files, tabular emitters.
 
 Subcommands: gen-data, train, eval, decompose, templates, partition,
-stats, nn, norms, ensemble, splinefit, act-table.  Every command is
-deterministic given its seed and inputs; all CSV output carries a header
-row, uses '.' decimals and LF line endings.  Exit codes: 0 success, 2
-validation problem (bad file or argument), 1 internal error.
+stats, nn, norms, ensemble, splinefit, act-table.  Each subcommand's
+parser declares only the flags its handler reads and converts their
+values (comma lists included); the handler receives the parsed
+namespace.  Every command is deterministic given its seed and inputs;
+all CSV output carries a header row, uses '.' decimals and LF line
+endings.  Exit codes: 0 success, 2 bad input (file, flag or value), 1
+internal error.
 
-Dataset files are CSV (feature columns then an integer label).  Networks
-are JSON documents: {"input_shape", "class_count", "layers": [tagged
-layer objects with decimal weight arrays]}.
+Dataset files are CSV (feature columns then an integer label; splinefit
+reads the same layout with a float target).  Networks are JSON
+documents: {"input_shape", "class_count", "layers": [tagged layer
+objects with decimal weight arrays]}.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .maso import BetaParam, MasoParams, beta_vq_infer, forward_hard, forward_wi
 from .ndcore import MasonetError, ValidationError, as_tensor
 
 __all__ = [
-    "RunConfig",
     "generate_toy_dataset",
     "load_dataset_csv",
     "save_dataset_csv",
@@ -39,29 +41,6 @@ __all__ = [
 _TOY_POINTS_PER_CLASS = 5000
 _TOY_CLASSES = 4
 _TOY_BOX = 2.0
-
-
-@dataclass
-class RunConfig:
-    """Parsed per-command parameters (paths, seeds, training knobs)."""
-
-    command: str
-    net: str | None = None
-    data: str | None = None
-    out: str | None = None
-    seed: int = 0
-    epochs: int = 50
-    lr: float = 0.01
-    batch: int = 128
-    gamma: float = 0.0
-    lam: float = 0.0
-    beta: str = "0.5"
-    mode: str = "hard"
-    layer: int | None = None
-    bounds: str | None = None
-    resolution: str | None = None
-    k: str | None = None
-    query: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +94,14 @@ def save_dataset_csv(path: str, X, y) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset_csv(path: str, class_count: int | None = None):
+def load_dataset_csv(path: str, class_count: int | None = None, float_target: bool = False):
     """Parse a features-then-label CSV; returns (X, y).
 
-    A non-numeric first row is treated as the header.  Ragged rows,
-    non-numeric cells, and labels outside [0, class_count) raise a
-    ValidationError naming the 1-based line.
+    A non-numeric first row is treated as the header and blank lines are
+    skipped.  Ragged rows, non-numeric cells, and labels outside
+    [0, class_count) raise a ValidationError naming the 1-based file
+    line.  With float_target the last column is a real-valued target
+    (splinefit's f) instead of an integer label.
     """
     with open(path) as fh:
         raw = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -151,6 +132,12 @@ def load_dataset_csv(path: str, class_count: int | None = None):
             feats.append([float(c) for c in cells[:-1]])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: non-numeric feature cell ({exc})")
+        if float_target:
+            try:
+                labels.append(float(cells[-1]))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: target {cells[-1]!r} is not a number")
+            continue
         try:
             label = int(cells[-1])
         except ValueError:
@@ -158,7 +145,7 @@ def load_dataset_csv(path: str, class_count: int | None = None):
         if label < 0 or (class_count is not None and label >= class_count):
             raise ValidationError(f"{path}:{lineno}: label {label} out of range")
         labels.append(label)
-    return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.int64)
+    return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.float64 if float_target else np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +260,43 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_net(cfg: RunConfig) -> L.Network:
-    if cfg.net is None:
+def _resolve_net(args) -> L.Network:
+    if args.net is None:
         raise ValidationError("--net is required for this command")
-    if cfg.net.startswith("mlp:"):
-        # inline architecture, e.g. mlp:2-45-3-4 or mlp:2-16-2:abs
-        parts = cfg.net.split(":")
-        try:
-            dims = [int(d) for d in parts[1].split("-")]
-        except ValueError:
-            raise ValidationError(f"bad mlp architecture {cfg.net!r}")
-        kind = parts[2] if len(parts) > 2 else "relu"
+    if not args.net.startswith("mlp:"):
+        return load_network(args.net)
+    # inline architecture, e.g. mlp:2-45-3-4, mlp:2-16-2:abs or mlp:2-8-2:lrelu:0.05
+    parts = args.net.split(":")
+    try:
+        dims = [int(d) for d in parts[1].split("-")]
         nu = float(parts[3]) if len(parts) > 3 else 0.01
-        try:
-            return L.make_mlp(dims, kind=kind, nu=nu, seed=cfg.seed)
-        except MasonetError as exc:
-            raise ValidationError(f"bad mlp architecture {cfg.net!r}: {exc}")
-    return load_network(cfg.net)
+    except ValueError:
+        raise ValidationError(f"bad mlp architecture {args.net!r}")
+    kind = parts[2] if len(parts) > 2 else "relu"
+    try:
+        return L.make_mlp(dims, kind=kind, nu=nu, seed=args.seed)
+    except MasonetError as exc:
+        raise ValidationError(f"bad mlp architecture {args.net!r}: {exc}")
 
 
-def _load_data(cfg: RunConfig, net: L.Network | None = None):
-    if cfg.data is None:
+def _load_data(args, net: L.Network | None = None):
+    if args.data is None:
         raise ValidationError("--data is required for this command")
-    return load_dataset_csv(cfg.data, None if net is None else net.class_count)
+    return load_dataset_csv(args.data, None if net is None else net.class_count)
 
 
-def _data_row(cfg: RunConfig, X: np.ndarray) -> np.ndarray:
-    idx = int(cfg.k) if cfg.k is not None else 0
-    if not 0 <= idx < X.shape[0]:
-        raise ValidationError(f"row index {idx} out of range for {X.shape[0]} rows")
-    return X[idx]
+def _net_and_row(args) -> tuple[L.Network, np.ndarray]:
+    """The network and dataset row --k that the single-input analyses read."""
+    net = _resolve_net(args)
+    X, _ = _load_data(args)
+    if not 0 <= args.k < X.shape[0]:
+        raise ValidationError(f"row index {args.k} out of range for {X.shape[0]} rows")
+    return net, X[args.k]
 
 
-def _parse_bounds(cfg: RunConfig, dim: int):
-    if cfg.bounds is None:
+def _bound_pairs(vals, dim: int):
+    if vals is None:
         raise ValidationError("--bounds is required (lo,hi per dimension)")
-    vals = [float(v) for v in cfg.bounds.split(",")]
     if len(vals) % 2 != 0:
         raise ValidationError("--bounds needs lo,hi pairs")
     pairs = [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
@@ -322,56 +310,53 @@ def _parse_bounds(cfg: RunConfig, dim: int):
     return pairs
 
 
-def _parse_resolution(cfg: RunConfig, default: int = 101):
-    if cfg.resolution is None:
-        return default
-    vals = [int(v) for v in cfg.resolution.split(",")]
-    return vals[0] if len(vals) == 1 else vals
-
-
-def _prefix(cfg: RunConfig, net: L.Network) -> int:
-    if cfg.layer is None:
+def _prefix(args, net: L.Network) -> int:
+    if args.layer is None:
         return len(net.layers)
-    if not 0 <= cfg.layer <= len(net.layers):
+    if not 0 <= args.layer <= len(net.layers):
         raise ValidationError(
-            f"--layer {cfg.layer} out of range (network has {len(net.layers)} layers)"
+            f"--layer {args.layer} out of range (network has {len(net.layers)} layers)"
         )
-    return cfg.layer
+    return args.layer
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_data(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def _cmd_gen_data(args) -> int:
+    if args.out is None:
         raise ValidationError("--out is required")
-    X, y = generate_toy_dataset(cfg.seed)
-    save_dataset_csv(cfg.out, X, y)
-    print(f"wrote {X.shape[0]} points ({_TOY_CLASSES} classes) to {cfg.out}")
+    X, y = generate_toy_dataset(args.seed)
+    save_dataset_csv(args.out, X, y)
+    print(f"wrote {X.shape[0]} points ({_TOY_CLASSES} classes) to {args.out}")
     return 0
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    if cfg.out is None:
+def _cmd_train(args) -> int:
+    if args.out is None:
         raise ValidationError("--out is required")
-    net = _resolve_net(cfg)
-    X, y = _load_data(cfg, net)
-    learnable = cfg.beta == "learnable"
+    net = _resolve_net(args)
+    X, y = _load_data(args, net)
+    learnable = args.beta == "learnable"
+    try:
+        beta = 0.5 if learnable else float(args.beta)
+    except ValueError:
+        raise ValidationError(f"--beta takes a number or 'learnable', got {args.beta!r}")
     config = learn.TrainConfig(
-        learning_rate=cfg.lr,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch,
-        gamma=cfg.gamma,
-        lam=cfg.lam,
-        beta_mode=cfg.mode,
-        beta=0.5 if learnable else float(cfg.beta),
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        gamma=args.gamma,
+        lam=args.lam,
+        beta_mode=args.mode,
+        beta=beta,
         beta_learnable=learnable,
-        seed=cfg.seed,
+        seed=args.seed,
     )
     trained, history = learn.train(net, (X, y), config)
-    save_network(trained, cfg.out)
-    hist_path = cfg.out + ".history.csv"
+    save_network(trained, args.out)
+    hist_path = args.out + ".history.csv"
     _write_csv(
         hist_path,
         ["epoch", "loss", "accuracy", "template_penalty", "filter_penalty"],
@@ -382,213 +367,165 @@ def _cmd_train(cfg: RunConfig) -> int:
     )
     final = history[-1]
     print(
-        f"trained {cfg.epochs} epochs: loss={final['loss']:.6f} "
-        f"accuracy={final['accuracy']:.4f}; net -> {cfg.out}, history -> {hist_path}"
+        f"trained {args.epochs} epochs: loss={final['loss']:.6f} "
+        f"accuracy={final['accuracy']:.4f}; net -> {args.out}, history -> {hist_path}"
     )
     return 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, y = _load_data(cfg, net)
+def _cmd_eval(args) -> int:
+    net = _resolve_net(args)
+    X, y = _load_data(args, net)
     acc = learn.accuracy(net, X, y)
     loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
     print(f"loss={loss:.6f} accuracy={acc:.4f} on {X.shape[0]} points")
-    if cfg.out:
-        _write_csv(cfg.out, ["loss", "accuracy", "points"], [(loss, acc, X.shape[0])])
+    if args.out:
+        _write_csv(args.out, ["loss", "accuracy", "points"], [(loss, acc, X.shape[0])])
     return 0
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    x = _data_row(cfg, X)
-    form = analysis.decompose(net, x, upto_layer=cfg.layer)
+def _cmd_decompose(args) -> int:
+    net, x = _net_and_row(args)
+    form = analysis.decompose(net, x, upto_layer=args.layer)
     logits, _ = L.network_forward(net, x)
-    if cfg.layer is None or cfg.layer == len(net.layers):
+    if args.layer is None or args.layer == len(net.layers):
         resid = float(np.max(np.abs(logits - form(x))))
         print(f"decomposed {form.A.shape[0]}x{form.A.shape[1]}; forward residual {resid:.3e}")
     else:
-        print(f"decomposed prefix of {cfg.layer} layers: {form.A.shape[0]}x{form.A.shape[1]}")
-    if cfg.out:
+        print(f"decomposed prefix of {args.layer} layers: {form.A.shape[0]}x{form.A.shape[1]}")
+    if args.out:
         header = [f"a{j + 1}" for j in range(form.A.shape[1])] + ["b"]
-        _write_csv(cfg.out, header, [tuple(row) + (off,) for row, off in zip(form.A, form.b)])
+        _write_csv(args.out, header, [tuple(row) + (off,) for row, off in zip(form.A, form.b)])
     return 0
 
 
-def _cmd_templates(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    x = _data_row(cfg, X)
+def _cmd_templates(args) -> int:
+    net, x = _net_and_row(args)
     T, biases = analysis.class_templates(net, x)
     logits, _ = L.network_forward(net, x)
     resid = float(np.max(np.abs(T @ x.reshape(-1) + biases - logits)))
     print(f"{T.shape[0]} templates of dimension {T.shape[1]}; logit residual {resid:.3e}")
-    if cfg.out:
+    if args.out:
         header = [f"t{j + 1}" for j in range(T.shape[1])] + ["bias"]
-        _write_csv(cfg.out, header, [tuple(row) + (b,) for row, b in zip(T, biases)])
+        _write_csv(args.out, header, [tuple(row) + (b,) for row, b in zip(T, biases)])
     return 0
 
 
-def _cmd_partition(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
+def _cmd_partition(args) -> int:
+    net = _resolve_net(args)
     dim = net.dims[0]
-    bounds = _parse_bounds(cfg, dim)
-    res = _parse_resolution(cfg)
-    table, points, ids = partition.grid_scan(net, bounds, res, _prefix(cfg, net))
+    bounds = _bound_pairs(args.bounds, dim)
+    table, points, ids = partition.grid_scan(net, bounds, args.resolution, _prefix(args, net))
     print(f"{len(table.entries)} distinct codes over {table.total} grid points")
-    if cfg.out:
+    if args.out:
         header = [f"x{j + 1}" for j in range(dim)] + ["code_id"]
-        _write_csv(cfg.out, header, [tuple(p) + (int(i),) for p, i in zip(points, ids)])
+        _write_csv(args.out, header, [tuple(p) + (int(i),) for p, i in zip(points, ids)])
     return 0
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    stats = partition.region_stats(net, X, _prefix(cfg, net))
+def _cmd_stats(args) -> int:
+    net = _resolve_net(args)
+    X, _ = _load_data(args)
+    stats = partition.region_stats(net, X, _prefix(args, net))
     print(f"nonempty regions: {stats['nonempty_count']}")
-    if cfg.out:
+    if args.out:
         _write_csv(
-            cfg.out,
+            args.out,
             ["rank", "count"],
             [(r + 1, c) for r, c in enumerate(stats["histogram"])],
         )
     return 0
 
 
-def _cmd_nn(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    if cfg.query is None:
-        raise ValidationError("nn needs a query index argument")
-    k = int(cfg.k) if cfg.k is not None else 15
-    prefix = _prefix(cfg, net)
-    idx = partition.nearest_neighbors(net, prefix, cfg.query, X, k)
+def _cmd_nn(args) -> int:
+    net = _resolve_net(args)
+    X, _ = _load_data(args)
+    prefix = _prefix(args, net)
+    idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
     codes = partition.layer_codes_batch(net, X, prefix)
     if codes.shape[1]:
-        dists = [float(np.mean(codes[i] != codes[cfg.query])) for i in idx]
+        dists = [float(np.mean(codes[i] != codes[args.query])) for i in idx]
     else:
         dists = [0.0 for _ in idx]
     print("neighbors:", " ".join(str(i) for i in idx))
-    if cfg.out:
+    if args.out:
         _write_csv(
-            cfg.out,
+            args.out,
             ["rank", "index", "vq_distance"],
             [(r + 1, i, d) for r, (i, d) in enumerate(zip(idx, dists))],
         )
     return 0
 
 
-def _cmd_norms(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    x = _data_row(cfg, X)
+def _cmd_norms(args) -> int:
+    net, x = _net_and_row(args)
     norms = analysis.partial_product_norms(net, x)
     for d, v in enumerate(norms, start=1):
         print(f"depth {d}: frobenius {v:.6e}")
-    if cfg.out:
-        _write_csv(cfg.out, ["depth", "frobenius_norm"], list(enumerate(norms, start=1)))
+    if args.out:
+        _write_csv(args.out, ["depth", "frobenius_norm"], list(enumerate(norms, start=1)))
     return 0
 
 
-def _cmd_ensemble(cfg: RunConfig) -> int:
-    net = _resolve_net(cfg)
-    X, _ = _load_data(cfg)
-    x = _data_row(cfg, X)
+def _cmd_ensemble(args) -> int:
+    net, x = _net_and_row(args)
     terms = analysis.resnet_ensemble_terms(net, x)
     blocks = sum(1 for layer in net.layers if isinstance(layer, L.SkipBlock))
     form = analysis.decompose(net, x, upto_layer=blocks)
     dev = float(np.max(np.abs(sum(terms) - form.A)))
     print(f"{len(terms)} terms; |sum - decomposed A| max deviation {dev:.3e}")
-    if cfg.out:
+    if args.out:
         _write_csv(
-            cfg.out,
+            args.out,
             ["term", "frobenius_norm"],
             [(i, float(np.linalg.norm(t))) for i, t in enumerate(terms)],
         )
     return 0
 
 
-def _cmd_splinefit(cfg: RunConfig) -> int:
-    if cfg.data is None:
+def _cmd_splinefit(args) -> int:
+    if args.data is None:
         raise ValidationError("--data is required (CSV with columns x,f)")
-    X, yraw = _load_xy(cfg.data)
-    if cfg.k is None:
+    X, f = load_dataset_csv(args.data, float_target=True)
+    if args.k is None:
         raise ValidationError("--k is required (piece budget, or comma list of budgets)")
-    budgets = [int(v) for v in cfg.k.split(",")]
-    if len(budgets) == 1:
-        prob = splinefit.FitProblem(X, yraw, budgets[0], seed=cfg.seed)
+    if len(args.k) == 1:
+        prob = splinefit.FitProblem(X, f, args.k[0], seed=args.seed)
         spline = splinefit.fit_max_affine(prob)
-        err = splinefit.sup_error(X, yraw, spline)
-        print(f"fit R={budgets[0]}: sup error {err:.6e}")
-        if cfg.out:
+        err = splinefit.sup_error(X, f, spline)
+        print(f"fit R={args.k[0]}: sup error {err:.6e}")
+        if args.out:
             header = [f"slope{j + 1}" for j in range(spline.D)] + ["offset"]
             rows = [tuple(spline.A[0, r]) + (spline.B[0, r],) for r in range(spline.R)]
-            _write_csv(cfg.out, header, rows)
+            _write_csv(args.out, header, rows)
     else:
-        curve, slope, c = splinefit.universality_curve(X, yraw, budgets, seed=cfg.seed)
+        curve, slope, c = splinefit.universality_curve(X, f, args.k, seed=args.seed)
         desc = "degenerate (exact fit)" if slope is None else f"{slope:.3f}"
         print(f"log-log slope {desc}; fitted c = max R*error = {c:.6e}")
-        if cfg.out:
-            _write_csv(cfg.out, ["R", "sup_error"], curve)
+        if args.out:
+            _write_csv(args.out, ["R", "sup_error"], curve)
     return 0
 
 
-def _load_xy(path: str):
-    """Two-column CSV (x, f) used by splinefit; header optional."""
-    with open(path) as fh:
-        raw = [line.strip() for line in fh if line.strip()]
-    if not raw:
-        raise ValidationError(f"{path}: empty file")
-    start = 0
-    try:
-        float(raw[0].split(",")[0])
-    except ValueError:
-        start = 1
-    xs, ys = [], []
-    for lineno, line in enumerate(raw[start:], start=start + 1):
-        cells = line.split(",")
-        if len(cells) < 2:
-            raise ValidationError(f"{path}:{lineno}: need at least x and f columns")
+def _cmd_act_table(args) -> int:
+    if args.net is not None:
         try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: non-numeric cell ({exc})")
-        xs.append(vals[:-1])
-        ys.append(vals[-1])
-    return np.array(xs), np.array(ys)
-
-
-def _cmd_act_table(cfg: RunConfig) -> int:
-    if cfg.net is not None:
-        doc_path = cfg.net
-        try:
-            with open(doc_path) as fh:
+            with open(args.net) as fh:
                 doc = json.load(fh)
             kind = MasoParams(np.array(doc["A"], dtype=np.float64), np.array(doc["B"], dtype=np.float64))
         except (OSError, json.JSONDecodeError, KeyError, MasonetError, ValueError) as exc:
-            raise ValidationError(f"{doc_path}: not a usable MASO file ({exc})")
+            raise ValidationError(f"{args.net}: not a usable MASO file ({exc})")
+    elif args.mode in ("relu", "abs"):
+        kind = args.mode
     else:
-        # --mode doubles as the activation name here; default flag value
-        # "hard" means "not named", which falls back to relu
-        if cfg.mode in ("relu", "abs"):
-            kind = cfg.mode
-        elif cfg.mode == "hard":
-            kind = "relu"
-        else:
-            raise ValidationError(f"act-table supports relu/abs (or --net FILE), got {cfg.mode!r}")
-    betas = [float(v) for v in cfg.beta.split(",")]
-    lo, hi = (-10.0, 10.0)
-    if cfg.bounds is not None:
-        pair = _parse_bounds(cfg, 1)
-        lo, hi = pair[0]
-    res = _parse_resolution(cfg, default=2001)
-    grid = np.linspace(lo, hi, res if isinstance(res, int) else res[0])
-    rows = emit_activation_table(kind, betas, grid)
-    if cfg.out:
-        _write_csv(cfg.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], rows)
-        print(f"wrote {len(rows)} rows to {cfg.out}")
+        raise ValidationError(f"act-table supports relu/abs (or --net FILE), got {args.mode!r}")
+    [(lo, hi)] = _bound_pairs(args.bounds, 1)
+    if args.resolution < 1:
+        raise ValidationError(f"--resolution must be at least 1, got {args.resolution}")
+    rows = emit_activation_table(kind, args.beta, np.linspace(lo, hi, args.resolution))
+    if args.out:
+        _write_csv(args.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], rows)
+        print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print("u,beta,hard_value,soft_value,beta_value")
         for row in rows:
@@ -612,6 +549,31 @@ _COMMANDS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+def _comma_list(convert):
+    """argparse type: a comma-separated list of `convert` values."""
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {convert.__name__}"  # named in argparse errors
+    return parse
+
+
+_ints, _floats = _comma_list(int), _comma_list(float)
+
+# flags several subcommands read with one meaning
+_SHARED = {
+    "--net": dict(help="network JSON file, or inline mlp:D-...-C[:kind[:slope]]"),
+    "--data": dict(help="CSV of feature columns, then the label (splinefit: the value f)"),
+    "--out": dict(help="output file"),
+    "--seed": dict(type=int, default=0, help="seed of the data, inline net or training"),
+    "--layer": dict(type=int, help="layer-prefix length (default: the whole network)"),
+}
+_ROW = dict(type=int, default=0, help="dataset row to analyse (default 0)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="masonet",
@@ -620,72 +582,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, query_arg=False):
+    def command(name, help_text, *shared):
         p = sub.add_parser(name, help=help_text)
-        if query_arg:
-            p.add_argument("query", type=int, help="dataset row index of the query point")
-        p.add_argument("--net", help="network JSON file, or inline mlp:D-...-C[:kind]")
-        p.add_argument("--data", help="dataset CSV (features...,label)")
-        p.add_argument("--out", help="output file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=50)
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--batch", type=int, default=128)
-        p.add_argument("--gamma", type=float, default=0.0, help="template-orthogonality weight")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="filter-orthogonality weight")
-        p.add_argument("--beta", default="0.5", help="beta value(s); 'learnable' to train it")
-        p.add_argument("--mode", default="hard", help="selection regime: hard | soft | beta")
-        p.add_argument("--layer", type=int, help="layer-prefix length")
-        p.add_argument("--bounds", help="lo,hi per input dimension")
-        p.add_argument("--resolution", help="grid points per dimension")
-        p.add_argument("--k", help="row index / neighbor count / piece budget(s), per command")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
         return p
 
-    add("gen-data", "write the 4-class toy dataset")
-    add("train", "train a network; writes the net JSON and a history CSV")
-    add("eval", "loss and accuracy of a network on a dataset")
-    add("decompose", "input-conditioned affine map A[x], b[x] of one input")
-    add("templates", "matched-filter rows of the classifier at one input")
-    add("partition", "grid scan of joint VQ codes")
-    add("stats", "region occupancy statistics of a dataset")
-    add("nn", "nearest neighbors in VQ-code distance", query_arg=True)
-    add("norms", "Frobenius norms of the partial selected products")
-    add("ensemble", "expanded skip-chain terms and their sum check")
-    add("splinefit", "fit max-affine pieces to samples (--k budget or list)")
-    add("act-table", "hard/soft/beta activation tables (--mode relu|abs)")
+    command("gen-data", "write the 4-class toy dataset", "--out", "--seed")
+    p = command("train", "train a network; writes the net JSON and a history CSV",
+                "--net", "--data", "--out", "--seed")
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--gamma", type=float, default=0.0, help="template-orthogonality weight")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="filter-orthogonality weight")
+    p.add_argument("--beta", default="0.5", help="beta value, or 'learnable' to train it")
+    p.add_argument("--mode", default="hard", help="selection regime: hard | soft | beta")
+    command("eval", "loss and accuracy of a network on a dataset", "--net", "--data", "--out", "--seed")
+    command("decompose", "input-conditioned affine map A[x], b[x] of one input",
+            "--net", "--data", "--out", "--seed", "--layer").add_argument("--k", **_ROW)
+    command("templates", "matched-filter rows of the classifier at one input",
+            "--net", "--data", "--out", "--seed").add_argument("--k", **_ROW)
+    p = command("partition", "grid scan of joint VQ codes", "--net", "--out", "--seed", "--layer")
+    p.add_argument("--bounds", type=_floats, help="lo,hi per input dimension (one pair for all)")
+    p.add_argument("--resolution", type=_ints, default=[101],
+                   help="grid points per dimension: one count, or one per dimension")
+    command("stats", "region occupancy statistics of a dataset",
+            "--net", "--data", "--out", "--seed", "--layer")
+    p = command("nn", "nearest neighbors in VQ-code distance",
+                "--net", "--data", "--out", "--seed", "--layer")
+    p.add_argument("query", type=int, help="dataset row index of the query point")
+    p.add_argument("--k", type=int, default=15, help="neighbor count")
+    command("norms", "Frobenius norms of the partial selected products",
+            "--net", "--data", "--out", "--seed").add_argument("--k", **_ROW)
+    command("ensemble", "expanded skip-chain terms and their sum check",
+            "--net", "--data", "--out", "--seed").add_argument("--k", **_ROW)
+    p = command("splinefit", "fit max-affine pieces to samples (--k budget or list)",
+                "--data", "--out", "--seed")
+    p.add_argument("--k", type=_ints, help="piece budget, or a comma list of budgets for a decay curve")
+    p = command("act-table", "hard/soft/beta activation tables (--mode relu|abs)", "--out")
+    p.add_argument("--net", help="K=1, D=1 MASO JSON {A, B} to tabulate instead of --mode")
+    p.add_argument("--mode", default="relu", help="activation: relu | abs")
+    p.add_argument("--beta", type=_floats, default=[0.5], help="comma list of beta values in (0, 1)")
+    p.add_argument("--bounds", type=_floats, default=[-10.0, 10.0], help="lo,hi of the grid")
+    p.add_argument("--resolution", type=int, default=2001, help="grid points")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        net=args.net,
-        data=args.data,
-        out=args.out,
-        seed=args.seed,
-        epochs=args.epochs,
-        lr=args.lr,
-        batch=args.batch,
-        gamma=args.gamma,
-        lam=args.lam,
-        beta=args.beta,
-        mode=args.mode,
-        layer=args.layer,
-        bounds=args.bounds,
-        resolution=args.resolution,
-        k=args.k,
-        query=getattr(args, "query", None),
-    )
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MasonetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _COMMANDS[args.command](args)
+    except (MasonetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

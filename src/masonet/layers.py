@@ -502,6 +502,12 @@ class SkipBlock(Layer):
     selector = True
 
     def __post_init__(self):
+        parts = ((self.conv, Conv), (self.activation, Activation), (self.skip, Conv))
+        for part, cls in parts:
+            if not isinstance(part, cls):
+                raise StructureError(
+                    f"skip block part {type(part).__name__} is not a {cls.__name__}"
+                )
         self.skip_bias = as_tensor(self.skip_bias)
         out_dim = self.conv.dims()[1]
         if self.activation.dim != out_dim:

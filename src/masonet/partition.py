@@ -113,7 +113,10 @@ def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
         raise DomainError(f"grid scans support 1 to 3 input dimensions, got {d}")
     if d != net.dims[0]:
         raise ShapeError(f"network expects {net.dims[0]} input dims, bounds give {d}")
-    res = np.broadcast_to(np.asarray(resolution, dtype=np.int64), (d,))
+    res = np.asarray(resolution, dtype=np.int64).reshape(-1)
+    if res.size not in (1, d):
+        raise ShapeError(f"{res.size} resolutions for {d} input dimensions (give 1 or {d})")
+    res = np.broadcast_to(res, (d,))
     if np.any(res < 2):
         raise DomainError("resolution must be at least 2 points per dimension")
     axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(bounds, res)]
@@ -174,7 +177,7 @@ def nearest_neighbors(
     n = X.shape[0]
     if not 0 <= query_index < n:
         raise DomainError(f"query index {query_index} out of range")
-    if k > n - 1:
+    if not 0 <= k <= n - 1:
         raise DomainError(f"asked for {k} neighbors among {n - 1} candidates")
     mat = _code_matrix(net, X, layer)
     if mat.shape[1]:

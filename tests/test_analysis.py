@@ -241,6 +241,17 @@ def test_ensemble_term_ordering_first_block_least_significant(rng):
     assert np.allclose(terms[3], A1 @ A0, atol=1e-12)
 
 
+def test_ensemble_lowers_each_conv_once(rng, monkeypatch):
+    net = make_skip_chain(rng, blocks=2)
+    lowered = []
+    lower = L.conv_to_matrix
+    monkeypatch.setattr(L, "conv_to_matrix", lambda conv, shape: lowered.append(conv) or lower(conv, shape))
+    resnet_ensemble_terms(net, rng.standard_normal(18))
+    # each block's conv and skip conv, once each
+    assert len(lowered) == 4
+    assert {id(c) for c in lowered} == {id(c) for blk in net.layers[:2] for c in (blk.conv, blk.skip)}
+
+
 def test_ensemble_rejects_non_skip_layers(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
     with pytest.raises(StructureError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -189,6 +190,160 @@ def test_bad_arch_string_exits_2(tmp_path, capsys):
     blob_csv(tmp_path / "d.csv")
     code = cli.main(["eval", "--net", "mlp:2-x-2", "--data", str(tmp_path / "d.csv")])
     assert code == 2
+
+
+def exit_status(argv):
+    """cli.main's exit status, whether returned or raised by argparse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--net", "mlp:2-4-4", "--data", "{blobs}", "--k", "abc"],
+    ["nn", "3", "--net", "mlp:2-4-4", "--data", "{blobs}", "--k", "x"],
+    ["nn", "3", "--net", "mlp:2-4-4", "--data", "{blobs}", "--k", "-1"],
+    ["partition", "--net", "mlp:2-4-4", "--bounds=a,b"],
+    ["partition", "--net", "mlp:2-4-4", "--bounds=-1,1", "--resolution", "x"],
+    ["partition", "--net", "mlp:2-4-4", "--bounds=-1,1", "--resolution", "3,3,3"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json",
+     "--mode", "beta", "--beta", "abc"],
+    ["splinefit", "--data", "{quad}", "--k", "a"],
+    ["splinefit", "--data", "{ragged}", "--k", "2"],
+    ["act-table", "--beta", "x"],
+    ["act-table", "--resolution", "-5"],
+    ["eval", "--net", "mlp:2-4-4:lrelu:abc", "--data", "{blobs}"],
+], ids=" ".join)
+def test_bad_values_exit_2(tmp_path, capsys, argv):
+    blob_csv(tmp_path / "blobs.csv")
+    (tmp_path / "quad.csv").write_text("x,f\n0,0\n1,1\n0.5,0.25\n")
+    (tmp_path / "ragged.csv").write_text("x,f\n1,1\n2,4,5\n")
+    paths = {"blobs": tmp_path / "blobs.csv", "quad": tmp_path / "quad.csv",
+             "ragged": tmp_path / "ragged.csv", "tmp": tmp_path}
+    assert exit_status([a.format(**paths) for a in argv]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_splinefit_reports_file_line_past_blank_lines(tmp_path, capsys):
+    p = tmp_path / "gappy.csv"
+    p.write_text("x,f\n\n\n1,1\n2,a\n")
+    assert cli.main(["splinefit", "--data", str(p), "--k", "2"]) == 2
+    assert f"{p}:5:" in capsys.readouterr().err
+
+
+def test_skip_block_with_dense_part_is_a_validation_error(tmp_path, capsys, rng):
+    p = tmp_path / "skip.json"
+    cli.save_network(skip_net(), str(p))
+    doc = json.loads(p.read_text())
+    # a dense part as wide as the block, so every width check passes
+    doc["layers"][0]["conv"] = L.Dense(np.eye(9), np.zeros(9)).to_json()
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="layer 0"):
+        cli.load_network(str(p))
+    data = tmp_path / "d9.csv"
+    cli.save_dataset_csv(str(data), rng.standard_normal((3, 9)), np.zeros(3, dtype=np.int64))
+    assert cli.main(["norms", "--net", str(p), "--data", str(data)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
+# --- per-command flags ------------------------------------------------------------
+
+# the option strings (and positionals) each subcommand accepts
+COMMAND_FLAGS = {
+    "gen-data": {"--out", "--seed"},
+    "train": {"--net", "--data", "--out", "--seed", "--epochs", "--lr", "--batch",
+              "--gamma", "--lambda", "--beta", "--mode"},
+    "eval": {"--net", "--data", "--out", "--seed"},
+    "decompose": {"--net", "--data", "--out", "--seed", "--layer", "--k"},
+    "templates": {"--net", "--data", "--out", "--seed", "--k"},
+    "partition": {"--net", "--out", "--seed", "--layer", "--bounds", "--resolution"},
+    "stats": {"--net", "--data", "--out", "--seed", "--layer"},
+    "nn": {"query", "--net", "--data", "--out", "--seed", "--layer", "--k"},
+    "norms": {"--net", "--data", "--out", "--seed", "--k"},
+    "ensemble": {"--net", "--data", "--out", "--seed", "--k"},
+    "splinefit": {"--data", "--out", "--seed", "--k"},
+    "act-table": {"--net", "--out", "--mode", "--beta", "--bounds", "--resolution"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
+               for s in (a.option_strings or [a.dest])}
+        for name, sub in commands.choices.items()
+    }
+    assert flags == COMMAND_FLAGS
+    assert sum(len(f) for f in flags.values()) == 66
+    assert set(flags) == set(cli._COMMANDS)
+
+
+TRAIN_DEFAULTS = dict(batch=128, gamma=0.0, lam=0.0, beta="0.5", mode="hard")
+ACT_DEFAULTS = dict(net=None, out=None, mode="relu", beta=[0.5], bounds=[-10.0, 10.0], resolution=2001)
+
+
+@pytest.mark.parametrize("line, values", [
+    # demos/cli_pipeline.sh
+    ("gen-data --out demo_out/toy.csv --seed 0", dict(out="demo_out/toy.csv", seed=0)),
+    ("train --net mlp:2-45-3-4 --data demo_out/toy.csv --out demo_out/net.json --epochs 20 --lr 0.01 --seed 3",
+     dict(TRAIN_DEFAULTS, net="mlp:2-45-3-4", data="demo_out/toy.csv", out="demo_out/net.json",
+          epochs=20, lr=0.01, seed=3)),
+    ("eval --net demo_out/net.json --data demo_out/toy.csv",
+     dict(net="demo_out/net.json", data="demo_out/toy.csv", out=None, seed=0)),
+    ("decompose --net demo_out/net.json --data demo_out/toy.csv --k 5 --out demo_out/affine.csv",
+     dict(net="demo_out/net.json", data="demo_out/toy.csv", out="demo_out/affine.csv", seed=0,
+          layer=None, k=5)),
+    ("templates --net demo_out/net.json --data demo_out/toy.csv --k 5 --out demo_out/templates.csv",
+     dict(net="demo_out/net.json", data="demo_out/toy.csv", out="demo_out/templates.csv", seed=0, k=5)),
+    ("partition --net demo_out/net.json --bounds=-2,2 --resolution 61 --out demo_out/partition.csv",
+     dict(net="demo_out/net.json", out="demo_out/partition.csv", seed=0, layer=None,
+          bounds=[-2.0, 2.0], resolution=[61])),
+    ("stats --net demo_out/net.json --data demo_out/toy.csv --out demo_out/stats.csv",
+     dict(net="demo_out/net.json", data="demo_out/toy.csv", out="demo_out/stats.csv", seed=0, layer=None)),
+    ("nn 10 --net demo_out/net.json --data demo_out/toy.csv --k 5 --out demo_out/nn.csv",
+     dict(query=10, net="demo_out/net.json", data="demo_out/toy.csv", out="demo_out/nn.csv", seed=0,
+          layer=None, k=5)),
+    ("norms --net demo_out/net.json --data demo_out/toy.csv",
+     dict(net="demo_out/net.json", data="demo_out/toy.csv", out=None, seed=0, k=0)),
+    ("act-table --beta 0.25,0.5,0.75 --out demo_out/act.csv",
+     dict(ACT_DEFAULTS, beta=[0.25, 0.5, 0.75], out="demo_out/act.csv")),
+    ("splinefit --data demo_out/quad.csv --k 8 --out demo_out/pieces.csv",
+     dict(data="demo_out/quad.csv", out="demo_out/pieces.csv", seed=0, k=[8])),
+    ("splinefit --data demo_out/quad.csv --k 2,4,8,16,32 --out demo_out/decay.csv",
+     dict(data="demo_out/quad.csv", out="demo_out/decay.csv", seed=0, k=[2, 4, 8, 16, 32])),
+    # the cli-pipeline benchmark workload
+    ("gen-data --out cli/toy.csv --seed 9", dict(out="cli/toy.csv", seed=9)),
+    ("train --net mlp:2-45-3-4 --data cli/toy.csv --out cli/net.json --epochs 2 --lr 0.01 --seed 9",
+     dict(TRAIN_DEFAULTS, net="mlp:2-45-3-4", data="cli/toy.csv", out="cli/net.json",
+          epochs=2, lr=0.01, seed=9)),
+    ("splinefit --data cli/bowl.csv --k 4,8,16,32 --out cli/decay2.csv",
+     dict(data="cli/bowl.csv", out="cli/decay2.csv", seed=0, k=[4, 8, 16, 32])),
+    ("splinefit --data cli/quad.csv --k 3 --out cli/pieces.csv",
+     dict(data="cli/quad.csv", out="cli/pieces.csv", seed=0, k=[3])),
+    ("partition --net cli/net.json --bounds=-2,2 --resolution 43 --layer 2 --out cli/partition.csv",
+     dict(net="cli/net.json", out="cli/partition.csv", seed=0, layer=2, bounds=[-2.0, 2.0], resolution=[43])),
+    ("decompose --net cli/net.json --data cli/toy-12000.csv --k 117 --out cli/affine.csv",
+     dict(net="cli/net.json", data="cli/toy-12000.csv", out="cli/affine.csv", seed=0, layer=None, k=117)),
+    ("templates --net cli/net.json --data cli/toy-12000.csv --k 117 --out cli/templates.csv",
+     dict(net="cli/net.json", data="cli/toy-12000.csv", out="cli/templates.csv", seed=0, k=117)),
+    ("norms --net cli/net.json --data cli/toy-12000.csv --k 117 --out cli/norms.csv",
+     dict(net="cli/net.json", data="cli/toy-12000.csv", out="cli/norms.csv", seed=0, k=117)),
+    ("eval --net cli/net.json --data cli/toy-10000.csv --out cli/eval.csv",
+     dict(net="cli/net.json", data="cli/toy-10000.csv", out="cli/eval.csv", seed=0)),
+    ("nn 117 --net cli/net.json --data cli/toy-10000.csv --k 5 --out cli/nn.csv",
+     dict(query=117, net="cli/net.json", data="cli/toy-10000.csv", out="cli/nn.csv", seed=0, layer=None, k=5)),
+    ("stats --net cli/net.json --data cli/toy-10000.csv --out cli/stats.csv",
+     dict(net="cli/net.json", data="cli/toy-10000.csv", out="cli/stats.csv", seed=0, layer=None)),
+    ("act-table --mode abs --beta 0.25,0.5,0.75 --resolution 1001 --out cli/act.csv",
+     dict(ACT_DEFAULTS, mode="abs", beta=[0.25, 0.5, 0.75], resolution=1001, out="cli/act.csv")),
+    ("act-table --beta 0.5 --resolution 11 --out cli/warm.csv",
+     dict(ACT_DEFAULTS, resolution=11, out="cli/warm.csv")),
+])
+def test_pipeline_command_lines_parse(line, values):
+    argv = line.split()
+    assert vars(cli._build_parser().parse_args(argv)) == dict(values, command=argv[0])
 
 
 # --- training pipeline ------------------------------------------------------------
