@@ -25,8 +25,8 @@ import numpy as np
 
 from . import analysis, learn, partition, splinefit
 from . import layers as L
-from .maso import BetaParam, MasoParams, beta_vq_infer, forward_hard, forward_with_selection, svq_infer
-from .ndcore import MasonetError, ValidationError, as_tensor
+from .maso import MasoParams
+from .ndcore import MasonetError, ValidationError, as_tensor, row_argmax, row_softmax
 
 __all__ = [
     "generate_toy_dataset",
@@ -231,15 +231,24 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValidationError(f"beta {b} outside the open interval (0, 1)")
-    rows = []
-    for u in np.asarray(u_grid, dtype=np.float64).reshape(-1):
-        z = np.array([u])
-        hard, _ = forward_hard(p, z)
-        soft = forward_with_selection(p, z, svq_infer(p, z))
-        for b in betas:
-            bv = forward_with_selection(p, z, beta_vq_infer(p, z, BetaParam(b)))
-            rows.append((float(u), b, float(hard[0]), float(soft[0]), float(bv[0])))
-    return rows
+    u = as_tensor(u_grid).reshape(-1)
+    # one row of R scores per grid point: the maso module's arithmetic
+    # (forward_hard, svq_infer, beta_vq_infer) applied to the whole grid
+    s = u[:, None] @ p.A[0].T + p.B[0]
+    hard = s[np.arange(u.size), row_argmax(s)]
+
+    def weighted(eta=1.0):
+        # as_tensor is SoftSelection's check: an overflowing score is an
+        # error, not a row of NaNs
+        return np.sum(as_tensor(row_softmax(s, eta)) * s, axis=1)
+
+    soft = weighted()
+    cols = [weighted(b / (1.0 - b)).tolist() for b in betas]
+    return [
+        (ui, b, hi, si, col[i])
+        for i, (ui, hi, si) in enumerate(zip(u.tolist(), hard.tolist(), soft.tolist()))
+        for b, col in zip(betas, cols)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +451,8 @@ def _cmd_nn(args) -> int:
     X, _ = _load_data(args)
     prefix = _prefix(args, net)
     idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
-    codes = partition.layer_codes_batch(net, X, prefix)
-    if codes.shape[1]:
-        dists = [float(np.mean(codes[i] != codes[args.query])) for i in idx]
-    else:
-        dists = [0.0 for _ in idx]
+    query = partition.layer_code(net, X[args.query], prefix)
+    dists = [partition.vq_distance(partition.layer_code(net, X[i], prefix), query) for i in idx]
     print("neighbors:", " ".join(str(i) for i in idx))
     if args.out:
         _write_csv(

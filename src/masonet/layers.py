@@ -15,7 +15,9 @@ inference forward), the matching backward, the affine map it selects
 around an input, its trainable arrays and its JSON form.  Convolution is
 applied through its explicit matrix form, lowered afresh from the current
 filters on every use, so the matrix route and the forward route are the
-same arithmetic and no lowered copy can go stale.
+same arithmetic and no lowered copy can go stale.  Its geometry is stated
+once, as the tap index `_conv_taps` that both the lowering and the filter
+gradient read; pooling arrays are built from one padded index matrix.
 """
 
 from __future__ import annotations
@@ -191,7 +193,8 @@ class Conv(Layer):
     filters: (out_ch, in_ch, kh, kw); bias: per-out-channel.  in_shape is
     the (C, H, W) the layer expects.  matrix() lowers the current filters
     on every call; a forward keeps its lowered matrix in the cache for the
-    backward of the same step.
+    backward of the same step, which gathers the filter gradient through
+    the same tap index the lowering scatters the filters with.
     """
 
     filters: Tensor
@@ -236,26 +239,14 @@ class Conv(Layer):
         return Z @ M.T + self.bias_flat(), {"Z": Z, "M": M}
 
     def backward(self, cache, G):
-        """Input gradient through the lowered matrix; filter gradients by
-        correlating the padded input images with the output gradient."""
-        Z = cache["Z"]
-        n = Z.shape[0]
-        c_in, h, w = self.in_shape
-        c_out, h_out, w_out = conv_out_shape(self, self.in_shape)
-        kh, kw = self.filters.shape[2], self.filters.shape[3]
-        sh, sw = self.stride
-        ph, pw = _pad_before(self)
-        pad_h = max(0, (h_out - 1) * sh + kh - ph - h)
-        pad_w = max(0, (w_out - 1) * sw + kw - pw - w)
-        Zpad = np.pad(Z.reshape(n, c_in, h, w), ((0, 0), (0, 0), (ph, pad_h), (pw, pad_w)))
-        Gimg = G.reshape(n, c_out, h_out, w_out)
-        dfil = np.zeros_like(self.filters)
-        for p in range(kh):
-            for q in range(kw):
-                patch = Zpad[:, :, p : p + sh * h_out : sh, q : q + sw * w_out : sw]
-                dfil[:, :, p, q] = np.einsum("noyx,niyx->oi", Gimg, patch)
-        grads = {"filters": dfil, "bias": Gimg.sum(axis=(0, 2, 3))}
-        return G @ cache["M"], grads, None
+        """Input gradient through the lowered matrix; each filter entry's
+        gradient sums d loss / d M = G^T Z over the entries its taps fill."""
+        rows, cols, taps = _conv_taps(self, self.in_shape)
+        dM = G.T @ cache["Z"]
+        dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
+        c_out = self.bias.shape[0]
+        dbias = G.reshape(G.shape[0], c_out, G.shape[1] // c_out).sum(axis=(0, 2))
+        return G @ cache["M"], {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
 
     def selected_affine(self, z):
         return self.matrix(), self.bias_flat()
@@ -347,6 +338,13 @@ class _Pool(Layer):
     def dims(self) -> tuple[int, int]:
         return self.in_dim, len(self.regions)
 
+    def padded_indices(self) -> np.ndarray:
+        """(K, R) index matrix; short regions repeat their last index."""
+        r_max = max(len(r) for r in self.regions)
+        return np.array(
+            [list(r) + [r[-1]] * (r_max - len(r)) for r in self.regions], dtype=np.int64
+        )
+
 
 @dataclass(eq=False)
 class MaxPool(_Pool):
@@ -354,13 +352,6 @@ class MaxPool(_Pool):
 
     tag = "maxpool"
     selector = True
-
-    def padded_indices(self) -> np.ndarray:
-        """(K, R) index matrix; short regions repeat their last index."""
-        r_max = max(len(r) for r in self.regions)
-        return np.array(
-            [list(r) + [r[-1]] * (r_max - len(r)) for r in self.regions], dtype=np.int64
-        )
 
     def forward(self, Z, mode="hard", beta=None, batch_stats=False):
         idx = self.padded_indices()
@@ -407,9 +398,13 @@ class AvgPool(_Pool):
     tag = "avgpool"
 
     def matrix(self) -> Tensor:
-        P = np.zeros((len(self.regions), self.in_dim))
-        for k, r in enumerate(self.regions):
-            np.add.at(P[k], list(r), 1.0 / len(r))
+        """(K, in_dim) averaging matrix; an index listed twice counts twice."""
+        idx = self.padded_indices()
+        K, R = idx.shape
+        sizes = np.fromiter(map(len, self.regions), np.int64, K)[:, None]
+        P = np.zeros((K, self.in_dim))
+        # the repeated indices that pad short regions add zero weight
+        np.add.at(P, (np.arange(K)[:, None], idx), (np.arange(R) < sizes) / sizes)
         return P
 
     def forward(self, Z, mode="hard", beta=None, batch_stats=False):
@@ -633,9 +628,7 @@ def pool_as_maso(regions, kind: str, in_dim: int | None = None) -> MasoParams:
         idx = layer.padded_indices()
         K, R = idx.shape
         A = np.zeros((K, R, in_dim))
-        for k in range(K):
-            for r in range(R):
-                A[k, r, idx[k, r]] = 1.0
+        A[np.arange(K)[:, None], np.arange(R), idx] = 1.0
         return MasoParams(A, np.zeros((K, R)))
     if kind == "avg":
         layer = AvgPool(regions, in_dim)
@@ -682,34 +675,38 @@ def conv_out_shape(conv: Conv, input_shape) -> tuple[int, int, int]:
     return c_out, (h - 1) // sh + 1, (w - 1) // sw + 1
 
 
-def _pad_before(conv: Conv) -> tuple[int, int]:
-    if conv.padding == "valid":
-        return 0, 0
-    kh, kw = conv.filters.shape[2], conv.filters.shape[3]
-    return (kh - 1) // 2, (kw - 1) // 2
+def _conv_taps(conv: Conv, input_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tap index of the lowering: (rows, cols, taps), one entry per tap.
 
-
-def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
-    """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
-
-    Every (output, channel, tap) triple is indexed at once on a broadcast
-    grid.  Out-of-range taps under 'same-zero' padding read zeros, which
-    is why those filter entries simply never land in M; no two taps of one
-    output read the same input entry, so each lands by plain assignment.
+    Entry j says output rows[j] reads input entry cols[j] through filter
+    entry taps[j] (an index into filters.ravel()).  Every (output,
+    channel, tap) triple is placed at once on a broadcast grid.  Taps that
+    fall on the zero border under 'same-zero' padding read nothing and
+    have no entry; no two taps of one output read the same input entry.
     """
     c_in, h, w = (int(s) for s in input_shape)
     c_out, h_out, w_out = conv_out_shape(conv, input_shape)
     kh, kw = conv.filters.shape[2], conv.filters.shape[3]
     sh, sw = conv.stride
-    ph, pw = _pad_before(conv)
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if conv.padding == "same-zero" else (0, 0)
     o, y, x, i, p, q = np.ix_(*(np.arange(n) for n in (c_out, h_out, w_out, c_in, kh, kw)))
     yy, xx = y * sh + p - ph, x * sw + q - pw
     inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-    rows, cols, vals, inside = np.broadcast_arrays(
-        (o * h_out + y) * w_out + x, (i * h + yy) * w + xx, conv.filters[:, None, None], inside
+    rows, cols, taps, inside = np.broadcast_arrays(
+        (o * h_out + y) * w_out + x, (i * h + yy) * w + xx, ((o * c_in + i) * kh + p) * kw + q, inside
     )
-    M = np.zeros((c_out * h_out * w_out, c_in * h * w))
-    M[rows[inside], cols[inside]] = vals[inside]
+    return rows[inside], cols[inside], taps[inside]
+
+
+def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
+    """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
+
+    The filter entries are scattered through the tap index `_conv_taps`,
+    which `Conv.backward` reads too, so the geometry is stated once.
+    """
+    rows, cols, taps = _conv_taps(conv, input_shape)
+    M = np.zeros((int(np.prod(conv_out_shape(conv, input_shape))), int(np.prod(input_shape))))
+    M[rows, cols] = conv.filters.ravel()[taps]
     return M
 
 
@@ -853,18 +850,9 @@ def pool_regions_2d(shape, window, stride=None):
         raise DomainError("pooling window exceeds input")
     h_out = (h - wh) // sh + 1
     w_out = (w - ww) // sw + 1
-    regions = []
-    for ch in range(c):
-        for y in range(h_out):
-            for x in range(w_out):
-                regions.append(
-                    tuple(
-                        (ch * h + y * sh + p) * w + x * sw + q
-                        for p in range(wh)
-                        for q in range(ww)
-                    )
-                )
-    return tuple(regions), (c, h_out, w_out)
+    ch, y, x, p, q = np.ix_(*(np.arange(n) for n in (c, h_out, w_out, wh, ww)))
+    flat = ((ch * h + y * sh + p) * w + x * sw + q).reshape(c * h_out * w_out, wh * ww)
+    return tuple(map(tuple, flat.tolist())), (c, h_out, w_out)
 
 
 def make_mlp(dims, kind: str = "relu", nu: float = 0.01, seed: int = 0) -> Network:

@@ -452,7 +452,8 @@ def test_criterion_13_universality_decay():
     curve, slope, _ = splinefit.universality_curve(x, x**2, [2, 4, 8, 16, 32])
     errs = [e for _, e in curve]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
-    ok = decreasing and slope is not None and slope <= -0.9
+    # x^2 decays as R^-2 (measured slope -2.01)
+    ok = decreasing and slope is not None and slope <= -0.9 and abs(slope + 2) <= 0.1
     record_acceptance(13, "sup error of max-affine fits falls at least as fast as 1/R",
                       ok, f"errors {errs[0]:.1e}->{errs[-1]:.1e}, slope {slope:.2f}")
     assert ok

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from masonet import cli
+from masonet import cli, partition
 from masonet import layers as L
+from masonet.maso import BetaParam, MasoParams, beta_vq_infer, forward_hard, forward_with_selection, svq_infer
 from masonet.ndcore import ValidationError
 
 
@@ -419,6 +420,27 @@ def test_partition_stats_nn_commands(tmp_path, capsys):
     assert all(int(r[1]) != 4 for r in rows)
 
 
+def test_nn_runs_one_dataset_forward(tmp_path, monkeypatch):
+    data = tmp_path / "blobs.csv"
+    blob_csv(data, n=60)
+    rows_seen = []
+    forward = partition.network_forward_batch
+    monkeypatch.setattr(partition, "network_forward_batch",
+                        lambda net, Z: rows_seen.append(Z.shape[0]) or forward(net, Z))
+    out = tmp_path / "nn.csv"
+    assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
+                     "--k", "3", "--out", str(out)]) == 0
+    # one dataset-wide forward for the ranking, then the query and each neighbour
+    assert sorted(rows_seen) == [1, 1, 1, 1, 60]
+    X, _ = cli.load_dataset_csv(str(data))
+    net = L.make_mlp([2, 5, 2], seed=0)
+    query = partition.layer_code(net, X[4], len(net.layers))
+    _, rows = read_csv(str(out))
+    for _, index, dist in rows:
+        code = partition.layer_code(net, X[int(index)], len(net.layers))
+        assert float(dist) == partition.vq_distance(code, query)
+
+
 def test_norms_command(tmp_path):
     data = tmp_path / "blobs.csv"
     blob_csv(data)
@@ -512,6 +534,22 @@ def test_act_table_custom_maso(tmp_path):
     _, rows = read_csv(str(out))
     # at u=0 the second piece wins: 0.5*0 + 0.25
     assert float(rows[0][2]) == 0.25
+
+
+def test_act_table_rows_match_per_input_maso_functions():
+    rng = np.random.default_rng(11)
+    p = MasoParams(rng.standard_normal((1, 4, 1)), rng.standard_normal((1, 4)))
+    betas = [1e-9, 0.3, 0.5, 0.8, 1 - 1e-9]
+    grid = np.concatenate([np.linspace(-4.0, 4.0, 201), [0.0, -0.0, 5e-324, -1e-310]])
+    rows = cli.emit_activation_table(p, betas, grid)
+    assert len(rows) == grid.size * len(betas)
+    for i, row in enumerate(rows):
+        z = grid[i // len(betas)][None]
+        b = betas[i % len(betas)]
+        hard, _ = forward_hard(p, z)
+        soft = forward_with_selection(p, z, svq_infer(p, z))
+        bv = forward_with_selection(p, z, beta_vq_infer(p, z, BetaParam(b)))
+        assert repr(row) == repr((float(z[0]), b, float(hard[0]), float(soft[0]), float(bv[0])))
 
 
 def test_act_table_rejects_unknown_kind(capsys):

@@ -437,6 +437,43 @@ def test_pool_regions_2d_overlapping_stride():
     assert regions[0] == (0, 1, 3, 4)
 
 
+@pytest.mark.parametrize("shape, window, stride", [
+    ((2, 4, 4), (2, 2), None),
+    ((1, 5, 7), (2, 3), (2, 1)),  # the stride tiles neither axis
+    ((3, 6, 5), (3, 2), (1, 3)),
+    ((1, 3, 3), (2, 2), (1, 1)),  # overlapping windows
+])
+def test_pool_regions_2d_match_window_loops(shape, window, stride):
+    c, h, w = shape
+    wh, ww = window
+    sh, sw = window if stride is None else stride
+    regions, out_shape = L.pool_regions_2d(shape, window, stride)
+    h_out, w_out = (h - wh) // sh + 1, (w - ww) // sw + 1
+    assert out_shape == (c, h_out, w_out)
+    assert regions == tuple(
+        tuple((ch * h + y * sh + p) * w + x * sw + q for p in range(wh) for q in range(ww))
+        for ch in range(c) for y in range(h_out) for x in range(w_out)
+    )
+
+
+@pytest.mark.parametrize("regions", [
+    ((0, 1, 2), (2, 3), (4,), (1, 5, 6, 0)),  # ragged and overlapping
+    ((3, 3, 1), (0,), (2, 0, 2, 2)),  # indices listed more than once
+])
+def test_pool_arrays_match_region_loops(regions):
+    in_dim = 7
+    P = np.zeros((len(regions), in_dim))
+    A = np.zeros((len(regions), max(map(len, regions)), in_dim))
+    for k, r in enumerate(regions):
+        for j in r:
+            P[k, j] += 1.0 / len(r)
+        for i in range(A.shape[1]):
+            A[k, i, r[min(i, len(r) - 1)]] = 1.0
+    assert np.array_equal(L.AvgPool(regions, in_dim).matrix(), P)
+    assert np.array_equal(L.pool_as_maso(regions, "avg", in_dim).A[:, 0], P)
+    assert np.array_equal(L.pool_as_maso(regions, "max", in_dim).A, A)
+
+
 def test_make_mlp_structure_and_seeding():
     net = L.make_mlp([2, 45, 3, 4], seed=0)
     assert net.dims == (2, 45, 45, 3, 3, 4)

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masonet import layers as L
 from masonet.learn import (
@@ -149,6 +151,40 @@ def test_strided_same_conv_gradients(rng):
     X = rng.standard_normal((4, 25))
     y = rng.integers(0, 2, size=4)
     fd_check(net, ["0.filters", "0.bias", "2.W"], X, y, mode="hard")
+
+
+@st.composite
+def conv_geometry(draw):
+    """Padding, stride per axis, a non-square kernel, channels and a
+    non-square input whose size the stride need not tile."""
+    padding = draw(st.sampled_from(["valid", "same-zero"]))
+    kh, kw = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    low_h, low_w = (kh, kw) if padding == "valid" else (1, 1)
+    h = draw(st.integers(low_h, 6))
+    w = draw(st.integers(low_w, 6).filter(lambda v: v != h))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    return padding, stride, kh, kw, (draw(st.integers(1, 3)), h, w), draw(st.integers(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(geom=conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_conv_gradients_over_random_geometry(geom, seed):
+    """Filter, bias and input gradients of Conv.backward against finite
+    differences; the input gradient is checked through the dense layer in
+    front, whose weight gradient is that input gradient times the data."""
+    padding, stride, kh, kw, shape, c_out = geom
+    rng = np.random.default_rng(seed)
+    conv = L.Conv(rng.standard_normal((c_out, shape[0], kh, kw)) * 0.5,
+                  rng.standard_normal(c_out) * 0.1, stride, padding, shape)
+    d_in, d_out = conv.dims()
+    net = L.Network(
+        [L.Dense(rng.standard_normal((d_in, 2)), rng.standard_normal(d_in)), conv,
+         L.Dense(rng.standard_normal((2, d_out)) * 0.3, np.zeros(2))],
+        (2,), 2,
+    )
+    X = rng.standard_normal((3, 2))
+    y = rng.integers(0, 2, size=3)
+    fd_check(net, ["0.W", "1.filters", "1.bias"], X, y, mode="hard")
 
 
 def test_batchnorm_gradients_batch_statistics(rng):
