@@ -76,10 +76,13 @@ __all__ = [
 class Layer:
     """Behaviour every layer kind defines; the kinds below are dataclasses.
 
-    forward(Z, mode, beta, batch_stats) maps a batch (n, in) to (n, out)
-    and returns (out, cache).  Its defaults, hard mode without batch
+    forward(Z, beta, batch_stats) maps a batch (n, in) to (n, out) and
+    returns (out, cache).  A selector selects hard exactly when beta is
+    None and otherwise softly under that beta (1/2 is soft VQ); the other
+    kinds ignore beta.  The defaults, hard selection without batch
     statistics, are the inference forward; a selector's hard cache holds
-    its (n, K) region codes under "codes".  backward(cache, G) returns
+    its (n, K) region codes under "codes", which is how its backward tells
+    the hard cache from the soft one.  backward(cache, G) returns
     (G w.r.t. the input, parameter gradients keyed like params(),
     d loss / d beta or None).  selected_affine(z) is the (A, b) the layer
     applies around one input; dims() is (input width, output width).  The
@@ -173,7 +176,7 @@ class Dense(Layer):
     def dims(self) -> tuple[int, int]:
         return self.W.shape[1], self.W.shape[0]
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         return Z @ self.W.T + self.b, {"Z": Z}
 
     def backward(self, cache, G):
@@ -234,7 +237,7 @@ class Conv(Layer):
     def dims(self) -> tuple[int, int]:
         return int(np.prod(self.in_shape)), int(np.prod(conv_out_shape(self, self.in_shape)))
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         M = self.matrix()
         return Z @ M.T + self.bias_flat(), {"Z": Z, "M": M}
 
@@ -291,9 +294,9 @@ class Activation(Layer):
     def dims(self) -> tuple[int, int]:
         return self.dim, self.dim
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         lo, hi = self.slopes()
-        if mode == "hard":
+        if beta is None:
             on = Z > 0
             out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
             return out, {"Z": Z, "codes": on.astype(np.int64)}
@@ -353,10 +356,10 @@ class MaxPool(_Pool):
     tag = "maxpool"
     selector = True
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         idx = self.padded_indices()
         s = Z[:, idx]
-        if mode == "hard":
+        if beta is None:
             return s.max(axis=2), {"idx": idx, "s": s, "codes": np.argmax(s, axis=2)}
         out, T = _soft_select_forward(s, beta)
         return out, {"idx": idx, "s": s, "T": T, "beta": beta}
@@ -407,7 +410,7 @@ class AvgPool(_Pool):
         np.add.at(P, (np.arange(K)[:, None], idx), (np.arange(R) < sizes) / sizes)
         return P
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         P = self.matrix()
         return Z @ P.T, {"P": P}
 
@@ -450,7 +453,7 @@ class BatchNorm(Layer):
     def dims(self) -> tuple[int, int]:
         return self.mean.shape[0], self.mean.shape[0]
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         if batch_stats and Z.shape[0] > 1:
             Zc = Z - Z.mean(axis=0)
             denom = np.sqrt(Z.var(axis=0) + self.epsilon)
@@ -517,9 +520,9 @@ class SkipBlock(Layer):
     def dims(self) -> tuple[int, int]:
         return self.conv.dims()
 
-    def forward(self, Z, mode="hard", beta=None, batch_stats=False):
+    def forward(self, Z, beta=None, batch_stats=False):
         pre, conv_cache = self.conv.forward(Z)
-        act, act_cache = self.activation.forward(pre, mode, beta)
+        act, act_cache = self.activation.forward(pre, beta)
         skip, skip_cache = self.skip.forward(Z)
         cache = {"conv": conv_cache, "act": act_cache, "skip": skip_cache}
         cache["codes"] = act_cache.get("codes")

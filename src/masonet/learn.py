@@ -5,7 +5,8 @@ Gradients are computed analytically, by each layer kind's backward in
 
 * hard  -- the selection found at the forward pass is frozen and the
            gradient of the resulting affine map is returned (exact almost
-           everywhere, one-sided on region boundaries),
+           everywhere, one-sided on region boundaries, which `backward`
+           warns about and `train`'s steps do not scan for),
 * soft  -- selections are per-unit softmaxes of the affine scores and the
            gradient flows through them,
 * beta  -- like soft but the scores are scaled by eta = beta/(1-beta);
@@ -51,10 +52,10 @@ __all__ = [
     "train",
     "joint_map_factorial",
     "accuracy",
-    "layer_params",
 ]
 
 _BOUNDARY_GAP = 1e-7
+_MODES = ("hard", "soft", "beta")
 
 
 @dataclass
@@ -90,7 +91,9 @@ class TrainConfig:
             raise DomainError("learning rate must be positive")
         if self.epochs < 1:
             raise DomainError("need at least one epoch")
-        if self.beta_mode not in ("hard", "soft", "beta"):
+        if self.batch_size < 1 or self.gamma < 0 or self.lam < 0:
+            raise DomainError("batch size must be at least 1, gamma and lam nonnegative")
+        if self.beta_mode not in _MODES:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "beta" and not 0.0 < self.beta < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
@@ -131,35 +134,37 @@ def _cross_entropy_batch(logits: Tensor, labels: np.ndarray) -> tuple[float, Ten
 
 
 # ---------------------------------------------------------------------------
-# mode-aware forward with caches
+# forward with caches
 # ---------------------------------------------------------------------------
 
 def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
-    """Per-selector-layer beta value for the given mode."""
+    """Beta of each selector layer, keyed by layer index, for a regime name.
+
+    The one place a regime becomes betas: {} for hard (every layer then
+    selects hard), 1/2 for soft, and for beta the given value or
+    {layer index: value} dict.
+    """
+    if mode not in _MODES:
+        raise DomainError(f"unknown selection mode {mode!r}; expected one of {_MODES}")
     if mode == "hard":
         return {}
+    if mode == "beta" and beta is None:
+        raise DomainError("beta mode needs a beta value")
     out = {}
     for i, layer in enumerate(net.layers):
         if layer.selector:
-            if mode == "soft":
-                out[i] = 0.5
-            elif isinstance(beta, dict):
-                out[i] = float(beta[i])
-            elif beta is None:
-                raise DomainError("beta mode needs a beta value")
-            else:
-                out[i] = float(beta)
-    for i, b in out.items():
-        if not 0.0 < b < 1.0:
-            raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
+            b = 0.5 if mode == "soft" else float(beta[i] if isinstance(beta, dict) else beta)
+            if not 0.0 < b < 1.0:
+                raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
+            out[i] = b
     return out
 
 
-def _forward_train(net: L.Network, X: Tensor, mode: str, betas: dict, bn_batch_stats: bool):
+def _forward_train(net: L.Network, X: Tensor, betas: dict, bn_batch_stats: bool):
     Z = X
     caches = []
     for i, layer in enumerate(net.layers):
-        Z, cache = layer.forward(Z, mode, betas.get(i), bn_batch_stats)
+        Z, cache = layer.forward(Z, betas.get(i), bn_batch_stats)
         caches.append(cache)
     return Z, caches
 
@@ -182,7 +187,7 @@ def forward_loss(
     """
     X, labels = _as_batch(net, X, labels)
     betas = _beta_for_layers(net, mode, beta)
-    logits, _ = _forward_train(net, X, mode, betas, bn_batch_stats)
+    logits, _ = _forward_train(net, X, betas, bn_batch_stats)
     loss, _ = _cross_entropy_batch(logits, labels)
     return loss
 
@@ -197,10 +202,12 @@ def _as_batch(net: L.Network, X, labels):
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {X.shape} does not match input dim {net.dims[0]}")
+    if X.shape[0] == 0:
+        raise ShapeError("empty batch: need at least one input row")
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if labels.shape != (X.shape[0],):
         raise ShapeError("one label per input row required")
-    if labels.size and (labels.min() < 0 or labels.max() >= net.class_count):
+    if labels.min() < 0 or labels.max() >= net.class_count:
         raise DomainError("label out of range")
     return X, labels
 
@@ -223,7 +230,7 @@ def backward(
     """
     X, labels = _as_batch(net, x, label)
     betas = _beta_for_layers(net, mode, beta)
-    Z, caches = _forward_train(net, X, mode, betas, bn_batch_stats)
+    logits, caches = _forward_train(net, X, betas, bn_batch_stats)
     if mode == "hard":
         for i, (layer, cache) in enumerate(zip(net.layers, caches)):
             if layer.near_boundary(cache, _BOUNDARY_GAP):
@@ -232,15 +239,22 @@ def backward(
                     "the hard-mode gradient is one-sided; consider resampling",
                     RuntimeWarning,
                 )
-    loss, G = _cross_entropy_batch(Z, labels)
+    loss, values = _backprop(net, caches, logits, labels, mode == "beta")
+    return loss, Gradients(values)
+
+
+def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_beta: bool):
+    """Mean loss and the gradients keyed '<layer>.<field>', from the caches
+    of one `_forward_train`; with_beta adds each selector's '<layer>.beta'."""
+    loss, G = _cross_entropy_batch(logits, labels)
     values: dict = {}
     for i in range(len(net.layers) - 1, -1, -1):
         G, grads, dbeta = net.layers[i].backward(caches[i], G)
         for name, g in grads.items():
             values[f"{i}.{name}"] = g
-        if mode == "beta" and dbeta is not None:
+        if with_beta and dbeta is not None:
             values[f"{i}.beta"] = np.asarray(dbeta)
-    return loss, Gradients(values)
+    return loss, values
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +350,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def layer_params(layer) -> dict:
-    """Trainable arrays of one layer, keyed by field name."""
-    return layer.params()
-
-
 def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
     logits, _ = L.network_forward_batch(net, X)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
@@ -368,97 +377,60 @@ def train(net: L.Network, dataset, config: TrainConfig):
     dataset is (X, y).  Returns (trained network, history) where history
     holds one dict per epoch with keys epoch, loss, accuracy,
     template_penalty, filter_penalty (and betas when beta is learnable).
-    The input network is left untouched; batch order is drawn from the
+    Steps run the configured regime with batch statistics; each epoch's
+    loss and accuracy are the inference view (`forward_loss` with
+    bn_batch_stats off, and `accuracy`).  No warning is filtered.  The
+    input network is left untouched; batch order is drawn from the
     config seed, so runs are reproducible.
     """
-    X, y = dataset
-    X = as_tensor(X)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeError("dataset must be (n x D features, n labels)")
-    if y.size and (y.min() < 0 or y.max() >= net.class_count):
-        raise DomainError("dataset label out of range for the network's classes")
+    X, y = _as_batch(net, *dataset)
     net = copy.deepcopy(net)
     rng = np.random.default_rng(config.seed)
-    n = X.shape[0]
-    bs = max(1, min(config.batch_size, n))
-
-    params: dict = {}
-    for i, layer in enumerate(net.layers):
-        for name, arr in layer_params(layer).items():
-            params[f"{i}.{name}"] = arr
-    theta = {}
+    params = {f"{i}.{k}": a for i, layer in enumerate(net.layers) for k, a in layer.params().items()}
+    beta_logits = {}  # learnable betas: selector layer -> logit, beta = sigmoid(logit)
     if config.beta_mode == "beta" and config.beta_learnable:
         for i, layer in enumerate(net.layers):
             if layer.selector:
-                # logistic pre-parameter; beta = sigmoid(theta), init at config.beta
-                theta[i] = np.array(np.log(config.beta / (1.0 - config.beta)))
-                params[f"{i}.beta_raw"] = theta[i]
-
-    last_dense = None
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, L.Dense):
-            last_dense = i
-    penalized = [
-        f"{i}.W" if isinstance(layer, L.Dense) else f"{i}.filters"
-        for i, layer in enumerate(net.layers)
-        if isinstance(layer, (L.Dense, L.Conv)) and i != last_dense
-    ]
-
-    def current_beta():
-        if theta:
-            return {i: float(_sigmoid(t)) for i, t in theta.items()}
-        return config.beta if config.beta_mode == "beta" else None
+                beta_logits[i] = np.array(np.log(config.beta / (1.0 - config.beta)))
+                params[f"{i}.beta_raw"] = beta_logits[i]
+    # the last dense layer's rows are the class templates; earlier weights get lam
+    weights = [f"{i}.W" if isinstance(layer, L.Dense) else f"{i}.filters"
+               for i, layer in enumerate(net.layers) if isinstance(layer, (L.Dense, L.Conv))]
+    head = next((key for key in reversed(weights) if key.endswith(".W")), None)
+    penalized = [key for key in weights if key != head]
 
     state = AdamState()
     history = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, bs):
-            idx = order[start : start + bs]
-            betadict = current_beta()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                loss, grads = backward(
-                    net, X[idx], y[idx], mode=config.beta_mode, beta=betadict
-                )
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], config.batch_size):
+            idx = order[start : start + config.batch_size]
+            beta = {i: _sigmoid(t) for i, t in beta_logits.items()} or config.beta
+            betas = _beta_for_layers(net, config.beta_mode, beta)
+            logits, caches = _forward_train(net, X[idx], betas, True)
+            loss, grads = _backprop(net, caches, logits, y[idx], bool(beta_logits))
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
-            gvals = dict(grads.values)
-            if config.gamma > 0 and last_dense is not None:
-                _, gpen = ortho_penalty_templates(net.layers[last_dense].W, config.gamma)
-                gvals[f"{last_dense}.W"] = gvals.get(f"{last_dense}.W", 0.0) + gpen
+            if config.gamma > 0 and head is not None:
+                grads[head] = grads[head] + ortho_penalty_templates(params[head], config.gamma)[1]
             if config.lam > 0:
                 _, gpens = _filter_penalty(params, penalized, config.lam)
                 for key, gpen in gpens.items():
-                    gvals[key] = gvals[key] + gpen
-            if theta:
-                for i, t in theta.items():
-                    b = float(_sigmoid(t))
-                    dbeta = float(gvals.pop(f"{i}.beta", 0.0))
-                    gvals[f"{i}.beta_raw"] = np.asarray(dbeta * b * (1.0 - b))
-            else:
-                for i in range(len(net.layers)):
-                    gvals.pop(f"{i}.beta", None)
-            adam_step(params, gvals, state, config)
+                    grads[key] = grads[key] + gpen
+            for i in beta_logits:
+                b = betas[i]
+                grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
+            adam_step(params, grads, state, config)
 
-        acc = accuracy(net, X, y)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            epoch_loss = forward_loss(net, X, y, mode=config.beta_mode, beta=current_beta())
-        tpen = 0.0
-        if last_dense is not None:
-            tpen, _ = ortho_penalty_templates(net.layers[last_dense].W, config.gamma)
-        fpen, _ = _filter_penalty(params, penalized, config.lam)
         entry = {
             "epoch": epoch,
-            "loss": epoch_loss,
-            "accuracy": acc,
-            "template_penalty": tpen,
-            "filter_penalty": fpen,
+            "loss": forward_loss(net, X, y, bn_batch_stats=False),
+            "accuracy": accuracy(net, X, y),
+            "template_penalty": 0.0 if head is None else ortho_penalty_templates(params[head], config.gamma)[0],
+            "filter_penalty": _filter_penalty(params, penalized, config.lam)[0],
         }
-        if theta:
-            entry["betas"] = tuple(float(_sigmoid(t)) for t in theta.values())
+        if beta_logits:
+            entry["betas"] = tuple(float(_sigmoid(t)) for t in beta_logits.values())
         history.append(entry)
     return net, history
 

@@ -210,6 +210,8 @@ def exit_status(argv):
     ["partition", "--net", "mlp:2-4-4", "--bounds=-1,1", "--resolution", "3,3,3"],
     ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json",
      "--mode", "beta", "--beta", "abc"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--batch", "0"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--gamma", "-5"],
     ["splinefit", "--data", "{quad}", "--k", "a"],
     ["splinefit", "--data", "{ragged}", "--k", "2"],
     ["act-table", "--beta", "x"],

@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +464,101 @@ def test_train_config_validation():
         TrainConfig(beta_mode="warm")
     with pytest.raises(DomainError):
         TrainConfig(beta_mode="beta", beta=1.0)
+
+
+def test_train_config_rejects_bad_batch_and_penalties():
+    for bad in ({"batch_size": 0}, {"gamma": -5.0}, {"lam": -0.1}):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
+
+
+def test_unknown_regime_names_are_rejected(rng):
+    net = L.make_mlp([2, 4, 2], seed=0)
+    X, y = two_blob_data(rng, n=8)
+    with pytest.raises(DomainError, match="hrad"):
+        forward_loss(net, X, y, mode="hrad", beta=0.7)
+    with pytest.raises(DomainError, match="Beta"):
+        backward(net, X, y, mode="Beta", beta=0.7)
+
+
+def test_empty_dataset_fails_loudly():
+    net = L.make_mlp([2, 4, 2], seed=0)
+    X, y = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
+    with pytest.raises(ShapeError):
+        train(net, (X, y), TrainConfig(epochs=1))
+    with pytest.raises(ShapeError):
+        forward_loss(net, X, y)
+    with pytest.raises(ShapeError):
+        backward(net, X, y)
+
+
+def bn_mlp(rng):
+    """dense -> batch norm -> relu -> dense on 2-D inputs, 3 classes."""
+    return L.Network(
+        [
+            L.Dense(rng.standard_normal((5, 2)), np.zeros(5)),
+            L.BatchNorm(np.zeros(5), np.ones(5), np.ones(5), np.zeros(5)),
+            L.Activation("relu", 5),
+            L.Dense(rng.standard_normal((3, 5)), np.zeros(3)),
+        ],
+        (2,), 3,
+    )
+
+
+def test_history_is_the_inference_view(rng):
+    X, y = two_blob_data(rng, n=60)
+    X = X + [0.0, 2.0]  # shifted so batch statistics and the stored ones differ
+    runs = (
+        (L.make_mlp([2, 5, 2], seed=1), TrainConfig(epochs=2, batch_size=16, beta_mode="soft")),
+        (bn_mlp(rng), TrainConfig(epochs=2, batch_size=16)),
+    )
+    for net, cfg in runs:
+        trained, history = train(net, (X, y), cfg)
+        assert history[-1]["loss"] == forward_loss(trained, X, y, mode="hard", bn_batch_stats=False)
+        assert history[-1]["accuracy"] == accuracy(trained, X, y)
+
+
+def test_train_runs_no_boundary_scan(rng, monkeypatch):
+    calls = []
+    for cls in (L.Layer, L.Activation, L.MaxPool, L.SkipBlock):
+        def counted(self, cache, gap, inner=cls.near_boundary):
+            calls.append(type(self).__name__)
+            return inner(self, cache, gap)
+        monkeypatch.setattr(cls, "near_boundary", counted)
+    X, y = two_blob_data(rng, n=40)
+    train(L.make_mlp([2, 5, 2], seed=1), (X, y), TrainConfig(epochs=2, batch_size=8))
+    assert calls == []
+
+
+def test_train_passes_layer_warnings_through(rng, monkeypatch):
+    forward = L.Activation.forward
+
+    def noisy(self, Z, *args):
+        # only the training steps run a forward with batch statistics
+        if args and args[-1] is True:
+            warnings.warn("probe warning from a training step", RuntimeWarning)
+        return forward(self, Z, *args)
+
+    monkeypatch.setattr(L.Activation, "forward", noisy)
+    X, y = two_blob_data(rng, n=40)
+    with pytest.warns(RuntimeWarning, match="probe warning"):
+        train(L.make_mlp([2, 5, 2], seed=1), (X, y), TrainConfig(epochs=1, beta_mode="soft"))
+
+
+def test_every_layer_kind_trains_without_warnings():
+    from test_analysis import every_kind_net
+
+    rng = np.random.default_rng(4)
+    net = every_kind_net(rng)
+    X = rng.standard_normal((40, net.dims[0]))
+    y = rng.integers(0, 3, size=40)
+    for mode in ("hard", "soft", "beta"):
+        cfg = TrainConfig(epochs=1, batch_size=16, beta_mode=mode, beta=0.7,
+                          beta_learnable=mode == "beta", gamma=1.0, lam=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, history = train(net, (X, y), cfg)
+        assert np.isfinite(history[-1]["loss"])
 
 
 # --- factorial joint MAP -------------------------------------------------------------
