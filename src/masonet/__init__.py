@@ -78,7 +78,6 @@ from .ndcore import (
     ValidationError,
     WindowError,
     as_tensor,
-    matmul,
     row_argmax,
     row_softmax,
 )

@@ -380,11 +380,14 @@ class MaxPool(_Pool):
         return Gin
 
     def near_boundary(self, cache, gap):
+        # a tie of two exact zeros (relu-dead entries) passes no gradient
+        # whichever wins, so only ties with a nonzero entry count
         s = cache["s"]
         if s.shape[-1] < 2:
             return False
         top2 = np.sort(s, axis=-1)[..., -2:]
-        return bool(np.any(top2[..., 1] - top2[..., 0] < gap))
+        tied = top2[..., 1] - top2[..., 0] < gap
+        return bool(np.any(tied & np.any(top2 != 0, axis=-1)))
 
     def selected_affine(self, z):
         idx = self.padded_indices()

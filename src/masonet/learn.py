@@ -379,7 +379,8 @@ def train(net: L.Network, dataset, config: TrainConfig):
     template_penalty, filter_penalty (and betas when beta is learnable).
     Steps run the configured regime with batch statistics; each epoch's
     loss and accuracy are the inference view (`forward_loss` with
-    bn_batch_stats off, and `accuracy`).  No warning is filtered.  The
+    bn_batch_stats off, and `accuracy`), both read off one forward over
+    the dataset.  No warning is filtered.  The
     input network is left untouched; batch order is drawn from the
     config seed, so runs are reproducible.
     """
@@ -422,10 +423,11 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
             adam_step(params, grads, state, config)
 
+        logits = _forward_train(net, X, {}, False)[0]  # the inference forward; caches dropped
         entry = {
             "epoch": epoch,
-            "loss": forward_loss(net, X, y, bn_batch_stats=False),
-            "accuracy": accuracy(net, X, y),
+            "loss": _cross_entropy_batch(logits, y)[0],
+            "accuracy": float(np.mean(np.argmax(logits, axis=1) == y)),
             "template_penalty": 0.0 if head is None else ortho_penalty_templates(params[head], config.gamma)[0],
             "filter_penalty": _filter_penalty(params, penalized, config.lam)[0],
         }

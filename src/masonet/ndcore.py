@@ -66,21 +66,6 @@ def as_tensor(x) -> Tensor:
     return a
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with an explicit inner-dimension check.
-
-    The shared index is accumulated in one deterministic order for a given
-    platform/BLAS build, which is what the bit-stability tests rely on.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def row_softmax(m: Tensor, scale: float = 1.0) -> Tensor:
     """Rowwise softmax of scale*m, stabilized by subtracting the row max."""
     if scale <= 0:

@@ -6,6 +6,8 @@ lattices and datasets for the distinct codes they touch, counts region
 occupancy, and measures closeness of two inputs by the fraction of units
 whose codes disagree (a normalized Hamming distance, hence a
 pseudometric; two inputs at distance 0 share every selected region).
+Every scan packs its codes one byte per selector unit (see _code_matrix)
+and forwards only through the layer prefix it asks about.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Network, network_forward_batch
+from .layers import Network, layer_forward_hard
 from .maso import HardSelection
 from .ndcore import DomainError, ShapeError, Tensor, as_tensor
 
@@ -62,38 +64,72 @@ class RegionTable:
     total: int
 
 
-def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
-    """(n, total units) int matrix of selector codes within the prefix."""
+_CHUNK_ROWS = 4096  # rows per forward: bounds the layer caches and keeps them in CPU cache
+
+
+def _checked_batch(net: Network, X: Tensor, layer_prefix: int) -> Tensor:
     if not 0 <= layer_prefix <= len(net.layers):
         raise ShapeError(
             f"layer prefix {layer_prefix} out of range for {len(net.layers)} layers"
         )
-    _, codes = network_forward_batch(net, X)
-    selected = [c for c in codes[:layer_prefix] if c is not None]
-    if not selected:
-        return np.zeros((X.shape[0], 0), dtype=np.int64)
-    return np.concatenate(selected, axis=1)
+    Z = as_tensor(X)
+    if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
+        raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
+    return Z
+
+
+def _prefix_codes(net: Network, Z: Tensor, layer_prefix: int) -> list:
+    """Hard forward through the first `layer_prefix` layers only: the
+    (n, K) codes of each selector layer among them, in layer order."""
+    codes = []
+    for layer in net.layers[:layer_prefix]:
+        Z, c = layer_forward_hard(layer, Z)
+        if c is not None:
+            codes.append(c)
+    return codes
+
+
+def _code_dtype(top: int) -> np.dtype:
+    """uint8 when every code fits a byte, else the smallest big-endian
+    unsigned dtype holding `top`, so byte order is numeric order."""
+    return np.min_scalar_type(top).newbyteorder(">")
+
+
+def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
+    """(n, total units) packed matrix of selector codes within the prefix.
+
+    One byte per unit (uint8) unless some code exceeds 255; comparing two
+    rows' bytes then orders them like their code tuples.  The forward
+    stops at the prefix and runs _CHUNK_ROWS rows at a time.
+    """
+    X = _checked_batch(net, X, layer_prefix)
+    n = X.shape[0]
+    mat = None
+    for start in range(0, max(n, 1), _CHUNK_ROWS):
+        blocks = _prefix_codes(net, X[start : start + _CHUNK_ROWS], layer_prefix)
+        if mat is None:
+            mat = np.empty((n, sum(c.shape[1] for c in blocks)), dtype=np.uint8)
+        col = 0
+        for c in blocks:
+            dtype = _code_dtype(int(c.max(initial=0)))  # codes are region indices, >= 0
+            if dtype.itemsize > mat.dtype.itemsize:
+                mat = mat.astype(dtype)
+            mat[start : start + c.shape[0], col : col + c.shape[1]] = c
+            col += c.shape[1]
+    return mat
 
 
 def layer_codes_batch(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
-    """Concatenated selector codes per row of X, within the layer prefix."""
-    X = as_tensor(X)
-    if X.ndim != 2:
-        raise ShapeError(f"expected a 2-D dataset, got shape {X.shape}")
+    """Concatenated selector codes per row of X, within the layer prefix,
+    packed as in the partition scans: uint8, or a wider big-endian unsigned
+    dtype when some code exceeds 255."""
     return _code_matrix(net, X, layer_prefix)
 
 
 def layer_code(net: Network, x: Tensor, layer_prefix: int) -> LayerCode:
     """The LayerCode of one input under the first `layer_prefix` layers."""
-    x = as_tensor(x).reshape(1, -1)
-    if not 0 <= layer_prefix <= len(net.layers):
-        raise ShapeError(
-            f"layer prefix {layer_prefix} out of range for {len(net.layers)} layers"
-        )
-    _, codes = network_forward_batch(net, x)
-    return LayerCode(
-        tuple(HardSelection(c[0]) for c in codes[:layer_prefix] if c is not None)
-    )
+    x = _checked_batch(net, as_tensor(x).reshape(1, -1), layer_prefix)
+    return LayerCode(tuple(HardSelection(c[0]) for c in _prefix_codes(net, x, layer_prefix)))
 
 
 def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
@@ -105,7 +141,12 @@ def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
     (RegionTable, points, code_ids): the lattice in row-major order and,
     per point, the id of its code.  Ids are ranks in the lexicographic
     order of the distinct code tuples, so they do not depend on traversal
-    order.
+    order.  A point exactly on a boundary gets one side's code: a relu
+    unit with Z == 0 is coded off (Z > 0 is "on") and a max-pool tie goes
+    to the lowest index.  So a lattice point where several boundaries
+    cross, such as the origin for a net with zero first-layer biases, can
+    carry a code that no full-dimensional region has and count as a
+    region of its own.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     d = len(bounds)
@@ -132,12 +173,16 @@ def _tabulate(mat: np.ndarray) -> tuple[RegionTable, np.ndarray]:
     if mat.shape[1] == 0:
         entries = {(): {"count": n, "representative": 0}}
         return RegionTable(entries, n), np.zeros(n, dtype=np.int64)
-    uniq, ids, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+    mat = np.ascontiguousarray(mat)
+    rows = mat.view(np.dtype((np.void, mat.dtype.itemsize * mat.shape[1]))).reshape(n)
+    # void rows sort bytewise, which for packed codes is lexicographic order
+    uniq, ids, counts = np.unique(rows, return_inverse=True, return_counts=True)
     first = np.full(uniq.shape[0], n, dtype=np.int64)
     np.minimum.at(first, ids, np.arange(n))
+    keys = uniq.view(mat.dtype).reshape(uniq.shape[0], mat.shape[1]).tolist()
     entries = {
-        tuple(int(v) for v in uniq[i]): {"count": int(counts[i]), "representative": int(first[i])}
-        for i in range(uniq.shape[0])
+        tuple(key): {"count": c, "representative": r}
+        for key, c, r in zip(keys, counts.tolist(), first.tolist())
     }
     return RegionTable(entries, n), ids.astype(np.int64)
 

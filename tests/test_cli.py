@@ -426,9 +426,9 @@ def test_nn_runs_one_dataset_forward(tmp_path, monkeypatch):
     data = tmp_path / "blobs.csv"
     blob_csv(data, n=60)
     rows_seen = []
-    forward = partition.network_forward_batch
-    monkeypatch.setattr(partition, "network_forward_batch",
-                        lambda net, Z: rows_seen.append(Z.shape[0]) or forward(net, Z))
+    forward = partition._prefix_codes
+    monkeypatch.setattr(partition, "_prefix_codes",
+                        lambda net, Z, prefix: rows_seen.append(Z.shape[0]) or forward(net, Z, prefix))
     out = tmp_path / "nn.csv"
     assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
                      "--k", "3", "--out", str(out)]) == 0

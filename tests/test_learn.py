@@ -121,23 +121,44 @@ def test_beta_gradient_matches_fd(rng):
     assert abs(total - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
 
-# relu zeros tie inside pooling windows; the boundary warning is expected
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_conv_pool_gradients(rng):
+def conv_pool_net(rng):
+    """conv -> relu -> 2x2 max pool -> dense on 1x6x6 inputs."""
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)) * 0.5, rng.standard_normal(2) * 0.1,
                   (1, 1), "valid", (1, 6, 6))
     out_shape = L.conv_out_shape(conv, (1, 6, 6))
     dim = int(np.prod(out_shape))
     regions, _ = L.pool_regions_2d(out_shape, (2, 2), (2, 2))
-    net = L.Network(
+    return L.Network(
         [conv, L.Activation("relu", dim), L.MaxPool(regions, dim),
          L.Dense(rng.standard_normal((3, len(regions))) * 0.3, np.zeros(3))],
         (1, 6, 6), 3,
     )
+
+
+def test_conv_pool_gradients(rng):
+    net = conv_pool_net(rng)
     X = rng.standard_normal((3, 36))
     y = rng.integers(0, 3, size=3)
     fd_check(net, ["0.filters", "0.bias", "3.W", "3.b"], X, y, mode="hard")
     fd_check(net, ["0.filters", "0.bias"], X, y, mode="soft")
+
+
+def test_maxpool_boundary_warning_ignores_relu_zero_ties(rng):
+    net = conv_pool_net(rng)
+    X = rng.standard_normal((32, 36))
+    y = rng.integers(0, 3, size=32)
+    Z = net.layers[1].forward(net.layers[0].forward(X)[0])[0]
+    windows = net.layers[2].forward(Z)[1]["s"]
+    assert np.any(np.sum(windows == 0, axis=-1) >= 2)  # relu zeros do tie
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        backward(net, X, y)
+    # a tie of two nonzero window entries is a real boundary and still warns
+    pool = L.MaxPool(((0, 1), (2, 3)), 4)
+    tied = L.Network([pool, L.Dense(np.eye(2), np.zeros(2))], (4,), 2)
+    with pytest.warns(RuntimeWarning, match="layer 0"):
+        backward(tied, np.array([[0.5, 0.5, -1.0, 2.0]]), np.array([0]))
+    assert not pool.near_boundary(pool.forward(np.array([[0.0, 0.0, -1.0, 2.0]]))[1], 1e-7)
 
 
 def test_strided_same_conv_gradients(rng):
@@ -516,6 +537,17 @@ def test_history_is_the_inference_view(rng):
         trained, history = train(net, (X, y), cfg)
         assert history[-1]["loss"] == forward_loss(trained, X, y, mode="hard", bn_batch_stats=False)
         assert history[-1]["accuracy"] == accuracy(trained, X, y)
+
+
+def test_history_runs_one_dataset_forward_per_epoch(rng, monkeypatch):
+    X, y = two_blob_data(rng, n=60)
+    rows = []
+    forward = L.Dense.forward
+    monkeypatch.setattr(L.Dense, "forward",
+                        lambda self, Z, *args: rows.append(Z.shape[0]) or forward(self, Z, *args))
+    net = L.make_mlp([2, 5, 2], seed=1)  # two dense layers per forward
+    train(net, (X, y), TrainConfig(epochs=3, batch_size=16))
+    assert rows.count(60) == 3 * 2
 
 
 def test_train_runs_no_boundary_scan(rng, monkeypatch):

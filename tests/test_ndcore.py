@@ -8,7 +8,6 @@ from masonet.ndcore import (
     DomainError,
     ShapeError,
     as_tensor,
-    matmul,
     row_argmax,
     row_softmax,
 )
@@ -25,20 +24,6 @@ def test_as_tensor_rejects_nan_and_inf():
         as_tensor([1.0, np.nan])
     with pytest.raises(DomainError):
         as_tensor([np.inf])
-
-
-def test_matmul_known_product():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    # hand-multiplied 2x2 product
-    assert np.array_equal(matmul(a, b), np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def test_row_softmax_quarter_three_quarters():

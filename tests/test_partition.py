@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from masonet import layers as L
+from masonet import partition
 from masonet.maso import HardSelection
 from masonet.ndcore import DomainError, ShapeError
 from masonet.partition import (
@@ -15,6 +17,7 @@ from masonet.partition import (
     region_stats,
     vq_distance,
 )
+from masonet.partition import _code_dtype, _code_matrix, _tabulate
 
 
 def tiny_net(seed=0):
@@ -125,6 +128,98 @@ def test_grid_scan_1d_region_count_matches_kinks():
     table, _, ids = grid_scan(net, [(-1.0, 1.0)], 101, 2)
     assert len(table.entries) == 2
     assert ids[0] != ids[-1]
+
+
+def test_grid_scan_boundary_point_codes_off():
+    # make_mlp has zero biases, so at the origin every first-layer unit sits
+    # exactly on its boundary; Z > 0 codes the tie as off, and on an odd
+    # lattice through the origin that one point is a "region" of its own
+    net = L.make_mlp([2, 45, 3, 4], seed=0)
+    table, points, ids = grid_scan(net, [(-2, 2), (-2, 2)], 101, 2)
+    origin = int(np.flatnonzero(np.all(points == 0.0, axis=1))[0])
+    code = next(c for c, e in table.entries.items() if e["representative"] == origin)
+    assert code == (0,) * 45
+    assert table.entries[code]["count"] == 1
+
+
+# --- packed codes ------------------------------------------------------------------
+
+def _reference_table(mat):
+    """The RegionTable entries and ids that np.unique over int64 rows gives."""
+    n = mat.shape[0]
+    if mat.shape[1] == 0:
+        return {(): {"count": n, "representative": 0}}, np.zeros(n, dtype=np.int64)
+    uniq, ids, counts = np.unique(mat, axis=0, return_inverse=True, return_counts=True)
+    ids = ids.reshape(n)
+    entries = {
+        tuple(int(v) for v in row): {"count": int(c), "representative": int(np.flatnonzero(ids == i)[0])}
+        for i, (row, c) in enumerate(zip(uniq, counts))
+    }
+    return entries, ids
+
+
+@st.composite
+def code_matrices(draw):
+    """Int64 code matrices with repeated rows; widths include 0, a single
+    row is allowed, and the largest entry is below 256 or at/above it."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(0, 6))
+    top = draw(st.sampled_from([1, 3, 255, 256, 300, 65535, 65536, 2**40]))
+    values = np.array([0, top] + draw(st.lists(st.integers(0, top), max_size=3)), dtype=np.int64)
+    mat = values[draw(arrays(np.int64, (n, width), elements=st.integers(0, len(values) - 1)))]
+    if width:
+        mat[draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))] = top
+        if draw(st.booleans()):
+            mat[:, draw(st.integers(0, width - 1))] = 0  # a constant zero column
+    return mat
+
+
+@given(code_matrices())
+@settings(max_examples=300, deadline=None)
+def test_tabulate_packed_matches_int64_unique(mat):
+    packed = mat.astype(_code_dtype(int(mat.max(initial=0))))
+    assert np.array_equal(packed, mat)
+    assert (packed.dtype.itemsize == 1) == (mat.max(initial=0) <= 255)
+    assert packed.dtype.itemsize == 1 or packed.dtype.byteorder == ">"
+    table, ids = _tabulate(packed)
+    entries, ref_ids = _reference_table(mat)
+    assert table.total == mat.shape[0]
+    assert list(table.entries.items()) == list(entries.items())  # same lexicographic order
+    assert all(type(v) is int for key in table.entries for v in key)
+    assert ids.dtype == np.int64 and np.array_equal(ids, ref_ids)
+
+
+def test_code_matrix_across_chunk_boundary(rng, monkeypatch):
+    net = L.make_mlp([2, 6, 5, 3], seed=2)  # dense, relu, dense, relu, dense
+    n = partition._CHUNK_ROWS + 1
+    X = rng.standard_normal((n, 2))
+    calls = []
+    forward = partition.layer_forward_hard
+    monkeypatch.setattr(partition, "layer_forward_hard",
+                        lambda layer, Z: calls.append((type(layer).__name__, Z.shape[0])) or forward(layer, Z))
+    mat = _code_matrix(net, X, 2)  # stops after the first relu
+    assert calls == [("Dense", n - 1), ("Activation", n - 1), ("Dense", 1), ("Activation", 1)]
+    _, codes = L.network_forward_batch(net, X)
+    assert mat.dtype == np.uint8
+    assert np.array_equal(mat, codes[1])
+
+
+def test_wide_maxpool_codes_widen_big_endian(rng, monkeypatch):
+    # a 300-entry window gives codes up to 299; only later chunks hold
+    # codes above 255, so the rows packed before must survive the widening
+    width = 300
+    net = L.Network([L.MaxPool((tuple(range(width)), (0, 1)), width)], (width,), 2)
+    X = rng.standard_normal((12, width))
+    X[:, 256:] -= 10.0
+    X[4:, 280] = 100.0
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", 4)
+    mat = _code_matrix(net, X, 1)
+    _, codes = L.network_forward_batch(net, X)
+    assert mat.dtype == np.dtype(">u2")
+    assert np.array_equal(mat, codes[0])
+    entries, ref_ids = _reference_table(codes[0])
+    table, ids = _tabulate(mat)
+    assert table.entries == entries and np.array_equal(ids, ref_ids)
 
 
 # --- region statistics ---------------------------------------------------------------
