@@ -6,6 +6,11 @@ the per-layer selected affine maps to expose A[x] and b[x], the matched
 filter rows of the final classifier, the 2^(L-1)-term expansion of a
 linear-skip residual chain, depthwise norm series of the partial
 products, and an empirical midpoint-convexity probe.
+
+The chaining costs one matrix product per affine layer (dense, conv,
+average pool, skip block): activations and batch norm scale the rows of
+the running A, and max pooling gathers them, instead of multiplying A by
+a D x D diagonal or one-hot matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from .layers import (
     Dense,
     Network,
     SkipBlock,
-    layer_selected_affine,
     network_forward_batch,
+    push_affine,
 )
 from .ndcore import DomainError, ShapeError, StructureError, Tensor, as_tensor
 
@@ -59,20 +64,18 @@ def _prefix_count(net: Network, upto_layer) -> int:
 
 
 def _walk(net: Network, x: Tensor, n: int):
-    """Yield (layer, z, A, b) for each of the first n layers around x.
+    """Yield (A, b), the affine map of the layers so far, after each of
+    the first n layers around x.
 
-    z is the layer's input and (A, b) the affine map of the layers so far.
-    z advances through the map the layer just selected, so the walk runs
-    no separate forward pass; the first layer's map is taken as it is,
-    not multiplied into an identity.
+    Each layer's input advances through the map the layer selected, so
+    the walk runs no separate forward pass; the first layer's map is taken
+    as it is, not multiplied into an identity.
     """
     z = _check_input(net, x)
     A = b = None
     for layer in net.layers[:n]:
-        Asel, bsel = layer_selected_affine(layer, z)
-        A, b = (Asel, bsel) if A is None else (Asel @ A, Asel @ b + bsel)
-        yield layer, z, A, b
-        z = Asel @ z + bsel
+        A, b, z = push_affine(layer, z, A, b)
+        yield A, b
 
 
 def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineForm:
@@ -83,9 +86,11 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
     Evaluating the result at x reproduces the forward output up to float
     accumulation; inputs whose codes match x's get the identical (A, b).
     """
-    A, b = np.eye(net.dims[0]), np.zeros(net.dims[0])
-    for _, _, A, b in _walk(net, x, _prefix_count(net, upto_layer)):
+    A = b = None
+    for A, b in _walk(net, x, _prefix_count(net, upto_layer)):
         pass
+    if A is None:  # an empty prefix is the identity map
+        A, b = np.eye(net.dims[0]), np.zeros(net.dims[0])
     return AffineForm(A, b)
 
 
@@ -142,7 +147,7 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
 
 def partial_product_norms(net: Network, x: Tensor) -> list:
     """Frobenius norms of the depth-d selected products, d = 1 .. L-1."""
-    return [float(np.linalg.norm(A)) for _, _, A, _ in _walk(net, x, len(net.layers) - 1)]
+    return [float(np.linalg.norm(A)) for A, _ in _walk(net, x, len(net.layers) - 1)]
 
 
 def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9):

@@ -451,8 +451,10 @@ def _cmd_nn(args) -> int:
     X, _ = _load_data(args)
     prefix = _prefix(args, net)
     idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
-    query = partition.layer_code(net, X[args.query], prefix)
-    dists = [partition.vq_distance(partition.layer_code(net, X[i], prefix), query) for i in idx]
+    # the query's code row, then the neighbours': one forward of k + 1 rows
+    codes = partition.layer_codes_batch(net, X[[args.query, *idx]], prefix)
+    # vq_distance's fraction of differing units, 0.0 when the prefix has none
+    dists = np.mean(codes[1:] != codes[0], axis=1) if codes.shape[1] else np.zeros(len(idx))
     print("neighbors:", " ".join(str(i) for i in idx))
     if args.out:
         _write_csv(

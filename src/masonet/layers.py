@@ -18,10 +18,14 @@ filters on every use, so the matrix route and the forward route are the
 same arithmetic and no lowered copy can go stale.  Its geometry is stated
 once, as the tap index `_conv_taps` that both the lowering and the filter
 gradient read; pooling arrays are built from one padded index matrix.
+Index arrays that depend only on geometry are computed once per shape
+and shared read-only; the lowering still scatters the current filter
+values on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -63,6 +67,7 @@ __all__ = [
     "layer_out_dim",
     "layer_forward_hard",
     "layer_selected_affine",
+    "push_affine",
     "pool_regions_2d",
     "make_mlp",
     "ACTIVATION_SLOPES",
@@ -85,8 +90,10 @@ class Layer:
     the hard cache from the soft one.  backward(cache, G) returns
     (G w.r.t. the input, parameter gradients keyed like params(),
     d loss / d beta or None).  selected_affine(z) is the (A, b) the layer
-    applies around one input; dims() is (input width, output width).  The
-    JSON form is the "kind" tag followed by the dataclass fields in order.
+    applies around one input, and push(z, A, b) composes it after a running
+    affine map (see push_affine); dims() is (input width, output width).
+    The JSON form is the "kind" tag followed by the dataclass fields in
+    order.
     """
 
     tag = ""  # the JSON "kind"
@@ -96,6 +103,11 @@ class Layer:
     def params(self) -> dict:
         """Trainable arrays keyed by field name."""
         return {}
+
+    def push(self, z, A, b):
+        """(Asel A, Asel b + bsel, Asel z + bsel) for the (Asel, bsel) selected at z."""
+        Asel, bsel = layer_selected_affine(self, z)
+        return Asel @ A, Asel @ b + bsel, Asel @ z + bsel
 
     def near_boundary(self, cache: dict, gap: float) -> bool:
         """Does a hard-mode cache hold a unit within gap of a region tie?"""
@@ -299,7 +311,7 @@ class Activation(Layer):
         if beta is None:
             on = Z > 0
             out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
-            return out, {"Z": Z, "codes": on.astype(np.int64)}
+            return out, {"Z": Z, "codes": on.view(np.uint8)}
         s = np.stack([lo * Z, hi * Z], axis=-1)
         out, T = _soft_select_forward(s, beta)
         return out, {"s": s, "T": T, "beta": beta}
@@ -314,9 +326,18 @@ class Activation(Layer):
     def near_boundary(self, cache, gap):
         return bool(np.any(np.abs(cache["Z"]) < gap))
 
-    def selected_affine(self, z):
+    def selected_slopes(self, z) -> Tensor:
+        """Per-unit slope of the region each entry of z falls in (z == 0 is off)."""
         lo, hi = self.slopes()
-        return np.diag(np.where(z > 0, hi, lo)), np.zeros(self.dim)
+        return np.where(z > 0, hi, lo)
+
+    def selected_affine(self, z):
+        return np.diag(self.selected_slopes(z)), np.zeros(self.dim)
+
+    def push(self, z, A, b):
+        # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
+        s = self.selected_slopes(z)
+        return s[:, None] * A, s * b, s * z
 
 
 @dataclass(eq=False)
@@ -342,11 +363,24 @@ class _Pool(Layer):
         return self.in_dim, len(self.regions)
 
     def padded_indices(self) -> np.ndarray:
-        """(K, R) index matrix; short regions repeat their last index."""
-        r_max = max(len(r) for r in self.regions)
-        return np.array(
-            [list(r) + [r[-1]] * (r_max - len(r)) for r in self.regions], dtype=np.int64
-        )
+        """(K, R) index matrix, read-only; short regions repeat their last index."""
+        return _pool_geometry(self.regions)[0]
+
+
+@functools.lru_cache(maxsize=32)
+def _pool_geometry(regions: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (K, R) padded index matrix of the regions and the (K, R)
+    averaging weights, 1/len(region) on real entries and 0 on padding."""
+    r_max = max(len(r) for r in regions)
+    idx = np.array([list(r) + [r[-1]] * (r_max - len(r)) for r in regions], dtype=np.int64)
+    sizes = np.fromiter(map(len, regions), np.int64, len(regions))[:, None]
+    weights = (np.arange(r_max) < sizes) / sizes
+    return _read_only(idx), _read_only(weights)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -389,12 +423,21 @@ class MaxPool(_Pool):
         tied = top2[..., 1] - top2[..., 0] < gap
         return bool(np.any(tied & np.any(top2 != 0, axis=-1)))
 
-    def selected_affine(self, z):
+    def _winners(self, z) -> np.ndarray:
+        """Input index each region selects at z (ties to the lowest position)."""
         idx = self.padded_indices()
-        units = np.arange(idx.shape[0])
-        A = np.zeros((idx.shape[0], self.in_dim))
-        A[units, idx[units, np.argmax(z[idx], axis=1)]] = 1.0
-        return A, np.zeros(idx.shape[0])
+        return idx[np.arange(idx.shape[0]), np.argmax(z[idx], axis=1)]
+
+    def selected_affine(self, z):
+        w = self._winners(z)
+        A = np.zeros((w.shape[0], self.in_dim))
+        A[np.arange(w.shape[0]), w] = 1.0
+        return A, np.zeros(w.shape[0])
+
+    def push(self, z, A, b):
+        # one-hot rows select rows exactly
+        w = self._winners(z)
+        return A[w], b[w], z[w]
 
 
 @dataclass(eq=False)
@@ -404,13 +447,11 @@ class AvgPool(_Pool):
     tag = "avgpool"
 
     def matrix(self) -> Tensor:
-        """(K, in_dim) averaging matrix; an index listed twice counts twice."""
-        idx = self.padded_indices()
-        K, R = idx.shape
-        sizes = np.fromiter(map(len, self.regions), np.int64, K)[:, None]
-        P = np.zeros((K, self.in_dim))
+        """Fresh (K, in_dim) averaging matrix; an index listed twice counts twice."""
+        idx, weights = _pool_geometry(self.regions)
+        P = np.zeros((idx.shape[0], self.in_dim))
         # the repeated indices that pad short regions add zero weight
-        np.add.at(P, (np.arange(K)[:, None], idx), (np.arange(R) < sizes) / sizes)
+        np.add.at(P, (np.arange(idx.shape[0])[:, None], idx), weights)
         return P
 
     def forward(self, Z, beta=None, batch_stats=False):
@@ -483,6 +524,10 @@ class BatchNorm(Layer):
         scale, shift = bn_fold_affine(self)
         return np.diag(scale), shift
 
+    def push(self, z, A, b):
+        scale, shift = bn_fold_affine(self)
+        return scale[:, None] * A, scale * b + shift, z * scale + shift
+
     def params(self) -> dict:
         return {"scale": self.scale, "shift": self.shift}
 
@@ -545,8 +590,8 @@ class SkipBlock(Layer):
     def branches(self, z) -> tuple[Tensor, Tensor, Tensor]:
         """(skip matrix, activation-branch matrix, offset) around input z."""
         Mc, bc = self.conv.matrix(), self.conv.bias_flat()
-        Aact, bact = self.activation.selected_affine(Mc @ z + bc)
-        return self.skip.matrix(), Aact @ Mc, Aact @ bc + bact + self.skip_bias
+        s = self.activation.selected_slopes(Mc @ z + bc)
+        return self.skip.matrix(), s[:, None] * Mc, s * bc + self.skip_bias
 
     def selected_affine(self, z):
         skip, act, b = self.branches(z)
@@ -668,12 +713,27 @@ def compose_layer_maso(linear: MasoParams, nonlinear: MasoParams) -> MasoParams:
 
 def conv_out_shape(conv: Conv, input_shape) -> tuple[int, int, int]:
     """(out_ch, H_out, W_out) for the given input geometry."""
-    c_in, h, w = (int(s) for s in input_shape)
-    c_out, c_f, kh, kw = conv.filters.shape
+    return _out_shape(*_geometry(conv, input_shape))
+
+
+def _geometry(conv: Conv, input_shape) -> tuple:
+    """The values a lowering's index depends on: (filter shape, stride,
+    padding, input shape), hashable."""
+    return (
+        conv.filters.shape,
+        tuple(conv.stride),
+        conv.padding,
+        tuple(int(s) for s in input_shape),
+    )
+
+
+def _out_shape(fshape, stride, padding, input_shape) -> tuple[int, int, int]:
+    c_in, h, w = input_shape
+    c_out, c_f, kh, kw = fshape
     if c_f != c_in:
         raise ShapeError(f"input has {c_in} channels, filters expect {c_f}")
-    sh, sw = conv.stride
-    if conv.padding == "valid":
+    sh, sw = stride
+    if padding == "valid":
         if kh > h or kw > w:
             raise ShapeError(f"kernel {kh}x{kw} exceeds valid input {h}x{w}")
         return c_out, (h - kh) // sh + 1, (w - kw) // sw + 1
@@ -685,23 +745,30 @@ def _conv_taps(conv: Conv, input_shape) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Tap index of the lowering: (rows, cols, taps), one entry per tap.
 
     Entry j says output rows[j] reads input entry cols[j] through filter
-    entry taps[j] (an index into filters.ravel()).  Every (output,
-    channel, tap) triple is placed at once on a broadcast grid.  Taps that
-    fall on the zero border under 'same-zero' padding read nothing and
-    have no entry; no two taps of one output read the same input entry.
+    entry taps[j] (an index into filters.ravel()).  Taps that fall on the
+    zero border under 'same-zero' padding read nothing and have no entry;
+    no two taps of one output read the same input entry.  The index
+    depends only on the geometry, so it is built once per geometry and
+    the arrays are shared read-only.
     """
-    c_in, h, w = (int(s) for s in input_shape)
-    c_out, h_out, w_out = conv_out_shape(conv, input_shape)
-    kh, kw = conv.filters.shape[2], conv.filters.shape[3]
-    sh, sw = conv.stride
-    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if conv.padding == "same-zero" else (0, 0)
+    return _taps_for(*_geometry(conv, input_shape))
+
+
+@functools.lru_cache(maxsize=32)
+def _taps_for(fshape, stride, padding, input_shape):
+    # every (output, channel, tap) triple is placed at once on a broadcast grid
+    c_in, h, w = input_shape
+    c_out, h_out, w_out = _out_shape(fshape, stride, padding, input_shape)
+    kh, kw = fshape[2], fshape[3]
+    sh, sw = stride
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same-zero" else (0, 0)
     o, y, x, i, p, q = np.ix_(*(np.arange(n) for n in (c_out, h_out, w_out, c_in, kh, kw)))
     yy, xx = y * sh + p - ph, x * sw + q - pw
     inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
     rows, cols, taps, inside = np.broadcast_arrays(
         (o * h_out + y) * w_out + x, (i * h + yy) * w + xx, ((o * c_in + i) * kh + p) * kw + q, inside
     )
-    return rows[inside], cols[inside], taps[inside]
+    return _read_only(rows[inside]), _read_only(cols[inside]), _read_only(taps[inside])
 
 
 def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
@@ -723,9 +790,10 @@ def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
 def layer_forward_hard(layer: Layer, Z: Tensor):
     """Batched hard forward: (n, in) -> ((n, out), codes or None).
 
-    codes is an (n, K) int array for layers that select a region (the
-    activation inside a skip block speaks for the block); affine layers
-    return None.
+    codes is an (n, K) array for layers that select a region (the
+    activation inside a skip block speaks for the block): uint8 on/off
+    bits for an activation, int64 window positions for a max pool.
+    Affine layers return None.
     """
     out, cache = layer.forward(Z)
     return out, cache.get("codes")
@@ -771,6 +839,24 @@ def skip_block_forward(blk: SkipBlock, z: Tensor) -> Tensor:
         raise ShapeError(f"input has {z.shape[0]} entries, expected {layer_in_dim(blk)}")
     out, _ = layer_forward_hard(blk, z[None, :])
     return out[0]
+
+
+def push_affine(layer: Layer, z: Tensor, A: Tensor | None = None, b: Tensor | None = None):
+    """One step of an exact decomposition walk: (A', b', out).
+
+    (A, b) is the affine map of the layers before this one and z the
+    layer's input.  With (Asel, bsel) the map the layer selects at z (as
+    layer_selected_affine gives it), A' = Asel A and b' = Asel b + bsel,
+    and out = Asel z + bsel is the layer's output at z.  A = None stands
+    for the identity: the layer's own (Asel, bsel) come back as they are.
+    Activations and batch norm scale A's rows and max pooling gathers
+    them, in place of a product with a diagonal or one-hot matrix; the
+    results equal the product entry for entry.
+    """
+    if A is None:
+        Asel, bsel = layer_selected_affine(layer, z)
+        return Asel, bsel, Asel @ z + bsel
+    return layer.push(z, A, b)
 
 
 def layer_selected_affine(layer: Layer, z: Tensor) -> tuple[Tensor, Tensor]:

@@ -88,6 +88,55 @@ def test_walks_reproduce_forward_for_every_layer_kind(seed):
     assert partial_product_norms(net, x) == expect
 
 
+
+def reference_walk(net, x):
+    """(A, b) after each layer, chained as full products with each layer's
+    selected map."""
+    z = np.asarray(x, dtype=np.float64).reshape(-1)
+    A = b = None
+    for layer in net.layers:
+        Asel, bsel = L.layer_selected_affine(layer, z)
+        A, b = (Asel, bsel) if A is None else (Asel @ A, Asel @ b + bsel)
+        yield A, b
+        z = Asel @ z + bsel
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_walks_equal_the_product_reference(seed):
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    x = rng.standard_normal(net.dims[0])
+    steps = list(reference_walk(net, x))
+    form = decompose(net, x)
+    assert np.array_equal(form.A, steps[-1][0]) and np.array_equal(form.b, steps[-1][1])
+    head, (A, b) = net.layers[-1], steps[-2]
+    T, biases = class_templates(net, x)
+    assert np.array_equal(T, head.W @ A) and np.array_equal(biases, head.W @ b + head.b)
+    assert partial_product_norms(net, x) == [float(np.linalg.norm(A)) for A, _ in steps[:-1]]
+
+
+def test_decompose_builds_no_diagonal_or_one_hot_map_past_the_first_layer(rng, monkeypatch):
+    nets = [
+        every_kind_net(rng),
+        # an activation first: its own selected map is the walk's start
+        L.Network([L.Activation("abs", 4), L.Dense(rng.standard_normal((2, 4)), np.zeros(2))],
+                  (4,), 2),
+    ]
+    for net in nets:
+        for cls in (L.Activation, L.MaxPool, L.BatchNorm):
+            def guarded(self, z, original=cls.selected_affine, first=net.layers[0]):
+                if self is not first:
+                    raise AssertionError(f"{type(self).__name__} built its dense selected map")
+                return original(self, z)
+
+            monkeypatch.setattr(cls, "selected_affine", guarded)
+        x = rng.standard_normal(net.dims[0])
+        f, _ = L.network_forward(net, x)
+        assert np.allclose(decompose(net, x)(x), f, atol=1e-10)
+        monkeypatch.undo()
+
+
 def test_decompose_identity_on_empty_prefix(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
     form = decompose(net, rng.standard_normal(3), upto_layer=0)

@@ -425,22 +425,24 @@ def test_partition_stats_nn_commands(tmp_path, capsys):
 def test_nn_runs_one_dataset_forward(tmp_path, monkeypatch):
     data = tmp_path / "blobs.csv"
     blob_csv(data, n=60)
-    rows_seen = []
-    forward = partition._prefix_codes
-    monkeypatch.setattr(partition, "_prefix_codes",
-                        lambda net, Z, prefix: rows_seen.append(Z.shape[0]) or forward(net, Z, prefix))
-    out = tmp_path / "nn.csv"
-    assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
-                     "--k", "3", "--out", str(out)]) == 0
-    # one dataset-wide forward for the ranking, then the query and each neighbour
-    assert sorted(rows_seen) == [1, 1, 1, 1, 60]
     X, _ = cli.load_dataset_csv(str(data))
     net = L.make_mlp([2, 5, 2], seed=0)
-    query = partition.layer_code(net, X[4], len(net.layers))
-    _, rows = read_csv(str(out))
-    for _, index, dist in rows:
-        code = partition.layer_code(net, X[int(index)], len(net.layers))
-        assert float(dist) == partition.vq_distance(code, query)
+    forward = partition._prefix_codes
+    # the full net, then a prefix holding no selector units (distance 0.0)
+    for prefix in (len(net.layers), 1):
+        rows_seen = []
+        monkeypatch.setattr(partition, "_prefix_codes",
+                            lambda net, Z, p: rows_seen.append(Z.shape[0]) or forward(net, Z, p))
+        out = tmp_path / "nn.csv"
+        assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
+                         "--k", "3", "--layer", str(prefix), "--out", str(out)]) == 0
+        # one dataset-wide forward for the ranking, then one of the query and its neighbours
+        assert sorted(rows_seen) == [4, 60]
+        query = partition.layer_code(net, X[4], prefix)
+        _, rows = read_csv(str(out))
+        for _, index, dist in rows:
+            code = partition.layer_code(net, X[int(index)], prefix)
+            assert float(dist) == partition.vq_distance(code, query)
 
 
 def test_norms_command(tmp_path):

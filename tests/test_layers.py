@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masonet import layers as L
 from masonet import learn
@@ -380,6 +382,102 @@ def test_layer_selected_affine_reproduces_each_layer(rng):
         A, b = L.layer_selected_affine(layer, z)
         direct, _ = L.layer_forward_hard(layer, z[None, :])
         assert np.allclose(A @ z + b, direct[0], atol=1e-12), type(layer).__name__
+
+
+
+def push_cases(rng):
+    """(layer, z) for every layer kind.  z takes few distinct values, so
+    exact zeros before an activation and exact ties inside a max-pool
+    region occur; pool regions have unequal lengths, so some are padded."""
+    n = int(rng.integers(3, 9))
+
+    def coarse(d):
+        return rng.integers(-2, 3, d).astype(float)
+
+    regions = tuple(
+        tuple(rng.integers(0, n, int(rng.integers(1, n + 1))).tolist())
+        for _ in range(int(rng.integers(2, 5)))
+    )
+    tied = coarse(n)
+    tied[list(regions[0])] = 1.0  # every entry of the first region ties
+    c, h, w = int(rng.integers(1, 3)), int(rng.integers(3, 6)), int(rng.integers(3, 6))
+    k = int(rng.integers(1, min(h, w) + 1))
+    conv = L.Conv(rng.standard_normal((2, c, k, k)), rng.standard_normal(2),
+                  (int(rng.integers(1, 3)), int(rng.integers(1, 3))),
+                  ("valid", "same-zero")[int(rng.integers(2))], (c, h, w))
+    skip_z = np.zeros(32) if rng.random() < 0.3 else coarse(32)
+    cases = [(L.Dense(rng.standard_normal((4, n)), rng.standard_normal(4)), coarse(n))]
+    cases += [(L.Activation(kind, n, nu=0.1), coarse(n)) for kind in L.ACTIVATION_SLOPES]
+    cases += [
+        (L.MaxPool(regions, n), tied),
+        (L.AvgPool(regions, n), coarse(n)),
+        (L.BatchNorm(rng.standard_normal(n), rng.random(n) + 0.1,
+                     rng.standard_normal(n), rng.standard_normal(n)), coarse(n)),
+        (conv, rng.standard_normal(c * h * w)),
+        (make_skip_block(rng), skip_z),
+    ]
+    return cases
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_push_affine_equals_the_selected_product(seed):
+    rng = np.random.default_rng(seed)
+    for layer, z in push_cases(rng):
+        name = type(layer).__name__
+        Asel, bsel = L.layer_selected_affine(layer, z)
+        A = rng.standard_normal((z.shape[0], int(rng.integers(2, 6))))
+        b = rng.standard_normal(z.shape[0])
+        A2, b2, out = L.push_affine(layer, z, A, b)
+        assert np.array_equal(A2, Asel @ A), name
+        assert np.array_equal(b2, Asel @ b + bsel), name
+        assert np.array_equal(out, Asel @ z + bsel), name
+        # with no running map the step gives the layer's own selected map
+        A1, b1, out1 = L.push_affine(layer, z)
+        assert np.array_equal(A1, Asel) and np.array_equal(b1, bsel), name
+        assert np.array_equal(out1, out), name
+
+
+def test_conv_taps_are_shared_read_only_and_never_stale(rng):
+    shape = (2, 5, 5)
+    conv = L.Conv(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2), (1, 1),
+                  "same-zero", shape)
+    taps = L._conv_taps(conv, shape)
+    for a in taps:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        taps[0][0] = 0
+    # another conv of the same geometry shares the index, whatever its filters
+    twin = L.Conv(rng.standard_normal((2, 2, 3, 3)), np.zeros(2), (1, 1), "same-zero", shape)
+    assert all(a is t for a, t in zip(L._conv_taps(twin, shape), taps))
+    # a different stride or padding gets its own index, and lowers correctly
+    x = rng.standard_normal(50)
+    for stride, padding in (((2, 1), "same-zero"), ((1, 1), "valid")):
+        other = L.Conv(conv.filters, conv.bias, stride, padding, shape)
+        other_taps = L._conv_taps(other, shape)
+        assert not all(np.array_equal(a, t) for a, t in zip(other_taps, taps))
+        expect = conv_reference(conv.filters, conv.bias, stride, padding, x.reshape(shape))
+        assert np.allclose(other.matrix() @ x + other.bias_flat(), expect.ravel(), atol=1e-12)
+    # filters edited in place reach the next lowering: nothing lowered is kept
+    before = conv.matrix()
+    conv.filters[1, 0, 1, 1] += 1.0
+    after = conv.matrix()
+    assert not np.array_equal(before, after)
+    expect = conv_reference(conv.filters, conv.bias, (1, 1), "same-zero", x.reshape(shape))
+    assert np.allclose(after @ x + conv.bias_flat(), expect.ravel(), atol=1e-12)
+
+
+def test_pool_geometry_is_read_only_and_matrices_fresh():
+    regions = ((0, 1, 2), (2, 3), (4,))
+    pool = L.AvgPool(regions, 5)
+    idx = L.MaxPool(regions, 5).padded_indices()
+    assert not idx.flags.writeable
+    assert idx is pool.padded_indices()
+    P = pool.matrix()
+    P[:] = 0.0
+    A, _ = L.layer_selected_affine(pool, np.zeros(5))
+    A[:] = 0.0
+    assert np.allclose(pool.matrix().sum(axis=1), 1.0)
 
 
 # --- apodized reconstruction ---------------------------------------------------
