@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import analysis, learn, partition, splinefit
 from . import layers as L
-from .maso import MasoParams
-from .ndcore import MasonetError, ValidationError, as_tensor, row_argmax, row_softmax
+from .maso import MasoParams, scores, select
+from .ndcore import MasonetError, ValidationError, as_tensor
 
 __all__ = [
     "generate_toy_dataset",
@@ -217,7 +218,8 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
 
     kind is 'relu', 'abs', or a 1-unit, 1-input MasoParams.  The hard and
     soft columns do not depend on beta but are repeated per row so each
-    row is self-contained.
+    row is self-contained; the soft column is beta = 1/2.  A beta that
+    scales the grid's scores past the float64 range is a ValidationError.
     """
     if isinstance(kind, MasoParams):
         if kind.K != 1 or kind.D != 1:
@@ -232,18 +234,18 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
         if not 0.0 < b < 1.0:
             raise ValidationError(f"beta {b} outside the open interval (0, 1)")
     u = as_tensor(u_grid).reshape(-1)
-    # one row of R scores per grid point: the maso module's arithmetic
-    # (forward_hard, svq_infer, beta_vq_infer) applied to the whole grid
-    s = u[:, None] @ p.A[0].T + p.B[0]
-    hard = s[np.arange(u.size), row_argmax(s)]
-
-    def weighted(eta=1.0):
-        # as_tensor is SoftSelection's check: an overflowing score is an
-        # error, not a row of NaNs
-        return np.sum(as_tensor(row_softmax(s, eta)) * s, axis=1)
-
-    soft = weighted()
-    cols = [weighted(b / (1.0 - b)).tolist() for b in betas]
+    # one row of R scores per grid point, selected by the maso kernel
+    s = scores(p, u[:, None])[:, 0]
+    # scaled scores must stay within half the float64 range, so that the
+    # softmax's shift by the row maximum cannot overflow either; the bound
+    # is a Python float, where overflow gives inf, not a warning
+    top = float(np.max(np.abs(s), initial=0.0))
+    for b in (0.5, *betas):
+        if not math.isfinite(2.0 * (b / (1.0 - b) * top)):
+            raise ValidationError(f"beta {b} scales scores up to {top:.3g} past the float64 range")
+    hard = select(s)[0]
+    soft = select(s, 0.5)[0]
+    cols = [select(s, b)[0].tolist() for b in betas]
     return [
         (ui, b, hi, si, col[i])
         for i, (ui, hi, si) in enumerate(zip(u.tolist(), hard.tolist(), soft.tolist()))

@@ -12,7 +12,9 @@ enter flattened and convolutions carry their expected (C, H, W) input
 shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
 inference forward), the matching backward, the affine map it selects
-around an input, its trainable arrays and its JSON form.  Convolution is
+around an input, its trainable arrays and its JSON form.  Selection is
+`maso.select` (and its backward), except the activation's hard forward,
+whose z > 0 test gives the same codes.  Convolution is
 applied through its explicit matrix form, lowered afresh from the current
 filters on every use, so the matrix route and the forward route are the
 same arithmetic and no lowered copy can go stale.  Its geometry is stated
@@ -30,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .maso import HardSelection, MasoParams
+from .maso import HardSelection, MasoParams, select, select_backward
 from .ndcore import (
     DomainError,
     ShapeError,
@@ -63,8 +65,6 @@ __all__ = [
     "apodized_reconstruct",
     "interior_mask",
     "slope_nonnegativity",
-    "layer_in_dim",
-    "layer_out_dim",
     "layer_forward_hard",
     "layer_selected_affine",
     "push_affine",
@@ -140,35 +140,6 @@ def _json_value(v):
     if isinstance(v, tuple):
         return [_json_value(e) for e in v]
     return v
-
-
-def _soft_select_forward(s: Tensor, beta: float):
-    """Weighted output of scores s (.., R) under T = softmax(eta * s).
-
-    eta = beta / (1 - beta); beta = 1/2 is soft VQ.
-    """
-    t = beta / (1.0 - beta) * s
-    t = t - t.max(axis=-1, keepdims=True)
-    T = np.exp(t)
-    T /= T.sum(axis=-1, keepdims=True)
-    out = np.sum(T * s, axis=-1)
-    return out, T
-
-
-def _soft_select_backward(G: Tensor, cache: dict):
-    """Backward through out = sum_r T_r s_r, T = softmax(eta s).
-
-    Returns (G pushed onto the scores s, d loss / d beta summed over the
-    cache's units and batch).
-    """
-    s, T, beta = cache["s"], cache["T"], cache["beta"]
-    eta = beta / (1.0 - beta)
-    out = np.sum(T * s, axis=-1)
-    w = T * (1.0 + eta * (s - out[..., None]))
-    # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
-    dout_deta = np.sum(T * s * s, axis=-1) - out * out
-    deta = float(np.sum(G * dout_deta))
-    return G[..., None] * w, deta / (1.0 - beta) ** 2
 
 
 @dataclass(eq=False)
@@ -313,14 +284,14 @@ class Activation(Layer):
             out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
             return out, {"Z": Z, "codes": on.view(np.uint8)}
         s = np.stack([lo * Z, hi * Z], axis=-1)
-        out, T = _soft_select_forward(s, beta)
+        out, T = select(s, beta)
         return out, {"s": s, "T": T, "beta": beta}
 
     def backward(self, cache, G):
         lo, hi = self.slopes()
         if "codes" in cache:
             return G * np.where(cache["codes"] == 1, hi, lo), {}, None
-        Gs, dbeta = _soft_select_backward(G, cache)
+        Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
         return Gs[..., 0] * lo + Gs[..., 1] * hi, {}, dbeta
 
     def near_boundary(self, cache, gap):
@@ -393,17 +364,15 @@ class MaxPool(_Pool):
     def forward(self, Z, beta=None, batch_stats=False):
         idx = self.padded_indices()
         s = Z[:, idx]
-        if beta is None:
-            return s.max(axis=2), {"idx": idx, "s": s, "codes": np.argmax(s, axis=2)}
-        out, T = _soft_select_forward(s, beta)
-        return out, {"idx": idx, "s": s, "T": T, "beta": beta}
+        out, sel = select(s, beta)
+        return out, {"idx": idx, "s": s, "beta": beta, ("codes" if beta is None else "T"): sel}
 
     def backward(self, cache, G):
         idx = cache["idx"]
         if "codes" in cache:
             winners = idx[np.arange(idx.shape[0]), cache["codes"]]
             return self._scatter(winners, G), {}, None
-        Gs, dbeta = _soft_select_backward(G, cache)
+        Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
         return self._scatter(idx, Gs), {}, dbeta
 
     def _scatter(self, cols, V):
@@ -426,7 +395,7 @@ class MaxPool(_Pool):
     def _winners(self, z) -> np.ndarray:
         """Input index each region selects at z (ties to the lowest position)."""
         idx = self.padded_indices()
-        return idx[np.arange(idx.shape[0]), np.argmax(z[idx], axis=1)]
+        return idx[np.arange(idx.shape[0]), select(z[idx])[1]]
 
     def selected_affine(self, z):
         w = self._winners(z)
@@ -602,14 +571,6 @@ class SkipBlock(Layer):
         params = {f"conv.{k}": v for k, v in self.conv.params().items()}
         params.update({"skip.filters": self.skip.filters, "skip_bias": self.skip_bias})
         return params
-
-
-def layer_in_dim(layer: Layer) -> int:
-    return layer.dims()[0]
-
-
-def layer_out_dim(layer: Layer) -> int:
-    return layer.dims()[1]
 
 
 @dataclass(eq=False)
@@ -835,8 +796,8 @@ def bn_fold_affine(bn: BatchNorm) -> tuple[Tensor, Tensor]:
 def skip_block_forward(blk: SkipBlock, z: Tensor) -> Tensor:
     """Single-input residual block evaluation with hard activation codes."""
     z = as_tensor(z).reshape(-1)
-    if z.shape[0] != layer_in_dim(blk):
-        raise ShapeError(f"input has {z.shape[0]} entries, expected {layer_in_dim(blk)}")
+    if z.shape[0] != blk.dims()[0]:
+        raise ShapeError(f"input has {z.shape[0]} entries, expected {blk.dims()[0]}")
     out, _ = layer_forward_hard(blk, z[None, :])
     return out[0]
 
@@ -867,7 +828,7 @@ def layer_selected_affine(layer: Layer, z: Tensor) -> tuple[Tensor, Tensor]:
     arrays are fresh, never views of the layer's parameters.
     """
     z = as_tensor(z).reshape(-1)
-    d = layer_in_dim(layer)
+    d = layer.dims()[0]
     if z.shape[0] != d:
         raise ShapeError(f"input has {z.shape[0]} entries, expected {d}")
     return layer.selected_affine(z)

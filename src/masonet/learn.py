@@ -116,8 +116,7 @@ def cross_entropy(logits: Tensor, label: int) -> float:
     label = int(label)
     if not 0 <= label < logits.shape[0]:
         raise DomainError(f"label {label} out of range for {logits.shape[0]} classes")
-    m = logits.max()
-    return float(np.log(np.sum(np.exp(logits - m))) + m - logits[label])
+    return _cross_entropy_batch(logits[None, :], [label])[0]
 
 
 def _cross_entropy_batch(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:
@@ -377,12 +376,12 @@ def train(net: L.Network, dataset, config: TrainConfig):
     dataset is (X, y).  Returns (trained network, history) where history
     holds one dict per epoch with keys epoch, loss, accuracy,
     template_penalty, filter_penalty (and betas when beta is learnable).
-    Steps run the configured regime with batch statistics; each epoch's
-    loss and accuracy are the inference view (`forward_loss` with
-    bn_batch_stats off, and `accuracy`), both read off one forward over
-    the dataset.  No warning is filtered.  The
-    input network is left untouched; batch order is drawn from the
-    config seed, so runs are reproducible.
+    Steps run the configured regime with batch statistics.  Each epoch
+    ends with one inference forward over the dataset that first sets each
+    batch norm's mean and var to the biased statistics of its input; its
+    loss and accuracy are the history's (`forward_loss` with bn_batch_stats
+    off, and `accuracy`).  No warning is filtered.  The input network is
+    left untouched; batch order is drawn from the config seed.
     """
     X, y = _as_batch(net, *dataset)
     net = copy.deepcopy(net)
@@ -423,11 +422,15 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
             adam_step(params, grads, state, config)
 
-        logits = _forward_train(net, X, {}, False)[0]  # the inference forward; caches dropped
+        Z = X  # the inference forward, each batch norm recalibrated on its full-data input
+        for layer in net.layers:
+            if isinstance(layer, L.BatchNorm):
+                layer.mean, layer.var = Z.mean(axis=0), Z.var(axis=0)
+            Z = layer.forward(Z)[0]
         entry = {
             "epoch": epoch,
-            "loss": _cross_entropy_batch(logits, y)[0],
-            "accuracy": float(np.mean(np.argmax(logits, axis=1) == y)),
+            "loss": _cross_entropy_batch(Z, y)[0],
+            "accuracy": float(np.mean(np.argmax(Z, axis=1) == y)),
             "template_penalty": 0.0 if head is None else ortho_penalty_templates(params[head], config.gamma)[0],
             "filter_penalty": _filter_penalty(params, penalized, config.lam)[0],
         }

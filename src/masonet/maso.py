@@ -9,6 +9,9 @@ a softmax over the R affine scores gives soft VQ; scaling the scores by
 eta = beta/(1-beta) before the softmax interpolates between the uniform
 selection (beta -> 0), soft VQ (beta = 1/2), and hard VQ (beta -> 1).
 
+`select` defines the three regimes once, over the last axis of a batch of
+`scores`; the functions here, `layers` and the CLI all call it.
+
 Under the Gaussian-mixture reading of a unit, the prior mass of region r is
 proportional to exp(B[k,r] + ||A[k,r,:]||^2 / 2), and when the offsets are
 tied to the slopes by B = -||A||^2/2 the hard codes coincide with
@@ -47,6 +50,8 @@ __all__ = [
     "kmeans_codes",
     "codes_from_offset_perturbation",
     "scores",
+    "select",
+    "select_backward",
 ]
 
 
@@ -142,31 +147,49 @@ class BetaParam:
             raise ShapeError(f"beta has {b.shape[0]} entries for {K} units")
         return b
 
-    def eta(self, K: int) -> Tensor:
-        """The induced score scale eta = beta / (1 - beta), per unit."""
-        b = self.values(K)
-        return b / (1.0 - b)
-
 
 def scores(p: MasoParams, z: Tensor) -> Tensor:
-    """K x R matrix of affine scores <A[k,r,:], z> + B[k,r]."""
+    """(..., K, R) affine scores <A[k,r,:], z> + B[k,r] of inputs z (..., D)."""
     z = as_tensor(z)
-    if z.shape != (p.D,):
-        raise ShapeError(f"input has shape {z.shape}, expected ({p.D},)")
-    return p.A @ z + p.B
+    if z.ndim == 0 or z.shape[-1] != p.D:
+        raise ShapeError(f"input has shape {z.shape}, expected (..., {p.D})")
+    return (p.A @ z[..., None, :, None])[..., 0] + p.B
+
+
+def select(s: Tensor, beta=None) -> tuple[Tensor, Tensor]:
+    """(output, selection) over the last axis of scores s (..., R).
+
+    Hard exactly when beta is None: the maximum and the region codes (ties
+    to the lowest index).  Otherwise the T-weighted score sum and T =
+    softmax(eta s), eta = beta/(1-beta); beta may broadcast against s[..., :1].
+    """
+    if beta is None:
+        return s.max(axis=-1), row_argmax(s)
+    T = row_softmax(beta / (1.0 - beta) * s)
+    return np.sum(T * s, axis=-1), T
+
+
+def select_backward(G: Tensor, s: Tensor, T: Tensor, beta) -> tuple[Tensor, float]:
+    """Backward of the soft `select`: (G pushed onto the scores s, d loss /
+    d beta summed over every unit and row)."""
+    eta = beta / (1.0 - beta)
+    out = np.sum(T * s, axis=-1)
+    w = T * (1.0 + eta * (s - out[..., None]))
+    # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
+    dout_deta = np.sum(T * s * s, axis=-1) - out * out
+    deta = float(np.sum(G * dout_deta))
+    return G[..., None] * w, deta / (1.0 - beta) ** 2
 
 
 def forward_hard(p: MasoParams, z: Tensor) -> tuple[Tensor, HardSelection]:
     """Max over regions per unit; returns the outputs and the winning codes."""
-    s = scores(p, z)
-    codes = row_argmax(s)
-    out = s[np.arange(p.K), codes]
+    out, codes = select(scores(p, _one_input(p, z)))
     return out, HardSelection(codes)
 
 
 def svq_infer(p: MasoParams, z: Tensor) -> SoftSelection:
     """Soft VQ: per-unit softmax over the R affine scores."""
-    return SoftSelection(row_softmax(scores(p, z)))
+    return SoftSelection(select(scores(p, _one_input(p, z)), 0.5)[1])
 
 
 def beta_vq_infer(p: MasoParams, z: Tensor, b: BetaParam) -> SoftSelection:
@@ -175,9 +198,7 @@ def beta_vq_infer(p: MasoParams, z: Tensor, b: BetaParam) -> SoftSelection:
     beta = 1/2 reproduces svq_infer; beta -> 0 tends to the uniform row
     1/R; beta -> 1 concentrates on the hard VQ code.
     """
-    s = scores(p, z)
-    eta = b.eta(p.K)
-    return SoftSelection(row_softmax(s * eta[:, None]))
+    return SoftSelection(select(scores(p, _one_input(p, z)), b.values(p.K)[:, None])[1])
 
 
 def forward_with_selection(
@@ -188,7 +209,7 @@ def forward_with_selection(
     With the HardSelection produced by forward_hard this reproduces the
     hard output exactly (same score arithmetic, one term per unit).
     """
-    s = scores(p, z)
+    s = scores(p, _one_input(p, z))
     if isinstance(sel, HardSelection):
         codes = _checked_codes(p, sel)
         return s[np.arange(p.K), codes]
@@ -219,7 +240,7 @@ def entropy_objective(
     endpoints are meaningful for the objective (pure score / pure entropy)
     even though beta-VQ inference itself requires the open interval.
     """
-    s = scores(p, z)
+    s = scores(p, _one_input(p, z))
     if T.T.shape != s.shape:
         raise ShapeError(f"selection shape {T.T.shape} does not match (K,R)=({p.K},{p.R})")
     beta = _beta_closed(b, p.K)
@@ -243,9 +264,7 @@ def kmeans_codes(p: MasoParams, z: Tensor) -> HardSelection:
     negative squared distance ordering to the slope vectors, so the codes
     returned here equal the hard VQ codes.
     """
-    z = as_tensor(z)
-    if z.shape != (p.D,):
-        raise ShapeError(f"input has shape {z.shape}, expected ({p.D},)")
+    z = _one_input(p, z)
     resid = p.B + 0.5 * np.sum(p.A * p.A, axis=2)
     if np.max(np.abs(resid)) > 1e-9:
         raise PreconditionError(
@@ -268,7 +287,7 @@ def codes_from_offset_perturbation(
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    s = scores(p, z)
+    s = scores(p, _one_input(p, z))
     if p.R > 1:
         top2 = np.sort(s, axis=1)[:, -2:]
         gaps = top2[:, 1] - top2[:, 0]
@@ -291,6 +310,13 @@ def codes_from_offset_perturbation(
             raise AmbiguityError(f"unit {k}: {len(hits)} regions respond to the nudge")
         codes[k] = hits[0]
     return HardSelection(codes)
+
+
+def _one_input(p: MasoParams, z: Tensor) -> Tensor:
+    z = as_tensor(z)
+    if z.shape != (p.D,):
+        raise ShapeError(f"input has shape {z.shape}, expected ({p.D},)")
+    return z
 
 
 def _checked_codes(p: MasoParams, sel: HardSelection) -> np.ndarray:

@@ -6,7 +6,8 @@ and the tie-breaking / stabilization conventions:
 
 * 64-bit reals everywhere, no mixed precision,
 * argmax ties resolve to the lowest index,
-* softmax is log-sum-exp stabilized (subtract the row max).
+* softmax is log-sum-exp stabilized (subtract the row max);
+  both act on the last axis of an (..., R) array, as `maso.select` uses them.
 """
 
 from __future__ import annotations
@@ -67,22 +68,25 @@ def as_tensor(x) -> Tensor:
 
 
 def row_softmax(m: Tensor, scale: float = 1.0) -> Tensor:
-    """Rowwise softmax of scale*m, stabilized by subtracting the row max."""
+    """Softmax of scale*m over the last axis, stabilized by subtracting its max."""
     if scale <= 0:
         raise DomainError(f"softmax scale must be positive, got {scale}")
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] == 0:
-        raise ShapeError(f"row_softmax expects a nonempty 2-D matrix, got shape {m.shape}")
-    s = scale * m
-    s = s - s.max(axis=1, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
+    m = _rows(m, "row_softmax")
+    s = scale * m  # a fresh array, so the steps below work in place
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def row_argmax(m: Tensor) -> np.ndarray:
-    """Per-row index of the maximum; ties go to the lowest index."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] == 0:
-        raise ShapeError(f"row_argmax expects a nonempty 2-D matrix, got shape {m.shape}")
+    """Index of the maximum along the last axis; ties go to the lowest index."""
     # np.argmax already returns the first (lowest) index on ties.
-    return np.argmax(m, axis=1)
+    return np.argmax(_rows(m, "row_argmax"), axis=-1)
+
+
+def _rows(m, name: str) -> Tensor:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-1] == 0:
+        raise ShapeError(f"{name} expects an (..., R) array with R >= 1, got shape {m.shape}")
+    return m

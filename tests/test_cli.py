@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -554,6 +555,24 @@ def test_act_table_rows_match_per_input_maso_functions():
         soft = forward_with_selection(p, z, svq_infer(p, z))
         bv = forward_with_selection(p, z, beta_vq_infer(p, z, BetaParam(b)))
         assert repr(row) == repr((float(z[0]), b, float(hard[0]), float(soft[0]), float(bv[0])))
+
+
+def test_act_table_scores_past_float64_exit_2(tmp_path, capsys):
+    # eta = beta / (1 - beta) near 1e12 scales scores of 1e300 past the range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["act-table", "--bounds=-1e300,1e300", "--resolution", "3",
+                         "--beta", "0.999999999999"]) == 2
+        assert "beta 0.999999999999" in capsys.readouterr().err
+        # the same scores under a moderate beta are in range
+        assert cli.main(["act-table", "--bounds=-1e300,1e300", "--resolution", "3", "--beta", "0.25"]) == 0
+        # scores of both signs near the limit: their softmax shift overflows
+        # at the soft column's beta 1/2 although each scaled score fits
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({"A": [[[10.0], [-10.0]]], "B": [[0.0, 0.0]]}))
+        assert cli.main(["act-table", "--net", str(p), "--bounds=-1e307,1e307",
+                         "--resolution", "3", "--beta", "0.25"]) == 2
+    assert "beta 0.5" in capsys.readouterr().err
 
 
 def test_act_table_rejects_unknown_kind(capsys):

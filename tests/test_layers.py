@@ -586,3 +586,39 @@ def test_make_mlp_structure_and_seeding():
 def test_make_mlp_needs_two_dims():
     with pytest.raises(DomainError):
         L.make_mlp([4])
+
+
+def test_every_selection_goes_through_the_maso_kernel(monkeypatch, rng):
+    from masonet import cli, maso
+
+    assert not hasattr(L, "_soft_select_forward") and not hasattr(L, "_soft_select_backward")
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every module that binds the kernel by name sees the counting wrapper
+    for name, modules in (("select", (maso, L, cli)), ("select_backward", (maso, L))):
+        wrapper = counting(name, getattr(maso, name))
+        for mod in modules:
+            monkeypatch.setattr(mod, name, wrapper)
+
+    def run(fn):
+        calls.clear()
+        fn()
+        return list(calls)
+
+    Z = rng.standard_normal((3, 4))
+    act, pool = L.Activation("lrelu", 4, nu=0.1), L.MaxPool(((0, 1), (2, 3)), 4)
+    for layer in (act, pool):
+        assert run(lambda: layer.forward(Z, 0.3)) == ["select"]
+        out, cache = layer.forward(Z, 0.3)
+        assert run(lambda: layer.backward(cache, np.ones_like(out))) == ["select_backward"]
+    assert run(lambda: pool.forward(Z)) == ["select"]
+    assert run(lambda: pool.selected_affine(Z[0])) == ["select"]
+    # the hard activation path tests z > 0 itself: no score stack, same codes
+    assert run(lambda: act.forward(Z)) == []
+    assert run(lambda: cli.emit_activation_table("relu", [0.2, 0.7], [-1.0, 0.0, 1.0])) == ["select"] * 4

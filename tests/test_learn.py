@@ -631,3 +631,17 @@ def test_accuracy_counts_argmax_wins():
     net = L.Network([L.Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))], (2,), 2)
     X = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
     assert accuracy(net, X, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
+
+
+def test_train_recalibrates_batch_norm_statistics(rng):
+    # the stored statistics (0, 1) are far from the shifted data's; left
+    # stale they gave inference loss 6.13 against a batch-statistics 1.73
+    X, y = two_blob_data(rng, n=60)
+    X = X + [0.0, 2.0]
+    trained, history = train(bn_mlp(rng), (X, y), TrainConfig(epochs=2, batch_size=16))
+    bn_input = trained.layers[0].forward(X)[0]
+    bn = trained.layers[1]
+    assert np.array_equal(bn.mean, bn_input.mean(axis=0)) and np.array_equal(bn.var, bn_input.var(axis=0))
+    inference = forward_loss(trained, X, y, bn_batch_stats=False)
+    assert abs(inference - forward_loss(trained, X, y, bn_batch_stats=True)) < 1e-9
+    assert history[-1]["loss"] == inference

@@ -16,10 +16,11 @@ from masonet.maso import (
     kmeans_codes,
     region_prior,
     scores,
+    select,
     selection_to_affine,
     svq_infer,
 )
-from masonet.ndcore import AmbiguityError, DomainError, PreconditionError, ShapeError
+from masonet.ndcore import AmbiguityError, DomainError, PreconditionError, ShapeError, row_softmax
 
 
 def random_params(rng, K=4, R=3, D=5):
@@ -56,8 +57,7 @@ def test_beta_param_open_interval():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             BetaParam(bad)
-    b = BetaParam(0.75)
-    assert np.allclose(b.eta(3), 3.0)  # 0.75 / 0.25
+    assert np.array_equal(BetaParam(0.75).values(3), [0.75] * 3)
     per_unit = BetaParam(np.array([0.2, 0.8]))
     assert np.allclose(per_unit.values(2), [0.2, 0.8])
     with pytest.raises(ShapeError):
@@ -320,3 +320,52 @@ def test_offset_shift_moves_output_uniformly(seed):
     out, _ = forward_hard(p, z)
     out2, _ = forward_hard(shifted, z)
     assert np.allclose(out2, out + c, atol=1e-12)
+
+
+# --- the batched selection kernel ---------------------------------------------
+
+def bit_equal(a, b) -> bool:
+    """Equal values, shapes and dtypes, signs of zero included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 5),
+       st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_batched_selection_rows_equal_the_per_input_regimes(seed, n, K, R, D):
+    rng = np.random.default_rng(seed)
+    # few distinct small values, signed zeros among them, make exact score ties common
+    pool = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    p = MasoParams(rng.choice(pool, (K, R, D)), rng.choice(pool, (K, R)))
+    Z = rng.choice(pool, (n, D))
+    beta = rng.uniform(0.05, 0.95, K)  # one per unit
+    s = scores(p, Z)
+    assert s.shape == (n, K, R)
+    hard, codes = select(s)
+    soft, T = select(s, 0.5)
+    weighted, Tb = select(s, beta[:, None])
+    # hard codes are the lowest-index maximum of each unit's scores
+    assert np.array_equal(codes, np.argmax(s == s.max(axis=-1, keepdims=True), axis=-1))
+    assert bit_equal(T, row_softmax(s)) and bit_equal(Tb, row_softmax(beta[:, None] / (1 - beta[:, None]) * s))
+    assert bit_equal(weighted, np.sum(Tb * s, axis=-1))
+    for i in range(n):
+        assert bit_equal(s[i], scores(p, Z[i]))
+        out, sel = forward_hard(p, Z[i])
+        assert bit_equal(hard[i], out) and bit_equal(codes[i], sel.codes)
+        assert bit_equal(T[i], svq_infer(p, Z[i]).T)
+        assert bit_equal(soft[i], forward_with_selection(p, Z[i], svq_infer(p, Z[i])))
+        assert bit_equal(Tb[i], beta_vq_infer(p, Z[i], BetaParam(beta)).T)
+
+
+def test_per_input_functions_reject_batched_inputs(rng):
+    p = random_params(rng)
+    with pytest.raises(ShapeError):
+        scores(p, np.zeros(()))
+    with pytest.raises(ShapeError):
+        scores(p, np.zeros((2, p.D + 1)))
+    for fn in (forward_hard, svq_infer, kmeans_codes, codes_from_offset_perturbation):
+        with pytest.raises(ShapeError):
+            fn(p, np.zeros((p.K, p.D)))
+    with pytest.raises(ShapeError):
+        forward_with_selection(p, np.zeros((p.K, p.D)), HardSelection(np.zeros(p.K, dtype=int)))

@@ -57,6 +57,17 @@ def test_row_argmax_tie_goes_low():
     assert row_argmax(m).tolist() == [0, 1]
 
 
+def test_row_functions_act_on_the_last_axis_of_any_stack(rng):
+    m = rng.standard_normal((3, 4, 5))
+    for fn in (row_argmax, lambda a: row_softmax(a, 2.5)):
+        stacked = fn(m)
+        assert all(np.array_equal(stacked[i], fn(m[i])) for i in range(3))
+        with pytest.raises(ShapeError):
+            fn(np.zeros((2, 3, 0)))
+        with pytest.raises(ShapeError):
+            fn(np.zeros(4))
+
+
 @given(
     arrays(
         np.float64,
