@@ -7,10 +7,14 @@ filter rows of the final classifier, the 2^(L-1)-term expansion of a
 linear-skip residual chain, depthwise norm series of the partial
 products, and an empirical midpoint-convexity probe.
 
-The chaining costs one matrix product per affine layer (dense, conv,
-average pool, skip block): activations and batch norm scale the rows of
-the running A, and max pooling gathers them, instead of multiplying A by
-a D x D diagonal or one-hot matrix.
+The walk runs the network's hard forward on the one input and reads each
+layer's selected map from that forward's cache, so `decompose` uses the
+very codes that `network_forward` and the partition tools report: inputs
+with equal codes get the identical (A, b).  The chaining costs one
+matrix product per affine layer (dense, conv, average pool, skip block):
+activations and batch norm scale the rows of the running A, and max
+pooling gathers them, instead of multiplying A by a D x D diagonal or
+one-hot matrix.
 """
 
 from __future__ import annotations
@@ -67,14 +71,16 @@ def _walk(net: Network, x: Tensor, n: int):
     """Yield (A, b), the affine map of the layers so far, after each of
     the first n layers around x.
 
-    Each layer's input advances through the map the layer selected, so
-    the walk runs no separate forward pass; the first layer's map is taken
-    as it is, not multiplied into an identity.
+    The walk is the hard forward of x as a one-row batch: each layer's
+    map is the one its forward cache selected, and the forward's output is
+    the next layer's input.  The first layer's map is taken as it is, not
+    multiplied into an identity.
     """
-    z = _check_input(net, x)
+    Z = _check_input(net, x)[None, :]
     A = b = None
     for layer in net.layers[:n]:
-        A, b, z = push_affine(layer, z, A, b)
+        Z, cache = layer.forward(Z)
+        A, b = push_affine(layer, cache, A, b)
         yield A, b
 
 
@@ -84,7 +90,8 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
     Chains each layer's selected (A, b): the matrix is the product of the
     per-layer selected matrices and the offset telescopes through them.
     Evaluating the result at x reproduces the forward output up to float
-    accumulation; inputs whose codes match x's get the identical (A, b).
+    accumulation; inputs whose hard forward codes match x's get the
+    identical (A, b).
     """
     A = b = None
     for A, b in _walk(net, x, _prefix_count(net, upto_layer)):
@@ -121,13 +128,11 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
     and excluded from the expansion.
     """
     blocks = []
-    z = _check_input(net, x)
+    Z = _check_input(net, x)[None, :]
     for i, layer in enumerate(net.layers):
         if isinstance(layer, SkipBlock):
-            # each block's branches are computed once; z advances through them
-            skip, act, b = layer.branches(z)
-            blocks.append((skip, act))
-            z = (skip + act) @ z + b
+            Z, cache = layer.forward(Z)
+            blocks.append(layer.branches(cache)[:2])
         elif not (isinstance(layer, Dense) and i == len(net.layers) - 1):
             raise StructureError(
                 f"layer {i} is {type(layer).__name__}; expansion needs skip blocks "

@@ -318,6 +318,8 @@ def _bound_pairs(vals, dim: int):
     for lo, hi in pairs:
         if not lo < hi:
             raise ValidationError(f"empty bound interval [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"bound interval [{lo}, {hi}] is wider than the float64 range")
     return pairs
 
 

@@ -11,18 +11,21 @@ Networks are ordered layer lists acting on flat row-major vectors; images
 enter flattened and convolutions carry their expected (C, H, W) input
 shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
-inference forward), the matching backward, the affine map it selects
-around an input, its trainable arrays and its JSON form.  Selection is
+inference forward), the matching backward, the affine map a one-row hard
+forward selected, its trainable arrays and its JSON form.  Selection is
 `maso.select` (and its backward), except the activation's hard forward,
-whose z > 0 test gives the same codes.  Convolution is
-applied through its explicit matrix form, lowered afresh from the current
-filters on every use, so the matrix route and the forward route are the
-same arithmetic and no lowered copy can go stale.  Its geometry is stated
-once, as the tap index `_conv_taps` that both the lowering and the filter
-gradient read; pooling arrays are built from one padded index matrix.
-Index arrays that depend only on geometry are computed once per shape
-and shared read-only; the lowering still scatters the current filter
-values on every call.
+whose z > 0 test gives the same codes.  A region is chosen only in the
+forward: the hard backward, the selected affine map and the
+decomposition step all read the codes of the forward's cache, so the
+training, partition and decomposition views of an input agree.
+Convolution is applied through its explicit matrix form, lowered afresh
+from the current filters on every use, so the matrix route and the
+forward route are the same arithmetic and no lowered copy can go stale.
+Its geometry is stated once, as the tap index `_conv_taps` that both the
+lowering and the filter gradient read; pooling arrays are built from one
+padded index matrix.  Index arrays that depend only on geometry are
+computed once per shape and shared read-only; the lowering still
+scatters the current filter values on every call.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "network_forward",
     "network_forward_batch",
     "bn_fold_affine",
-    "skip_block_forward",
     "apodized_reconstruct",
     "interior_mask",
     "slope_nonnegativity",
@@ -89,9 +91,10 @@ class Layer:
     its (n, K) region codes under "codes", which is how its backward tells
     the hard cache from the soft one.  backward(cache, G) returns
     (G w.r.t. the input, parameter gradients keyed like params(),
-    d loss / d beta or None).  selected_affine(z) is the (A, b) the layer
-    applies around one input, and push(z, A, b) composes it after a running
-    affine map (see push_affine); dims() is (input width, output width).
+    d loss / d beta or None).  selected_affine(cache) is the (A, b) the
+    layer applied in the hard forward of one row that left the cache, and
+    push(cache, A, b) composes it after a running affine map (see
+    push_affine); dims() is (input width, output width).
     The JSON form is the "kind" tag followed by the dataclass fields in
     order.
     """
@@ -104,10 +107,10 @@ class Layer:
         """Trainable arrays keyed by field name."""
         return {}
 
-    def push(self, z, A, b):
-        """(Asel A, Asel b + bsel, Asel z + bsel) for the (Asel, bsel) selected at z."""
-        Asel, bsel = layer_selected_affine(self, z)
-        return Asel @ A, Asel @ b + bsel, Asel @ z + bsel
+    def push(self, cache, A, b):
+        """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected."""
+        Asel, bsel = self.selected_affine(cache)
+        return Asel @ A, Asel @ b + bsel
 
     def near_boundary(self, cache: dict, gap: float) -> bool:
         """Does a hard-mode cache hold a unit within gap of a region tie?"""
@@ -165,7 +168,7 @@ class Dense(Layer):
     def backward(self, cache, G):
         return G @ self.W, {"W": G.T @ cache["Z"], "b": G.sum(axis=0)}, None
 
-    def selected_affine(self, z):
+    def selected_affine(self, cache):
         return self.W.copy(), self.b.copy()
 
     def params(self) -> dict:
@@ -234,8 +237,8 @@ class Conv(Layer):
         dbias = G.reshape(G.shape[0], c_out, G.shape[1] // c_out).sum(axis=(0, 2))
         return G @ cache["M"], {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
 
-    def selected_affine(self, z):
-        return self.matrix(), self.bias_flat()
+    def selected_affine(self, cache):
+        return cache["M"], self.bias_flat()
 
     def params(self) -> dict:
         return {"filters": self.filters, "bias": self.bias}
@@ -288,27 +291,27 @@ class Activation(Layer):
         return out, {"s": s, "T": T, "beta": beta}
 
     def backward(self, cache, G):
-        lo, hi = self.slopes()
         if "codes" in cache:
-            return G * np.where(cache["codes"] == 1, hi, lo), {}, None
+            return G * self.selected_slopes(cache), {}, None
+        lo, hi = self.slopes()
         Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
         return Gs[..., 0] * lo + Gs[..., 1] * hi, {}, dbeta
 
     def near_boundary(self, cache, gap):
         return bool(np.any(np.abs(cache["Z"]) < gap))
 
-    def selected_slopes(self, z) -> Tensor:
-        """Per-unit slope of the region each entry of z falls in (z == 0 is off)."""
+    def selected_slopes(self, cache) -> Tensor:
+        """(n, dim) slope of the region each unit of a hard cache selected."""
         lo, hi = self.slopes()
-        return np.where(z > 0, hi, lo)
+        return np.where(cache["codes"] == 1, hi, lo)
 
-    def selected_affine(self, z):
-        return np.diag(self.selected_slopes(z)), np.zeros(self.dim)
+    def selected_affine(self, cache):
+        return np.diag(self.selected_slopes(cache)[0]), np.zeros(self.dim)
 
-    def push(self, z, A, b):
+    def push(self, cache, A, b):
         # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
-        s = self.selected_slopes(z)
-        return s[:, None] * A, s * b, s * z
+        s = self.selected_slopes(cache)[0]
+        return s[:, None] * A, s * b
 
 
 @dataclass(eq=False)
@@ -368,12 +371,10 @@ class MaxPool(_Pool):
         return out, {"idx": idx, "s": s, "beta": beta, ("codes" if beta is None else "T"): sel}
 
     def backward(self, cache, G):
-        idx = cache["idx"]
         if "codes" in cache:
-            winners = idx[np.arange(idx.shape[0]), cache["codes"]]
-            return self._scatter(winners, G), {}, None
+            return self._scatter(self._winners(cache), G), {}, None
         Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
-        return self._scatter(idx, Gs), {}, dbeta
+        return self._scatter(cache["idx"], Gs), {}, dbeta
 
     def _scatter(self, cols, V):
         """(n, in_dim) sums of the values V (n, ...) at the input indices cols."""
@@ -392,21 +393,21 @@ class MaxPool(_Pool):
         tied = top2[..., 1] - top2[..., 0] < gap
         return bool(np.any(tied & np.any(top2 != 0, axis=-1)))
 
-    def _winners(self, z) -> np.ndarray:
-        """Input index each region selects at z (ties to the lowest position)."""
-        idx = self.padded_indices()
-        return idx[np.arange(idx.shape[0]), select(z[idx])[1]]
+    def _winners(self, cache) -> np.ndarray:
+        """(n, K) input index each region of a hard cache selected."""
+        idx = cache["idx"]
+        return idx[np.arange(idx.shape[0]), cache["codes"]]
 
-    def selected_affine(self, z):
-        w = self._winners(z)
+    def selected_affine(self, cache):
+        w = self._winners(cache)[0]
         A = np.zeros((w.shape[0], self.in_dim))
         A[np.arange(w.shape[0]), w] = 1.0
         return A, np.zeros(w.shape[0])
 
-    def push(self, z, A, b):
+    def push(self, cache, A, b):
         # one-hot rows select rows exactly
-        w = self._winners(z)
-        return A[w], b[w], z[w]
+        w = self._winners(cache)[0]
+        return A[w], b[w]
 
 
 @dataclass(eq=False)
@@ -430,8 +431,8 @@ class AvgPool(_Pool):
     def backward(self, cache, G):
         return G @ cache["P"], {}, None
 
-    def selected_affine(self, z):
-        P = self.matrix()
+    def selected_affine(self, cache):
+        P = cache["P"]
         return P, np.zeros(P.shape[0])
 
 
@@ -489,13 +490,13 @@ class BatchNorm(Layer):
         dmu = -np.sum(dxhat, axis=0) / denom + dvar * (-2.0 / n) * Zc.sum(axis=0)
         return dxhat / denom + dvar * 2.0 * Zc / n + dmu / n, grads, None
 
-    def selected_affine(self, z):
+    def selected_affine(self, cache):
         scale, shift = bn_fold_affine(self)
         return np.diag(scale), shift
 
-    def push(self, z, A, b):
+    def push(self, cache, A, b):
         scale, shift = bn_fold_affine(self)
-        return scale[:, None] * A, scale * b + shift, z * scale + shift
+        return scale[:, None] * A, scale * b + shift
 
     def params(self) -> dict:
         return {"scale": self.scale, "shift": self.shift}
@@ -556,14 +557,14 @@ class SkipBlock(Layer):
     def near_boundary(self, cache, gap):
         return self.activation.near_boundary(cache["act"], gap)
 
-    def branches(self, z) -> tuple[Tensor, Tensor, Tensor]:
-        """(skip matrix, activation-branch matrix, offset) around input z."""
-        Mc, bc = self.conv.matrix(), self.conv.bias_flat()
-        s = self.activation.selected_slopes(Mc @ z + bc)
-        return self.skip.matrix(), s[:, None] * Mc, s * bc + self.skip_bias
+    def branches(self, cache) -> tuple[Tensor, Tensor, Tensor]:
+        """(skip matrix, activation-branch matrix, offset) a one-row hard cache selected."""
+        s = self.activation.selected_slopes(cache["act"])[0]
+        act = s[:, None] * cache["conv"]["M"]
+        return cache["skip"]["M"], act, s * self.conv.bias_flat() + self.skip_bias
 
-    def selected_affine(self, z):
-        skip, act, b = self.branches(z)
+    def selected_affine(self, cache):
+        skip, act, b = self.branches(cache)
         return skip + act, b
 
     def params(self) -> dict:
@@ -793,45 +794,35 @@ def bn_fold_affine(bn: BatchNorm) -> tuple[Tensor, Tensor]:
     return scale, bn.shift - scale * bn.mean
 
 
-def skip_block_forward(blk: SkipBlock, z: Tensor) -> Tensor:
-    """Single-input residual block evaluation with hard activation codes."""
-    z = as_tensor(z).reshape(-1)
-    if z.shape[0] != blk.dims()[0]:
-        raise ShapeError(f"input has {z.shape[0]} entries, expected {blk.dims()[0]}")
-    out, _ = layer_forward_hard(blk, z[None, :])
-    return out[0]
+def push_affine(layer: Layer, cache: dict, A: Tensor | None = None, b: Tensor | None = None):
+    """One step of an exact decomposition walk: (A', b').
 
-
-def push_affine(layer: Layer, z: Tensor, A: Tensor | None = None, b: Tensor | None = None):
-    """One step of an exact decomposition walk: (A', b', out).
-
-    (A, b) is the affine map of the layers before this one and z the
-    layer's input.  With (Asel, bsel) the map the layer selects at z (as
-    layer_selected_affine gives it), A' = Asel A and b' = Asel b + bsel,
-    and out = Asel z + bsel is the layer's output at z.  A = None stands
-    for the identity: the layer's own (Asel, bsel) come back as they are.
-    Activations and batch norm scale A's rows and max pooling gathers
-    them, in place of a product with a diagonal or one-hot matrix; the
-    results equal the product entry for entry.
+    (A, b) is the affine map of the layers before this one and cache the
+    layer's hard cache from a forward of one row.  With (Asel, bsel) the
+    map that forward selected (selected_affine), A' = Asel A and
+    b' = Asel b + bsel.  A = None stands for the identity: the layer's
+    own (Asel, bsel) come back as they are.  Activations and batch norm
+    scale A's rows and max pooling gathers them, in place of a product
+    with a diagonal or one-hot matrix; the results equal the product
+    entry for entry.
     """
     if A is None:
-        Asel, bsel = layer_selected_affine(layer, z)
-        return Asel, bsel, Asel @ z + bsel
-    return layer.push(z, A, b)
+        return layer.selected_affine(cache)
+    return layer.push(cache, A, b)
 
 
 def layer_selected_affine(layer: Layer, z: Tensor) -> tuple[Tensor, Tensor]:
     """(A, b) of the affine map the layer applies around the given input.
 
     For affine layers this is the layer itself; for selector layers it is
-    the region the input falls in (ties to the lowest region index).  The
-    arrays are fresh, never views of the layer's parameters.
+    the region the hard forward of z selects (ties to the lowest region
+    index).  The arrays are fresh, never views of the layer's parameters.
     """
     z = as_tensor(z).reshape(-1)
     d = layer.dims()[0]
     if z.shape[0] != d:
         raise ShapeError(f"input has {z.shape[0]} entries, expected {d}")
-    return layer.selected_affine(z)
+    return layer.selected_affine(layer.forward(z[None, :])[1])
 
 
 # ---------------------------------------------------------------------------

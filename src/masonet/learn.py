@@ -56,6 +56,7 @@ __all__ = [
 
 _BOUNDARY_GAP = 1e-7
 _MODES = ("hard", "soft", "beta")
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator guard
 
 
 @dataclass
@@ -76,9 +77,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 50
     batch_size: int = 128
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     gamma: float = 0.0          # template-orthogonality weight
     lam: float = 0.0            # filter-orthogonality weight
     beta_mode: str = "hard"     # hard | soft | beta
@@ -289,17 +287,21 @@ def ortho_penalty_filters(p, lam: float) -> tuple[float, Tensor]:
             A = A[:, None, :]
         if A.ndim != 3:
             raise ShapeError(f"expected K x R x D slopes, got shape {A.shape}")
-    K, R, D = A.shape
-    F = A.reshape(K * R, D)
-    Gm = F @ F.T
-    unit = np.repeat(np.arange(K), R)
-    cross = unit[:, None] != unit[None, :]
-    Gm = np.where(cross, Gm, 0.0)
+    F, Gm = _cross_unit_gram(A)
     penalty = lam * float(np.sum(Gm * Gm))
-    grad = (lam * 4.0 * (Gm @ F)).reshape(K, R, D)
+    grad = (lam * 4.0 * (Gm @ F)).reshape(A.shape)
     if not isinstance(p, MasoParams) and as_tensor(p).ndim == 2:
         grad = grad[:, 0, :]
     return penalty, grad
+
+
+def _cross_unit_gram(A: Tensor) -> tuple[Tensor, Tensor]:
+    """(F, G): the K x R x D slopes as K*R rows and their Gram matrix with
+    the pairs of rows of one unit set to zero."""
+    K, R, D = A.shape
+    F = A.reshape(K * R, D)
+    unit = np.repeat(np.arange(K), R)
+    return F, np.where(unit[:, None] != unit[None, :], F @ F.T, 0.0)
 
 
 def gram_schmidt(M: Tensor) -> Tensor:
@@ -331,7 +333,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     Returns (params, state) so callers can thread the pair functionally.
     """
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
     for key, p in params.items():
@@ -345,7 +347,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
         mhat = state.m[key] / corr1
         vhat = state.v[key] / corr2
-        p -= config.learning_rate * mhat / (np.sqrt(vhat) + config.eps)
+        p -= config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
     return params, state
 
 
@@ -452,11 +454,7 @@ def joint_map_factorial(p: MasoParams, z: Tensor) -> HardSelection:
     units, so the per-unit hard codes solve the joint problem in linear
     time instead of R^K.
     """
-    F = p.A.reshape(p.K * p.R, p.D)
-    Gm = F @ F.T
-    unit = np.repeat(np.arange(p.K), p.R)
-    cross = unit[:, None] != unit[None, :]
-    worst = float(np.max(np.abs(np.where(cross, Gm, 0.0)))) if p.K > 1 else 0.0
+    worst = float(np.max(np.abs(_cross_unit_gram(p.A)[1])))
     if worst > 1e-9:
         raise PreconditionError(
             f"cross-unit slopes are not orthogonal (max inner product {worst:.3e})"

@@ -125,16 +125,44 @@ def test_decompose_builds_no_diagonal_or_one_hot_map_past_the_first_layer(rng, m
     ]
     for net in nets:
         for cls in (L.Activation, L.MaxPool, L.BatchNorm):
-            def guarded(self, z, original=cls.selected_affine, first=net.layers[0]):
+            def guarded(self, cache, original=cls.selected_affine, first=net.layers[0]):
                 if self is not first:
                     raise AssertionError(f"{type(self).__name__} built its dense selected map")
-                return original(self, z)
+                return original(self, cache)
 
             monkeypatch.setattr(cls, "selected_affine", guarded)
         x = rng.standard_normal(net.dims[0])
         f, _ = L.network_forward(net, x)
         assert np.allclose(decompose(net, x)(x), f, atol=1e-10)
         monkeypatch.undo()
+
+
+def test_equal_codes_give_equal_decompositions_at_code_boundaries():
+    # bisect segments between random inputs down to a code boundary from
+    # each end: every point pair (end, last point with the end's codes)
+    # shares its hard forward codes, so decompose must return one (A, b)
+    from masonet.partition import layer_codes_batch
+
+    net = make_skip_chain(np.random.default_rng(0), blocks=3)
+    rng = np.random.default_rng(5)
+
+    def codes(x):
+        return layer_codes_batch(net, x[None, :], len(net.layers))[0]
+
+    for _ in range(20):
+        a, b = rng.standard_normal((2, net.dims[0]))
+        for p, q in ((a, b), (b, a)):
+            code, lo, hi = codes(p), 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if np.array_equal(codes(p + mid * (q - p)), code):
+                    lo = mid
+                else:
+                    hi = mid
+            near = p + lo * (q - p)
+            assert np.array_equal(codes(near), code)
+            here, there = decompose(net, p), decompose(net, near)
+            assert np.array_equal(here.A, there.A) and np.array_equal(here.b, there.b)
 
 
 def test_decompose_identity_on_empty_prefix(rng):
@@ -280,7 +308,7 @@ def test_ensemble_term_ordering_first_block_least_significant(rng):
     b0, b1 = net.layers
     pre0 = b0.conv.matrix() @ x + b0.conv.bias_flat()
     A0 = np.diag((pre0 > 0).astype(np.float64)) @ b0.conv.matrix()
-    z1 = L.skip_block_forward(b0, x)
+    z1 = L.layer_forward_hard(b0, x[None, :])[0][0]
     pre1 = b1.conv.matrix() @ z1 + b1.conv.bias_flat()
     A1 = np.diag((pre1 > 0).astype(np.float64)) @ b1.conv.matrix()
     # choice tuple (c0, c1) lands at index c0 + 2*c1

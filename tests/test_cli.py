@@ -575,6 +575,22 @@ def test_act_table_scores_past_float64_exit_2(tmp_path, capsys):
     assert "beta 0.5" in capsys.readouterr().err
 
 
+def test_act_table_bounds_wider_than_float64_exit_2(capsys):
+    # hi - lo overflows: the grid's spacing is not a float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["act-table", "--bounds=-1e308,1e308", "--resolution", "3"]) == 2
+    assert "wider than the float64 range" in capsys.readouterr().err
+
+
+def test_partition_bounds_wider_than_float64_exit_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["partition", "--net", "mlp:2-4-2", "--bounds=-1e308,1e308",
+                         "--resolution", "3"]) == 2
+    assert "wider than the float64 range" in capsys.readouterr().err
+
+
 def test_act_table_rejects_unknown_kind(capsys):
     assert cli.main(["act-table", "--mode", "tanh"]) == 2
     assert cli.main(["act-table", "--beta", "1.5"]) == 2

@@ -334,7 +334,7 @@ def test_skip_block_forward_by_hand(rng):
         + np.maximum(blk.conv.matrix() @ z + blk.conv.bias_flat(), 0.0)
         + blk.skip_bias
     )
-    assert np.allclose(L.skip_block_forward(blk, z), expect, atol=1e-12)
+    assert np.allclose(L.layer_forward_hard(blk, z[None, :])[0][0], expect, atol=1e-12)
 
 
 def test_skip_block_identity_like_cases(rng):
@@ -344,11 +344,11 @@ def test_skip_block_identity_like_cases(rng):
     eye = L.Conv(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 1), "same-zero", shape)
     blk = L.SkipBlock(conv, L.Activation("relu", 9), eye, np.full(9, 0.5))
     z = rng.standard_normal(9)
-    assert np.allclose(L.skip_block_forward(blk, z), z + 2.0 + 0.5, atol=1e-12)
+    assert np.allclose(L.layer_forward_hard(blk, z[None, :])[0][0], z + 2.0 + 0.5, atol=1e-12)
     # zero skip: block reduces to conv + activation
     zero_skip = L.Conv(np.zeros((1, 1, 1, 1)), np.zeros(1), (1, 1), "same-zero", shape)
     blk2 = L.SkipBlock(conv, L.Activation("relu", 9), zero_skip, np.zeros(9))
-    assert np.allclose(L.skip_block_forward(blk2, z), np.full(9, 2.0), atol=1e-12)
+    assert np.allclose(L.layer_forward_hard(blk2, z[None, :])[0][0], np.full(9, 2.0), atol=1e-12)
 
 
 def test_skip_block_requires_bias_free_skip(rng):
@@ -425,17 +425,16 @@ def test_push_affine_equals_the_selected_product(seed):
     rng = np.random.default_rng(seed)
     for layer, z in push_cases(rng):
         name = type(layer).__name__
+        _, cache = layer.forward(z[None, :])
         Asel, bsel = L.layer_selected_affine(layer, z)
         A = rng.standard_normal((z.shape[0], int(rng.integers(2, 6))))
         b = rng.standard_normal(z.shape[0])
-        A2, b2, out = L.push_affine(layer, z, A, b)
+        A2, b2 = L.push_affine(layer, cache, A, b)
         assert np.array_equal(A2, Asel @ A), name
         assert np.array_equal(b2, Asel @ b + bsel), name
-        assert np.array_equal(out, Asel @ z + bsel), name
         # with no running map the step gives the layer's own selected map
-        A1, b1, out1 = L.push_affine(layer, z)
+        A1, b1 = L.push_affine(layer, cache)
         assert np.array_equal(A1, Asel) and np.array_equal(b1, bsel), name
-        assert np.array_equal(out1, out), name
 
 
 def test_conv_taps_are_shared_read_only_and_never_stale(rng):
@@ -618,7 +617,12 @@ def test_every_selection_goes_through_the_maso_kernel(monkeypatch, rng):
         out, cache = layer.forward(Z, 0.3)
         assert run(lambda: layer.backward(cache, np.ones_like(out))) == ["select_backward"]
     assert run(lambda: pool.forward(Z)) == ["select"]
-    assert run(lambda: pool.selected_affine(Z[0])) == ["select"]
+    # the hard forward is the only place a region is chosen: the steps that
+    # read its cache select nothing again
+    out, cache = pool.forward(Z[:1])
+    assert run(lambda: pool.selected_affine(cache)) == []
+    assert run(lambda: pool.push(cache, np.eye(4), np.zeros(4))) == []
+    assert run(lambda: pool.backward(cache, np.ones_like(out))) == []
     # the hard activation path tests z > 0 itself: no score stack, same codes
     assert run(lambda: act.forward(Z)) == []
     assert run(lambda: cli.emit_activation_table("relu", [0.2, 0.7], [-1.0, 0.0, 1.0])) == ["select"] * 4
