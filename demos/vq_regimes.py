@@ -10,8 +10,8 @@ On relu that produces exactly the swish family, with SiGLU at beta = 0.5.
 import numpy as np
 
 from masonet import (
+    Activation,
     BetaParam,
-    activation_as_maso,
     beta_vq_infer,
     entropy_objective,
     forward_hard,
@@ -19,7 +19,7 @@ from masonet import (
     svq_infer,
 )
 
-relu = activation_as_maso("relu", 1)
+relu = Activation("relu", 1).as_maso()
 
 
 def outputs(u, beta):

@@ -24,16 +24,12 @@ from .layers import (
     MaxPool,
     Network,
     SkipBlock,
-    activation_as_maso,
     apodized_reconstruct,
     compose_layer_maso,
     conv_to_matrix,
-    dense_as_maso,
-    layer_selected_affine,
     make_mlp,
     network_forward,
     network_forward_batch,
-    pool_as_maso,
     pool_regions_2d,
     slope_nonnegativity,
 )

@@ -226,7 +226,7 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
             raise ValidationError("custom activation tables need K=1, D=1 parameters")
         p = kind
     elif kind in ("relu", "abs"):
-        p = L.activation_as_maso(kind, 1)
+        p = L.Activation(kind, 1).as_maso()
     else:
         raise ValidationError(f"unknown activation kind {kind!r}")
     betas = [float(b) for b in beta_list]

@@ -2,8 +2,8 @@
 
 Each supported operator (dense, conv, relu / leaky-relu / abs, max / avg
 pool, folded batch-norm, linear-skip residual block) is either a MASO or a
-degenerate (R = 1) MASO, and a linear layer followed by one of the
-nonlinearities collapses into a single MASO via
+degenerate (R = 1) MASO, stated once by the layer's `as_maso()`, and a
+linear layer followed by any layer collapses into a single MASO via
 
     A[k,r,:] = W^T As[k,r,:]          B[k,r] = Bs[k,r] + <As[k,r,:], b>
 
@@ -12,12 +12,14 @@ enter flattened and convolutions carry their expected (C, H, W) input
 shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
 inference forward), the matching backward, the affine map a one-row hard
-forward selected, its trainable arrays and its JSON form.  Selection is
-`maso.select` (and its backward), except the activation's hard forward,
-whose z > 0 test gives the same codes.  A region is chosen only in the
-forward: the hard backward, the selected affine map and the
+forward selected, its MASO form, its trainable arrays and its JSON form.
+Selection is `maso.select` (and its backward), except the activation's
+hard forward, whose z > 0 test gives the same codes.  A region is chosen
+only in the forward: the hard backward, the selected affine map and the
 decomposition step all read the codes of the forward's cache, so the
-training, partition and decomposition views of an input agree.
+training, partition and decomposition views of an input agree.  The
+MASO form, selected by `maso.select` from its own scores, picks the same
+regions (exact ties of a skip block's pre-activation aside).
 Convolution is applied through its explicit matrix form, lowered afresh
 from the current filters on every use, so the matrix route and the
 forward route are the same arithmetic and no lowered copy can go stale.
@@ -55,9 +57,6 @@ __all__ = [
     "BatchNorm",
     "SkipBlock",
     "Network",
-    "dense_as_maso",
-    "activation_as_maso",
-    "pool_as_maso",
     "compose_layer_maso",
     "conv_to_matrix",
     "conv_out_shape",
@@ -68,7 +67,6 @@ __all__ = [
     "interior_mask",
     "slope_nonnegativity",
     "layer_forward_hard",
-    "layer_selected_affine",
     "push_affine",
     "pool_regions_2d",
     "make_mlp",
@@ -94,7 +92,10 @@ class Layer:
     d loss / d beta or None).  selected_affine(cache) is the (A, b) the
     layer applied in the hard forward of one row that left the cache, and
     push(cache, A, b) composes it after a running affine map (see
-    push_affine); dims() is (input width, output width).
+    push_affine); dims() is (input width, output width).  as_maso() is
+    the MASO whose hard forward is the inference forward: one region per
+    unit for the affine kinds, whose default reads the map a forward of
+    the zero row applied.
     The JSON form is the "kind" tag followed by the dataclass fields in
     order.
     """
@@ -111,6 +112,10 @@ class Layer:
         """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected."""
         Asel, bsel = self.selected_affine(cache)
         return Asel @ A, Asel @ b + bsel
+
+    def as_maso(self) -> MasoParams:
+        A, b = self.selected_affine(self.forward(np.zeros((1, self.dims()[0])))[1])
+        return MasoParams(A[:, None, :], b[:, None])
 
     def near_boundary(self, cache: dict, gap: float) -> bool:
         """Does a hard-mode cache hold a unit within gap of a region tie?"""
@@ -268,8 +273,10 @@ class Activation(Layer):
         self.nu = float(self.nu)
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
-        if self.kind == "lrelu" and not self.nu > 0:
-            raise DomainError(f"leaky slope must be positive, got {self.nu}")
+        # lrelu(nu) is max(nu z, z) only for nu < 1: past 1 it is concave, and
+        # at 1 the two pieces tie everywhere, so the codes would mean nothing
+        if self.kind == "lrelu" and not 0 < self.nu < 1:
+            raise DomainError(f"leaky slope must lie in (0, 1), got {self.nu}")
         if self.dim < 1:
             raise ShapeError("activation dimension must be at least 1")
 
@@ -307,6 +314,15 @@ class Activation(Layer):
 
     def selected_affine(self, cache):
         return np.diag(self.selected_slopes(cache)[0]), np.zeros(self.dim)
+
+    def as_maso(self) -> MasoParams:
+        """R = 2: unit k has rows lo e_k and hi e_k; region 0 is the inactive branch."""
+        lo, hi = self.slopes()
+        A = np.zeros((self.dim, 2, self.dim))
+        idx = np.arange(self.dim)
+        A[idx, 0, idx] = lo
+        A[idx, 1, idx] = hi
+        return MasoParams(A, np.zeros((self.dim, 2)))
 
     def push(self, cache, A, b):
         # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
@@ -408,6 +424,15 @@ class MaxPool(_Pool):
         # one-hot rows select rows exactly
         w = self._winners(cache)[0]
         return A[w], b[w]
+
+    def as_maso(self) -> MasoParams:
+        """R = the largest region: row r of unit k is the indicator of the
+        region's r-th index (short regions repeat their last index)."""
+        idx = self.padded_indices()
+        K, R = idx.shape
+        A = np.zeros((K, R, self.in_dim))
+        A[np.arange(K)[:, None], np.arange(R), idx] = 1.0
+        return MasoParams(A, np.zeros((K, R)))
 
 
 @dataclass(eq=False)
@@ -567,6 +592,15 @@ class SkipBlock(Layer):
         skip, act, b = self.branches(cache)
         return skip + act, b
 
+    def as_maso(self) -> MasoParams:
+        """R = 2: each row is the skip row plus lo (inactive) or hi (active)
+        times the conv row; each offset is skip_bias plus that slope times
+        the conv bias."""
+        slopes = np.array(self.activation.slopes())
+        skip, conv = self.skip.as_maso(), self.conv.as_maso()
+        A = skip.A + slopes[:, None] * conv.A
+        return MasoParams(A, self.skip_bias[:, None] + slopes * conv.B)
+
     def params(self) -> dict:
         # the skip conv's bias is pinned at zero, so only its filters train
         params = {f"conv.{k}": v for k, v in self.conv.params().items()}
@@ -603,51 +637,8 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# operator -> MASO builders
+# composing layer MASOs
 # ---------------------------------------------------------------------------
-
-def dense_as_maso(W: Tensor, b: Tensor) -> MasoParams:
-    """Affine map as a degenerate MASO: one region holding (W row, bias)."""
-    layer = Dense(W, b)
-    return MasoParams(layer.W[:, None, :], layer.b[:, None])
-
-
-def activation_as_maso(kind: str, dim: int, nu: float = 0.01) -> MasoParams:
-    """Two-region elementwise MASO; region 0 is the inactive branch.
-
-    relu rows are {0, e_k}; lrelu(nu) rows {nu e_k, e_k}; abs rows
-    {-e_k, e_k}.  All offsets are zero.
-    """
-    layer = Activation(kind, dim, nu)
-    lo, hi = layer.slopes()
-    A = np.zeros((dim, 2, dim))
-    idx = np.arange(dim)
-    A[idx, 0, idx] = lo
-    A[idx, 1, idx] = hi
-    return MasoParams(A, np.zeros((dim, 2)))
-
-
-def pool_as_maso(regions, kind: str, in_dim: int | None = None) -> MasoParams:
-    """Pooling as a MASO over indicator slopes.
-
-    max: R = largest region size, row r of unit k is the indicator of the
-    r-th index in region k (short regions repeat the last index so R is
-    uniform).  avg: degenerate R = 1 with the mean indicator row.
-    """
-    if in_dim is None:
-        in_dim = max(max(r) for r in regions if len(r)) + 1 if regions else 0
-    if kind == "max":
-        layer = MaxPool(regions, in_dim)
-        idx = layer.padded_indices()
-        K, R = idx.shape
-        A = np.zeros((K, R, in_dim))
-        A[np.arange(K)[:, None], np.arange(R), idx] = 1.0
-        return MasoParams(A, np.zeros((K, R)))
-    if kind == "avg":
-        layer = AvgPool(regions, in_dim)
-        return MasoParams(layer.matrix()[:, None, :], np.zeros((len(layer.regions), 1)))
-    raise DomainError(f"unknown pooling kind {kind!r}")
-
 
 def compose_layer_maso(linear: MasoParams, nonlinear: MasoParams) -> MasoParams:
     """Fold an affine map into the following MASO, giving one layer MASO.
@@ -809,20 +800,6 @@ def push_affine(layer: Layer, cache: dict, A: Tensor | None = None, b: Tensor | 
     if A is None:
         return layer.selected_affine(cache)
     return layer.push(cache, A, b)
-
-
-def layer_selected_affine(layer: Layer, z: Tensor) -> tuple[Tensor, Tensor]:
-    """(A, b) of the affine map the layer applies around the given input.
-
-    For affine layers this is the layer itself; for selector layers it is
-    the region the hard forward of z selects (ties to the lowest region
-    index).  The arrays are fresh, never views of the layer's parameters.
-    """
-    z = as_tensor(z).reshape(-1)
-    d = layer.dims()[0]
-    if z.shape[0] != d:
-        raise ShapeError(f"input has {z.shape[0]} entries, expected {d}")
-    return layer.selected_affine(layer.forward(z[None, :])[1])
 
 
 # ---------------------------------------------------------------------------

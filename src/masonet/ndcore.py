@@ -67,13 +67,10 @@ def as_tensor(x) -> Tensor:
     return a
 
 
-def row_softmax(m: Tensor, scale: float = 1.0) -> Tensor:
-    """Softmax of scale*m over the last axis, stabilized by subtracting its max."""
-    if scale <= 0:
-        raise DomainError(f"softmax scale must be positive, got {scale}")
+def row_softmax(m: Tensor) -> Tensor:
+    """Softmax of m over the last axis, stabilized by subtracting its max."""
     m = _rows(m, "row_softmax")
-    s = scale * m  # a fresh array, so the steps below work in place
-    s -= s.max(axis=-1, keepdims=True)
+    s = m - m.max(axis=-1, keepdims=True)  # a fresh array, so the steps below work in place
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     return s

@@ -107,45 +107,52 @@ def test_criterion_01_affine_decomposition_exact():
 
 def test_criterion_02_every_layer_pair_is_one_maso():
     rng = np.random.default_rng(7)
-    x16 = rng.standard_normal((100, 12))
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)) * 0.6, rng.standard_normal(2) * 0.1,
                   (1, 1), "same-zero", (1, 4, 4))
-    dense_W, dense_b = rng.standard_normal((16, 12)) * 0.7, rng.standard_normal(16) * 0.2
+    dense = L.Dense(rng.standard_normal((16, 12)) * 0.7, rng.standard_normal(16) * 0.2)
     stages = {
-        "dense": (L.dense_as_maso(dense_W, dense_b), (1, 4, 4), x16),
-        "conv": (L.dense_as_maso(conv.matrix(), conv.bias_flat()), (2, 4, 4),
-                 rng.standard_normal((100, 16))),
+        "dense": (dense, (1, 4, 4), rng.standard_normal((100, 12))),
+        "conv": (conv, (2, 4, 4), rng.standard_normal((100, 16))),
     }
-    worst = 0.0
-    for lin_name, (lin, shape, X) in stages.items():
-        dim = int(np.prod(shape))
+
+    def tails(shape):
+        c, dim = shape[0], int(np.prod(shape))
         regions, _ = L.pool_regions_2d(shape, (2, 2), (2, 2))
-        tails = {
-            "relu": (L.activation_as_maso("relu", dim), lambda z: np.maximum(z, 0.0)),
-            "lrelu": (L.activation_as_maso("lrelu", dim, nu=0.1),
-                      lambda z: np.where(z > 0.0, z, 0.1 * z)),
-            "abs": (L.activation_as_maso("abs", dim), np.abs),
-            "maxpool": (L.pool_as_maso(regions, "max", dim),
-                        lambda z: np.array([[z[i, list(r)].max() for r in regions]
-                                            for i in range(z.shape[0])])),
-            "avgpool": (L.pool_as_maso(regions, "avg", dim),
-                        lambda z: np.array([[z[i, list(r)].mean() for r in regions]
-                                            for i in range(z.shape[0])])),
-        }
-        for tail_name, (tail, seq) in tails.items():
-            maso = L.compose_layer_maso(lin, tail)
-            Z1 = X @ lin.A[:, 0, :].T + lin.B[:, 0]
-            expect = seq(Z1)
-            got = np.array([forward_hard(maso, x)[0] for x in X])
-            worst = max(worst, float(np.max(np.abs(got - expect))))
-    ok = worst <= 1e-10
-    record_acceptance(2, "dense/conv composed with each nonlinearity is one MASO",
-                      ok, f"max dev {worst:.2e}")
+        yield from (L.Activation(kind, dim, nu=0.1) for kind in ("relu", "lrelu", "abs"))
+        yield L.MaxPool(regions, dim)
+        yield L.AvgPool(regions, dim)
+        yield L.BatchNorm(rng.standard_normal(dim) * 0.1, rng.random(dim) + 0.5,
+                          rng.standard_normal(dim), rng.standard_normal(dim) * 0.1)
+        yield L.SkipBlock(
+            L.Conv(rng.standard_normal((c, c, 3, 3)) * 0.4, rng.standard_normal(c) * 0.1,
+                   (1, 1), "same-zero", shape),
+            L.Activation("relu", dim),
+            L.Conv(rng.standard_normal((c, c, 1, 1)) * 0.4, np.zeros(c), (1, 1), "same-zero",
+                   shape),
+            rng.standard_normal(dim) * 0.1,
+        )
+        yield L.Conv(rng.standard_normal((2, c, 3, 3)) * 0.4, rng.standard_normal(2) * 0.1,
+                     (1, 1), "valid", shape)
+
+    # a maxout group (Goodfellow et al.): a dense map, then the max over
+    # each run of 4 consecutive units
+    maxout = L.MaxPool(tuple(tuple(range(i, i + 4)) for i in range(0, 16, 4)), 16)
+    pairs = [(lin, tail, X) for lin, shape, X in stages.values() for tail in tails(shape)]
+    pairs.append((dense, maxout, stages["dense"][2]))
+    worst = 0.0
+    for lin, tail, X in pairs:
+        maso = L.compose_layer_maso(lin.as_maso(), tail.as_maso())
+        expect = tail.forward(lin.forward(X)[0])[0]
+        got = np.array([forward_hard(maso, x)[0] for x in X])
+        worst = max(worst, float(np.max(np.abs(got - expect))))
+    ok = worst <= 1e-10 and L.compose_layer_maso(dense.as_maso(), maxout.as_maso()).R == 4
+    record_acceptance(2, "dense/conv then each of the 7 layer kinds, and a maxout group, "
+                      "is one MASO", ok, f"{len(pairs)} pairs, max dev {worst:.2e}")
     assert ok
 
 
 def test_criterion_03_beta_vq_relu_is_swish():
-    p = L.activation_as_maso("relu", 1)
+    p = L.Activation("relu", 1).as_maso()
     grid = np.linspace(-10.0, 10.0, 2001)
     worst = worst_siglu = 0.0
     for b in (0.25, 0.5, 0.75):
@@ -485,9 +492,8 @@ def test_criterion_15_convexity():
         ],
         (5,), 3,
     )
-    layer2 = L.compose_layer_maso(L.dense_as_maso(W2, net.layers[2].b),
-                                  L.activation_as_maso("relu", 4))
-    layer3 = L.dense_as_maso(W3, net.layers[4].b)
+    layer2 = L.compose_layer_maso(net.layers[2].as_maso(), net.layers[3].as_maso())
+    layer3 = net.layers[4].as_maso()
     assert L.slope_nonnegativity(layer2) and L.slope_nonnegativity(layer3)
     fractions = analysis.convexity_probe(net, 10_000, seed=4, tol=1e-9)
     ok = bool(np.all(fractions == 1.0))

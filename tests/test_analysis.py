@@ -11,6 +11,7 @@ from masonet.analysis import (
     partial_product_norms,
     resnet_ensemble_terms,
 )
+from masonet.maso import forward_hard, selection_to_affine
 from masonet.ndcore import DomainError, ShapeError, StructureError
 
 
@@ -89,13 +90,20 @@ def test_walks_reproduce_forward_for_every_layer_kind(seed):
 
 
 
+def maso_selected_affine(layer, z):
+    """(A, b) the layer's MASO form selects at z from its own scores: a
+    reference that shares no selection code with the forward's cache."""
+    p = layer.as_maso()
+    return selection_to_affine(p, forward_hard(p, z)[1])
+
+
 def reference_walk(net, x):
     """(A, b) after each layer, chained as full products with each layer's
-    selected map."""
+    MASO-selected map."""
     z = np.asarray(x, dtype=np.float64).reshape(-1)
     A = b = None
     for layer in net.layers:
-        Asel, bsel = L.layer_selected_affine(layer, z)
+        Asel, bsel = maso_selected_affine(layer, z)
         A, b = (Asel, bsel) if A is None else (Asel @ A, Asel @ b + bsel)
         yield A, b
         z = Asel @ z + bsel

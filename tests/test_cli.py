@@ -218,6 +218,7 @@ def exit_status(argv):
     ["act-table", "--beta", "x"],
     ["act-table", "--resolution", "-5"],
     ["eval", "--net", "mlp:2-4-4:lrelu:abc", "--data", "{blobs}"],
+    ["eval", "--net", "mlp:2-4-4:lrelu:2", "--data", "{blobs}"],
 ], ids=" ".join)
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     blob_csv(tmp_path / "blobs.csv")

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from masonet import layers as L
 from masonet import learn
 from masonet.analysis import decompose
-from masonet.maso import MasoParams, forward_hard
+from masonet.maso import HardSelection, forward_hard, scores, select, selection_to_affine
 from masonet.ndcore import DomainError, ShapeError, WindowError
+from test_analysis import every_kind_net, maso_selected_affine
 
 
 def conv_reference(filters, bias, stride, padding, x_img):
@@ -56,6 +57,14 @@ def test_activation_validation():
     assert L.Activation("abs", 4).slopes() == (-1.0, 1.0)
 
 
+def test_leaky_slope_must_lie_below_one():
+    # lrelu(nu) is max(nu z, z) only for nu < 1: at nu = 2 it is concave,
+    # and at nu = 1 the two pieces tie everywhere, so the codes are arbitrary
+    for nu in (1.0, 2.0):
+        with pytest.raises(DomainError):
+            L.Activation("lrelu", 3, nu=nu)
+
+
 def test_conv_validation():
     f = np.zeros((2, 1, 3, 3))
     with pytest.raises(DomainError):
@@ -97,7 +106,7 @@ def test_network_dimension_chain():
 
 def test_dense_as_maso_is_the_affine_map(rng):
     W, b = rng.standard_normal((4, 6)), rng.standard_normal(4)
-    p = L.dense_as_maso(W, b)
+    p = L.Dense(W, b).as_maso()
     assert p.R == 1
     z = rng.standard_normal(6)
     out, _ = forward_hard(p, z)
@@ -110,7 +119,7 @@ def test_dense_as_maso_is_the_affine_map(rng):
     ("abs", lambda z, nu: np.abs(z)),
 ])
 def test_activation_as_maso_matches_elementwise(rng, kind, fn):
-    p = L.activation_as_maso(kind, 7, nu=0.05)
+    p = L.Activation(kind, 7, nu=0.05).as_maso()
     for _ in range(20):
         z = rng.standard_normal(7)
         out, _ = forward_hard(p, z)
@@ -119,7 +128,7 @@ def test_activation_as_maso_matches_elementwise(rng, kind, fn):
 
 def test_maxpool_as_maso_matches_direct_max(rng):
     regions = ((0, 1, 2), (3, 4), (5,))
-    p = L.pool_as_maso(regions, "max", in_dim=6)
+    p = L.MaxPool(regions, 6).as_maso()
     assert p.R == 3  # padded to the largest region
     for _ in range(20):
         z = rng.standard_normal(6)
@@ -129,22 +138,17 @@ def test_maxpool_as_maso_matches_direct_max(rng):
 
 def test_avgpool_as_maso_matches_direct_mean(rng):
     regions = ((0, 1), (2, 3, 4))
-    p = L.pool_as_maso(regions, "avg", in_dim=5)
+    p = L.AvgPool(regions, 5).as_maso()
     assert p.R == 1
     z = rng.standard_normal(5)
     out, _ = forward_hard(p, z)
     assert np.allclose(out, [z[:2].mean(), z[2:].mean()], atol=1e-14)
 
 
-def test_pool_as_maso_rejects_unknown_kind():
-    with pytest.raises(DomainError):
-        L.pool_as_maso(((0,),), "median", in_dim=1)
-
-
 def test_compose_dense_then_relu(rng):
     W, b = rng.standard_normal((5, 3)), rng.standard_normal(5)
-    lin = L.dense_as_maso(W, b)
-    act = L.activation_as_maso("relu", 5)
+    lin = L.Dense(W, b).as_maso()
+    act = L.Activation("relu", 5).as_maso()
     composed = L.compose_layer_maso(lin, act)
     for _ in range(100):
         z = rng.standard_normal(3)
@@ -153,14 +157,14 @@ def test_compose_dense_then_relu(rng):
 
 
 def test_compose_requires_degenerate_first_stage(rng):
-    act = L.activation_as_maso("relu", 3)
+    act = L.Activation("relu", 3).as_maso()
     with pytest.raises(ShapeError):
         L.compose_layer_maso(act, act)
 
 
 def test_compose_dimension_mismatch(rng):
-    lin = L.dense_as_maso(rng.standard_normal((4, 3)), np.zeros(4))
-    act = L.activation_as_maso("relu", 5)
+    lin = L.Dense(rng.standard_normal((4, 3)), np.zeros(4)).as_maso()
+    act = L.Activation("relu", 5).as_maso()
     with pytest.raises(ShapeError):
         L.compose_layer_maso(lin, act)
 
@@ -237,9 +241,8 @@ def test_conv_then_maxpool_composes_to_one_maso(rng):
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2), (1, 1), "valid", (1, 5, 5))
     out_shape = L.conv_out_shape(conv, (1, 5, 5))
     regions, _ = L.pool_regions_2d(out_shape, (3, 3), (3, 3))
-    lin = MasoParams(conv.matrix()[:, None, :], conv.bias_flat()[:, None])
-    pool = L.pool_as_maso(regions, "max", in_dim=int(np.prod(out_shape)))
-    composed = L.compose_layer_maso(lin, pool)
+    pool = L.MaxPool(regions, int(np.prod(out_shape)))
+    composed = L.compose_layer_maso(conv.as_maso(), pool.as_maso())
     for _ in range(100):
         x = rng.standard_normal(25)
         direct = conv.matrix() @ x + conv.bias_flat()
@@ -379,8 +382,8 @@ def test_layer_selected_affine_reproduces_each_layer(rng):
         ),
     ]
     for layer, z in cases:
-        A, b = L.layer_selected_affine(layer, z)
-        direct, _ = L.layer_forward_hard(layer, z[None, :])
+        direct, cache = layer.forward(z[None, :])
+        A, b = layer.selected_affine(cache)
         assert np.allclose(A @ z + b, direct[0], atol=1e-12), type(layer).__name__
 
 
@@ -421,12 +424,49 @@ def push_cases(rng):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+def test_maso_form_equals_the_inference_forward(seed):
+    # every layer of an every_kind_net at its forward input, then push_cases
+    # with their exact activation zeros and max-pool ties: the MASO form's
+    # outputs, codes and selected maps are the forward's
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    Z = rng.standard_normal((3, net.dims[0]))
+    cases = []
+    for layer in net.layers:
+        cases.append((layer, Z))
+        Z = layer.forward(Z)[0]
+    cases += [(layer, z[None, :]) for layer, z in push_cases(rng)]
+    for layer, Z in cases:
+        name = type(layer).__name__
+        p = layer.as_maso()
+        s = scores(p, Z)
+        out, codes = select(s)
+        want, cache = layer.forward(Z)
+        assert np.all(np.abs(out - want) <= 1e-12 * (1.0 + np.abs(want))), name
+        if cache.get("codes") is None:
+            assert p.R == 1, name
+        else:
+            tied = np.zeros(codes.shape, dtype=bool)
+            if isinstance(layer, L.SkipBlock):
+                # the MASO sums each score in another order than the forward's
+                # pre-activation, so an exact tie may round either way
+                tied = (cache["act"]["Z"] == 0) | (s[..., 0] == s[..., 1])
+            assert np.array_equal(codes[~tied], cache["codes"][~tied]), name
+            codes = np.where(tied, cache["codes"], codes)
+        for i in range(Z.shape[0]):
+            A, b = selection_to_affine(p, HardSelection(codes[i]))
+            Asel, bsel = layer.selected_affine(layer.forward(Z[i : i + 1])[1])
+            assert np.array_equal(A, Asel) and np.array_equal(b, bsel), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
 def test_push_affine_equals_the_selected_product(seed):
     rng = np.random.default_rng(seed)
     for layer, z in push_cases(rng):
         name = type(layer).__name__
         _, cache = layer.forward(z[None, :])
-        Asel, bsel = L.layer_selected_affine(layer, z)
+        Asel, bsel = maso_selected_affine(layer, z)
         A = rng.standard_normal((z.shape[0], int(rng.integers(2, 6))))
         b = rng.standard_normal(z.shape[0])
         A2, b2 = L.push_affine(layer, cache, A, b)
@@ -474,8 +514,7 @@ def test_pool_geometry_is_read_only_and_matrices_fresh():
     assert idx is pool.padded_indices()
     P = pool.matrix()
     P[:] = 0.0
-    A, _ = L.layer_selected_affine(pool, np.zeros(5))
-    A[:] = 0.0
+    pool.as_maso().A[:] = 0.0
     assert np.allclose(pool.matrix().sum(axis=1), 1.0)
 
 
@@ -516,8 +555,8 @@ def test_apodized_rejects_negative_window(rng):
 # --- misc helpers ---------------------------------------------------------------
 
 def test_slope_nonnegativity():
-    assert L.slope_nonnegativity(L.activation_as_maso("relu", 3))
-    assert not L.slope_nonnegativity(L.activation_as_maso("abs", 3))
+    assert L.slope_nonnegativity(L.Activation("relu", 3).as_maso())
+    assert not L.slope_nonnegativity(L.Activation("abs", 3).as_maso())
 
 
 def test_pool_regions_2d_cover_disjointly():
@@ -567,8 +606,8 @@ def test_pool_arrays_match_region_loops(regions):
         for i in range(A.shape[1]):
             A[k, i, r[min(i, len(r) - 1)]] = 1.0
     assert np.array_equal(L.AvgPool(regions, in_dim).matrix(), P)
-    assert np.array_equal(L.pool_as_maso(regions, "avg", in_dim).A[:, 0], P)
-    assert np.array_equal(L.pool_as_maso(regions, "max", in_dim).A, A)
+    assert np.array_equal(L.AvgPool(regions, in_dim).as_maso().A[:, 0], P)
+    assert np.array_equal(L.MaxPool(regions, in_dim).as_maso().A, A)
 
 
 def test_make_mlp_structure_and_seeding():

@@ -1,0 +1,13 @@
+"""The Python examples in README.md run against the current API."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
