@@ -293,7 +293,7 @@ class Activation(Layer):
             on = Z > 0
             out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
             return out, {"Z": Z, "codes": on.view(np.uint8)}
-        s = np.stack([lo * Z, hi * Z], axis=-1)
+        s = np.stack([lo * Z, hi * Z]).transpose(1, 2, 0)  # region-major, see ndcore
         out, T = select(s, beta)
         return out, {"s": s, "T": T, "beta": beta}
 
@@ -382,7 +382,7 @@ class MaxPool(_Pool):
 
     def forward(self, Z, beta=None, batch_stats=False):
         idx = self.padded_indices()
-        s = Z[:, idx]
+        s = Z.T[idx.T].T  # region-major (F-ordered), see ndcore
         out, sel = select(s, beta)
         return out, {"idx": idx, "s": s, "beta": beta, ("codes" if beta is None else "T"): sel}
 
@@ -405,9 +405,12 @@ class MaxPool(_Pool):
         s = cache["s"]
         if s.shape[-1] < 2:
             return False
-        top2 = np.sort(s, axis=-1)[..., -2:]
-        tied = top2[..., 1] - top2[..., 0] < gap
-        return bool(np.any(tied & np.any(top2 != 0, axis=-1)))
+        codes = cache["codes"][..., None]
+        top = s.max(axis=-1)
+        # the runner-up: the maximum once the winning entry is set aside
+        runner = np.where(np.arange(s.shape[-1]) == codes, -np.inf, s).max(axis=-1)
+        tied = top - runner < gap
+        return bool(np.any(tied & ((top != 0) | (runner != 0))))
 
     def _winners(self, cache) -> np.ndarray:
         """(n, K) input index each region of a hard cache selected."""

@@ -10,7 +10,10 @@ eta = beta/(1-beta) before the softmax interpolates between the uniform
 selection (beta -> 0), soft VQ (beta = 1/2), and hard VQ (beta -> 1).
 
 `select` defines the three regimes once, over the last axis of a batch of
-`scores`; the functions here, `layers` and the CLI all call it.
+`scores`; the functions here, `layers` and the CLI all call it.  Scores
+keep the logical shape (..., K, R) with the region axis R outermost in
+memory (`ndcore.region_major`); `select` brings its input into that
+layout and the selection T it returns keeps it.
 
 Under the Gaussian-mixture reading of a unit, the prior mass of region r is
 proportional to exp(B[k,r] + ||A[k,r,:]||^2 / 2), and when the offsets are
@@ -31,6 +34,7 @@ from .ndcore import (
     ShapeError,
     Tensor,
     as_tensor,
+    region_major,
     row_argmax,
     row_softmax,
 )
@@ -162,23 +166,34 @@ def select(s: Tensor, beta=None) -> tuple[Tensor, Tensor]:
     Hard exactly when beta is None: the maximum and the region codes (ties
     to the lowest index).  Otherwise the T-weighted score sum and T =
     softmax(eta s), eta = beta/(1-beta); beta may broadcast against s[..., :1].
+    The work runs on s in region-major layout (see `ndcore`), which T keeps.
     """
+    s = region_major(s)
     if beta is None:
         return s.max(axis=-1), row_argmax(s)
     T = row_softmax(beta / (1.0 - beta) * s)
     return np.sum(T * s, axis=-1), T
 
 
-def select_backward(G: Tensor, s: Tensor, T: Tensor, beta) -> tuple[Tensor, float]:
+def select_backward(G: Tensor, s: Tensor, T: Tensor, beta) -> tuple[Tensor, Tensor]:
     """Backward of the soft `select`: (G pushed onto the scores s, d loss /
-    d beta summed over every unit and row)."""
+    d beta).  The beta derivative has beta's shape, summed over the units
+    and rows beta is broadcast along."""
+    s, T = region_major(s), region_major(T)
     eta = beta / (1.0 - beta)
     out = np.sum(T * s, axis=-1)
     w = T * (1.0 + eta * (s - out[..., None]))
     # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
     dout_deta = np.sum(T * s * s, axis=-1) - out * out
-    deta = float(np.sum(G * dout_deta))
+    deta = _sum_to_shape((G * dout_deta)[..., None], np.shape(beta))
     return G[..., None] * w, deta / (1.0 - beta) ** 2
+
+
+def _sum_to_shape(a: Tensor, shape: tuple) -> Tensor:
+    """a summed over the axes along which an array of shape broadcasts to a.shape."""
+    lead = a.ndim - len(shape)
+    a = a.sum(axis=tuple(range(lead)))
+    return a.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
 
 
 def forward_hard(p: MasoParams, z: Tensor) -> tuple[Tensor, HardSelection]:

@@ -8,6 +8,18 @@ and the tie-breaking / stabilization conventions:
 * argmax ties resolve to the lowest index,
 * softmax is log-sum-exp stabilized (subtract the row max);
   both act on the last axis of an (..., R) array, as `maso.select` uses them.
+
+Region layout: score arrays have the logical shape (..., K, R), but the
+region axis R is outermost in memory.  Each region's (..., K) slab is one
+contiguous block, in C order, or in F order when the whole array is
+F-contiguous (the max-pool gather builds those).  Reductions over R (max,
+sum) then combine whole slabs elementwise instead of running one short
+reduction per unit, many times faster for R = 2 or 4.  `region_major`
+brings any (..., R) array into this layout, without a copy when it
+already is; the functions here and `maso.select` work in it and return
+results in it.  Slab-wise sums add the regions in index order, as numpy's
+sum over a trailing axis does up to seven terms; from eight on, that sum
+is pairwise and rounds differently in the last bits.
 """
 
 from __future__ import annotations
@@ -67,8 +79,17 @@ def as_tensor(x) -> Tensor:
     return a
 
 
+def region_major(m: Tensor) -> Tensor:
+    """m (..., R) with its last axis outermost in memory; no copy if it already is."""
+    if m.flags.f_contiguous:
+        return m
+    r = np.ascontiguousarray(m.transpose((m.ndim - 1, *range(m.ndim - 1))))  # (R, ...)
+    return r.transpose((*range(1, r.ndim), 0))
+
+
 def row_softmax(m: Tensor) -> Tensor:
-    """Softmax of m over the last axis, stabilized by subtracting its max."""
+    """Softmax of m over the last axis, stabilized by subtracting its max;
+    region-major."""
     m = _rows(m, "row_softmax")
     s = m - m.max(axis=-1, keepdims=True)  # a fresh array, so the steps below work in place
     np.exp(s, out=s)
@@ -77,13 +98,19 @@ def row_softmax(m: Tensor) -> Tensor:
 
 
 def row_argmax(m: Tensor) -> np.ndarray:
-    """Index of the maximum along the last axis; ties go to the lowest index."""
-    # np.argmax already returns the first (lowest) index on ties.
-    return np.argmax(_rows(m, "row_argmax"), axis=-1)
+    """Index of the maximum along the last axis; ties go to the lowest index,
+    and a row holding NaN gives its first NaN, as np.argmax does."""
+    m = _rows(m, "row_argmax")
+    top = m.max(axis=-1, keepdims=True)
+    # np.argmax over a short axis is slow; instead each region slab that ties
+    # the maximum gets the weight R-1-r, so the largest one marks the lowest r
+    weights = np.arange(m.shape[-1] - 1, -1, -1, dtype=np.intp)
+    return (m.shape[-1] - 1) - (((m == top) | np.isnan(m)) * weights).max(axis=-1)
 
 
 def _rows(m, name: str) -> Tensor:
+    """m as a float64 (..., R) array, R >= 1, in region-major layout."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] == 0:
         raise ShapeError(f"{name} expects an (..., R) array with R >= 1, got shape {m.shape}")
-    return m
+    return region_major(m)

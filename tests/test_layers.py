@@ -665,3 +665,26 @@ def test_every_selection_goes_through_the_maso_kernel(monkeypatch, rng):
     # the hard activation path tests z > 0 itself: no score stack, same codes
     assert run(lambda: act.forward(Z)) == []
     assert run(lambda: cli.emit_activation_table("relu", [0.2, 0.7], [-1.0, 0.0, 1.0])) == ["select"] * 4
+
+
+def _region_outermost(a) -> bool:
+    """Is each region's slab a[..., r] one contiguous block, the blocks one
+    after another (`ndcore`'s region-major layout)?"""
+    slab = a[..., 0]
+    return (slab.flags.c_contiguous or slab.flags.f_contiguous) and a.strides[-1] == slab.nbytes
+
+
+def test_selector_scores_and_selections_are_region_major(rng):
+    from masonet.maso import select
+
+    Z = rng.standard_normal((5, 6))
+    act, pool = L.Activation("relu", 6), L.MaxPool(((0, 1), (2, 3), (4, 5)), 6)
+    for layer, K in ((act, 6), (pool, 3)):
+        for beta in (0.5, rng.uniform(0.2, 0.8, (K, 1))):
+            _, cache = layer.forward(Z, beta)
+            assert _region_outermost(cache["s"]) and _region_outermost(cache["T"])
+    assert _region_outermost(pool.forward(Z)[1]["s"])
+    # the activation stacks its two slabs in the C order of its input
+    assert np.moveaxis(act.forward(Z, 0.5)[1]["s"], -1, 0).flags.c_contiguous
+    assert _region_outermost(select(rng.standard_normal((5, 6, 3)), 0.5)[1])
+    assert not _region_outermost(np.stack([Z, Z], axis=-1))

@@ -17,10 +17,18 @@ from masonet.maso import (
     region_prior,
     scores,
     select,
+    select_backward,
     selection_to_affine,
     svq_infer,
 )
-from masonet.ndcore import AmbiguityError, DomainError, PreconditionError, ShapeError, row_softmax
+from masonet.ndcore import (
+    AmbiguityError,
+    DomainError,
+    PreconditionError,
+    ShapeError,
+    row_argmax,
+    row_softmax,
+)
 
 
 def random_params(rng, K=4, R=3, D=5):
@@ -369,3 +377,79 @@ def test_per_input_functions_reject_batched_inputs(rng):
             fn(p, np.zeros((p.K, p.D)))
     with pytest.raises(ShapeError):
         forward_with_selection(p, np.zeros((p.K, p.D)), HardSelection(np.zeros(p.K, dtype=int)))
+
+
+@pytest.mark.parametrize("per_unit", [False, True])
+def test_select_backward_matches_central_differences(per_unit):
+    rng = np.random.default_rng(0)
+    n, K, R = 3, 4, 3
+    s = rng.standard_normal((n, K, R))
+    G = rng.standard_normal((n, K))
+    beta = rng.uniform(0.2, 0.8, (K, 1)) if per_unit else 0.35
+
+    def loss(s, beta):
+        return float(np.sum(G * select(s, beta)[0]))
+
+    _, T = select(s, beta)
+    Gs, dbeta = select_backward(G, s, T, beta)
+    h = 1e-6
+    fd_s = np.zeros_like(s)
+    for i in np.ndindex(s.shape):
+        e = np.zeros_like(s)
+        e[i] = h
+        fd_s[i] = (loss(s + e, beta) - loss(s - e, beta)) / (2 * h)
+    assert np.allclose(Gs, fd_s, rtol=1e-6, atol=1e-8)
+    if per_unit:
+        # one derivative per unit, in beta's shape
+        fd_b = np.zeros_like(beta)
+        for i in np.ndindex(beta.shape):
+            e = np.zeros_like(beta)
+            e[i] = h
+            fd_b[i] = (loss(s, beta + e) - loss(s, beta - e)) / (2 * h)
+        assert dbeta.shape == beta.shape
+    else:
+        fd_b = (loss(s, beta + h) - loss(s, beta - h)) / (2 * h)
+        assert np.shape(dbeta) == ()
+    assert np.allclose(dbeta, fd_b, rtol=1e-6, atol=1e-8)
+
+
+def _layouts(x):
+    """x as C-ordered, as a region-major copy, F-ordered and as a negative-stride view."""
+    flip = (slice(None, None, -1),) * x.ndim
+    return {
+        "C": np.ascontiguousarray(x),
+        "region-major": np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1),
+        "F": np.asfortranarray(x),
+        "negative strides": np.ascontiguousarray(x[flip])[flip],
+    }
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(1, 12))
+@settings(max_examples=120, deadline=None)
+def test_kernel_results_do_not_depend_on_layout(seed, n, K, R):
+    rng = np.random.default_rng(seed)
+    # few distinct values, signed zeros among them, make exact ties common
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+    x = rng.choice(pool, (n, K, R))
+    G = rng.choice(pool, (n, K))
+    per_unit = rng.uniform(0.05, 0.95, (K, 1))
+
+    def kernel(s):
+        got = {"row_argmax": row_argmax(s), "row_softmax": row_softmax(s)}
+        got["hard"], got["codes"] = select(s)
+        for name, beta in (("soft", 0.5), ("beta", 0.3), ("per-unit", per_unit)):
+            got[name], T = select(s, beta)
+            got[name + " T"] = T
+            got[name + " Gs"], got[name + " dbeta"] = select_backward(G, s, T, beta)
+        return got
+
+    base = kernel(_layouts(x)["C"])
+    # hard codes are the lowest index among the maxima
+    first = np.argmax(x == x.max(axis=-1, keepdims=True), axis=-1)
+    assert np.array_equal(base["codes"], first) and np.array_equal(base["row_argmax"], first)
+    for layout, s in _layouts(x).items():
+        for name, value in kernel(s).items():
+            if R <= 7:
+                assert bit_equal(value, base[name]), (layout, name)
+            else:  # numpy's pairwise sum over a trailing axis engages at 8 terms
+                assert np.all(np.abs(value - base[name]) <= 1e-15 * (1 + np.abs(base[name]))), (layout, name)

@@ -46,6 +46,9 @@ def test_row_softmax_rejects_bad_scale_and_shape():
 def test_row_argmax_tie_goes_low():
     m = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
     assert row_argmax(m).tolist() == [0, 1]
+    # a row holding NaN gives its first NaN, as np.argmax does
+    m = np.array([[np.nan, 1.0, 0.0], [1.0, np.nan, np.nan], [0.0, 2.0, np.nan], [-np.inf, -np.inf, -np.inf]])
+    assert row_argmax(m).tolist() == np.argmax(m, axis=-1).tolist() == [0, 1, 2, 0]
 
 
 def test_row_functions_act_on_the_last_axis_of_any_stack(rng):
