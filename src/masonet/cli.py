@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -79,50 +80,130 @@ def generate_toy_dataset(seed: int = 0):
 # CSV dataset files
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    # 17 significant digits: enough for exact float64 round-trips
-    return format(float(v), ".17g")
+def _write_csv(path: str | None, header, columns) -> None:
+    """Write a header line, then one line per row, to path (stdout if None).
+
+    `columns` holds one sequence per column.  Integer and bool columns are
+    written with %d, all others with %.17g: 17 significant digits are
+    enough for exact float64 round-trips, and '%.17g' % v equals
+    format(float(v), '.17g') for every float64, -0.0, nan and inf included.
+    A column's format comes from its dtype, so it holds for every row.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols)
+    lines = [",".join(header), *map(row_fmt.__mod__, zip(*(c.tolist() for c in cols)))]
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def save_dataset_csv(path: str, X, y) -> None:
     X = as_tensor(X)
     y = np.asarray(y, dtype=np.int64)
-    cols = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
-    lines = [",".join(cols)]
-    for row, label in zip(X, y):
-        lines.append(",".join(_fmt(v) for v in row) + f",{int(label)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
+    _write_csv(path, header, [*X.T, y])
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_header(line: str) -> bool:
+    """The first non-blank row is a header when none of its cells is a number."""
+    return not any(_is_number(c) for c in line.split(","))
 
 
 def load_dataset_csv(path: str, class_count: int | None = None, float_target: bool = False):
     """Parse a features-then-label CSV; returns (X, y).
 
-    A non-numeric first row is treated as the header and blank lines are
-    skipped.  Ragged rows, non-numeric cells, and labels outside
-    [0, class_count) raise a ValidationError naming the 1-based file
-    line.  With float_target the last column is a real-valued target
+    Blank lines are skipped.  The first remaining row is a header when
+    none of its cells parses as a number; a header must be as wide as the
+    data rows.  Ragged rows, non-numeric or non-finite cells, and labels
+    outside [0, class_count) raise a ValidationError naming the 1-based
+    file line.  With float_target the last column is a real-valued target
     (splinefit's f) instead of an integer label.
+
+    The data rows are parsed by one np.loadtxt call; the per-line scan
+    runs only when that parse or a check on its result fails, so every
+    result and message is the scan's.
     """
     with open(path) as fh:
-        raw = [line.rstrip("\n").rstrip("\r") for line in fh]
-    rows = [(i + 1, line) for i, line in enumerate(raw) if line.strip()]
+        lines = fh.read().split("\n")
+    parsed = _parse_bulk(lines, class_count, float_target)
+    return parsed if parsed is not None else _parse_lines(path, lines, class_count, float_target)
+
+
+def _parse_bulk(lines: list, class_count: int | None, float_target: bool):
+    """(X, y) from one np.loadtxt call, or None when the per-line scan must
+    decide: a header or width problem, a character numpy reads unlike
+    Python, a cell numpy rejects (it also rejects some that Python's
+    float()/int() take, such as '1_0'), a non-finite cell or a label out
+    of range."""
+    rows = [line for line in lines if line.strip()]
+    header_width = None
+    if rows and _is_header(rows[0]):
+        header_width = rows[0].count(",") + 1
+        rows = rows[1:]
+    if not rows:
+        return None
+    width = rows[0].count(",") + 1
+    if width < 2 or header_width not in (None, width):
+        return None
+    # numpy's integer parser misreads non-ASCII cells (on numpy 2.4 '1\u01fe'
+    # parses as 472, and '1\U0009c6ca' crashes the process), and numpy
+    # strips '\x1c'-'\x1f' around a number where float()/int() reject them
+    data = "\n".join(rows)
+    if not data.isascii() or any(c in data for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    dtype = [("x", np.float64, (width - 1,)), ("y", np.float64 if float_target else np.int64)]
+    try:
+        # numpy 1.23-1.26 parse an integer cell such as '1.0' through float
+        # with a DeprecationWarning; int() rejects it, so a warning falls back
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    X, y = np.ascontiguousarray(table["x"]), np.ascontiguousarray(table["y"])
+    if not np.isfinite(X).all():
+        return None
+    if float_target:
+        return (X, y) if np.isfinite(y).all() else None
+    if y.min() < 0 or (class_count is not None and y.max() >= class_count):
+        return None
+    return X, y
+
+
+def _parse_lines(path: str, lines: list, class_count: int | None, float_target: bool):
+    """The per-line reference parse of load_dataset_csv; names the file
+    line of the first problem."""
+    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    start = 0
-    first_cells = rows[0][1].split(",")
-    try:
-        float(first_cells[0])
-    except ValueError:
-        start = 1  # header row
-    if not rows[start:]:
+    header_line, header_width = None, None
+    if _is_header(rows[0][1]):
+        header_line, header_width = rows[0][0], len(rows[0][1].split(","))
+        rows = rows[1:]
+    if not rows:
         raise ValidationError(f"{path}: no data rows after the header")
     width = None
     feats, labels = [], []
-    for lineno, line in rows[start:]:
+    for lineno, line in rows:
         cells = line.split(",")
         if width is None:
             width = len(cells)
+            if header_width not in (None, width):
+                raise ValidationError(
+                    f"{path}:{header_line}: header has {header_width} columns, "
+                    f"the data rows {width}"
+                )
             if width < 2:
                 raise ValidationError(f"{path}:{lineno}: need features and a label")
         elif len(cells) != width:
@@ -130,14 +211,21 @@ def load_dataset_csv(path: str, class_count: int | None = None, float_target: bo
                 f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
             )
         try:
-            feats.append([float(c) for c in cells[:-1]])
+            feat = [float(c) for c in cells[:-1]]
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: non-numeric feature cell ({exc})")
+        for cell, v in zip(cells, feat):
+            if not math.isfinite(v):
+                raise ValidationError(f"{path}:{lineno}: feature cell {cell!r} is not finite")
+        feats.append(feat)
         if float_target:
             try:
-                labels.append(float(cells[-1]))
+                target = float(cells[-1])
             except ValueError:
                 raise ValidationError(f"{path}:{lineno}: target {cells[-1]!r} is not a number")
+            if not math.isfinite(target):
+                raise ValidationError(f"{path}:{lineno}: target {cells[-1]!r} is not finite")
+            labels.append(target)
             continue
         try:
             label = int(cells[-1])
@@ -257,20 +345,6 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
 # command helpers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _resolve_net(args) -> L.Network:
     if args.net is None:
         raise ValidationError("--net is required for this command")
@@ -370,14 +444,8 @@ def _cmd_train(args) -> int:
     trained, history = learn.train(net, (X, y), config)
     save_network(trained, args.out)
     hist_path = args.out + ".history.csv"
-    _write_csv(
-        hist_path,
-        ["epoch", "loss", "accuracy", "template_penalty", "filter_penalty"],
-        [
-            (h["epoch"], h["loss"], h["accuracy"], h["template_penalty"], h["filter_penalty"])
-            for h in history
-        ],
-    )
+    header = ["epoch", "loss", "accuracy", "template_penalty", "filter_penalty"]
+    _write_csv(hist_path, header, [[h[key] for h in history] for key in header])
     final = history[-1]
     print(
         f"trained {args.epochs} epochs: loss={final['loss']:.6f} "
@@ -393,7 +461,7 @@ def _cmd_eval(args) -> int:
     loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
     print(f"loss={loss:.6f} accuracy={acc:.4f} on {X.shape[0]} points")
     if args.out:
-        _write_csv(args.out, ["loss", "accuracy", "points"], [(loss, acc, X.shape[0])])
+        _write_csv(args.out, ["loss", "accuracy", "points"], [[loss], [acc], [X.shape[0]]])
     return 0
 
 
@@ -408,7 +476,7 @@ def _cmd_decompose(args) -> int:
         print(f"decomposed prefix of {args.layer} layers: {form.A.shape[0]}x{form.A.shape[1]}")
     if args.out:
         header = [f"a{j + 1}" for j in range(form.A.shape[1])] + ["b"]
-        _write_csv(args.out, header, [tuple(row) + (off,) for row, off in zip(form.A, form.b)])
+        _write_csv(args.out, header, [*form.A.T, form.b])
     return 0
 
 
@@ -420,7 +488,7 @@ def _cmd_templates(args) -> int:
     print(f"{T.shape[0]} templates of dimension {T.shape[1]}; logit residual {resid:.3e}")
     if args.out:
         header = [f"t{j + 1}" for j in range(T.shape[1])] + ["bias"]
-        _write_csv(args.out, header, [tuple(row) + (b,) for row, b in zip(T, biases)])
+        _write_csv(args.out, header, [*T.T, biases])
     return 0
 
 
@@ -432,7 +500,7 @@ def _cmd_partition(args) -> int:
     print(f"{len(table.entries)} distinct codes over {table.total} grid points")
     if args.out:
         header = [f"x{j + 1}" for j in range(dim)] + ["code_id"]
-        _write_csv(args.out, header, [tuple(p) + (int(i),) for p, i in zip(points, ids)])
+        _write_csv(args.out, header, [*points.T, ids])
     return 0
 
 
@@ -442,11 +510,8 @@ def _cmd_stats(args) -> int:
     stats = partition.region_stats(net, X, _prefix(args, net))
     print(f"nonempty regions: {stats['nonempty_count']}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["rank", "count"],
-            [(r + 1, c) for r, c in enumerate(stats["histogram"])],
-        )
+        hist = stats["histogram"]
+        _write_csv(args.out, ["rank", "count"], [np.arange(1, len(hist) + 1), hist])
     return 0
 
 
@@ -461,11 +526,7 @@ def _cmd_nn(args) -> int:
     dists = np.mean(codes[1:] != codes[0], axis=1) if codes.shape[1] else np.zeros(len(idx))
     print("neighbors:", " ".join(str(i) for i in idx))
     if args.out:
-        _write_csv(
-            args.out,
-            ["rank", "index", "vq_distance"],
-            [(r + 1, i, d) for r, (i, d) in enumerate(zip(idx, dists))],
-        )
+        _write_csv(args.out, ["rank", "index", "vq_distance"], [np.arange(1, len(idx) + 1), idx, dists])
     return 0
 
 
@@ -475,7 +536,7 @@ def _cmd_norms(args) -> int:
     for d, v in enumerate(norms, start=1):
         print(f"depth {d}: frobenius {v:.6e}")
     if args.out:
-        _write_csv(args.out, ["depth", "frobenius_norm"], list(enumerate(norms, start=1)))
+        _write_csv(args.out, ["depth", "frobenius_norm"], [np.arange(1, len(norms) + 1), norms])
     return 0
 
 
@@ -487,11 +548,8 @@ def _cmd_ensemble(args) -> int:
     dev = float(np.max(np.abs(sum(terms) - form.A)))
     print(f"{len(terms)} terms; |sum - decomposed A| max deviation {dev:.3e}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["term", "frobenius_norm"],
-            [(i, float(np.linalg.norm(t))) for i, t in enumerate(terms)],
-        )
+        _write_csv(args.out, ["term", "frobenius_norm"],
+                   [np.arange(len(terms)), [np.linalg.norm(t) for t in terms]])
     return 0
 
 
@@ -508,14 +566,13 @@ def _cmd_splinefit(args) -> int:
         print(f"fit R={args.k[0]}: sup error {err:.6e}")
         if args.out:
             header = [f"slope{j + 1}" for j in range(spline.D)] + ["offset"]
-            rows = [tuple(spline.A[0, r]) + (spline.B[0, r],) for r in range(spline.R)]
-            _write_csv(args.out, header, rows)
+            _write_csv(args.out, header, [*spline.A[0].T, spline.B[0]])
     else:
         curve, slope, c = splinefit.universality_curve(X, f, args.k, seed=args.seed)
         desc = "degenerate (exact fit)" if slope is None else f"{slope:.3f}"
         print(f"log-log slope {desc}; fitted c = max R*error = {c:.6e}")
         if args.out:
-            _write_csv(args.out, ["R", "sup_error"], curve)
+            _write_csv(args.out, ["R", "sup_error"], list(zip(*curve)))
     return 0
 
 
@@ -535,13 +592,9 @@ def _cmd_act_table(args) -> int:
     if args.resolution < 1:
         raise ValidationError(f"--resolution must be at least 1, got {args.resolution}")
     rows = emit_activation_table(kind, args.beta, np.linspace(lo, hi, args.resolution))
+    _write_csv(args.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], list(zip(*rows)))
     if args.out:
-        _write_csv(args.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], rows)
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print("u,beta,hard_value,soft_value,beta_value")
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
     return 0
 
 

@@ -1,9 +1,12 @@
 import argparse
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from masonet import cli, partition
 from masonet import layers as L
@@ -99,6 +102,195 @@ def test_headerless_dataset_loads(tmp_path):
     X, y = cli.load_dataset_csv(str(p))
     assert X.shape == (2, 2)
     assert list(y) == [1, 0]
+
+
+@pytest.mark.parametrize("text, options, message", [
+    # a first row with a number in it is data, not a header
+    ("oops,1.5,1\n2.0,1.5,0\n", {}, ":1: non-numeric feature cell"),
+    ("x1,x2,label\n1.0,2.0,3.0,0\n", {}, ":1: header has 3 columns, the data rows 4"),
+    ("x1,x2,label\n\n1.0,nan,0\n", {}, ":3: feature cell 'nan' is not finite"),
+    ("1.0,2.0,0\n-Infinity,2.0,1\n", {}, ":2: feature cell '-Infinity' is not finite"),
+    ("1.0,1e999,0\n", {}, ":1: feature cell '1e999' is not finite"),
+    ("x,f\n0,0\n1,inf\n", {"float_target": True}, ":3: target 'inf' is not finite"),
+], ids=["numeric-first-row", "header-width", "nan-feature",
+        "inf-feature", "overflowing-feature", "inf-target"])
+def test_loader_names_the_bad_line(tmp_path, text, options, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{p}{message}")):
+        cli.load_dataset_csv(str(p), **options)
+
+
+def test_non_finite_cell_exits_2_with_its_line(tmp_path, capsys):
+    p = tmp_path / "nan.csv"
+    p.write_text("x1,x2,label\n0.5,0.5,0\nnan,0.5,1\n")
+    assert cli.main(["decompose", "--net", "mlp:2-4-4", "--data", str(p), "--k", "0"]) == 2
+    assert f"{p}:3: feature cell 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_bulk_parse_warning_falls_back_to_the_line_scan(tmp_path, monkeypatch):
+    """numpy 1.23-1.26 parse an integer cell '1.0' through float with a
+    DeprecationWarning; the loader must then give int()'s verdict."""
+    def lenient_loadtxt(rows, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([((1.0, 2.0), 1)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    p = tmp_path / "d.csv"
+    p.write_text("x1,x2,label\n1.0,2.0,1.0\n")
+    with warnings.catch_warnings(), pytest.raises(
+        ValidationError, match=re.escape(f"{p}:2: label '1.0' is not an integer")
+    ):
+        warnings.simplefilter("ignore")  # as outside pytest, where the warning would pass unseen
+        cli.load_dataset_csv(str(p))
+
+
+def reference_load(path, class_count=None, float_target=False):
+    """Per-line reference for load_dataset_csv: every cell through float() or int()."""
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    with open(path) as fh:
+        rows = [(n, line) for n, line in enumerate(fh.read().split("\n"), 1) if line.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    header = None
+    if not any(is_number(c) for c in rows[0][1].split(",")):
+        header, rows = rows[0], rows[1:]
+    if not rows:
+        raise ValidationError(f"{path}: no data rows after the header")
+    width = len(rows[0][1].split(","))
+    if header is not None and len(header[1].split(",")) != width:
+        raise ValidationError(
+            f"{path}:{header[0]}: header has {len(header[1].split(','))} columns, the data rows {width}"
+        )
+    if width < 2:
+        raise ValidationError(f"{path}:{rows[0][0]}: need features and a label")
+    feats, labels = [], []
+    for n, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValidationError(f"{path}:{n}: expected {width} columns, found {len(cells)}")
+        try:
+            feats.append([float(c) for c in cells[:-1]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{n}: non-numeric feature cell ({exc})")
+        for cell, v in zip(cells, feats[-1]):
+            if not np.isfinite(v):
+                raise ValidationError(f"{path}:{n}: feature cell {cell!r} is not finite")
+        last = cells[-1]
+        if float_target:
+            if not is_number(last):
+                raise ValidationError(f"{path}:{n}: target {last!r} is not a number")
+            if not np.isfinite(float(last)):
+                raise ValidationError(f"{path}:{n}: target {last!r} is not finite")
+            labels.append(float(last))
+            continue
+        try:
+            label = int(last)
+        except ValueError:
+            raise ValidationError(f"{path}:{n}: label {last!r} is not an integer")
+        if label < 0 or (class_count is not None and label >= class_count):
+            raise ValidationError(f"{path}:{n}: label {label} out of range")
+        labels.append(label)
+    return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.float64 if float_target else np.int64)
+
+
+def _tokens(plain, odd):
+    """Mostly plain tokens (so whole files often parse), sometimes odd ones."""
+    return st.integers(0, 5).flatmap(lambda i: plain if i else st.sampled_from(odd))
+
+
+# cells Python's float()/int() and numpy read alike, differently, or not at all;
+# numpy strips '\x1c'-'\x1f' and parses the label '1\u01fe' as 472
+_FEATURES = _tokens(st.floats(width=64, allow_nan=False, allow_infinity=False).map(repr),
+                    ["+3", " 2 ", "1_0.5", "0x1p3", "-Infinity", "4.9e-324", "-0", "nan",
+                     "1e999", "٣.5", "1\x1f", "\x1c2", "", "oops"])
+_LABELS = _tokens(st.integers(0, 3).map(str),
+                  ["1.0", "3_0", "٢", "-1", "7", "+1", " 2 ", "1e3",
+                   "99999999999999999999", "2.5", "1\x1e", "1\u01fe", ""])
+_HEADER_CELLS = st.sampled_from(["x1", "x2", "label", "f", "1"])
+
+
+@st.composite
+def dataset_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        header_width = width if draw(st.booleans()) else draw(st.integers(1, 5))
+        lines.append(",".join(draw(_HEADER_CELLS) for _ in range(header_width)))
+    for _ in range(draw(st.integers(0, 6))):
+        w = width if draw(st.integers(0, 9)) else draw(st.integers(1, 5))  # some ragged rows
+        cells = [draw(_FEATURES) for _ in range(w - 1)] + [draw(_LABELS)]
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _load_outcome(load, path, **options):
+    """The arrays as bytes, shapes, dtypes and layout, or the error raised."""
+    try:
+        arrays = load(path, **options)
+    except (ValidationError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [(a.tobytes(), a.shape, a.dtype, a.flags.c_contiguous) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dataset_texts(), st.sampled_from([None, 2, 4]), st.booleans())
+def test_loader_matches_the_per_line_reference(tmp_path, text, class_count, float_target):
+    p = tmp_path / "d.csv"
+    with open(p, "w", newline="") as fh:  # keep CRLF line ends as drawn
+        fh.write(text)
+    options = {"float_target": True} if float_target else {"class_count": class_count}
+    got = _load_outcome(cli.load_dataset_csv, str(p), **options)
+    assert got == _load_outcome(reference_load, str(p), **options)
+
+
+def percell_csv(header, rows):
+    """The per-cell writer the row format replaced: ints (and Python bools)
+    via str(int(v)), every other cell via format(float(v), '.17g')."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else format(float(v), ".17g")
+            for v in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def test_row_format_writer_matches_the_per_cell_writer(tmp_path, capsys):
+    floats = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e300, 0.1, -2.5]
+    columns = [
+        floats,
+        np.array(floats[::-1]),
+        [0, -3, 2**40, 7, 1, 0, 12, -1],  # Python ints
+        np.arange(-4, 4, dtype=np.int16),
+        np.array([True, False] * 4),
+        [True, False] * 4,
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    expected = percell_csv(header, zip(*columns))
+    p = tmp_path / "t.csv"
+    cli._write_csv(str(p), header, columns)
+    assert p.read_bytes() == expected.encode()
+    cli._write_csv(None, header, columns)
+    assert capsys.readouterr().out == expected
+
+    X = np.array([[-0.0, 5e-324], [1e300, -1e-300], [np.pi, -2.0**-1074]])
+    y = np.array([3, 0, 1])
+    cli.save_dataset_csv(str(p), X, y)
+    assert p.read_bytes() == percell_csv(["x1", "x2", "label"], [(*row, label) for row, label in zip(X, y)]).encode()
+    X2, y2 = cli.load_dataset_csv(str(p))
+    assert X2.tobytes() == X.tobytes() and X2.flags.c_contiguous  # -0.0 and subnormals included
+    assert y2.dtype == np.int64 and np.array_equal(y2, y)
 
 
 # --- network files ---------------------------------------------------------------
