@@ -8,7 +8,7 @@ linear-skip residual chain, depthwise norm series of the partial
 products, and an empirical midpoint-convexity probe.
 
 The walk runs the network's hard forward on the one input and reads each
-layer's selected map from that forward's cache, so `decompose` uses the
+layer's selected map from that forward's caches, so `decompose` uses the
 very codes that `network_forward` and the partition tools report: inputs
 with equal codes get the identical (A, b).  The chaining costs one
 matrix product per affine layer (dense, conv, average pool, skip block):
@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (
-    Dense,
-    Network,
-    SkipBlock,
-    network_forward_batch,
-    push_affine,
-)
-from .ndcore import DomainError, ShapeError, StructureError, Tensor, as_tensor
+from .layers import Dense, Network, SkipBlock, network_forward_batch
+from .ndcore import DomainError, StructureError, Tensor
 
 __all__ = [
     "AffineForm",
@@ -53,34 +47,18 @@ class AffineForm:
         return self.A @ np.asarray(x, dtype=np.float64).reshape(-1) + self.b
 
 
-def _check_input(net: Network, x: Tensor) -> Tensor:
-    flat = as_tensor(x).reshape(-1)
-    if flat.shape[0] != net.dims[0]:
-        raise ShapeError(f"input has {flat.shape[0]} entries, expected {net.dims[0]}")
-    return flat
-
-
-def _prefix_count(net: Network, upto_layer) -> int:
-    n = len(net.layers) if upto_layer is None else int(upto_layer)
-    if not 0 <= n <= len(net.layers):
-        raise ShapeError(f"layer prefix {n} out of range for {len(net.layers)} layers")
-    return n
-
-
-def _walk(net: Network, x: Tensor, n: int):
+def _walk(net: Network, x: Tensor, n: int | None):
     """Yield (A, b), the affine map of the layers so far, after each of
-    the first n layers around x.
+    the first n layers (all when None) around x.
 
-    The walk is the hard forward of x as a one-row batch: each layer's
-    map is the one its forward cache selected, and the forward's output is
-    the next layer's input.  The first layer's map is taken as it is, not
-    multiplied into an identity.
+    The walk reads the caches of one hard forward of x as a one-row
+    batch: each layer's map is the one its forward cache selected.  The
+    first layer's map is taken as it is, not multiplied into an identity.
     """
-    Z = _check_input(net, x)[None, :]
+    _, caches = network_forward_batch(net, np.reshape(x, (1, -1)), n)
     A = b = None
-    for layer in net.layers[:n]:
-        Z, cache = layer.forward(Z)
-        A, b = push_affine(layer, cache, A, b)
+    for layer, cache in zip(net.layers, caches):
+        A, b = layer.selected_affine(cache) if A is None else layer.push(cache, A, b)
         yield A, b
 
 
@@ -94,7 +72,7 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
     identical (A, b).
     """
     A = b = None
-    for A, b in _walk(net, x, _prefix_count(net, upto_layer)):
+    for A, b in _walk(net, x, upto_layer):
         pass
     if A is None:  # an empty prefix is the identity map
         A, b = np.eye(net.dims[0]), np.zeros(net.dims[0])
@@ -106,15 +84,13 @@ def class_templates(net: Network, x: Tensor) -> tuple[Tensor, Tensor]:
 
     Row c of the returned matrix is the linear functional whose inner
     product with x (plus the offset) is logit c: the final Dense weights
-    pushed through the affine map of all preceding layers.
+    pushed through the affine map of all preceding layers, which is the
+    whole network's decomposition at x.
     """
     if not net.layers or not isinstance(net.layers[-1], Dense):
         raise StructureError("templates need a Dense final layer")
-    head = net.layers[-1]
-    prefix = decompose(net, x, upto_layer=len(net.layers) - 1)
-    templates = head.W @ prefix.A
-    biases = head.W @ prefix.b + head.b
-    return templates, biases
+    form = decompose(net, x)
+    return form.A, form.b
 
 
 def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
@@ -127,11 +103,10 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
     matrix of the block prefix.  A trailing Dense classifier is allowed
     and excluded from the expansion.
     """
+    _, caches = network_forward_batch(net, np.reshape(x, (1, -1)))
     blocks = []
-    Z = _check_input(net, x)[None, :]
-    for i, layer in enumerate(net.layers):
+    for i, (layer, cache) in enumerate(zip(net.layers, caches)):
         if isinstance(layer, SkipBlock):
-            Z, cache = layer.forward(Z)
             blocks.append(layer.branches(cache)[:2])
         elif not (isinstance(layer, Dense) and i == len(net.layers) - 1):
             raise StructureError(
@@ -152,7 +127,7 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
 
 def partial_product_norms(net: Network, x: Tensor) -> list:
     """Frobenius norms of the depth-d selected products, d = 1 .. L-1."""
-    return [float(np.linalg.norm(A)) for A, _ in _walk(net, x, len(net.layers) - 1)]
+    return [float(np.linalg.norm(A)) for A, _ in _walk(net, x, max(len(net.layers) - 1, 0))]
 
 
 def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9):

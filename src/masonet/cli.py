@@ -195,6 +195,7 @@ def _parse_lines(path: str, lines: list, class_count: int | None, float_target: 
         raise ValidationError(f"{path}: no data rows after the header")
     width = None
     feats, labels = [], []
+    limit = 2**63 if class_count is None else class_count  # labels are stored as int64
     for lineno, line in rows:
         cells = line.split(",")
         if width is None:
@@ -231,7 +232,7 @@ def _parse_lines(path: str, lines: list, class_count: int | None, float_target: 
             label = int(cells[-1])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: label {cells[-1]!r} is not an integer")
-        if label < 0 or (class_count is not None and label >= class_count):
+        if not 0 <= label < limit:
             raise ValidationError(f"{path}:{lineno}: label {label} out of range")
         labels.append(label)
     return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.float64 if float_target else np.int64)
@@ -301,8 +302,9 @@ def load_network(path: str) -> L.Network:
 # activation tables
 # ---------------------------------------------------------------------------
 
-def emit_activation_table(kind, beta_list, u_grid) -> list:
-    """Rows (u, beta, hard, soft, beta-weighted) for a scalar activation.
+def emit_activation_table(kind, beta_list, u_grid) -> tuple:
+    """Columns (u, beta, hard, soft, beta-weighted) of a scalar activation's
+    table: one row per grid point and beta, the betas varying fastest.
 
     kind is 'relu', 'abs', or a 1-unit, 1-input MasoParams.  The hard and
     soft columns do not depend on beta but are repeated per row so each
@@ -331,14 +333,14 @@ def emit_activation_table(kind, beta_list, u_grid) -> list:
     for b in (0.5, *betas):
         if not math.isfinite(2.0 * (b / (1.0 - b) * top)):
             raise ValidationError(f"beta {b} scales scores up to {top:.3g} past the float64 range")
-    hard = select(s)[0]
-    soft = select(s, 0.5)[0]
-    cols = [select(s, b)[0].tolist() for b in betas]
-    return [
-        (ui, b, hi, si, col[i])
-        for i, (ui, hi, si) in enumerate(zip(u.tolist(), hard.tolist(), soft.tolist()))
-        for b, col in zip(betas, cols)
-    ]
+    m = len(betas)
+    return (
+        np.repeat(u, m),
+        np.tile(np.array(betas, dtype=np.float64), u.size),
+        np.repeat(select(s)[0], m),
+        np.repeat(select(s, 0.5)[0], m),
+        np.array([select(s, b)[0] for b in betas]).T.ravel(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +593,10 @@ def _cmd_act_table(args) -> int:
     [(lo, hi)] = _bound_pairs(args.bounds, 1)
     if args.resolution < 1:
         raise ValidationError(f"--resolution must be at least 1, got {args.resolution}")
-    rows = emit_activation_table(kind, args.beta, np.linspace(lo, hi, args.resolution))
-    _write_csv(args.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], list(zip(*rows)))
+    columns = emit_activation_table(kind, args.beta, np.linspace(lo, hi, args.resolution))
+    _write_csv(args.out, ["u", "beta", "hard_value", "soft_value", "beta_value"], columns)
     if args.out:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {len(columns[0])} rows to {args.out}")
     return 0
 
 

@@ -66,8 +66,6 @@ __all__ = [
     "apodized_reconstruct",
     "interior_mask",
     "slope_nonnegativity",
-    "layer_forward_hard",
-    "push_affine",
     "pool_regions_2d",
     "make_mlp",
     "ACTIVATION_SLOPES",
@@ -91,11 +89,12 @@ class Layer:
     (G w.r.t. the input, parameter gradients keyed like params(),
     d loss / d beta or None).  selected_affine(cache) is the (A, b) the
     layer applied in the hard forward of one row that left the cache, and
-    push(cache, A, b) composes it after a running affine map (see
-    push_affine); dims() is (input width, output width).  as_maso() is
-    the MASO whose hard forward is the inference forward: one region per
-    unit for the affine kinds, whose default reads the map a forward of
-    the zero row applied.
+    push(cache, A, b) composes it after a running affine map, one step of
+    an exact decomposition walk; dims() is (input width, output width).
+    as_maso() is the MASO whose hard forward is the inference forward: one
+    region per unit for the affine kinds, whose default reads the map a
+    forward of the zero row applied.  `network_forward_batch` is the one
+    loop that runs a network's layers.
     The JSON form is the "kind" tag followed by the dataclass fields in
     order.
     """
@@ -109,7 +108,12 @@ class Layer:
         return {}
 
     def push(self, cache, A, b):
-        """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected."""
+        """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected.
+
+        Activations and batch norm override this to scale A's rows, and max
+        pooling to gather them, in place of a product with a diagonal or
+        one-hot matrix; the results equal the product entry for entry.
+        """
         Asel, bsel = self.selected_affine(cache)
         return Asel @ A, Asel @ b + bsel
 
@@ -216,17 +220,17 @@ class Conv(Layer):
                 f"in_shape {self.in_shape} incompatible with filters {self.filters.shape}"
             )
         # raises on impossible geometry (kernel larger than 'valid' input)
-        conv_out_shape(self, self.in_shape)
+        conv_out_shape(self)
 
     def matrix(self) -> Tensor:
-        return conv_to_matrix(self, self.in_shape)
+        return conv_to_matrix(self)
 
     def bias_flat(self) -> Tensor:
-        _, ho, wo = conv_out_shape(self, self.in_shape)
+        _, ho, wo = conv_out_shape(self)
         return np.repeat(self.bias, ho * wo)
 
     def dims(self) -> tuple[int, int]:
-        return int(np.prod(self.in_shape)), int(np.prod(conv_out_shape(self, self.in_shape)))
+        return int(np.prod(self.in_shape)), int(np.prod(conv_out_shape(self)))
 
     def forward(self, Z, beta=None, batch_stats=False):
         M = self.matrix()
@@ -235,7 +239,7 @@ class Conv(Layer):
     def backward(self, cache, G):
         """Input gradient through the lowered matrix; each filter entry's
         gradient sums d loss / d M = G^T Z over the entries its taps fill."""
-        rows, cols, taps = _conv_taps(self, self.in_shape)
+        rows, cols, taps = _conv_taps(self)
         dM = G.T @ cache["Z"]
         dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
         c_out = self.bias.shape[0]
@@ -667,20 +671,15 @@ def compose_layer_maso(linear: MasoParams, nonlinear: MasoParams) -> MasoParams:
 # convolution lowering
 # ---------------------------------------------------------------------------
 
-def conv_out_shape(conv: Conv, input_shape) -> tuple[int, int, int]:
-    """(out_ch, H_out, W_out) for the given input geometry."""
-    return _out_shape(*_geometry(conv, input_shape))
+def conv_out_shape(conv: Conv) -> tuple[int, int, int]:
+    """(out_ch, H_out, W_out) of the convolution on its in_shape."""
+    return _out_shape(*_geometry(conv))
 
 
-def _geometry(conv: Conv, input_shape) -> tuple:
+def _geometry(conv: Conv) -> tuple:
     """The values a lowering's index depends on: (filter shape, stride,
     padding, input shape), hashable."""
-    return (
-        conv.filters.shape,
-        tuple(conv.stride),
-        conv.padding,
-        tuple(int(s) for s in input_shape),
-    )
+    return conv.filters.shape, tuple(conv.stride), conv.padding, tuple(conv.in_shape)
 
 
 def _out_shape(fshape, stride, padding, input_shape) -> tuple[int, int, int]:
@@ -697,7 +696,7 @@ def _out_shape(fshape, stride, padding, input_shape) -> tuple[int, int, int]:
     return c_out, (h - 1) // sh + 1, (w - 1) // sw + 1
 
 
-def _conv_taps(conv: Conv, input_shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _conv_taps(conv: Conv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tap index of the lowering: (rows, cols, taps), one entry per tap.
 
     Entry j says output rows[j] reads input entry cols[j] through filter
@@ -707,7 +706,7 @@ def _conv_taps(conv: Conv, input_shape) -> tuple[np.ndarray, np.ndarray, np.ndar
     depends only on the geometry, so it is built once per geometry and
     the arrays are shared read-only.
     """
-    return _taps_for(*_geometry(conv, input_shape))
+    return _taps_for(*_geometry(conv))
 
 
 @functools.lru_cache(maxsize=32)
@@ -727,14 +726,14 @@ def _taps_for(fshape, stride, padding, input_shape):
     return _read_only(rows[inside]), _read_only(cols[inside]), _read_only(taps[inside])
 
 
-def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
+def conv_to_matrix(conv: Conv) -> Tensor:
     """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
 
     The filter entries are scattered through the tap index `_conv_taps`,
     which `Conv.backward` reads too, so the geometry is stated once.
     """
-    rows, cols, taps = _conv_taps(conv, input_shape)
-    M = np.zeros((int(np.prod(conv_out_shape(conv, input_shape))), int(np.prod(input_shape))))
+    rows, cols, taps = _conv_taps(conv)
+    M = np.zeros(conv.dims()[::-1])
     M[rows, cols] = conv.filters.ravel()[taps]
     return M
 
@@ -743,28 +742,27 @@ def conv_to_matrix(conv: Conv, input_shape) -> Tensor:
 # forward evaluation
 # ---------------------------------------------------------------------------
 
-def layer_forward_hard(layer: Layer, Z: Tensor):
-    """Batched hard forward: (n, in) -> ((n, out), codes or None).
+def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_stats=False):
+    """Forward of a batch through the first `upto` layers (all when None):
+    (n, D) -> ((n, out), one cache per layer run).
 
-    codes is an (n, K) array for layers that select a region (the
-    activation inside a skip block speaks for the block): uint8 on/off
-    bits for an activation, int64 window positions for a max pool.
-    Affine layers return None.
+    The one loop that runs a network's layers.  Layer i gets beta
+    betas.get(i) (hard selection when absent, the inference forward) and
+    batch_stats; a selector's hard cache holds its (n, K) codes under
+    "codes": uint8 on/off bits for an activation (a skip block's activation
+    speaks for the block), int64 window positions for a max pool.
     """
-    out, cache = layer.forward(Z)
-    return out, cache.get("codes")
-
-
-def network_forward_batch(net: Network, X: Tensor):
-    """Hard forward of many inputs: (n, D) -> ((n, C), per-layer codes)."""
     Z = as_tensor(X)
     if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
-    codes_per_layer = []
-    for layer in net.layers:
-        Z, codes = layer_forward_hard(layer, Z)
-        codes_per_layer.append(codes)
-    return Z, codes_per_layer
+    if upto is not None and not 0 <= upto <= len(net.layers):
+        raise ShapeError(f"layer prefix {upto} out of range for {len(net.layers)} layers")
+    betas = betas or {}
+    caches = []
+    for i, layer in enumerate(net.layers[:upto]):
+        Z, cache = layer.forward(Z, betas.get(i), batch_stats)
+        caches.append(cache)
+    return Z, caches
 
 
 def network_forward(net: Network, x: Tensor):
@@ -772,13 +770,11 @@ def network_forward(net: Network, x: Tensor):
 
     Entries are None for purely affine layers, which select nothing.
     """
-    x = as_tensor(x)
-    flat = x.reshape(-1)
-    if flat.shape[0] != net.dims[0]:
-        raise ShapeError(f"input has {flat.shape[0]} entries, expected {net.dims[0]}")
-    logits, codes = network_forward_batch(net, flat[None, :])
-    sels = [None if c is None else HardSelection(c[0]) for c in codes]
-    return logits[0], sels
+    logits, caches = network_forward_batch(net, np.reshape(x, (1, -1)))
+    return logits[0], [
+        HardSelection(c["codes"][0]) if layer.selector else None
+        for layer, c in zip(net.layers, caches)
+    ]
 
 
 def bn_fold_affine(bn: BatchNorm) -> tuple[Tensor, Tensor]:
@@ -786,23 +782,6 @@ def bn_fold_affine(bn: BatchNorm) -> tuple[Tensor, Tensor]:
     denom = np.sqrt(bn.var + bn.epsilon)
     scale = bn.scale / denom
     return scale, bn.shift - scale * bn.mean
-
-
-def push_affine(layer: Layer, cache: dict, A: Tensor | None = None, b: Tensor | None = None):
-    """One step of an exact decomposition walk: (A', b').
-
-    (A, b) is the affine map of the layers before this one and cache the
-    layer's hard cache from a forward of one row.  With (Asel, bsel) the
-    map that forward selected (selected_affine), A' = Asel A and
-    b' = Asel b + bsel.  A = None stands for the identity: the layer's
-    own (Asel, bsel) come back as they are.  Activations and batch norm
-    scale A's rows and max pooling gathers them, in place of a product
-    with a diagonal or one-hot matrix; the results equal the product
-    entry for entry.
-    """
-    if A is None:
-        return layer.selected_affine(cache)
-    return layer.push(cache, A, b)
 
 
 # ---------------------------------------------------------------------------

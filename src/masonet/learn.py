@@ -157,15 +157,6 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     return out
 
 
-def _forward_train(net: L.Network, X: Tensor, betas: dict, bn_batch_stats: bool):
-    Z = X
-    caches = []
-    for i, layer in enumerate(net.layers):
-        Z, cache = layer.forward(Z, betas.get(i), bn_batch_stats)
-        caches.append(cache)
-    return Z, caches
-
-
 def forward_loss(
     net: L.Network,
     X: Tensor,
@@ -184,7 +175,7 @@ def forward_loss(
     """
     X, labels = _as_batch(net, X, labels)
     betas = _beta_for_layers(net, mode, beta)
-    logits, _ = _forward_train(net, X, betas, bn_batch_stats)
+    logits, _ = L.network_forward_batch(net, X, betas=betas, batch_stats=bn_batch_stats)
     loss, _ = _cross_entropy_batch(logits, labels)
     return loss
 
@@ -194,11 +185,9 @@ def forward_loss(
 # ---------------------------------------------------------------------------
 
 def _as_batch(net: L.Network, X, labels):
-    X = as_tensor(X)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != net.dims[0]:
-        raise ShapeError(f"batch shape {X.shape} does not match input dim {net.dims[0]}")
+    """X as a 2-D batch (a 1-D x is one row) and its labels, checked;
+    the forward checks X's width."""
+    X = np.atleast_2d(as_tensor(X))
     if X.shape[0] == 0:
         raise ShapeError("empty batch: need at least one input row")
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -227,7 +216,7 @@ def backward(
     """
     X, labels = _as_batch(net, x, label)
     betas = _beta_for_layers(net, mode, beta)
-    logits, caches = _forward_train(net, X, betas, bn_batch_stats)
+    logits, caches = L.network_forward_batch(net, X, betas=betas, batch_stats=bn_batch_stats)
     if mode == "hard":
         for i, (layer, cache) in enumerate(zip(net.layers, caches)):
             if layer.near_boundary(cache, _BOUNDARY_GAP):
@@ -242,7 +231,7 @@ def backward(
 
 def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_beta: bool):
     """Mean loss and the gradients keyed '<layer>.<field>', from the caches
-    of one `_forward_train`; with_beta adds each selector's '<layer>.beta'."""
+    of one `network_forward_batch`; with_beta adds each selector's '<layer>.beta'."""
     loss, G = _cross_entropy_batch(logits, labels)
     values: dict = {}
     for i in range(len(net.layers) - 1, -1, -1):
@@ -409,7 +398,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
             idx = order[start : start + config.batch_size]
             beta = {i: _sigmoid(t) for i, t in beta_logits.items()} or config.beta
             betas = _beta_for_layers(net, config.beta_mode, beta)
-            logits, caches = _forward_train(net, X[idx], betas, True)
+            logits, caches = L.network_forward_batch(net, X[idx], betas=betas, batch_stats=True)
             loss, grads = _backprop(net, caches, logits, y[idx], bool(beta_logits))
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
@@ -424,7 +413,11 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
             adam_step(params, grads, state, config)
 
-        Z = X  # the inference forward, each batch norm recalibrated on its full-data input
+        # the inference forward, each batch norm recalibrated on its full-data
+        # input; it stays a loop of its own because a batch norm's statistics
+        # must be set from that layer's input before the layer runs, which
+        # network_forward_batch does not do
+        Z = X
         for layer in net.layers:
             if isinstance(layer, L.BatchNorm):
                 layer.mean, layer.var = Z.mean(axis=0), Z.var(axis=0)

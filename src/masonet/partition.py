@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Network, layer_forward_hard
+from .layers import Network, network_forward_batch
 from .maso import HardSelection
 from .ndcore import DomainError, ShapeError, Tensor, as_tensor
 
@@ -67,26 +67,11 @@ class RegionTable:
 _CHUNK_ROWS = 4096  # rows per forward: bounds the layer caches and keeps them in CPU cache
 
 
-def _checked_batch(net: Network, X: Tensor, layer_prefix: int) -> Tensor:
-    if not 0 <= layer_prefix <= len(net.layers):
-        raise ShapeError(
-            f"layer prefix {layer_prefix} out of range for {len(net.layers)} layers"
-        )
-    Z = as_tensor(X)
-    if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
-        raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
-    return Z
-
-
 def _prefix_codes(net: Network, Z: Tensor, layer_prefix: int) -> list:
-    """Hard forward through the first `layer_prefix` layers only: the
-    (n, K) codes of each selector layer among them, in layer order."""
-    codes = []
-    for layer in net.layers[:layer_prefix]:
-        Z, c = layer_forward_hard(layer, Z)
-        if c is not None:
-            codes.append(c)
-    return codes
+    """The (n, K) codes of each selector among the first `layer_prefix`
+    layers, in layer order, from one forward that stops at the prefix."""
+    _, caches = network_forward_batch(net, Z, layer_prefix)
+    return [c["codes"] for layer, c in zip(net.layers, caches) if layer.selector]
 
 
 def _code_dtype(top: int) -> np.dtype:
@@ -102,8 +87,7 @@ def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
     rows' bytes then orders them like their code tuples.  The forward
     stops at the prefix and runs _CHUNK_ROWS rows at a time.
     """
-    X = _checked_batch(net, X, layer_prefix)
-    n = X.shape[0]
+    n = len(X)
     mat = None
     for start in range(0, max(n, 1), _CHUNK_ROWS):
         blocks = _prefix_codes(net, X[start : start + _CHUNK_ROWS], layer_prefix)
@@ -128,8 +112,8 @@ def layer_codes_batch(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
 
 def layer_code(net: Network, x: Tensor, layer_prefix: int) -> LayerCode:
     """The LayerCode of one input under the first `layer_prefix` layers."""
-    x = _checked_batch(net, as_tensor(x).reshape(1, -1), layer_prefix)
-    return LayerCode(tuple(HardSelection(c[0]) for c in _prefix_codes(net, x, layer_prefix)))
+    codes = _prefix_codes(net, np.reshape(x, (1, -1)), layer_prefix)
+    return LayerCode(tuple(HardSelection(c[0]) for c in codes))
 
 
 def grid_scan(net: Network, bounds, resolution, layer_prefix: int):

@@ -27,3 +27,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """Record (rows, layers run) of every network_forward_batch call.
+
+    The wrapper replaces the function wherever masonet binds it: in
+    `layers` (which `network_forward` and `learn` look it up through),
+    `partition` and `analysis`.  Calls that raise are not recorded.
+    """
+    from masonet import analysis, layers, partition
+
+    calls = []
+    forward = layers.network_forward_batch
+
+    def recorded(net, X, *args, **kwargs):
+        out, caches = forward(net, X, *args, **kwargs)
+        calls.append((len(X), len(caches)))
+        return out, caches
+
+    for module in (layers, partition, analysis):
+        monkeypatch.setattr(module, "network_forward_batch", recorded)
+    return calls

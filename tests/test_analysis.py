@@ -46,7 +46,7 @@ def every_kind_net(rng):
     k = int(rng.integers(1, 4))
     conv = L.Conv(rng.standard_normal((2, c, k, k)) * 0.5, rng.standard_normal(2) * 0.1,
                   stride, padding, (c, h, w))
-    shape = L.conv_out_shape(conv, conv.in_shape)
+    shape = L.conv_out_shape(conv)
     d1 = int(np.prod(shape))
     bn = L.BatchNorm(rng.standard_normal(d1) * 0.1, rng.random(d1) + 0.5,
                      1.0 + 0.1 * rng.standard_normal(d1), 0.1 * rng.standard_normal(d1))
@@ -192,8 +192,8 @@ def test_decompose_matches_forward_mlp(rng):
 def test_decompose_matches_forward_conv_chain(rng):
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)) * 0.5, rng.standard_normal(2) * 0.1,
                   (1, 1), "valid", (1, 6, 6))
-    dim = int(np.prod(L.conv_out_shape(conv, (1, 6, 6))))
-    regions, _ = L.pool_regions_2d(L.conv_out_shape(conv, (1, 6, 6)), (2, 2), (2, 2))
+    dim = int(np.prod(L.conv_out_shape(conv)))
+    regions, _ = L.pool_regions_2d(L.conv_out_shape(conv), (2, 2), (2, 2))
     net = L.Network(
         [conv, L.Activation("relu", dim), L.MaxPool(regions, dim),
          L.BatchNorm(np.zeros(len(regions)), np.ones(len(regions)),
@@ -316,7 +316,7 @@ def test_ensemble_term_ordering_first_block_least_significant(rng):
     b0, b1 = net.layers
     pre0 = b0.conv.matrix() @ x + b0.conv.bias_flat()
     A0 = np.diag((pre0 > 0).astype(np.float64)) @ b0.conv.matrix()
-    z1 = L.layer_forward_hard(b0, x[None, :])[0][0]
+    z1 = b0.forward(x[None, :])[0][0]
     pre1 = b1.conv.matrix() @ z1 + b1.conv.bias_flat()
     A1 = np.diag((pre1 > 0).astype(np.float64)) @ b1.conv.matrix()
     # choice tuple (c0, c1) lands at index c0 + 2*c1
@@ -330,7 +330,7 @@ def test_ensemble_lowers_each_conv_once(rng, monkeypatch):
     net = make_skip_chain(rng, blocks=2)
     lowered = []
     lower = L.conv_to_matrix
-    monkeypatch.setattr(L, "conv_to_matrix", lambda conv, shape: lowered.append(conv) or lower(conv, shape))
+    monkeypatch.setattr(L, "conv_to_matrix", lambda conv: lowered.append(conv) or lower(conv))
     resnet_ensemble_terms(net, rng.standard_normal(18))
     # each block's conv and skip conv, once each
     assert len(lowered) == 4

@@ -195,7 +195,8 @@ def reference_load(path, class_count=None, float_target=False):
             label = int(last)
         except ValueError:
             raise ValidationError(f"{path}:{n}: label {last!r} is not an integer")
-        if label < 0 or (class_count is not None and label >= class_count):
+        # labels are stored as int64, so without a class count 2**63 bounds them
+        if not 0 <= label < (2**63 if class_count is None else class_count):
             raise ValidationError(f"{path}:{n}: label {label} out of range")
         labels.append(label)
     return np.array(feats, dtype=np.float64), np.array(labels, dtype=np.float64 if float_target else np.int64)
@@ -238,7 +239,7 @@ def _load_outcome(load, path, **options):
     """The arrays as bytes, shapes, dtypes and layout, or the error raised."""
     try:
         arrays = load(path, **options)
-    except (ValidationError, OverflowError) as exc:
+    except ValidationError as exc:
         return type(exc), str(exc)
     return [(a.tobytes(), a.shape, a.dtype, a.flags.c_contiguous) for a in arrays]
 
@@ -252,6 +253,17 @@ def test_loader_matches_the_per_line_reference(tmp_path, text, class_count, floa
     options = {"float_target": True} if float_target else {"class_count": class_count}
     got = _load_outcome(cli.load_dataset_csv, str(p), **options)
     assert got == _load_outcome(reference_load, str(p), **options)
+
+
+@pytest.mark.parametrize("command", [["stats"], ["nn", "0"]])
+def test_label_past_int64_exits_2(tmp_path, capsys, command):
+    p = tmp_path / "big.csv"
+    p.write_text("x1,x2,label\n0.1,0.2,1\n0.3,0.4,99999999999999999999\n")
+    assert cli.main([*command, "--net", "mlp:2-4-4", "--data", str(p)]) == 2
+    assert f"{p}:3: label 99999999999999999999 out of range" in capsys.readouterr().err
+    # the largest int64 is still a label
+    p.write_text(f"0.1,0.2,{2**63 - 1}\n")
+    assert cli.load_dataset_csv(str(p))[1].tolist() == [2**63 - 1]
 
 
 def percell_csv(header, rows):
@@ -616,22 +628,20 @@ def test_partition_stats_nn_commands(tmp_path, capsys):
     assert all(int(r[1]) != 4 for r in rows)
 
 
-def test_nn_runs_one_dataset_forward(tmp_path, monkeypatch):
+def test_nn_runs_one_dataset_forward(tmp_path, forward_calls):
     data = tmp_path / "blobs.csv"
     blob_csv(data, n=60)
     X, _ = cli.load_dataset_csv(str(data))
     net = L.make_mlp([2, 5, 2], seed=0)
-    forward = partition._prefix_codes
     # the full net, then a prefix holding no selector units (distance 0.0)
     for prefix in (len(net.layers), 1):
-        rows_seen = []
-        monkeypatch.setattr(partition, "_prefix_codes",
-                            lambda net, Z, p: rows_seen.append(Z.shape[0]) or forward(net, Z, p))
+        forward_calls.clear()
         out = tmp_path / "nn.csv"
         assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
                          "--k", "3", "--layer", str(prefix), "--out", str(out)]) == 0
-        # one dataset-wide forward for the ranking, then one of the query and its neighbours
-        assert sorted(rows_seen) == [4, 60]
+        # one dataset-wide forward for the ranking, then one of the query and
+        # its neighbours, both stopping at the prefix
+        assert sorted(forward_calls) == [(4, prefix), (60, prefix)]
         query = partition.layer_code(net, X[4], prefix)
         _, rows = read_csv(str(out))
         for _, index, dist in rows:
@@ -739,9 +749,9 @@ def test_act_table_rows_match_per_input_maso_functions():
     p = MasoParams(rng.standard_normal((1, 4, 1)), rng.standard_normal((1, 4)))
     betas = [1e-9, 0.3, 0.5, 0.8, 1 - 1e-9]
     grid = np.concatenate([np.linspace(-4.0, 4.0, 201), [0.0, -0.0, 5e-324, -1e-310]])
-    rows = cli.emit_activation_table(p, betas, grid)
-    assert len(rows) == grid.size * len(betas)
-    for i, row in enumerate(rows):
+    columns = cli.emit_activation_table(p, betas, grid)
+    assert [len(c) for c in columns] == [grid.size * len(betas)] * 5
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
         z = grid[i // len(betas)][None]
         b = betas[i % len(betas)]
         hard, _ = forward_hard(p, z)

@@ -1,0 +1,102 @@
+"""Every pass over a network's layers is one `network_forward_batch` call."""
+
+import numpy as np
+import pytest
+
+from masonet import layers as L
+from masonet import partition
+from masonet.analysis import (
+    class_templates,
+    decompose,
+    partial_product_norms,
+    resnet_ensemble_terms,
+)
+from masonet.learn import backward, forward_loss
+from masonet.ndcore import ShapeError
+from masonet.partition import (
+    grid_scan,
+    layer_code,
+    layer_codes_batch,
+    nearest_neighbors,
+    region_stats,
+)
+from test_analysis import every_kind_net, make_skip_chain
+
+
+def test_each_walk_runs_one_forward(rng, forward_calls):
+    net = every_kind_net(rng)
+    depth = len(net.layers)
+    x = rng.standard_normal(net.dims[0])
+    for upto in range(depth + 1):
+        forward_calls.clear()
+        decompose(net, x, upto)
+        assert forward_calls == [(1, upto)]
+    for walk, layers_run in ((class_templates, depth), (partial_product_norms, depth - 1)):
+        forward_calls.clear()
+        walk(net, x)
+        assert forward_calls == [(1, layers_run)], walk.__name__
+    chain = make_skip_chain(rng, blocks=3)
+    forward_calls.clear()
+    resnet_ensemble_terms(chain, rng.standard_normal(chain.dims[0]))
+    assert forward_calls == [(1, 4)]
+
+
+def test_each_scan_runs_one_forward_per_chunk(rng, forward_calls, monkeypatch):
+    monkeypatch.setattr(partition, "_CHUNK_ROWS", 7)
+    net = L.make_mlp([2, 6, 5, 3], seed=1)
+    for prefix in (0, 2, len(net.layers)):
+        forward_calls.clear()
+        grid_scan(net, ((-1.0, 1.0), (-1.0, 1.0)), 5, prefix)  # 25 points
+        assert forward_calls == [(7, prefix)] * 3 + [(4, prefix)]
+        forward_calls.clear()
+        layer_code(net, rng.standard_normal(2), prefix)
+        assert forward_calls == [(1, prefix)]
+
+
+def test_loss_and_gradients_run_one_forward(rng, forward_calls):
+    net = every_kind_net(rng)
+    X = rng.standard_normal((5, net.dims[0]))
+    y = rng.integers(0, net.class_count, 5)
+    for mode in ("hard", "soft", "beta"):
+        forward_calls.clear()
+        forward_loss(net, X, y, mode, beta=0.3)
+        assert forward_calls == [(5, len(net.layers))], mode
+        forward_calls.clear()
+        backward(net, X[0], y[0], mode, beta=0.3)
+        assert forward_calls == [(1, len(net.layers))], mode
+
+
+def test_every_entry_point_checks_width_and_prefix():
+    net = L.make_mlp([3, 4, 2], seed=0)
+    depth = len(net.layers)
+    wide, row = np.zeros((4, 4)), np.zeros(4)
+    calls = {
+        "network_forward_batch": lambda X, p: L.network_forward_batch(net, X, p),
+        "network_forward": lambda X, p: L.network_forward(net, X[0]),
+        "decompose": lambda X, p: decompose(net, X[0], p),
+        "class_templates": lambda X, p: class_templates(net, X[0]),
+        "partial_product_norms": lambda X, p: partial_product_norms(net, X[0]),
+        "layer_code": lambda X, p: layer_code(net, X[0], p),
+        "layer_codes_batch": lambda X, p: layer_codes_batch(net, X, p),
+        "region_stats": lambda X, p: region_stats(net, X, p),
+        "nearest_neighbors": lambda X, p: nearest_neighbors(net, p, 0, X, 1),
+        "forward_loss": lambda X, p: forward_loss(net, X, np.zeros(len(X), dtype=int)),
+        "backward": lambda X, p: backward(net, X, np.zeros(len(X), dtype=int)),
+    }
+    takes_prefix = {"network_forward_batch", "decompose", "layer_code", "layer_codes_batch",
+                    "region_stats", "nearest_neighbors"}
+    for name, call in calls.items():
+        with pytest.raises(ShapeError, match="does not match input dim 3"):
+            call(wide, depth)
+        if name in takes_prefix:
+            for prefix in (-1, depth + 1):
+                with pytest.raises(ShapeError, match=f"layer prefix {prefix} out of range"):
+                    call(np.zeros((4, 3)), prefix)
+    with pytest.raises(ShapeError, match="expects 3 input dims"):
+        grid_scan(net, ((0, 1), (0, 1)), 2, depth)
+    for prefix in (-1, depth + 1):
+        with pytest.raises(ShapeError, match=f"layer prefix {prefix} out of range"):
+            grid_scan(net, ((0, 1), (0, 1), (0, 1)), 2, prefix)
+    chain = make_skip_chain(np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="does not match input dim 18"):
+        resnet_ensemble_terms(chain, row)

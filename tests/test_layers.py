@@ -193,7 +193,7 @@ def test_conv_known_1d_style_values():
 
 def test_conv_same_zero_geometry():
     conv = L.Conv(np.ones((1, 1, 3, 3)), np.zeros(1), (2, 2), "same-zero", (1, 7, 7))
-    assert L.conv_out_shape(conv, (1, 7, 7)) == (1, 4, 4)  # ceil(7/2)
+    assert L.conv_out_shape(conv) == (1, 4, 4)  # ceil(7/2)
     # corner output reads only the four in-range taps of the all-ones kernel
     x = np.ones(49)
     out = conv.matrix() @ x
@@ -239,7 +239,7 @@ def test_forward_sees_filters_edited_in_place(rng):
 
 def test_conv_then_maxpool_composes_to_one_maso(rng):
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)), rng.standard_normal(2), (1, 1), "valid", (1, 5, 5))
-    out_shape = L.conv_out_shape(conv, (1, 5, 5))
+    out_shape = L.conv_out_shape(conv)
     regions, _ = L.pool_regions_2d(out_shape, (3, 3), (3, 3))
     pool = L.MaxPool(regions, int(np.prod(out_shape)))
     composed = L.compose_layer_maso(conv.as_maso(), pool.as_maso())
@@ -253,21 +253,21 @@ def test_conv_then_maxpool_composes_to_one_maso(rng):
 
 # --- forward evaluation -------------------------------------------------------
 
-def test_layer_forward_hard_activation_codes(rng):
+def test_hard_forward_activation_codes(rng):
     act = L.Activation("relu", 4)
     Z = np.array([[1.0, -1.0, 0.0, 2.0]])
-    out, codes = L.layer_forward_hard(act, Z)
+    out, cache = act.forward(Z)
     assert np.array_equal(out[0], [1.0, 0.0, 0.0, 2.0])
     # zero input sits in the inactive region (ties go low)
-    assert codes[0].tolist() == [1, 0, 0, 1]
+    assert cache["codes"][0].tolist() == [1, 0, 0, 1]
 
 
-def test_layer_forward_hard_maxpool_codes(rng):
+def test_hard_forward_maxpool_codes(rng):
     pool = L.MaxPool(((0, 1), (2, 3)), 4)
     Z = np.array([[3.0, 1.0, 2.0, 5.0]])
-    out, codes = L.layer_forward_hard(pool, Z)
+    out, cache = pool.forward(Z)
     assert np.array_equal(out[0], [3.0, 5.0])
-    assert codes[0].tolist() == [0, 1]
+    assert cache["codes"][0].tolist() == [0, 1]
 
 
 def test_network_forward_matches_manual_chain(rng):
@@ -337,7 +337,7 @@ def test_skip_block_forward_by_hand(rng):
         + np.maximum(blk.conv.matrix() @ z + blk.conv.bias_flat(), 0.0)
         + blk.skip_bias
     )
-    assert np.allclose(L.layer_forward_hard(blk, z[None, :])[0][0], expect, atol=1e-12)
+    assert np.allclose(blk.forward(z[None, :])[0][0], expect, atol=1e-12)
 
 
 def test_skip_block_identity_like_cases(rng):
@@ -347,11 +347,11 @@ def test_skip_block_identity_like_cases(rng):
     eye = L.Conv(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 1), "same-zero", shape)
     blk = L.SkipBlock(conv, L.Activation("relu", 9), eye, np.full(9, 0.5))
     z = rng.standard_normal(9)
-    assert np.allclose(L.layer_forward_hard(blk, z[None, :])[0][0], z + 2.0 + 0.5, atol=1e-12)
+    assert np.allclose(blk.forward(z[None, :])[0][0], z + 2.0 + 0.5, atol=1e-12)
     # zero skip: block reduces to conv + activation
     zero_skip = L.Conv(np.zeros((1, 1, 1, 1)), np.zeros(1), (1, 1), "same-zero", shape)
     blk2 = L.SkipBlock(conv, L.Activation("relu", 9), zero_skip, np.zeros(9))
-    assert np.allclose(L.layer_forward_hard(blk2, z[None, :])[0][0], np.full(9, 2.0), atol=1e-12)
+    assert np.allclose(blk2.forward(z[None, :])[0][0], np.full(9, 2.0), atol=1e-12)
 
 
 def test_skip_block_requires_bias_free_skip(rng):
@@ -461,7 +461,7 @@ def test_maso_form_equals_the_inference_forward(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_push_affine_equals_the_selected_product(seed):
+def test_push_equals_the_selected_product(seed):
     rng = np.random.default_rng(seed)
     for layer, z in push_cases(rng):
         name = type(layer).__name__
@@ -469,11 +469,11 @@ def test_push_affine_equals_the_selected_product(seed):
         Asel, bsel = maso_selected_affine(layer, z)
         A = rng.standard_normal((z.shape[0], int(rng.integers(2, 6))))
         b = rng.standard_normal(z.shape[0])
-        A2, b2 = L.push_affine(layer, cache, A, b)
+        A2, b2 = layer.push(cache, A, b)
         assert np.array_equal(A2, Asel @ A), name
         assert np.array_equal(b2, Asel @ b + bsel), name
-        # with no running map the step gives the layer's own selected map
-        A1, b1 = L.push_affine(layer, cache)
+        # the first step of a walk takes the layer's own selected map
+        A1, b1 = layer.selected_affine(cache)
         assert np.array_equal(A1, Asel) and np.array_equal(b1, bsel), name
 
 
@@ -481,19 +481,19 @@ def test_conv_taps_are_shared_read_only_and_never_stale(rng):
     shape = (2, 5, 5)
     conv = L.Conv(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2), (1, 1),
                   "same-zero", shape)
-    taps = L._conv_taps(conv, shape)
+    taps = L._conv_taps(conv)
     for a in taps:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         taps[0][0] = 0
     # another conv of the same geometry shares the index, whatever its filters
     twin = L.Conv(rng.standard_normal((2, 2, 3, 3)), np.zeros(2), (1, 1), "same-zero", shape)
-    assert all(a is t for a, t in zip(L._conv_taps(twin, shape), taps))
+    assert all(a is t for a, t in zip(L._conv_taps(twin), taps))
     # a different stride or padding gets its own index, and lowers correctly
     x = rng.standard_normal(50)
     for stride, padding in (((2, 1), "same-zero"), ((1, 1), "valid")):
         other = L.Conv(conv.filters, conv.bias, stride, padding, shape)
-        other_taps = L._conv_taps(other, shape)
+        other_taps = L._conv_taps(other)
         assert not all(np.array_equal(a, t) for a, t in zip(other_taps, taps))
         expect = conv_reference(conv.filters, conv.bias, stride, padding, x.reshape(shape))
         assert np.allclose(other.matrix() @ x + other.bias_flat(), expect.ravel(), atol=1e-12)

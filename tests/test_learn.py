@@ -125,7 +125,7 @@ def conv_pool_net(rng):
     """conv -> relu -> 2x2 max pool -> dense on 1x6x6 inputs."""
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)) * 0.5, rng.standard_normal(2) * 0.1,
                   (1, 1), "valid", (1, 6, 6))
-    out_shape = L.conv_out_shape(conv, (1, 6, 6))
+    out_shape = L.conv_out_shape(conv)
     dim = int(np.prod(out_shape))
     regions, _ = L.pool_regions_2d(out_shape, (2, 2), (2, 2))
     return L.Network(
@@ -164,7 +164,7 @@ def test_maxpool_boundary_warning_ignores_relu_zero_ties(rng):
 def test_strided_same_conv_gradients(rng):
     conv = L.Conv(rng.standard_normal((2, 1, 3, 3)) * 0.5, rng.standard_normal(2) * 0.1,
                   (2, 2), "same-zero", (1, 5, 5))
-    dim = int(np.prod(L.conv_out_shape(conv, (1, 5, 5))))
+    dim = int(np.prod(L.conv_out_shape(conv)))
     net = L.Network(
         [conv, L.Activation("lrelu", dim, nu=0.1),
          L.Dense(rng.standard_normal((2, dim)) * 0.3, np.zeros(2))],

@@ -189,19 +189,16 @@ def test_tabulate_packed_matches_int64_unique(mat):
     assert ids.dtype == np.int64 and np.array_equal(ids, ref_ids)
 
 
-def test_code_matrix_across_chunk_boundary(rng, monkeypatch):
+def test_code_matrix_across_chunk_boundary(rng, forward_calls):
     net = L.make_mlp([2, 6, 5, 3], seed=2)  # dense, relu, dense, relu, dense
     n = partition._CHUNK_ROWS + 1
     X = rng.standard_normal((n, 2))
-    calls = []
-    forward = partition.layer_forward_hard
-    monkeypatch.setattr(partition, "layer_forward_hard",
-                        lambda layer, Z: calls.append((type(layer).__name__, Z.shape[0])) or forward(layer, Z))
     mat = _code_matrix(net, X, 2)  # stops after the first relu
-    assert calls == [("Dense", n - 1), ("Activation", n - 1), ("Dense", 1), ("Activation", 1)]
-    _, codes = L.network_forward_batch(net, X)
+    # one forward per chunk, each running the dense layer and the relu only
+    assert forward_calls == [(n - 1, 2), (1, 2)]
+    _, caches = L.network_forward_batch(net, X)
     assert mat.dtype == np.uint8
-    assert np.array_equal(mat, codes[1])
+    assert np.array_equal(mat, caches[1]["codes"])
 
 
 def test_wide_maxpool_codes_widen_big_endian(rng, monkeypatch):
@@ -214,10 +211,10 @@ def test_wide_maxpool_codes_widen_big_endian(rng, monkeypatch):
     X[4:, 280] = 100.0
     monkeypatch.setattr(partition, "_CHUNK_ROWS", 4)
     mat = _code_matrix(net, X, 1)
-    _, codes = L.network_forward_batch(net, X)
+    codes = L.network_forward_batch(net, X)[1][0]["codes"]
     assert mat.dtype == np.dtype(">u2")
-    assert np.array_equal(mat, codes[0])
-    entries, ref_ids = _reference_table(codes[0])
+    assert np.array_equal(mat, codes)
+    entries, ref_ids = _reference_table(codes)
     table, ids = _tabulate(mat)
     assert table.entries == entries and np.array_equal(ids, ref_ids)
 
