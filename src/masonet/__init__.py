@@ -34,7 +34,6 @@ from .layers import (
     slope_nonnegativity,
 )
 from .learn import (
-    Gradients,
     TrainConfig,
     accuracy,
     backward,

@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, learn, partition, splinefit
 from . import layers as L
 from .maso import MasoParams, scores, select
-from .ndcore import MasonetError, ValidationError, as_tensor
+from .ndcore import MasonetError, ValidationError, as_ints, as_tensor
 
 __all__ = [
     "generate_toy_dataset",
@@ -102,7 +102,7 @@ def _write_csv(path: str | None, header, columns) -> None:
 
 def save_dataset_csv(path: str, X, y) -> None:
     X = as_tensor(X)
-    y = np.asarray(y, dtype=np.int64)
+    y = as_ints(y, "label")
     header = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
     _write_csv(path, header, [*X.T, y])
 
@@ -293,7 +293,7 @@ def load_network(path: str) -> L.Network:
         _layer_from_json(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])
     ]
     try:
-        return L.Network(layers, tuple(doc["input_shape"]), int(doc["class_count"]))
+        return L.Network(layers, tuple(doc["input_shape"]), doc["class_count"])
     except MasonetError as exc:
         raise ValidationError(f"{path}: {exc}")
 
@@ -661,8 +661,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--gamma", type=float, default=0.0, help="template-orthogonality weight")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="filter-orthogonality weight")
+    p.add_argument("--gamma", type=float, default=0.0, help="orthogonality weight of a dense final layer's rows")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="orthogonality weight of every other weight array")
     p.add_argument("--beta", default="0.5", help="beta value, or 'learnable' to train it")
     p.add_argument("--mode", default="hard", help="selection regime: hard | soft | beta")
     command("eval", "loss and accuracy of a network on a dataset", "--net", "--data", "--out", "--seed")

@@ -44,6 +44,7 @@ from .ndcore import (
     StructureError,
     Tensor,
     WindowError,
+    as_ints,
     as_tensor,
 )
 
@@ -209,12 +210,13 @@ class Conv(Layer):
             raise ShapeError(f"filters must be 4-D, got shape {self.filters.shape}")
         if self.bias.shape != (self.filters.shape[0],):
             raise ShapeError("bias must have one entry per output channel")
-        self.stride = (int(self.stride[0]), int(self.stride[1]))
-        if self.stride[0] < 1 or self.stride[1] < 1:
-            raise DomainError(f"stride must be positive, got {self.stride}")
+        stride = as_ints(self.stride, "conv stride")
+        if stride.shape != (2,) or stride.min() < 1:
+            raise DomainError(f"stride must be two positive integers, got {self.stride}")
+        self.stride = tuple(stride.tolist())
         if self.padding not in ("valid", "same-zero"):
             raise DomainError(f"unknown padding {self.padding!r}")
-        self.in_shape = tuple(int(s) for s in self.in_shape)
+        self.in_shape = tuple(as_ints(self.in_shape, "conv in_shape").tolist())
         if len(self.in_shape) != 3 or self.in_shape[0] != self.filters.shape[1]:
             raise ShapeError(
                 f"in_shape {self.in_shape} incompatible with filters {self.filters.shape}"
@@ -273,7 +275,7 @@ class Activation(Layer):
     _json_names = {"kind": "activation"}
 
     def __post_init__(self):
-        self.dim = int(self.dim)
+        self.dim = int(as_ints(self.dim, "activation dim"))
         self.nu = float(self.nu)
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
@@ -342,8 +344,8 @@ class _Pool(Layer):
     in_dim: int
 
     def __post_init__(self):
-        self.in_dim = int(self.in_dim)
-        regs = tuple(tuple(int(i) for i in r) for r in self.regions)
+        self.in_dim = int(as_ints(self.in_dim, "pool in_dim"))
+        regs = tuple(tuple(as_ints(r, "pool region index").tolist()) for r in self.regions)
         if not regs:
             raise DomainError("pooling needs at least one region")
         for r in regs:
@@ -591,9 +593,8 @@ class SkipBlock(Layer):
 
     def branches(self, cache) -> tuple[Tensor, Tensor, Tensor]:
         """(skip matrix, activation-branch matrix, offset) a one-row hard cache selected."""
-        s = self.activation.selected_slopes(cache["act"])[0]
-        act = s[:, None] * cache["conv"]["M"]
-        return cache["skip"]["M"], act, s * self.conv.bias_flat() + self.skip_bias
+        act, b = self.activation.push(cache["act"], *self.conv.selected_affine(cache["conv"]))
+        return self.skip.selected_affine(cache["skip"])[0], act, b + self.skip_bias
 
     def selected_affine(self, cache):
         skip, act, b = self.branches(cache)
@@ -624,7 +625,8 @@ class Network:
     class_count: int
 
     def __post_init__(self):
-        self.input_shape = tuple(int(s) for s in self.input_shape)
+        self.input_shape = tuple(as_ints(self.input_shape, "input_shape").tolist())
+        self.class_count = int(as_ints(self.class_count, "class_count"))
         self.layers = list(self.layers)
         dim = int(np.prod(self.input_shape))
         dims = [dim]
@@ -864,7 +866,7 @@ def make_mlp(dims, kind: str = "relu", nu: float = 0.01, seed: int = 0) -> Netwo
     Weights are Gaussian with scale 1/sqrt(fan-in), biases zero; each
     hidden affine layer is followed by the chosen activation.
     """
-    dims = [int(d) for d in dims]
+    dims = as_ints(dims, "mlp width").tolist()
     if len(dims) < 2:
         raise DomainError("need at least input and output widths")
     rng = np.random.default_rng(seed)

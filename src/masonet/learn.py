@@ -13,9 +13,11 @@ Gradients are computed analytically, by each layer kind's backward in
            the gradient with respect to beta itself is also produced so
            beta can be learned through a logistic reparameterization.
 
-Orthogonality comes in three flavors: a penalty on the final classifier
-rows (templates), a penalty on cross-unit filter slopes, and a hard
-Gram-Schmidt projection-subtraction pass.
+Orthogonality comes as one penalty, a weight times the summed squared
+inner products of the slopes of distinct units, and a hard Gram-Schmidt
+projection-subtraction pass.  `train` applies the penalty to every
+weight array, one row per output unit: with gamma to the final Dense
+layer's rows (the class templates), with lam to every other one.
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from .ndcore import (
     DegeneracyError,
     PreconditionError,
     ShapeError,
+    StructureError,
     Tensor,
+    as_ints,
     as_tensor,
 )
 
 __all__ = [
-    "Gradients",
     "TrainConfig",
     "AdamState",
     "cross_entropy",
@@ -60,25 +63,12 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and
 
 
 @dataclass
-class Gradients:
-    """Parameter gradients keyed '<layer>.<field>' (plus '<layer>.beta')."""
-
-    values: dict
-
-    def __getitem__(self, key: str) -> Tensor:
-        return self.values[key]
-
-    def keys(self):
-        return self.values.keys()
-
-
-@dataclass
 class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 50
     batch_size: int = 128
-    gamma: float = 0.0          # template-orthogonality weight
-    lam: float = 0.0            # filter-orthogonality weight
+    gamma: float = 0.0          # orthogonality weight of a Dense final layer's rows
+    lam: float = 0.0            # orthogonality weight of every other weight array
     beta_mode: str = "hard"     # hard | soft | beta
     beta: float = 0.5           # shared beta value when beta_mode == "beta"
     beta_learnable: bool = False
@@ -111,7 +101,7 @@ class AdamState:
 def cross_entropy(logits: Tensor, label: int) -> float:
     """-logits[label] + logsumexp(logits), stabilized by the max shift."""
     logits = as_tensor(logits).reshape(-1)
-    label = int(label)
+    label = int(as_ints(label, "label"))
     if not 0 <= label < logits.shape[0]:
         raise DomainError(f"label {label} out of range for {logits.shape[0]} classes")
     return _cross_entropy_batch(logits[None, :], [label])[0]
@@ -190,7 +180,7 @@ def _as_batch(net: L.Network, X, labels):
     X = np.atleast_2d(as_tensor(X))
     if X.shape[0] == 0:
         raise ShapeError("empty batch: need at least one input row")
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.atleast_1d(as_ints(labels, "label"))
     if labels.shape != (X.shape[0],):
         raise ShapeError("one label per input row required")
     if labels.min() < 0 or labels.max() >= net.class_count:
@@ -204,19 +194,19 @@ def backward(
     label,
     mode: str = "hard",
     beta=None,
-    bn_batch_stats: bool = True,
-) -> tuple[float, Gradients]:
-    """Loss and analytic gradients of `forward_loss` at (x, label).
+) -> tuple[float, dict]:
+    """Loss and analytic gradients of `forward_loss` at (x, label), batch
+    norm on batch statistics.
 
     Accepts a single input (1-D x, int label) or a batch.  In hard mode
     inputs close to a region boundary trigger a resample warning; the
     returned gradient is the one-sided derivative of the selected region.
-    Gradient keys follow '<layer_index>.<field>'; in beta mode each
-    selector layer additionally gets '<layer_index>.beta'.
+    The gradients are a dict keyed '<layer_index>.<field>'; in beta mode
+    each selector layer additionally gets '<layer_index>.beta'.
     """
     X, labels = _as_batch(net, x, label)
     betas = _beta_for_layers(net, mode, beta)
-    logits, caches = L.network_forward_batch(net, X, betas=betas, batch_stats=bn_batch_stats)
+    logits, caches = L.network_forward_batch(net, X, betas=betas, batch_stats=True)
     if mode == "hard":
         for i, (layer, cache) in enumerate(zip(net.layers, caches)):
             if layer.near_boundary(cache, _BOUNDARY_GAP):
@@ -225,8 +215,7 @@ def backward(
                     "the hard-mode gradient is one-sided; consider resampling",
                     RuntimeWarning,
                 )
-    loss, values = _backprop(net, caches, logits, labels, mode == "beta")
-    return loss, Gradients(values)
+    return _backprop(net, caches, logits, labels, mode == "beta")
 
 
 def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_beta: bool):
@@ -250,16 +239,13 @@ def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_b
 def ortho_penalty_templates(W_last: Tensor, gamma: float) -> tuple[float, Tensor]:
     """gamma * sum over ordered class pairs c1 != c2 of <W_c1, W_c2>^2.
 
-    Returns the penalty and its gradient with respect to W_last.
+    The filter penalty of the classifier rows, one unit each: returns the
+    penalty and its gradient with respect to W_last.
     """
     W = as_tensor(W_last)
     if W.ndim != 2:
         raise ShapeError(f"expected a 2-D classifier matrix, got shape {W.shape}")
-    Gm = W @ W.T
-    np.fill_diagonal(Gm, 0.0)
-    penalty = gamma * float(np.sum(Gm * Gm))
-    grad = gamma * 4.0 * (Gm @ W)
-    return penalty, grad
+    return ortho_penalty_filters(W, gamma)
 
 
 def ortho_penalty_filters(p, lam: float) -> tuple[float, Tensor]:
@@ -268,20 +254,12 @@ def ortho_penalty_filters(p, lam: float) -> tuple[float, Tensor]:
     Accepts MasoParams (K x R x D slopes) or a plain 2-D weight matrix
     (rows = units, R = 1).  The gradient matches the input's slope shape.
     """
-    if isinstance(p, MasoParams):
-        A = p.A
-    else:
-        A = as_tensor(p)
-        if A.ndim == 2:
-            A = A[:, None, :]
-        if A.ndim != 3:
-            raise ShapeError(f"expected K x R x D slopes, got shape {A.shape}")
-    F, Gm = _cross_unit_gram(A)
+    A = p.A if isinstance(p, MasoParams) else as_tensor(p)
+    if A.ndim not in (2, 3):
+        raise ShapeError(f"expected K x R x D slopes or a K x D matrix, got shape {A.shape}")
+    F, Gm = _cross_unit_gram(A if A.ndim == 3 else A[:, None, :])
     penalty = lam * float(np.sum(Gm * Gm))
-    grad = (lam * 4.0 * (Gm @ F)).reshape(A.shape)
-    if not isinstance(p, MasoParams) and as_tensor(p).ndim == 2:
-        grad = grad[:, 0, :]
-    return penalty, grad
+    return penalty, (lam * 4.0 * (Gm @ F)).reshape(A.shape)
 
 
 def _cross_unit_gram(A: Tensor) -> tuple[Tensor, Tensor]:
@@ -345,16 +323,12 @@ def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def _filter_penalty(params: dict, keys, lam: float):
-    """Filter-orthogonality penalty summed over the weights under keys, and
-    each weight's gradient; a conv contributes one row per output channel."""
-    total, grads = 0.0, {}
-    for key in keys:
-        W = params[key]
-        pen, g = ortho_penalty_filters(W.reshape(W.shape[0], -1), lam)
-        total += pen
-        grads[key] = g.reshape(W.shape)
-    return total, grads
+def _ortho_penalty(W: Tensor, weight: float) -> tuple[float, Tensor]:
+    """Orthogonality penalty of a weight array with one row per output unit
+    (a conv's filters flatten to one row per output channel) and its
+    gradient in W's shape."""
+    penalty, grad = ortho_penalty_filters(W.reshape(W.shape[0], -1), weight)
+    return penalty, grad.reshape(W.shape)
 
 
 def _sigmoid(x):
@@ -362,7 +336,14 @@ def _sigmoid(x):
 
 
 def train(net: L.Network, dataset, config: TrainConfig):
-    """Mini-batch Adam on cross-entropy plus the two orthogonality penalties.
+    """Mini-batch Adam on cross-entropy plus an orthogonality penalty on
+    each weight array.
+
+    The final layer's W, when that layer is Dense, holds the class
+    templates and is penalised with gamma; every other array of two or
+    more dimensions (Dense W, conv filters, a skip block's two
+    convolutions) with lam.  gamma > 0 on a net without a Dense final
+    layer raises StructureError.
 
     dataset is (X, y).  Returns (trained network, history) where history
     holds one dict per epoch with keys epoch, loss, accuracy,
@@ -384,11 +365,13 @@ def train(net: L.Network, dataset, config: TrainConfig):
             if layer.selector:
                 beta_logits[i] = np.array(np.log(config.beta / (1.0 - config.beta)))
                 params[f"{i}.beta_raw"] = beta_logits[i]
-    # the last dense layer's rows are the class templates; earlier weights get lam
-    weights = [f"{i}.W" if isinstance(layer, L.Dense) else f"{i}.filters"
-               for i, layer in enumerate(net.layers) if isinstance(layer, (L.Dense, L.Conv))]
-    head = next((key for key in reversed(weights) if key.endswith(".W")), None)
-    penalized = [key for key in weights if key != head]
+    # every weight array gets lam, except the final Dense layer's W: its rows
+    # are the class templates, and they get gamma
+    head = f"{len(net.layers) - 1}.W"
+    if config.gamma > 0 and head not in params:
+        raise StructureError("gamma penalises class templates, which need a Dense final layer")
+    ortho = {key: config.gamma if key == head else config.lam
+             for key, a in params.items() if a.ndim >= 2}
 
     state = AdamState()
     history = []
@@ -402,12 +385,9 @@ def train(net: L.Network, dataset, config: TrainConfig):
             loss, grads = _backprop(net, caches, logits, y[idx], bool(beta_logits))
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
-            if config.gamma > 0 and head is not None:
-                grads[head] = grads[head] + ortho_penalty_templates(params[head], config.gamma)[1]
-            if config.lam > 0:
-                _, gpens = _filter_penalty(params, penalized, config.lam)
-                for key, gpen in gpens.items():
-                    grads[key] = grads[key] + gpen
+            for key, weight in ortho.items():
+                if weight > 0:
+                    grads[key] = grads[key] + _ortho_penalty(params[key], weight)[1]
             for i in beta_logits:
                 b = betas[i]
                 grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
@@ -422,12 +402,14 @@ def train(net: L.Network, dataset, config: TrainConfig):
             if isinstance(layer, L.BatchNorm):
                 layer.mean, layer.var = Z.mean(axis=0), Z.var(axis=0)
             Z = layer.forward(Z)[0]
+        penalties = {key: _ortho_penalty(params[key], weight)[0] for key, weight in ortho.items()}
+        template_penalty = penalties.pop(head, 0.0)
         entry = {
             "epoch": epoch,
             "loss": _cross_entropy_batch(Z, y)[0],
             "accuracy": float(np.mean(np.argmax(Z, axis=1) == y)),
-            "template_penalty": 0.0 if head is None else ortho_penalty_templates(params[head], config.gamma)[0],
-            "filter_penalty": _filter_penalty(params, penalized, config.lam)[0],
+            "template_penalty": template_penalty,
+            "filter_penalty": sum(penalties.values(), 0.0),
         }
         if beta_logits:
             entry["betas"] = tuple(float(_sigmoid(t)) for t in beta_logits.values())

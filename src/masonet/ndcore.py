@@ -79,6 +79,23 @@ def as_tensor(x) -> Tensor:
     return a
 
 
+def as_ints(x, field: str) -> np.ndarray:
+    """x as an int64 array (a scalar gives a 0-d one).
+
+    Integers and integral floats such as 3.0 pass; a fractional or
+    non-finite value, a bool, a string or anything else raises DomainError
+    naming field and the first bad value, instead of being cut down.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind == "f":
+        bad = ~((np.abs(a) < 2.0**63) & (a == np.trunc(a)))
+    else:
+        bad = np.full(a.shape, a.dtype.kind not in "iu")
+    if bad.any():
+        raise DomainError(f"{field} must be an integer, got {a[bad].flat[0]}")
+    return a.astype(np.int64, copy=False)
+
+
 def region_major(m: Tensor) -> Tensor:
     """m (..., R) with its last axis outermost in memory; no copy if it already is."""
     if m.flags.f_contiguous:

@@ -331,7 +331,7 @@ def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
     """Worst relative deviation of analytic gradients from central FD."""
     _, g = learn.backward(net, X, y, mode=mode, beta=beta)
     worst, checked = 0.0, 0
-    for key, G in g.values.items():
+    for key, G in g.items():
         if key.endswith(".beta"):
             continue  # the shared beta is checked as a summed gradient below
         G = np.asarray(G)
@@ -354,9 +354,9 @@ def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
             worst = max(worst, abs(G[idx] - fd) / max(abs(fd), 1e-8))
             checked += 1
     if mode == "beta":
-        beta_keys = [k for k in g.values if k.endswith(".beta")]
+        beta_keys = [k for k in g if k.endswith(".beta")]
         if beta_keys:
-            analytic = sum(float(g.values[k]) for k in beta_keys)
+            analytic = sum(float(g[k]) for k in beta_keys)
             lp = learn.forward_loss(net, X, y, mode=mode, beta=beta + h)
             lm = learn.forward_loss(net, X, y, mode=mode, beta=beta - h)
             fd = (lp - lm) / (2 * h)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from masonet import cli, partition
 from masonet import layers as L
 from masonet.maso import BetaParam, MasoParams, beta_vq_infer, forward_hard, forward_with_selection, svq_infer
-from masonet.ndcore import ValidationError
+from masonet.ndcore import MasonetError, ValidationError
 
 
 def blob_csv(path, n=60, seed=0):
@@ -377,6 +377,40 @@ def test_load_network_rejects_garbage(tmp_path):
     }))
     with pytest.raises(ValidationError, match="wavelet"):
         cli.load_network(str(p))
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda doc: doc["layers"][1].update(dim=3.9), "layer 1: activation dim must be an integer, got 3.9"),
+    (lambda doc: doc.update(class_count=2.6), "class_count must be an integer, got 2.6"),
+    (lambda doc: doc.update(input_shape=[2.5]), "input_shape must be an integer, got 2.5"),
+], ids=["dim", "class_count", "input_shape"])
+def test_non_integer_network_fields_exit_2(tmp_path, capsys, edit, named):
+    p = tmp_path / "net.json"
+    cli.save_network(L.make_mlp([2, 4, 2], seed=0), str(p))
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    blob_csv(tmp_path / "d.csv")
+    assert cli.main(["eval", "--net", str(p), "--data", str(tmp_path / "d.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_save_dataset_rejects_fractional_labels(tmp_path):
+    with pytest.raises(MasonetError, match="label must be an integer, got 0.5"):
+        cli.save_dataset_csv(str(tmp_path / "d.csv"), np.zeros((2, 2)), [0.5, 1.9])
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_train_gamma_without_dense_head_exits_2(tmp_path, capsys):
+    p = tmp_path / "net.json"
+    net = L.Network([L.Dense(np.eye(2), np.zeros(2)), L.Activation("relu", 2)], (2,), 2)
+    cli.save_network(net, str(p))
+    blob_csv(tmp_path / "d.csv")
+    argv = ["train", "--net", str(p), "--data", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "out.json"), "--epochs", "1"]
+    assert cli.main(argv + ["--gamma", "1"]) == 2
+    assert "Dense final layer" in capsys.readouterr().err
+    assert cli.main(argv + ["--lambda", "0.1"]) == 0
 
 
 # --- exit codes -------------------------------------------------------------------

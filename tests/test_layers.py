@@ -102,6 +102,38 @@ def test_network_dimension_chain():
     assert net.dims == (2, 3, 3)
 
 
+_CONV_F = np.zeros((2, 1, 3, 3))
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: L.Activation("relu", 3.9), "activation dim"),
+    (lambda: L.Activation("relu", True), "activation dim"),
+    (lambda: L.Activation("relu", "3"), "activation dim"),
+    (lambda: L.MaxPool(((0, 1), (2, 3)), 4.5), "pool in_dim"),
+    (lambda: L.AvgPool(((0, 1.5), (2, 3)), 4), "pool region index"),
+    (lambda: L.Conv(_CONV_F, np.zeros(2), (1.5, 1), "valid", (1, 8, 8)), "conv stride"),
+    (lambda: L.Conv(_CONV_F, np.zeros(2), (1, 1), "valid", (1, 4.7, 4)), "conv in_shape"),
+    (lambda: L.Network([L.Dense(np.zeros((3, 2)), np.zeros(3))], (2.5,), 3), "input_shape"),
+    (lambda: L.Network([L.Dense(np.zeros((2, 2)), np.zeros(2))], (2,), 2.6), "class_count"),
+    (lambda: L.make_mlp([2, 4.5, 3]), "mlp width"),
+], ids=["dim", "dim-bool", "dim-str", "in_dim", "region", "stride", "in_shape", "input_shape",
+        "class_count", "mlp-width"])
+def test_integer_fields_reject_non_integers(build, field):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        build()
+
+
+def test_integer_fields_accept_integral_floats():
+    conv = L.Conv(_CONV_F, np.zeros(2), (2.0, 1.0), "valid", (1.0, 8.0, 8.0))
+    assert conv.stride == (2, 1) and conv.in_shape == (1, 8, 8)
+    net = L.make_mlp([2.0, 4.0, 3.0])
+    assert net.dims == (2, 4, 4, 3) and net.class_count == 3
+    assert L.Activation("relu", 3.0).dim == 3
+    assert L.MaxPool(((0.0, 1.0),), 2.0).regions == ((0, 1),)
+    for value in (conv.stride[0], conv.in_shape[1], net.class_count, net.input_shape[0]):
+        assert type(value) is int
+
+
 # --- operator-as-MASO equivalences ------------------------------------------
 
 def test_dense_as_maso_is_the_affine_map(rng):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masonet import layers as L
+from masonet import learn
 from masonet.learn import (
     AdamState,
     TrainConfig,
@@ -28,6 +29,7 @@ from masonet.ndcore import (
     DomainError,
     PreconditionError,
     ShapeError,
+    StructureError,
 )
 
 
@@ -37,7 +39,7 @@ def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
     for key in keys:
         li, field = key.split(".", 1)
         li = int(li)
-        G = np.asarray(g.values[key])
+        G = np.asarray(g[key])
         it = np.nditer(G, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -112,7 +114,7 @@ def test_beta_gradient_matches_fd(rng):
     X = rng.standard_normal((4, 3))
     y = rng.integers(0, 2, size=4)
     _, g = backward(net, X, y, mode="beta", beta=0.6)
-    total = sum(float(v) for k, v in g.values.items() if k.endswith(".beta"))
+    total = sum(float(v) for k, v in g.items() if k.endswith(".beta"))
     h = 1e-6
     fd = (
         forward_loss(net, X, y, mode="beta", beta=0.6 + h)
@@ -279,7 +281,38 @@ def test_hard_mode_warns_on_region_boundary():
 def test_backward_accepts_single_input(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
     loss, g = backward(net, rng.standard_normal(3), 1)
-    assert np.isfinite(loss) and "0.W" in g.values
+    assert np.isfinite(loss) and "0.W" in g
+
+
+def test_backward_returns_a_plain_dict(rng):
+    net = L.make_mlp([3, 4, 2], seed=0)
+    _, g = backward(net, rng.standard_normal((2, 3)), [0, 1])
+    assert type(g) is dict
+    assert set(g) == {"0.W", "0.b", "2.W", "2.b"}
+
+
+@pytest.mark.parametrize("labels", [[0.9, 1.2], [0, 1.5], [True, False], ["0", "1"]])
+def test_fractional_or_non_integer_labels_are_rejected(rng, labels):
+    net = L.make_mlp([3, 4, 2], seed=0)
+    X = rng.standard_normal((2, 3))
+    with pytest.raises(DomainError, match="label must be an integer"):
+        forward_loss(net, X, labels)
+    with pytest.raises(DomainError, match="label must be an integer"):
+        backward(net, X, labels)
+    with pytest.raises(DomainError, match="label must be an integer"):
+        train(net, (X, labels), TrainConfig(epochs=1))
+
+
+def test_integral_float_labels_are_accepted(rng):
+    net = L.make_mlp([3, 4, 2], seed=0)
+    X = rng.standard_normal((2, 3))
+    assert forward_loss(net, X, [0.0, 1.0]) == forward_loss(net, X, [0, 1])
+    assert cross_entropy(np.array([0.3, -0.2]), 1.0) == cross_entropy(np.array([0.3, -0.2]), 1)
+
+
+def test_cross_entropy_rejects_a_fractional_label():
+    with pytest.raises(DomainError, match="1.9"):
+        cross_entropy(np.array([0.3, -0.2]), 1.9)
 
 
 def test_backward_rejects_bad_labels(rng):
@@ -345,6 +378,18 @@ def test_filter_penalty_accepts_plain_matrix(rng):
     pen_t, _ = ortho_penalty_templates(M, 1.0)
     # with R=1 every pair is cross-unit: same energy as the template form
     assert abs(pen - pen_t) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       weight=st.floats(0.0, 10.0))
+def test_template_penalty_is_the_filter_penalty(k, d, seed, weight):
+    W = np.random.default_rng(seed).standard_normal((k, d))
+    pen_t, grad_t = ortho_penalty_templates(W, weight)
+    pen_f, grad_f = ortho_penalty_filters(W, weight)
+    assert pen_t == pen_f
+    assert np.array_equal(grad_t, grad_f)
+    assert np.array_equal(np.signbit(grad_t), np.signbit(grad_f))
 
 
 def test_gram_schmidt_orthogonalizes_and_keeps_span(rng):
@@ -470,6 +515,52 @@ def test_train_template_penalty_shrinks_gram_energy(rng):
         np.fill_diagonal(G, 0.0)
         return float(np.sum(G * G))
     assert run(1.0) < run(0.0)
+
+
+def _weight_penalty(W, lam):
+    """The orthogonality penalty of a weight array, one row per output unit."""
+    pen, grad = ortho_penalty_filters(W.reshape(W.shape[0], -1), lam)
+    return pen, grad.reshape(W.shape)
+
+
+def test_train_penalises_skip_block_convolutions(rng, monkeypatch):
+    """lam reaches both convolutions of every skip block: each step adds
+    their penalty gradient, and the history reports their penalty."""
+    net = make_skip_net(rng)
+    X = rng.standard_normal((16, 18))
+    y = rng.integers(0, 2, size=16)
+    keys = ("0.conv.filters", "0.skip.filters", "1.conv.filters", "1.skip.filters")
+    steps = []
+
+    def recording(params, grads, state, config):
+        steps.append({k: (params[k].copy(), grads[k].copy()) for k in keys})
+        return adam_step(params, grads, state, config)
+
+    monkeypatch.setattr(learn, "adam_step", recording)
+    lam, common = 0.5, dict(epochs=1, batch_size=16, seed=0)
+    trained, history = train(net, (X, y), TrainConfig(lam=lam, **common))
+    train(net, (X, y), TrainConfig(**common))
+    penalised, plain = steps  # one step each, on the same batch
+    for key in keys:
+        W, g = penalised[key]
+        expected = _weight_penalty(W, lam)[1]
+        assert np.any(expected != 0.0)
+        assert np.allclose(g - plain[key][1], expected, rtol=1e-9, atol=1e-12)
+    total = sum(_weight_penalty(trained.layers[i].params()[f], lam)[0]
+                for i in (0, 1) for f in ("conv.filters", "skip.filters"))
+    assert history[0]["filter_penalty"] > 0.0
+    assert history[0]["filter_penalty"] == pytest.approx(total, rel=1e-12)
+
+
+def test_gamma_needs_a_dense_final_layer(rng):
+    net = L.Network([L.Dense(rng.standard_normal((3, 2)), np.zeros(3)), L.Activation("relu", 3)],
+                    (2,), 3)
+    X, y = rng.standard_normal((12, 2)), np.arange(12) % 3
+    with pytest.raises(StructureError, match="Dense final layer"):
+        train(net, (X, y), TrainConfig(epochs=1, gamma=1.0))
+    # the inner Dense layer is no template head: it gets lam like any weight
+    _, history = train(net, (X, y), TrainConfig(epochs=1, lam=0.1))
+    assert history[0]["template_penalty"] == 0.0 and history[0]["filter_penalty"] > 0.0
 
 
 def test_train_validates_labels(rng):

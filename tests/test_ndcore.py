@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from masonet.ndcore import (
     DomainError,
     ShapeError,
+    as_ints,
     as_tensor,
     row_argmax,
     row_softmax,
@@ -24,6 +27,22 @@ def test_as_tensor_rejects_nan_and_inf():
         as_tensor([1.0, np.nan])
     with pytest.raises(DomainError):
         as_tensor([np.inf])
+
+
+def test_as_ints_accepts_integers_and_integral_floats():
+    assert as_ints(3, "n").dtype == np.int64 and int(as_ints(3.0, "n")) == 3
+    assert as_ints([1, 2.0, -4], "n").tolist() == [1, 2, -4]
+    assert as_ints(np.arange(3, dtype=np.int32), "n").tolist() == [0, 1, 2]
+    assert as_ints([], "n").shape == (0,)
+
+
+@pytest.mark.parametrize("value,shown", [
+    (3.9, "3.9"), ([1, 2.5], "2.5"), (np.nan, "nan"), (np.inf, "inf"), (1e300, "1e+300"),
+    (True, "True"), ("3", "3"), ([None], "None"),
+])
+def test_as_ints_names_the_field_and_the_bad_value(value, shown):
+    with pytest.raises(DomainError, match=f"^width must be an integer, got {re.escape(shown)}$"):
+        as_ints(value, "width")
 
 
 def test_row_softmax_quarter_three_quarters():
