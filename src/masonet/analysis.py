@@ -7,14 +7,20 @@ filter rows of the final classifier, the 2^(L-1)-term expansion of a
 linear-skip residual chain, depthwise norm series of the partial
 products, and an empirical midpoint-convexity probe.
 
-The walk runs the network's hard forward on the one input and reads each
-layer's selected map from that forward's caches, so `decompose` uses the
-very codes that `network_forward` and the partition tools report: inputs
-with equal codes get the identical (A, b).  The chaining costs one
-matrix product per affine layer (dense, conv, average pool, skip block):
-activations and batch norm scale the rows of the running A, and max
-pooling gathers them, instead of multiplying A by a D x D diagonal or
-one-hot matrix.
+Every view runs the network's hard forward on the one input and reads
+each layer's selected map from that forward's caches, so `decompose` uses
+the very codes that `network_forward` and the partition tools report:
+inputs with equal codes get the identical (A, b).  The whole network's
+map, which has only one row per output, is built from the head: the last
+layer's selected map is pulled back through the earlier layers
+(`Layer.pull`, the step the hard backward takes), and each layer's
+offset enters through the rows pulled back to its output.  A prefix map,
+as wide as the hidden layer it ends at, is walked from the input instead
+(`Layer.push`).  Either way each step costs one matrix product per
+affine layer (dense, conv, average pool, skip block): activations and
+batch norm scale the running map's rows or columns, and max pooling
+gathers or scatter-adds them, instead of multiplying by a D x D diagonal
+or one-hot matrix.
 """
 
 from __future__ import annotations
@@ -62,15 +68,31 @@ def _walk(net: Network, x: Tensor, n: int | None):
         yield A, b
 
 
+def _pull(layers, caches, A, b):
+    """(A Asel, A bsel + b) for the map each layer's hard cache selected,
+    composed from the last layer to the first; A is (n, m, out) and b
+    (n, m), one map per cache row."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        b = b + (A @ layer.selected_offset(cache)[..., None])[..., 0]
+        A = layer.pull(cache, A)
+    return A, b
+
+
 def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineForm:
     """The affine map the first `upto_layer` layers apply around x.
 
     Chains each layer's selected (A, b): the matrix is the product of the
     per-layer selected matrices and the offset telescopes through them.
-    Evaluating the result at x reproduces the forward output up to float
-    accumulation; inputs whose hard forward codes match x's get the
-    identical (A, b).
+    The whole network's map is chained from the head, a prefix's from
+    the input.  Evaluating the result at x reproduces the forward output
+    up to float accumulation; inputs whose hard forward codes match x's
+    get the identical (A, b).
     """
+    if net.layers and upto_layer in (None, len(net.layers)):
+        _, caches = network_forward_batch(net, np.reshape(x, (1, -1)))
+        A, b = net.layers[-1].selected_affine(caches[-1])
+        A, b = _pull(net.layers[:-1], caches[:-1], A[None], b[None])
+        return AffineForm(A[0], b[0])
     A = b = None
     for A, b in _walk(net, x, upto_layer):
         pass
@@ -83,9 +105,9 @@ def class_templates(net: Network, x: Tensor) -> tuple[Tensor, Tensor]:
     """Matched-filter rows of the classifier at x, with their offsets.
 
     Row c of the returned matrix is the linear functional whose inner
-    product with x (plus the offset) is logit c: the final Dense weights
-    pushed through the affine map of all preceding layers, which is the
-    whole network's decomposition at x.
+    product with x (plus the offset) is logit c: the final Dense layer's
+    row c pulled back through the maps all preceding layers selected,
+    which is the whole network's decomposition at x.
     """
     if not net.layers or not isinstance(net.layers[-1], Dense):
         raise StructureError("templates need a Dense final layer")

@@ -280,15 +280,32 @@ def save_network(net: L.Network, path: str) -> None:
         fh.write("\n")
 
 
+def _json_kind(value) -> str:
+    """The JSON type of a value `json.load` returned."""
+    if value is None:
+        return "null"
+    return {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+            list: "an array", dict: "an object"}[type(value)]
+
+
 def load_network(path: str) -> L.Network:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the top level must be an object, got {_json_kind(doc)}")
     for field in ("input_shape", "class_count", "layers"):
         if field not in doc:
             raise ValidationError(f"{path}: missing top-level field {field!r}")
+    for field in ("input_shape", "layers"):
+        if not isinstance(doc[field], list):
+            raise ValidationError(f"{path}: {field} must be an array, got {_json_kind(doc[field])}")
+    if isinstance(doc["class_count"], (list, dict)):
+        raise ValidationError(
+            f"{path}: class_count must be an integer, got {_json_kind(doc['class_count'])}"
+        )
     layers = [
         _layer_from_json(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])
     ]

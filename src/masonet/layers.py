@@ -16,10 +16,12 @@ forward selected, its MASO form, its trainable arrays and its JSON form.
 Selection is `maso.select` (and its backward), except the activation's
 hard forward, whose z > 0 test gives the same codes.  A region is chosen
 only in the forward: the hard backward, the selected affine map and the
-decomposition step all read the codes of the forward's cache, so the
+decomposition steps all read the codes of the forward's cache, so the
 training, partition and decomposition views of an input agree.  The
-MASO form, selected by `maso.select` from its own scores, picks the same
-regions (exact ties of a skip block's pre-activation aside).
+transposed selected map is stated once per kind, as `pull`: the hard
+backward's input gradient and the head-first decomposition both use
+it.  The MASO form, selected by `maso.select` from its own scores, picks
+the same regions (exact ties of a skip block's pre-activation aside).
 Convolution is applied through its explicit matrix form, lowered afresh
 from the current filters on every use, so the matrix route and the
 forward route are the same arithmetic and no lowered copy can go stale.
@@ -88,10 +90,15 @@ class Layer:
     its (n, K) region codes under "codes", which is how its backward tells
     the hard cache from the soft one.  backward(cache, G) returns
     (G w.r.t. the input, parameter gradients keyed like params(),
-    d loss / d beta or None).  selected_affine(cache) is the (A, b) the
-    layer applied in the hard forward of one row that left the cache, and
-    push(cache, A, b) composes it after a running affine map, one step of
-    an exact decomposition walk; dims() is (input width, output width).
+    d loss / d beta or None); a hard cache's input gradient is pull(cache,
+    G).  selected_affine(cache) is the (A, b) the layer applied in the
+    hard forward of one row that left the cache, and push(cache, A, b)
+    composes it after a running affine map, one step of an exact
+    decomposition walk from the input.  pull(cache, G) is the transposed
+    step, from the output: for a hard cache of n rows and G of shape
+    (n, ..., out) it is G @ Asel of each row, shape (n, ..., in), and
+    selected_offset(cache) is each row's bsel; dims() is (input width,
+    output width).
     as_maso() is the MASO whose hard forward is the inference forward: one
     region per unit for the affine kinds, whose default reads the map a
     forward of the zero row applied.  `network_forward_batch` is the one
@@ -107,6 +114,13 @@ class Layer:
     def params(self) -> dict:
         """Trainable arrays keyed by field name."""
         return {}
+
+    def backward(self, cache, G):
+        return self.pull(cache, G), {}, None
+
+    def selected_offset(self, cache):
+        """bsel of a hard cache's rows: (out,) when every row shares it, else (n, out)."""
+        return np.zeros(self.dims()[1])
 
     def push(self, cache, A, b):
         """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected.
@@ -176,10 +190,16 @@ class Dense(Layer):
         return Z @ self.W.T + self.b, {"Z": Z}
 
     def backward(self, cache, G):
-        return G @ self.W, {"W": G.T @ cache["Z"], "b": G.sum(axis=0)}, None
+        return self.pull(cache, G), {"W": G.T @ cache["Z"], "b": G.sum(axis=0)}, None
+
+    def pull(self, cache, G):
+        return G @ self.W
 
     def selected_affine(self, cache):
         return self.W.copy(), self.b.copy()
+
+    def selected_offset(self, cache):
+        return self.b
 
     def params(self) -> dict:
         return {"W": self.W, "b": self.b}
@@ -246,10 +266,16 @@ class Conv(Layer):
         dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
         c_out = self.bias.shape[0]
         dbias = G.reshape(G.shape[0], c_out, G.shape[1] // c_out).sum(axis=(0, 2))
-        return G @ cache["M"], {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
+        return self.pull(cache, G), {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
+
+    def pull(self, cache, G):
+        return G @ cache["M"]
 
     def selected_affine(self, cache):
         return cache["M"], self.bias_flat()
+
+    def selected_offset(self, cache):
+        return self.bias_flat()
 
     def params(self) -> dict:
         return {"filters": self.filters, "bias": self.bias}
@@ -305,7 +331,7 @@ class Activation(Layer):
 
     def backward(self, cache, G):
         if "codes" in cache:
-            return G * self.selected_slopes(cache), {}, None
+            return self.pull(cache, G), {}, None
         lo, hi = self.slopes()
         Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
         return Gs[..., 0] * lo + Gs[..., 1] * hi, {}, dbeta
@@ -334,6 +360,16 @@ class Activation(Layer):
         # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
         s = self.selected_slopes(cache)[0]
         return s[:, None] * A, s * b
+
+    def pull(self, cache, G):
+        # likewise G @ diag(s) scales G's columns
+        return G * _per_row(self.selected_slopes(cache), G)
+
+
+def _per_row(v, G):
+    """v (n, K), one row per cache row, as a view that broadcasts against
+    G (n, ..., K)."""
+    return v[(slice(None),) + (None,) * (G.ndim - 2)]
 
 
 @dataclass(eq=False)
@@ -394,16 +430,24 @@ class MaxPool(_Pool):
 
     def backward(self, cache, G):
         if "codes" in cache:
-            return self._scatter(self._winners(cache), G), {}, None
+            return self.pull(cache, G), {}, None
         Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
-        return self._scatter(cache["idx"], Gs), {}, dbeta
+        return self._scatter(cache["idx"], Gs, 1), {}, dbeta
 
-    def _scatter(self, cols, V):
-        """(n, in_dim) sums of the values V (n, ...) at the input indices cols."""
-        n = V.shape[0]
-        Gin = np.zeros((n, self.in_dim))
-        np.add.at(Gin, (np.arange(n).reshape((n,) + (1,) * (V.ndim - 1)), cols), V)
-        return Gin
+    def pull(self, cache, G):
+        # the transposed one-hot rows add G's columns onto the winners, which
+        # overlapping regions can share
+        return self._scatter(_per_row(self._winners(cache), G), G, G.ndim - 1)
+
+    def _scatter(self, cols, V, lead):
+        """Sums of the values V at the input indices cols (broadcast to V's
+        shape), one input row per index of V's first `lead` axes: shape
+        V.shape[:lead] + (in_dim,).  Values meet in V's C order."""
+        rows = V.shape[:lead]
+        size = int(np.prod(rows))
+        base = np.arange(0, size * self.in_dim, self.in_dim).reshape(rows + (1,) * (V.ndim - lead))
+        flat = np.broadcast_to(base + cols, V.shape)
+        return np.bincount(flat.ravel(), V.ravel(), size * self.in_dim).reshape(rows + (self.in_dim,))
 
     def near_boundary(self, cache, gap):
         # a tie of two exact zeros (relu-dead entries) passes no gradient
@@ -462,8 +506,8 @@ class AvgPool(_Pool):
         P = self.matrix()
         return Z @ P.T, {"P": P}
 
-    def backward(self, cache, G):
-        return G @ cache["P"], {}, None
+    def pull(self, cache, G):
+        return G @ cache["P"]
 
     def selected_affine(self, cache):
         P = cache["P"]
@@ -515,9 +559,9 @@ class BatchNorm(Layer):
         denom = cache["denom"] if batch else np.sqrt(self.var + self.epsilon)
         xhat = cache["xhat"] if batch else (cache["Z"] - self.mean) / denom
         grads = {"scale": np.sum(G * xhat, axis=0), "shift": G.sum(axis=0)}
-        dxhat = G * self.scale
         if not batch:
-            return dxhat / denom, grads, None
+            return self.pull(cache, G), grads, None
+        dxhat = G * self.scale
         n = G.shape[0]
         Zc = cache["Zc"]
         dvar = np.sum(dxhat * Zc, axis=0) * (-0.5) * denom**-3
@@ -531,6 +575,13 @@ class BatchNorm(Layer):
     def push(self, cache, A, b):
         scale, shift = bn_fold_affine(self)
         return scale[:, None] * A, scale * b + shift
+
+    def pull(self, cache, G):
+        # the backward's grouping, so the inference-view gradient keeps its bits
+        return G * self.scale / np.sqrt(self.var + self.epsilon)
+
+    def selected_offset(self, cache):
+        return bn_fold_affine(self)[1]
 
     def params(self) -> dict:
         return {"scale": self.scale, "shift": self.shift}
@@ -591,10 +642,18 @@ class SkipBlock(Layer):
     def near_boundary(self, cache, gap):
         return self.activation.near_boundary(cache["act"], gap)
 
+    def pull(self, cache, G):
+        Gpre = self.activation.pull(cache["act"], G)
+        return self.conv.pull(cache["conv"], Gpre) + self.skip.pull(cache["skip"], G)
+
+    def selected_offset(self, cache):
+        s = self.activation.selected_slopes(cache["act"])
+        return s * self.conv.bias_flat() + self.skip_bias
+
     def branches(self, cache) -> tuple[Tensor, Tensor, Tensor]:
         """(skip matrix, activation-branch matrix, offset) a one-row hard cache selected."""
-        act, b = self.activation.push(cache["act"], *self.conv.selected_affine(cache["conv"]))
-        return self.skip.selected_affine(cache["skip"])[0], act, b + self.skip_bias
+        act, _ = self.activation.push(cache["act"], *self.conv.selected_affine(cache["conv"]))
+        return self.skip.selected_affine(cache["skip"])[0], act, self.selected_offset(cache)[0]
 
     def selected_affine(self, cache):
         skip, act, b = self.branches(cache)

@@ -319,8 +319,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
 
 
 def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
+    """Share of rows of X whose largest logit is at their label; X and y
+    are checked like `forward_loss`'s batch."""
+    X, y = _as_batch(net, X, y)
     logits, _ = L.network_forward_batch(net, X)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 def _ortho_penalty(W: Tensor, weight: float) -> tuple[float, Tensor]:

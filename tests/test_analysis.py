@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from masonet import layers as L
 from masonet.analysis import (
+    AffineForm,
     class_templates,
     convexity_probe,
     decompose,
@@ -116,11 +117,16 @@ def test_walks_equal_the_product_reference(seed):
     net = every_kind_net(rng)
     x = rng.standard_normal(net.dims[0])
     steps = list(reference_walk(net, x))
-    form = decompose(net, x)
-    assert np.array_equal(form.A, steps[-1][0]) and np.array_equal(form.b, steps[-1][1])
-    head, (A, b) = net.layers[-1], steps[-2]
-    T, biases = class_templates(net, x)
-    assert np.array_equal(T, head.W @ A) and np.array_equal(biases, head.W @ b + head.b)
+    # the whole network's map is pulled back from the head, which sums in
+    # another order than the reference's products from the input
+    A, b = steps[-1]
+    for form in (decompose(net, x), AffineForm(*class_templates(net, x))):
+        assert np.all(np.abs(form.A - A) <= 1e-12 * (1.0 + np.abs(A)))
+        assert np.all(np.abs(form.b - b) <= 1e-12 * (1.0 + np.abs(b)))
+    # prefixes are walked from the input, the reference's own order
+    for depth, (A, b) in enumerate(steps[:-1], start=1):
+        form = decompose(net, x, upto_layer=depth)
+        assert np.array_equal(form.A, A) and np.array_equal(form.b, b)
     assert partial_product_norms(net, x) == [float(np.linalg.norm(A)) for A, _ in steps[:-1]]
 
 
@@ -142,7 +148,29 @@ def test_decompose_builds_no_diagonal_or_one_hot_map_past_the_first_layer(rng, m
         x = rng.standard_normal(net.dims[0])
         f, _ = L.network_forward(net, x)
         assert np.allclose(decompose(net, x)(x), f, atol=1e-10)
+        # a prefix is walked from the input, through each kind's push
+        depth = len(net.layers) - 1
+        f, _ = L.network_forward_batch(net, x[None, :], depth)
+        assert np.allclose(decompose(net, x, upto_layer=depth)(x), f[0], atol=1e-10)
         monkeypatch.undo()
+
+
+def test_full_depth_maps_are_pulled_from_the_head(rng, monkeypatch):
+    # the whole network's map has one row per class: no layer may push the
+    # input-wide running map through itself to build it
+    def refuse(self, cache, A, b):
+        raise AssertionError(f"{type(self).__name__} pushed a running map")
+
+    kinds = (L.Layer, L.Dense, L.Conv, L.Activation, L.MaxPool, L.AvgPool, L.BatchNorm, L.SkipBlock)
+    for cls in kinds:
+        if "push" in vars(cls):
+            monkeypatch.setattr(cls, "push", refuse)
+    for net in (every_kind_net(rng), make_skip_chain(rng, blocks=2)):
+        x = rng.standard_normal(net.dims[0])
+        f, _ = L.network_forward(net, x)
+        assert np.allclose(decompose(net, x)(x), f, atol=1e-10)
+        T, biases = class_templates(net, x)
+        assert np.allclose(T @ x + biases, f, atol=1e-10)
 
 
 def test_equal_codes_give_equal_decompositions_at_code_boundaries():

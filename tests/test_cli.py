@@ -395,6 +395,29 @@ def test_non_integer_network_fields_exit_2(tmp_path, capsys, edit, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda doc: [doc], "the top level must be an object, got an array"),
+    (lambda doc: 5, "the top level must be an object, got a number"),
+    (lambda doc: None, "the top level must be an object, got null"),
+    (lambda doc: {**doc, "input_shape": 2}, "input_shape must be an array, got a number"),
+    (lambda doc: {**doc, "input_shape": True}, "input_shape must be an array, got a boolean"),
+    (lambda doc: {**doc, "input_shape": None}, "input_shape must be an array, got null"),
+    (lambda doc: {**doc, "layers": 5}, "layers must be an array, got a number"),
+    (lambda doc: {**doc, "layers": False}, "layers must be an array, got a boolean"),
+    (lambda doc: {**doc, "layers": None}, "layers must be an array, got null"),
+    (lambda doc: {**doc, "class_count": [2]}, "class_count must be an integer, got an array"),
+], ids=["top-array", "top-number", "top-null", "input_shape-number", "input_shape-bool",
+        "input_shape-null", "layers-number", "layers-bool", "layers-null", "class_count-list"])
+def test_network_file_containers_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named):
+    p = tmp_path / "net.json"
+    cli.save_network(L.make_mlp([2, 4, 2], seed=0), str(p))
+    p.write_text(json.dumps(edit(json.loads(p.read_text()))))
+    blob_csv(tmp_path / "d.csv")
+    assert cli.main(["eval", "--net", str(p), "--data", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: {named}" in err and "internal error" not in err
+
+
 def test_save_dataset_rejects_fractional_labels(tmp_path):
     with pytest.raises(MasonetError, match="label must be an integer, got 0.5"):
         cli.save_dataset_csv(str(tmp_path / "d.csv"), np.zeros((2, 2)), [0.5, 1.9])

@@ -509,6 +509,38 @@ def test_push_equals_the_selected_product(seed):
         assert np.array_equal(A1, Asel) and np.array_equal(b1, bsel), name
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pull_is_the_transposed_selected_map_of_each_row(seed):
+    # every layer of an every_kind_net at its forward input, then push_cases
+    # (all three activations, overlapping max-pool regions) with three rows
+    # each: pull is G @ Asel row by row, selected_offset is bsel, and pull is
+    # the hard backward's input gradient
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    Z = rng.standard_normal((3, net.dims[0]))
+    cases = []
+    for layer in net.layers:
+        cases.append((layer, Z))
+        Z = layer.forward(Z)[0]
+    cases += [(layer, np.stack([z, rng.permutation(z), -z])) for layer, z in push_cases(rng)]
+    for layer, Z in cases:
+        name = type(layer).__name__
+        _, cache = layer.forward(Z)
+        n, (d_in, d_out) = Z.shape[0], layer.dims()
+        G = rng.standard_normal((n, int(rng.integers(1, 4)), d_out))
+        pulled = layer.pull(cache, G)
+        assert pulled.shape == (n, G.shape[1], d_in), name
+        offsets = np.broadcast_to(layer.selected_offset(cache), (n, d_out))
+        for i in range(n):
+            Asel, bsel = layer.selected_affine(layer.forward(Z[i : i + 1])[1])
+            want = G[i] @ Asel
+            assert np.all(np.abs(pulled[i] - want) <= 1e-12 * (1.0 + np.abs(want))), name
+            assert np.array_equal(offsets[i], bsel), name
+        G = G[:, 0]
+        assert np.array_equal(layer.backward(cache, G)[0], layer.pull(cache, G)), name
+
+
 def test_conv_taps_are_shared_read_only_and_never_stale(rng):
     shape = (2, 5, 5)
     conv = L.Conv(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2), (1, 1),

@@ -724,6 +724,17 @@ def test_accuracy_counts_argmax_wins():
     assert accuracy(net, X, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
 
 
+def test_accuracy_checks_its_labels():
+    net = L.make_mlp([2, 4, 2], seed=0)
+    X = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
+    with pytest.raises(DomainError, match="label must be an integer, got 0.9"):
+        accuracy(net, X, [0.9, 1.2, 0.1])
+    with pytest.raises(ShapeError, match="one label per input row"):
+        accuracy(net, X, [5])
+    with pytest.raises(DomainError, match="label out of range"):
+        accuracy(net, X, [0, 1, 5])
+
+
 def test_train_recalibrates_batch_norm_statistics(rng):
     # the stored statistics (0, 1) are far from the shifted data's; left
     # stale they gave inference loss 6.13 against a batch-statistics 1.73
