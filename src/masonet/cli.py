@@ -256,6 +256,7 @@ def _layer_from_json(obj: dict, where: str):
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValidationError(f"{where}: unknown layer kind {kind!r}")
+    _reject_booleans(obj, where)
     # nested layer objects (the parts of a skip block) decode first
     doc = {
         key: _layer_from_json(value, f"{where}.{key}") if isinstance(value, dict) else value
@@ -288,6 +289,21 @@ def _json_kind(value) -> str:
             list: "an array", dict: "an object"}[type(value)]
 
 
+def _holds_boolean(value) -> bool:
+    if isinstance(value, list):
+        return any(map(_holds_boolean, value))
+    return isinstance(value, bool)
+
+
+def _reject_booleans(doc: dict, where: str) -> None:
+    """Raise unless no field of a JSON object holds a boolean, alone or
+    inside arrays: numpy reads true as 1, so number fields would take it.
+    Nested objects are checked where they are decoded."""
+    for key, value in doc.items():
+        if _holds_boolean(value):
+            raise ValidationError(f"{where}: field {key!r} holds a boolean")
+
+
 def load_network(path: str) -> L.Network:
     try:
         with open(path) as fh:
@@ -306,6 +322,7 @@ def load_network(path: str) -> L.Network:
         raise ValidationError(
             f"{path}: class_count must be an integer, got {_json_kind(doc['class_count'])}"
         )
+    _reject_booleans(doc, path)
     layers = [
         _layer_from_json(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])
     ]
@@ -601,8 +618,9 @@ def _cmd_act_table(args) -> int:
             with open(args.net) as fh:
                 doc = json.load(fh)
             kind = MasoParams(np.array(doc["A"], dtype=np.float64), np.array(doc["B"], dtype=np.float64))
-        except (OSError, json.JSONDecodeError, KeyError, MasonetError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, MasonetError, ValueError) as exc:
             raise ValidationError(f"{args.net}: not a usable MASO file ({exc})")
+        _reject_booleans(doc, args.net)
     elif args.mode in ("relu", "abs"):
         kind = args.mode
     else:

@@ -11,25 +11,26 @@ Networks are ordered layer lists acting on flat row-major vectors; images
 enter flattened and convolutions carry their expected (C, H, W) input
 shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
-inference forward), the matching backward, the affine map a one-row hard
-forward selected, its MASO form, its trainable arrays and its JSON form.
-Selection is `maso.select` (and its backward), except the activation's
-hard forward, whose z > 0 test gives the same codes.  A region is chosen
-only in the forward: the hard backward, the selected affine map and the
-decomposition steps all read the codes of the forward's cache, so the
-training, partition and decomposition views of an input agree.  The
-transposed selected map is stated once per kind, as `pull`: the hard
-backward's input gradient and the head-first decomposition both use
-it.  The MASO form, selected by `maso.select` from its own scores, picks
-the same regions (exact ties of a skip block's pre-activation aside).
+inference forward), the matching backward, the map a hard forward
+selected (as `pull`, `selected_offset` and `push`; the dense map and
+the MASO form derive from `pull`, see `Layer`), its trainable arrays
+and its JSON form.  Selection is `maso.select` (and its backward),
+except the activation's hard forward, whose z > 0 test gives the same
+codes.  A region is chosen only in the forward: the hard backward, the
+selected affine map and the decomposition steps all read the codes of
+the forward's cache, so the training, partition and decomposition views
+of an input agree.  The MASO form, selected by `maso.select` from its
+own scores, picks the same regions (exact ties of a skip block's
+pre-activation aside).
 Convolution is applied through its explicit matrix form, lowered afresh
 from the current filters on every use, so the matrix route and the
 forward route are the same arithmetic and no lowered copy can go stale.
 Its geometry is stated once, as the tap index `_conv_taps` that both the
-lowering and the filter gradient read; pooling arrays are built from one
-padded index matrix.  Index arrays that depend only on geometry are
-computed once per shape and shared read-only; the lowering still
-scatters the current filter values on every call.
+lowering and the filter gradient read; both pools gather their input
+through one padded index matrix and scatter onto it.  Index arrays that
+depend only on geometry are computed once per shape and shared
+read-only; the lowering still scatters the current filter values on
+every call.
 """
 
 from __future__ import annotations
@@ -90,25 +91,30 @@ class Layer:
     its (n, K) region codes under "codes", which is how its backward tells
     the hard cache from the soft one.  backward(cache, G) returns
     (G w.r.t. the input, parameter gradients keyed like params(),
-    d loss / d beta or None); a hard cache's input gradient is pull(cache,
-    G).  selected_affine(cache) is the (A, b) the layer applied in the
-    hard forward of one row that left the cache, and push(cache, A, b)
-    composes it after a running affine map, one step of an exact
-    decomposition walk from the input.  pull(cache, G) is the transposed
-    step, from the output: for a hard cache of n rows and G of shape
-    (n, ..., out) it is G @ Asel of each row, shape (n, ..., in), and
-    selected_offset(cache) is each row's bsel; dims() is (input width,
-    output width).
-    as_maso() is the MASO whose hard forward is the inference forward: one
-    region per unit for the affine kinds, whose default reads the map a
-    forward of the zero row applied.  `network_forward_batch` is the one
-    loop that runs a network's layers.
+    d loss / d beta or None); dims() is (input width, output width).
+
+    Each kind states the map (Asel, bsel) its hard cache selected in
+    three methods.  pull(cache, G) is the step from the output: for a
+    hard cache of n rows and G of shape (n, ..., out) it is G @ Asel of
+    each row, shape (n, ..., in), and a hard cache's input gradient.
+    selected_offset(cache) is each row's bsel.  push(cache, A, b) is the
+    step from the input, (Asel A, Asel b + bsel) for a one-row cache,
+    one step of an exact decomposition walk.  Derived from these:
+    selected_affine(cache), the dense (Asel, bsel) of a one-row cache,
+    is the identity pulled through the layer (dense, conv and skip
+    block return the matrix they hold instead, which costs no product),
+    and as_maso(), the MASO whose hard forward is the inference forward,
+    has as region r the map selected by the cache of the zero input with
+    every code set to r, for each of the `pieces` regions.
+    `network_forward_batch` is the one loop that runs a network's
+    layers.
     The JSON form is the "kind" tag followed by the dataclass fields in
     order.
     """
 
     tag = ""  # the JSON "kind"
     selector = False  # picks a region per unit: has codes and a beta
+    pieces = 1  # regions per unit of the MASO form
     _json_names: dict = {}  # field -> JSON key, where the two differ
 
     def params(self) -> dict:
@@ -122,6 +128,10 @@ class Layer:
         """bsel of a hard cache's rows: (out,) when every row shares it, else (n, out)."""
         return np.zeros(self.dims()[1])
 
+    def selected_affine(self, cache):
+        """(Asel, bsel) of a one-row hard cache: the pulled identity."""
+        return self.pull(cache, np.eye(self.dims()[1])[None])[0], self.selected_offset(cache)
+
     def push(self, cache, A, b):
         """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected.
 
@@ -133,8 +143,14 @@ class Layer:
         return Asel @ A, Asel @ b + bsel
 
     def as_maso(self) -> MasoParams:
-        A, b = self.selected_affine(self.forward(np.zeros((1, self.dims()[0])))[1])
-        return MasoParams(A[:, None, :], b[:, None])
+        """Region r of every unit: the map selected when each code reads r."""
+        cache = self.forward(np.zeros((1, self.dims()[0])))[1]
+        maps = []
+        for r in range(self.pieces):
+            if self.selector:
+                cache["codes"][...] = r
+            maps.append(self.selected_affine(cache))
+        return MasoParams(np.stack([A for A, _ in maps], axis=1), np.stack([b for _, b in maps], axis=1))
 
     def near_boundary(self, cache: dict, gap: float) -> bool:
         """Does a hard-mode cache hold a unit within gap of a region tie?"""
@@ -298,6 +314,7 @@ class Activation(Layer):
     nu: float = 0.01
     tag = "activation"
     selector = True
+    pieces = 2  # region 0 is the inactive branch
     _json_names = {"kind": "activation"}
 
     def __post_init__(self):
@@ -344,18 +361,6 @@ class Activation(Layer):
         lo, hi = self.slopes()
         return np.where(cache["codes"] == 1, hi, lo)
 
-    def selected_affine(self, cache):
-        return np.diag(self.selected_slopes(cache)[0]), np.zeros(self.dim)
-
-    def as_maso(self) -> MasoParams:
-        """R = 2: unit k has rows lo e_k and hi e_k; region 0 is the inactive branch."""
-        lo, hi = self.slopes()
-        A = np.zeros((self.dim, 2, self.dim))
-        idx = np.arange(self.dim)
-        A[idx, 0, idx] = lo
-        A[idx, 1, idx] = hi
-        return MasoParams(A, np.zeros((self.dim, 2)))
-
     def push(self, cache, A, b):
         # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
         s = self.selected_slopes(cache)[0]
@@ -398,6 +403,16 @@ class _Pool(Layer):
         """(K, R) index matrix, read-only; short regions repeat their last index."""
         return _pool_geometry(self.regions)[0]
 
+    def _scatter(self, cols, V, lead):
+        """Sums of the values V at the input indices cols (broadcast to V's
+        shape), one input row per index of V's first `lead` axes: shape
+        V.shape[:lead] + (in_dim,).  Values meet in V's C order."""
+        rows = V.shape[:lead]
+        size = int(np.prod(rows))
+        base = np.arange(0, size * self.in_dim, self.in_dim).reshape(rows + (1,) * (V.ndim - lead))
+        flat = np.broadcast_to(base + cols, V.shape)
+        return np.bincount(flat.ravel(), V.ravel(), size * self.in_dim).reshape(rows + (self.in_dim,))
+
 
 @functools.lru_cache(maxsize=32)
 def _pool_geometry(regions: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -439,16 +454,6 @@ class MaxPool(_Pool):
         # overlapping regions can share
         return self._scatter(_per_row(self._winners(cache), G), G, G.ndim - 1)
 
-    def _scatter(self, cols, V, lead):
-        """Sums of the values V at the input indices cols (broadcast to V's
-        shape), one input row per index of V's first `lead` axes: shape
-        V.shape[:lead] + (in_dim,).  Values meet in V's C order."""
-        rows = V.shape[:lead]
-        size = int(np.prod(rows))
-        base = np.arange(0, size * self.in_dim, self.in_dim).reshape(rows + (1,) * (V.ndim - lead))
-        flat = np.broadcast_to(base + cols, V.shape)
-        return np.bincount(flat.ravel(), V.ravel(), size * self.in_dim).reshape(rows + (self.in_dim,))
-
     def near_boundary(self, cache, gap):
         # a tie of two exact zeros (relu-dead entries) passes no gradient
         # whichever wins, so only ties with a nonzero entry count
@@ -467,51 +472,33 @@ class MaxPool(_Pool):
         idx = cache["idx"]
         return idx[np.arange(idx.shape[0]), cache["codes"]]
 
-    def selected_affine(self, cache):
-        w = self._winners(cache)[0]
-        A = np.zeros((w.shape[0], self.in_dim))
-        A[np.arange(w.shape[0]), w] = 1.0
-        return A, np.zeros(w.shape[0])
-
     def push(self, cache, A, b):
         # one-hot rows select rows exactly
         w = self._winners(cache)[0]
         return A[w], b[w]
 
-    def as_maso(self) -> MasoParams:
-        """R = the largest region: row r of unit k is the indicator of the
-        region's r-th index (short regions repeat their last index)."""
-        idx = self.padded_indices()
-        K, R = idx.shape
-        A = np.zeros((K, R, self.in_dim))
-        A[np.arange(K)[:, None], np.arange(R), idx] = 1.0
-        return MasoParams(A, np.zeros((K, R)))
+    @property
+    def pieces(self) -> int:
+        # region r of a unit is the indicator of its r-th (padded) index
+        return self.padded_indices().shape[1]
 
 
 @dataclass(eq=False)
 class AvgPool(_Pool):
-    """Mean over explicit index regions of the flat input."""
+    """Mean over explicit index regions of the flat input; an index listed
+    twice counts twice."""
 
     tag = "avgpool"
 
-    def matrix(self) -> Tensor:
-        """Fresh (K, in_dim) averaging matrix; an index listed twice counts twice."""
-        idx, weights = _pool_geometry(self.regions)
-        P = np.zeros((idx.shape[0], self.in_dim))
-        # the repeated indices that pad short regions add zero weight
-        np.add.at(P, (np.arange(idx.shape[0])[:, None], idx), weights)
-        return P
-
     def forward(self, Z, beta=None, batch_stats=False):
-        P = self.matrix()
-        return Z @ P.T, {"P": P}
+        # the max pool's region-major gather; the repeated indices that pad
+        # short regions get weight 0
+        idx, weights = _pool_geometry(self.regions)
+        return np.ascontiguousarray((weights * Z.T[idx.T].T).sum(axis=-1)), {}
 
     def pull(self, cache, G):
-        return G @ cache["P"]
-
-    def selected_affine(self, cache):
-        P = cache["P"]
-        return P, np.zeros(P.shape[0])
+        idx, weights = _pool_geometry(self.regions)
+        return self._scatter(idx, G[..., None] * weights, G.ndim - 1)
 
 
 @dataclass(eq=False)
@@ -520,7 +507,10 @@ class BatchNorm(Layer):
 
     With batch_stats on and more than one row, forward normalizes by the
     batch's own mean and variance (training view); otherwise it applies
-    the stored statistics folded into Z * scale + shift.
+    the stored statistics folded into Z * scale + shift.  Sums over the
+    rows (the statistics, the parameter gradients, `calibrate`) run on
+    C-ordered arrays: numpy sums the columns of other layouts in another
+    order, so the bits would depend on the layer before.
     """
 
     mean: Tensor
@@ -547,6 +537,7 @@ class BatchNorm(Layer):
 
     def forward(self, Z, beta=None, batch_stats=False):
         if batch_stats and Z.shape[0] > 1:
+            Z = np.ascontiguousarray(Z)
             Zc = Z - Z.mean(axis=0)
             denom = np.sqrt(Z.var(axis=0) + self.epsilon)
             xhat = Zc / denom
@@ -555,6 +546,7 @@ class BatchNorm(Layer):
         return Z * scale + shift, {"Z": Z}
 
     def backward(self, cache, G):
+        G = np.ascontiguousarray(G)
         batch = "Zc" in cache
         denom = cache["denom"] if batch else np.sqrt(self.var + self.epsilon)
         xhat = cache["xhat"] if batch else (cache["Z"] - self.mean) / denom
@@ -568,9 +560,10 @@ class BatchNorm(Layer):
         dmu = -np.sum(dxhat, axis=0) / denom + dvar * (-2.0 / n) * Zc.sum(axis=0)
         return dxhat / denom + dvar * 2.0 * Zc / n + dmu / n, grads, None
 
-    def selected_affine(self, cache):
-        scale, shift = bn_fold_affine(self)
-        return np.diag(scale), shift
+    def calibrate(self, Z):
+        """Set mean and var to the biased statistics of the rows of Z."""
+        Z = np.ascontiguousarray(Z)
+        self.mean, self.var = Z.mean(axis=0), Z.var(axis=0)
 
     def push(self, cache, A, b):
         scale, shift = bn_fold_affine(self)
@@ -601,6 +594,7 @@ class SkipBlock(Layer):
     skip_bias: Tensor
     tag = "skip"
     selector = True
+    pieces = 2  # the activation's two branches
 
     def __post_init__(self):
         parts = ((self.conv, Conv), (self.activation, Activation), (self.skip, Conv))
@@ -628,6 +622,7 @@ class SkipBlock(Layer):
         act, act_cache = self.activation.forward(pre, beta)
         skip, skip_cache = self.skip.forward(Z)
         cache = {"conv": conv_cache, "act": act_cache, "skip": skip_cache}
+        # the activation's own array, so a write to the block's codes reaches it
         cache["codes"] = act_cache.get("codes")
         return skip + act + self.skip_bias, cache
 
@@ -658,15 +653,6 @@ class SkipBlock(Layer):
     def selected_affine(self, cache):
         skip, act, b = self.branches(cache)
         return skip + act, b
-
-    def as_maso(self) -> MasoParams:
-        """R = 2: each row is the skip row plus lo (inactive) or hi (active)
-        times the conv row; each offset is skip_bias plus that slope times
-        the conv bias."""
-        slopes = np.array(self.activation.slopes())
-        skip, conv = self.skip.as_maso(), self.conv.as_maso()
-        A = skip.A + slopes[:, None] * conv.A
-        return MasoParams(A, self.skip_bias[:, None] + slopes * conv.B)
 
     def params(self) -> dict:
         # the skip conv's bias is pinned at zero, so only its filters train

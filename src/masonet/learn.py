@@ -403,7 +403,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
         Z = X
         for layer in net.layers:
             if isinstance(layer, L.BatchNorm):
-                layer.mean, layer.var = Z.mean(axis=0), Z.var(axis=0)
+                layer.calibrate(Z)
             Z = layer.forward(Z)[0]
         penalties = {key: _ortho_penalty(params[key], weight)[0] for key, weight in ortho.items()}
         template_penalty = penalties.pop(head, 0.0)

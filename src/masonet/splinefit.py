@@ -61,6 +61,10 @@ def _evaluate(A: Tensor, b: Tensor, X: Tensor) -> Tensor:
     return _piece_values(A, b, X).max(axis=1)
 
 
+def _sup(prob: FitProblem, A: Tensor, b: Tensor) -> float:
+    return float(np.max(np.abs(_evaluate(A, b, prob.x) - prob.y)))
+
+
 def _init_secant(prob: FitProblem) -> tuple[Tensor, Tensor]:
     """Seed pieces from secants between R+1 quantile knots (1-D only)."""
     x = prob.x[:, 0]
@@ -112,8 +116,9 @@ def fit_max_affine(prob: FitProblem, init=None) -> MasoParams:
     e.g. a previous fit's pieces plus one more; otherwise 1-D problems
     start from quantile-knot secants and higher dimensions from a seeded
     random partition.  Runs until the assignment stops changing or the
-    iteration cap; of all iterates the one with the smallest sup error is
-    returned (the assignment step can jitter it, the best pass is kept).
+    iteration cap; of all iterates, and init when given, the one with the
+    smallest sup error is returned (the assignment step can jitter it, the
+    best pass is kept, and a warm start is never made worse).
     """
     if init is not None:
         A = as_tensor(init[0]).reshape(prob.R, prob.x.shape[1]).copy()
@@ -123,7 +128,7 @@ def fit_max_affine(prob: FitProblem, init=None) -> MasoParams:
     else:
         A, b = _init_random(prob)
 
-    best = (np.inf, A.copy(), b.copy())
+    best = (np.inf if init is None else _sup(prob, A, b), A.copy(), b.copy())
     prev_assign = None
     for _ in range(prob.max_iterations):
         vals = _piece_values(A, b, prob.x)
@@ -146,7 +151,7 @@ def fit_max_affine(prob: FitProblem, init=None) -> MasoParams:
             b[r] = prob.y[i] - A[r] @ prob.x[i]
             assign[i] = r
         A, b = _refit(prob, assign, A, b)
-        err = float(np.max(np.abs(_evaluate(A, b, prob.x) - prob.y)))
+        err = _sup(prob, A, b)
         if err < best[0]:
             best = (err, A.copy(), b.copy())
         if prev_assign is not None and np.array_equal(assign, prev_assign):

@@ -418,6 +418,45 @@ def test_network_file_containers_of_the_wrong_type_exit_2(tmp_path, capsys, edit
     assert f"{p}: {named}" in err and "internal error" not in err
 
 
+def _set_true(rows, i):
+    rows[i] = True
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda doc: _set_true(doc["layers"][0]["W"][1], 0), "layer 0: field 'W' holds a boolean"),
+    (lambda doc: doc["layers"][0].update(b=[True, False, True, True]), "layer 0: field 'b' holds a boolean"),
+    (lambda doc: doc.update(input_shape=[2, True]), "field 'input_shape' holds a boolean"),
+    (lambda doc: _set_true(doc["layers"][2]["regions"][0], 1), "layer 2: field 'regions' holds a boolean"),
+], ids=["W-entry", "b", "input_shape", "maxpool-region"])
+def test_booleans_in_a_network_file_exit_2(tmp_path, capsys, edit, named):
+    # json true would otherwise load as the number 1
+    mlp = L.make_mlp([2, 4, 3], seed=0)
+    net = L.Network(mlp.layers[:2] + [L.MaxPool(((0, 1), (2, 3)), 4), L.Dense(np.eye(2), np.zeros(2))],
+                    (2,), 2)
+    p = tmp_path / "net.json"
+    cli.save_network(net, str(p))
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    blob_csv(tmp_path / "d.csv")
+    assert cli.main(["eval", "--net", str(p), "--data", str(tmp_path / "d.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: {named}" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"A": [[[1.0], [True]]], "B": [[0.0, 0.0]]}, "field 'A' holds a boolean"),
+    ({"A": [[[1.0], [0.5]]], "B": [[False, 0.0]]}, "field 'B' holds a boolean"),
+    ([1.0], "not a usable MASO file"),
+], ids=["A-entry", "B-entry", "top-array"])
+def test_act_table_maso_file_booleans_exit_2(tmp_path, capsys, doc, named):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["act-table", "--net", str(p), "--resolution", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{p}: {named}" in err and "internal error" not in err
+
+
 def test_save_dataset_rejects_fractional_labels(tmp_path):
     with pytest.raises(MasonetError, match="label must be an integer, got 0.5"):
         cli.save_dataset_csv(str(tmp_path / "d.csv"), np.zeros((2, 2)), [0.5, 1.9])

@@ -351,6 +351,29 @@ def test_bn_fold_matches_normalization(rng):
     assert np.allclose(z * scale + shift, expect, atol=1e-12)
 
 
+def test_bn_statistics_do_not_depend_on_memory_order(rng):
+    # numpy sums an F-ordered array's columns in another order than a
+    # C-ordered one's; every layout must give the C-ordered bits
+    bn = L.BatchNorm(rng.standard_normal(7), rng.random(7) + 0.5,
+                     rng.standard_normal(7), rng.standard_normal(7))
+    Z = rng.standard_normal((200, 7)) * 3.0 + 1.0
+    G = rng.standard_normal((200, 7))
+    want, cache = bn.forward(Z, batch_stats=True)
+    want_in, want_grads, _ = bn.backward(cache, G)
+    for Zl in (Z, np.asfortranarray(Z)):
+        out, cache = bn.forward(Zl, batch_stats=True)
+        assert np.array_equal(out, want)
+        for Gl in (G, np.asfortranarray(G)):
+            G_in, grads, _ = bn.backward(cache, Gl)
+            assert np.array_equal(G_in, want_in)
+            assert all(np.array_equal(grads[k], want_grads[k]) for k in ("scale", "shift"))
+    # the epoch-end calibration sets the same statistics from either layout
+    bn.calibrate(Z)
+    mean, var = bn.mean, bn.var
+    bn.calibrate(np.asfortranarray(Z))
+    assert np.array_equal(bn.mean, mean) and np.array_equal(bn.var, var)
+
+
 def make_skip_block(rng, shape=(2, 4, 4)):
     dim = int(np.prod(shape))
     conv = L.Conv(rng.standard_normal((shape[0], shape[0], 3, 3)) * 0.4,
@@ -493,6 +516,36 @@ def test_maso_form_equals_the_inference_forward(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+def test_selected_map_and_maso_form_come_from_pull(seed):
+    # every layer of an every_kind_net at its forward input, then push_cases:
+    # the dense selected map is the identity pulled through the layer, also
+    # where dense, conv and skip block return their own matrix, and region r
+    # of the MASO form is the map selected when every code reads r
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    z = rng.standard_normal(net.dims[0])
+    cases = []
+    for layer in net.layers:
+        cases.append((layer, z))
+        z = layer.forward(z[None, :])[0][0]
+    cases += push_cases(rng)
+    for layer, z in cases:
+        name = type(layer).__name__
+        _, cache = layer.forward(z[None, :])
+        A, b = layer.selected_affine(cache)
+        assert np.array_equal(A, layer.pull(cache, np.eye(layer.dims()[1])[None])[0]), name
+        assert np.array_equal(b, np.reshape(layer.selected_offset(cache), -1)), name
+        p = layer.as_maso()
+        assert p.R == layer.pieces, name
+        for r in range(p.R):
+            if layer.selector:
+                cache["codes"][...] = r
+            A, b = layer.selected_affine(cache)
+            assert np.array_equal(p.A[:, r], A) and np.array_equal(p.B[:, r], b), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
 def test_push_equals_the_selected_product(seed):
     rng = np.random.default_rng(seed)
     for layer, z in push_cases(rng):
@@ -570,16 +623,21 @@ def test_conv_taps_are_shared_read_only_and_never_stale(rng):
     assert np.allclose(after @ x + conv.bias_flat(), expect.ravel(), atol=1e-12)
 
 
+def selected_map(layer):
+    """The dense map a layer selects at the zero input."""
+    return layer.selected_affine(layer.forward(np.zeros((1, layer.dims()[0])))[1])[0]
+
+
 def test_pool_geometry_is_read_only_and_matrices_fresh():
     regions = ((0, 1, 2), (2, 3), (4,))
     pool = L.AvgPool(regions, 5)
     idx = L.MaxPool(regions, 5).padded_indices()
     assert not idx.flags.writeable
     assert idx is pool.padded_indices()
-    P = pool.matrix()
+    P = selected_map(pool)
     P[:] = 0.0
     pool.as_maso().A[:] = 0.0
-    assert np.allclose(pool.matrix().sum(axis=1), 1.0)
+    assert np.allclose(selected_map(pool).sum(axis=1), 1.0)
 
 
 # --- apodized reconstruction ---------------------------------------------------
@@ -669,7 +727,7 @@ def test_pool_arrays_match_region_loops(regions):
             P[k, j] += 1.0 / len(r)
         for i in range(A.shape[1]):
             A[k, i, r[min(i, len(r) - 1)]] = 1.0
-    assert np.array_equal(L.AvgPool(regions, in_dim).matrix(), P)
+    assert np.array_equal(selected_map(L.AvgPool(regions, in_dim)), P)
     assert np.array_equal(L.AvgPool(regions, in_dim).as_maso().A[:, 0], P)
     assert np.array_equal(L.MaxPool(regions, in_dim).as_maso().A, A)
 

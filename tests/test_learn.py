@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from masonet import layers as L
@@ -31,6 +31,7 @@ from masonet.ndcore import (
     ShapeError,
     StructureError,
 )
+from test_analysis import every_kind_net
 
 
 def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
@@ -266,6 +267,59 @@ def test_skip_block_gradients(rng):
     fd_check(net, ["0.conv.filters", "0.conv.bias", "0.skip.filters", "0.skip_bias",
                    "1.conv.filters", "2.W"], X, y, mode="hard")
     fd_check(net, ["0.conv.filters", "0.skip.filters"], X, y, mode="beta", beta=0.6)
+
+
+def _hard_codes(net, X):
+    _, caches = L.network_forward_batch(net, X, batch_stats=True)
+    return [c["codes"].copy() for layer, c in zip(net.layers, caches) if layer.selector]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_kind_gradients_match_finite_differences(seed):
+    # a few entries of every parameter of an every_kind_net, and each
+    # selector's beta, in hard, soft and beta mode; a hard-mode difference
+    # is compared only where neither step leaves the forward's regions
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng)
+    X = rng.standard_normal((3, net.dims[0]))
+    y = rng.integers(0, 3, 3)
+    _, caches = L.network_forward_batch(net, X, batch_stats=True)
+    assume(not any(layer.near_boundary(c, learn._BOUNDARY_GAP) for layer, c in zip(net.layers, caches)))
+    codes = _hard_codes(net, X)
+    betas = {i: float(rng.uniform(0.2, 0.8)) for i, layer in enumerate(net.layers) if layer.selector}
+    h = 1e-6
+    for mode, beta in (("hard", None), ("soft", None), ("beta", betas)):
+        _, grads = backward(net, X, y, mode=mode, beta=beta)
+        assert sorted(grads) == sorted(
+            [f"{i}.{k}" for i, layer in enumerate(net.layers) for k in layer.params()]
+            + ([f"{i}.beta" for i in betas] if mode == "beta" else [])
+        )
+        for key, G in grads.items():
+            i, field = key.split(".", 1)
+            i = int(i)
+            if field == "beta":
+                lp, lm = (forward_loss(net, X, y, mode="beta", beta={**betas, i: betas[i] + d})
+                          for d in (h, -h))
+                fd = (lp - lm) / (2 * h)
+                assert abs(G - fd) <= 1e-7 + 1e-5 * abs(fd), (key, G, fd)
+                continue
+            arr = net.layers[i].params()[field]
+            for j in rng.choice(arr.size, min(arr.size, 3), replace=False):
+                idx = np.unravel_index(j, arr.shape)
+                orig = arr[idx]
+                losses, crossed = [], False
+                for d in (h, -h):
+                    arr[idx] = orig + d
+                    losses.append(forward_loss(net, X, y, mode=mode, beta=beta))
+                    crossed |= mode == "hard" and not all(
+                        np.array_equal(a, b) for a, b in zip(_hard_codes(net, X), codes)
+                    )
+                arr[idx] = orig
+                if crossed:
+                    continue
+                fd = (losses[0] - losses[1]) / (2 * h)
+                assert abs(G[idx] - fd) <= 1e-7 + 1e-5 * abs(fd), (mode, key, idx, G[idx], fd)
 
 
 def test_hard_mode_warns_on_region_boundary():

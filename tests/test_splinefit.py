@@ -100,6 +100,22 @@ def test_warm_start_init_is_honored():
     assert sup_error(x, y, warm) <= sup_error(x, y, base) + 1e-12
 
 
+@pytest.mark.parametrize("points", [(-0.5, 0.5), (-2 / 3, 0.0, 2 / 3)])
+def test_warm_start_counts_as_the_first_candidate(points):
+    # tangents of x^2 raised by half their sup error: the iterates that
+    # follow are worse (0.1658 against 0.125 for two pieces, 0.0732 against
+    # 0.0556 for three), so the start itself must be returned
+    x, y = quad_samples(401)
+    t = np.array(points)
+    A, b = 2 * t[:, None], -(t**2)
+    start_error = np.max(np.abs(np.max(x[:, None] * A.T + b, axis=1) - y))
+    init = (A, b + start_error / 2)
+    start = MasoParams(init[0][None], init[1][None])
+    fit = fit_max_affine(FitProblem(x, y, len(points)), init=init)
+    assert sup_error(x, y, fit) == sup_error(x, y, start)
+    assert np.array_equal(fit.A, start.A) and np.array_equal(fit.B, start.B)
+
+
 def test_empty_pieces_get_reseeded():
     # all-zero init collapses assignment onto piece 0; the fit must still
     # spread pieces out and beat the single-piece error
