@@ -137,13 +137,10 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
             )
     if len(blocks) > 11:
         raise DomainError(f"{len(blocks)} blocks would expand to {2 ** len(blocks)} terms")
-    terms = []
-    dim = net.dims[0]
-    for index in range(2 ** len(blocks)):
-        P = np.eye(dim)
-        for i, pair in enumerate(blocks):
-            P = pair[(index >> i) & 1] @ P
-        terms.append(P)
+    # doubling per block keeps the first block's choice the least significant bit
+    terms = [np.eye(net.dims[0])]
+    for skip, act in blocks:
+        terms = [skip @ P for P in terms] + [act @ P for P in terms]
     return terms
 
 

@@ -6,8 +6,8 @@ parser declares only the flags its handler reads and converts their
 values (comma lists included); the handler receives the parsed
 namespace.  Every command is deterministic given its seed and inputs;
 all CSV output carries a header row, uses '.' decimals and LF line
-endings.  Exit codes: 0 success, 2 bad input (file, flag or value), 1
-internal error.
+endings.  main returns 0 on success, 2 on bad input (a file, flag or
+value; one 'error: ...' line on stderr), 1 on an internal error.
 
 Dataset files are CSV (feature columns then an integer label; splinefit
 reads the same layout with a float target).  Networks are JSON
@@ -134,8 +134,11 @@ def load_dataset_csv(path: str, class_count: int | None = None, float_target: bo
     runs only when that parse or a check on its result fails, so every
     result and message is the scan's.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})")
     parsed = _parse_bulk(lines, class_count, float_target)
     return parsed if parsed is not None else _parse_lines(path, lines, class_count, float_target)
 
@@ -304,14 +307,21 @@ def _reject_booleans(doc: dict, where: str) -> None:
             raise ValidationError(f"{where}: field {key!r} holds a boolean")
 
 
-def load_network(path: str) -> L.Network:
+def _read_json(path: str) -> dict:
+    """A JSON file's top-level object; a file that does not decode, or whose
+    top level is not an object, is a ValidationError naming the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the top level must be an object, got {_json_kind(doc)}")
+    return doc
+
+
+def load_network(path: str) -> L.Network:
+    doc = _read_json(path)
     for field in ("input_shape", "class_count", "layers"):
         if field not in doc:
             raise ValidationError(f"{path}: missing top-level field {field!r}")
@@ -382,42 +392,28 @@ def emit_activation_table(kind, beta_list, u_grid) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _resolve_net(args) -> L.Network:
-    if args.net is None:
-        raise ValidationError("--net is required for this command")
     if not args.net.startswith("mlp:"):
         return load_network(args.net)
     # inline architecture, e.g. mlp:2-45-3-4, mlp:2-16-2:abs or mlp:2-8-2:lrelu:0.05
     parts = args.net.split(":")
     try:
-        dims = [int(d) for d in parts[1].split("-")]
-        nu = float(parts[3]) if len(parts) > 3 else 0.01
-    except ValueError:
-        raise ValidationError(f"bad mlp architecture {args.net!r}")
-    kind = parts[2] if len(parts) > 2 else "relu"
-    try:
-        return L.make_mlp(dims, kind=kind, nu=nu, seed=args.seed)
-    except MasonetError as exc:
+        # a missing kind or slope takes its default; a fifth part fails to unpack
+        _, spec, kind, nu = parts + ["relu", "0.01"][len(parts) - 2:]
+        return L.make_mlp([int(d) for d in spec.split("-")], kind=kind, nu=float(nu), seed=args.seed)
+    except (ValueError, MasonetError) as exc:
         raise ValidationError(f"bad mlp architecture {args.net!r}: {exc}")
-
-
-def _load_data(args, net: L.Network | None = None):
-    if args.data is None:
-        raise ValidationError("--data is required for this command")
-    return load_dataset_csv(args.data, None if net is None else net.class_count)
 
 
 def _net_and_row(args) -> tuple[L.Network, np.ndarray]:
     """The network and dataset row --k that the single-input analyses read."""
     net = _resolve_net(args)
-    X, _ = _load_data(args)
+    X, _ = load_dataset_csv(args.data)
     if not 0 <= args.k < X.shape[0]:
         raise ValidationError(f"row index {args.k} out of range for {X.shape[0]} rows")
     return net, X[args.k]
 
 
 def _bound_pairs(vals, dim: int):
-    if vals is None:
-        raise ValidationError("--bounds is required (lo,hi per dimension)")
     if len(vals) % 2 != 0:
         raise ValidationError("--bounds needs lo,hi pairs")
     pairs = [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
@@ -448,8 +444,6 @@ def _prefix(args, net: L.Network) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_data(args) -> int:
-    if args.out is None:
-        raise ValidationError("--out is required")
     X, y = generate_toy_dataset(args.seed)
     save_dataset_csv(args.out, X, y)
     print(f"wrote {X.shape[0]} points ({_TOY_CLASSES} classes) to {args.out}")
@@ -457,10 +451,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.out is None:
-        raise ValidationError("--out is required")
     net = _resolve_net(args)
-    X, y = _load_data(args, net)
+    X, y = load_dataset_csv(args.data, net.class_count)
     learnable = args.beta == "learnable"
     try:
         beta = 0.5 if learnable else float(args.beta)
@@ -492,7 +484,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     net = _resolve_net(args)
-    X, y = _load_data(args, net)
+    X, y = load_dataset_csv(args.data, net.class_count)
     acc = learn.accuracy(net, X, y)
     loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
     print(f"loss={loss:.6f} accuracy={acc:.4f} on {X.shape[0]} points")
@@ -542,7 +534,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_stats(args) -> int:
     net = _resolve_net(args)
-    X, _ = _load_data(args)
+    X, _ = load_dataset_csv(args.data)
     stats = partition.region_stats(net, X, _prefix(args, net))
     print(f"nonempty regions: {stats['nonempty_count']}")
     if args.out:
@@ -553,7 +545,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_nn(args) -> int:
     net = _resolve_net(args)
-    X, _ = _load_data(args)
+    X, _ = load_dataset_csv(args.data)
     prefix = _prefix(args, net)
     idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
     # the query's code row, then the neighbours': one forward of k + 1 rows
@@ -590,11 +582,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_splinefit(args) -> int:
-    if args.data is None:
-        raise ValidationError("--data is required (CSV with columns x,f)")
     X, f = load_dataset_csv(args.data, float_target=True)
-    if args.k is None:
-        raise ValidationError("--k is required (piece budget, or comma list of budgets)")
     if len(args.k) == 1:
         prob = splinefit.FitProblem(X, f, args.k[0], seed=args.seed)
         spline = splinefit.fit_max_affine(prob)
@@ -613,18 +601,14 @@ def _cmd_splinefit(args) -> int:
 
 
 def _cmd_act_table(args) -> int:
+    kind = args.mode
     if args.net is not None:
-        try:
-            with open(args.net) as fh:
-                doc = json.load(fh)
-            kind = MasoParams(np.array(doc["A"], dtype=np.float64), np.array(doc["B"], dtype=np.float64))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, MasonetError, ValueError) as exc:
-            raise ValidationError(f"{args.net}: not a usable MASO file ({exc})")
+        doc = _read_json(args.net)
         _reject_booleans(doc, args.net)
-    elif args.mode in ("relu", "abs"):
-        kind = args.mode
-    else:
-        raise ValidationError(f"act-table supports relu/abs (or --net FILE), got {args.mode!r}")
+        try:
+            kind = MasoParams(np.array(doc["A"], dtype=np.float64), np.array(doc["B"], dtype=np.float64))
+        except (KeyError, TypeError, MasonetError, ValueError) as exc:
+            raise ValidationError(f"{args.net}: not a usable MASO file ({exc})")
     [(lo, hi)] = _bound_pairs(args.bounds, 1)
     if args.resolution < 1:
         raise ValidationError(f"--resolution must be at least 1, got {args.resolution}")
@@ -667,8 +651,8 @@ _ints, _floats = _comma_list(int), _comma_list(float)
 
 # flags several subcommands read with one meaning
 _SHARED = {
-    "--net": dict(help="network JSON file, or inline mlp:D-...-C[:kind[:slope]]"),
-    "--data": dict(help="CSV of feature columns, then the label (splinefit: the value f)"),
+    "--net": dict(required=True, help="network JSON file, or inline mlp:D-...-C[:kind[:slope]]"),
+    "--data": dict(required=True, help="CSV of feature columns, then the label (splinefit: the value f)"),
     "--out": dict(help="output file"),
     "--seed": dict(type=int, default=0, help="seed of the data, inline net or training"),
     "--layer": dict(type=int, help="layer-prefix length (default: the whole network)"),
@@ -676,8 +660,15 @@ _SHARED = {
 _ROW = dict(type=int, default=0, help="dataset row to analyse (default 0)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ValidationError: exit 2 and one line, as for a bad file."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="masonet",
         description="Max-affine spline view of deep networks: training, "
         "decomposition, partition analytics, spline fitting.",
@@ -690,9 +681,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_SHARED[flag])
         return p
 
-    command("gen-data", "write the 4-class toy dataset", "--out", "--seed")
+    command("gen-data", "write the 4-class toy dataset", "--seed").add_argument(
+        "--out", required=True, **_SHARED["--out"])
     p = command("train", "train a network; writes the net JSON and a history CSV",
-                "--net", "--data", "--out", "--seed")
+                "--net", "--data", "--seed")
+    p.add_argument("--out", required=True, **_SHARED["--out"])
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--batch", type=int, default=128)
@@ -706,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("templates", "matched-filter rows of the classifier at one input",
             "--net", "--data", "--out", "--seed").add_argument("--k", **_ROW)
     p = command("partition", "grid scan of joint VQ codes", "--net", "--out", "--seed", "--layer")
-    p.add_argument("--bounds", type=_floats, help="lo,hi per input dimension (one pair for all)")
+    p.add_argument("--bounds", type=_floats, required=True, help="lo,hi per input dimension (one pair for all)")
     p.add_argument("--resolution", type=_ints, default=[101],
                    help="grid points per dimension: one count, or one per dimension")
     command("stats", "region occupancy statistics of a dataset",
@@ -721,10 +714,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--net", "--data", "--out", "--seed").add_argument("--k", **_ROW)
     p = command("splinefit", "fit max-affine pieces to samples (--k budget or list)",
                 "--data", "--out", "--seed")
-    p.add_argument("--k", type=_ints, help="piece budget, or a comma list of budgets for a decay curve")
+    p.add_argument("--k", type=_ints, required=True, help="piece budget, or a comma list of budgets for a decay curve")
     p = command("act-table", "hard/soft/beta activation tables (--mode relu|abs)", "--out")
     p.add_argument("--net", help="K=1, D=1 MASO JSON {A, B} to tabulate instead of --mode")
-    p.add_argument("--mode", default="relu", help="activation: relu | abs")
+    p.add_argument("--mode", default="relu", choices=("relu", "abs"), help="activation")
     p.add_argument("--beta", type=_floats, default=[0.5], help="comma list of beta values in (0, 1)")
     p.add_argument("--bounds", type=_floats, default=[-10.0, 10.0], help="lo,hi of the grid")
     p.add_argument("--resolution", type=int, default=2001, help="grid points")
@@ -732,8 +725,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (MasonetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

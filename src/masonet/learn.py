@@ -75,6 +75,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.learning_rate, self.gamma, self.lam]).all():
+            raise DomainError("learning rate, gamma and lam must be finite")
         if self.learning_rate <= 0:
             raise DomainError("learning rate must be positive")
         if self.epochs < 1:

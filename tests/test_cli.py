@@ -447,7 +447,7 @@ def test_booleans_in_a_network_file_exit_2(tmp_path, capsys, edit, named):
 @pytest.mark.parametrize("doc,named", [
     ({"A": [[[1.0], [True]]], "B": [[0.0, 0.0]]}, "field 'A' holds a boolean"),
     ({"A": [[[1.0], [0.5]]], "B": [[False, 0.0]]}, "field 'B' holds a boolean"),
-    ([1.0], "not a usable MASO file"),
+    ([1.0], "the top level must be an object, got an array"),
 ], ids=["A-entry", "B-entry", "top-array"])
 def test_act_table_maso_file_booleans_exit_2(tmp_path, capsys, doc, named):
     p = tmp_path / "m.json"
@@ -494,14 +494,6 @@ def test_bad_arch_string_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def exit_status(argv):
-    """cli.main's exit status, whether returned or raised by argparse."""
-    try:
-        return cli.main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv", [
     ["decompose", "--net", "mlp:2-4-4", "--data", "{blobs}", "--k", "abc"],
     ["nn", "3", "--net", "mlp:2-4-4", "--data", "{blobs}", "--k", "x"],
@@ -519,6 +511,10 @@ def exit_status(argv):
     ["act-table", "--resolution", "-5"],
     ["eval", "--net", "mlp:2-4-4:lrelu:abc", "--data", "{blobs}"],
     ["eval", "--net", "mlp:2-4-4:lrelu:2", "--data", "{blobs}"],
+    ["eval", "--net", "mlp:2-4-4:relu:0.1:junk", "--data", "{blobs}"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--lambda", "nan"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--gamma", "inf"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--lr", "nan"],
 ], ids=" ".join)
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     blob_csv(tmp_path / "blobs.csv")
@@ -526,8 +522,52 @@ def test_bad_values_exit_2(tmp_path, capsys, argv):
     (tmp_path / "ragged.csv").write_text("x,f\n1,1\n2,4,5\n")
     paths = {"blobs": tmp_path / "blobs.csv", "quad": tmp_path / "quad.csv",
              "ragged": tmp_path / "ragged.csv", "tmp": tmp_path}
-    assert exit_status([a.format(**paths) for a in argv]) == 2
-    assert "internal error" not in capsys.readouterr().err
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert not (tmp_path / "n.json.history.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["gen-data", "--out", "x.csv", "--bogus"], "--bogus"),
+    ([], "command"),
+    (["frobnicate"], "frobnicate"),
+    (["act-table", "--mode", "tanh"], "--mode"),
+    (["train", "--net", "mlp:2-4-4", "--data", "d.csv"], "--out"),
+    (["train", "--data", "d.csv", "--out", "n.json"], "--net"),
+    (["eval", "--net", "mlp:2-4-4"], "--data"),
+    (["partition", "--net", "mlp:2-4-4"], "--bounds"),
+    (["splinefit", "--data", "d.csv"], "--k"),
+    (["splinefit", "--k", "2"], "--data"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_command_lines_exit_2_with_one_line(capsys, argv, named):
+    # the parser's errors take the handlers' path: a return value, not SystemExit
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and named in line
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: masonet" in capsys.readouterr().out
+
+
+def test_files_that_are_not_utf8_exit_2_naming_the_file(tmp_path, capsys):
+    # a UnicodeDecodeError is no MasonetError: uncaught, main would exit 1
+    net, data = tmp_path / "net.json", tmp_path / "d.csv"
+    net.write_bytes(bytes(range(256)))
+    data.write_bytes(b"x1,x2,label\n0.5,1\xe9,0\n")
+    assert cli.main(["eval", "--net", str(net), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {net}: not valid JSON")
+    assert cli.main(["act-table", "--net", str(net)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {net}: not valid JSON")
+    for argv in (["eval", "--net", "mlp:2-4-4"], ["splinefit", "--k", "2"]):
+        assert cli.main(argv + ["--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: not UTF-8 text")
 
 
 def test_splinefit_reports_file_line_past_blank_lines(tmp_path, capsys):

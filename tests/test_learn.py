@@ -87,6 +87,14 @@ def test_cross_entropy_label_range():
         cross_entropy(np.zeros(3), 3)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "gamma", "lam"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rejects_non_finite_weights(field, value):
+    # nan passes a sign check (nan < 0 is false), so finiteness is checked apart
+    with pytest.raises(DomainError, match="must be finite"):
+        TrainConfig(**{field: value})
+
+
 def test_forward_loss_is_mean_of_singles(rng):
     net = L.make_mlp([3, 5, 2], seed=2)
     X = rng.standard_normal((6, 3))
