@@ -11,8 +11,11 @@ value; one 'error: ...' line on stderr), 1 on an internal error.
 
 Dataset files are CSV (feature columns then an integer label; splinefit
 reads the same layout with a float target).  Networks are JSON
-documents: {"input_shape", "class_count", "layers": [tagged layer
-objects with decimal weight arrays]}.
+documents: {"input_shape", "class_count", "layers": [layer objects]}.
+A layer object is {"kind": its tag in _LAYER_KINDS, then each dataclass
+field of the layer in order}, arrays as nested decimal lists; a skip
+block's parts are layer objects, and Activation's own `kind` field is
+stored under "activation".  act-table's MASO file is {"A", "B"}.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -246,41 +250,57 @@ def _parse_lines(path: str, lines: list, class_count: int | None, float_target: 
 # ---------------------------------------------------------------------------
 
 _LAYER_KINDS = {
-    cls.tag: cls
-    for cls in (L.Dense, L.Conv, L.Activation, L.MaxPool, L.AvgPool, L.BatchNorm, L.SkipBlock)
+    "dense": L.Dense, "conv": L.Conv, "activation": L.Activation, "maxpool": L.MaxPool,
+    "avgpool": L.AvgPool, "batchnorm": L.BatchNorm, "skip": L.SkipBlock,
 }
+_TAGS = {cls: tag for tag, cls in _LAYER_KINDS.items()}
+_KEYS = {"kind": "activation"}  # field -> JSON key where they differ: "kind" holds the tag
 
 
-def _layer_from_json(obj: dict, where: str):
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError):
+def _encode(value):
+    """json.dump's hook for what JSON lacks: a layer and an array."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    fields_in_order = {_KEYS.get(f.name, f.name): getattr(value, f.name) for f in fields(value)}
+    return {"kind": _TAGS[type(value)], **fields_in_order}
+
+
+def _layer(obj, where: str):
+    if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"{where}: layer object lacks a 'kind' tag")
+    kind = obj["kind"]
     cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValidationError(f"{where}: unknown layer kind {kind!r}")
+    return _decode(cls, {key: value for key, value in obj.items() if key != "kind"}, where)
+
+
+def _decode(cls, obj: dict, where: str):
+    """The dataclass cls built from the fields of a JSON object; objects
+    nested in a layer are layers (a skip block's parts).  A boolean, an
+    unknown or missing field, or a value cls rejects is a ValidationError
+    naming where and the field."""
     _reject_booleans(obj, where)
-    # nested layer objects (the parts of a skip block) decode first
-    doc = {
-        key: _layer_from_json(value, f"{where}.{key}") if isinstance(value, dict) else value
-        for key, value in obj.items()
-    }
+    by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    args = {}
+    for key, value in obj.items():
+        if key not in by_key:
+            raise ValidationError(f"{where}: unknown field {key!r}")
+        nested = isinstance(value, dict) and cls in _TAGS
+        args[by_key[key].name] = _layer(value, f"{where}.{key}") if nested else value
+    for key, f in by_key.items():
+        if f.name not in args and f.default is MISSING:
+            raise ValidationError(f"{where}: missing field {key!r}")
     try:
-        return cls.from_json(doc)
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc} for kind {kind!r}")
+        return cls(**args)
     except (MasonetError, ValueError, TypeError) as exc:
         raise ValidationError(f"{where}: {exc}")
 
 
 def save_network(net: L.Network, path: str) -> None:
-    doc = {
-        "input_shape": list(net.input_shape),
-        "class_count": net.class_count,
-        "layers": [layer.to_json() for layer in net.layers],
-    }
+    doc = {"input_shape": list(net.input_shape), "class_count": net.class_count, "layers": net.layers}
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, default=_encode)
         fh.write("\n")
 
 
@@ -293,9 +313,16 @@ def _json_kind(value) -> str:
 
 
 def _holds_boolean(value) -> bool:
-    if isinstance(value, list):
-        return any(map(_holds_boolean, value))
-    return isinstance(value, bool)
+    # an explicit stack, since a file may nest arrays deeper than Python
+    # recurses; only a list holding a boolean or a list is opened
+    stack = [value]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, bool):
+            return True
+        if isinstance(top, list) and not {bool, list}.isdisjoint(map(type, top)):
+            stack.extend(top)
+    return False
 
 
 def _reject_booleans(doc: dict, where: str) -> None:
@@ -315,6 +342,8 @@ def _read_json(path: str) -> dict:
             doc = json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ValidationError(f"{path}: not valid JSON ({exc})")
+    except RecursionError:
+        raise ValidationError(f"{path}: arrays or objects nested too deeply")
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: the top level must be an object, got {_json_kind(doc)}")
     return doc
@@ -333,12 +362,10 @@ def load_network(path: str) -> L.Network:
             f"{path}: class_count must be an integer, got {_json_kind(doc['class_count'])}"
         )
     _reject_booleans(doc, path)
-    layers = [
-        _layer_from_json(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])
-    ]
+    layers = [_layer(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])]
     try:
         return L.Network(layers, tuple(doc["input_shape"]), doc["class_count"])
-    except MasonetError as exc:
+    except (MasonetError, ValueError) as exc:  # a ragged or too deep input_shape
         raise ValidationError(f"{path}: {exc}")
 
 
@@ -603,12 +630,7 @@ def _cmd_splinefit(args) -> int:
 def _cmd_act_table(args) -> int:
     kind = args.mode
     if args.net is not None:
-        doc = _read_json(args.net)
-        _reject_booleans(doc, args.net)
-        try:
-            kind = MasoParams(np.array(doc["A"], dtype=np.float64), np.array(doc["B"], dtype=np.float64))
-        except (KeyError, TypeError, MasonetError, ValueError) as exc:
-            raise ValidationError(f"{args.net}: not a usable MASO file ({exc})")
+        kind = _decode(MasoParams, _read_json(args.net), args.net)
     [(lo, hi)] = _bound_pairs(args.bounds, 1)
     if args.resolution < 1:
         raise ValidationError(f"--resolution must be at least 1, got {args.resolution}")

@@ -13,10 +13,9 @@ shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
 inference forward), the matching backward, the map a hard forward
 selected (as `pull`, `selected_offset` and `push`; the dense map and
-the MASO form derive from `pull`, see `Layer`), its trainable arrays
-and its JSON form.  Selection is `maso.select` (and its backward),
-except the activation's hard forward, whose z > 0 test gives the same
-codes.  A region is chosen only in the forward: the hard backward, the
+the MASO form derive from `pull`, see `Layer`) and its trainable
+arrays.  Selection is `maso.select` (and its backward), except the
+activation's hard forward, whose z > 0 test gives the same codes.  A region is chosen only in the forward: the hard backward, the
 selected affine map and the decomposition steps all read the codes of
 the forward's cache, so the training, partition and decomposition views
 of an input agree.  The MASO form, selected by `maso.select` from its
@@ -36,7 +35,7 @@ every call.
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,14 +107,10 @@ class Layer:
     every code set to r, for each of the `pieces` regions.
     `network_forward_batch` is the one loop that runs a network's
     layers.
-    The JSON form is the "kind" tag followed by the dataclass fields in
-    order.
     """
 
-    tag = ""  # the JSON "kind"
     selector = False  # picks a region per unit: has codes and a beta
     pieces = 1  # regions per unit of the MASO form
-    _json_names: dict = {}  # field -> JSON key, where the two differ
 
     def params(self) -> dict:
         """Trainable arrays keyed by field name."""
@@ -156,34 +151,6 @@ class Layer:
         """Does a hard-mode cache hold a unit within gap of a region tie?"""
         return False
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.tag}
-        for f in fields(self):
-            doc[self._json_names.get(f.name, f.name)] = _json_value(getattr(self, f.name))
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict):
-        """Inverse of to_json; nested layers arrive already decoded."""
-        args = {}
-        for f in fields(cls):
-            key = cls._json_names.get(f.name, f.name)
-            if key in doc:
-                args[f.name] = doc[key]
-            elif f.default is MISSING:
-                raise KeyError(key)
-        return cls(**args)
-
-
-def _json_value(v):
-    if isinstance(v, Layer):
-        return v.to_json()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, tuple):
-        return [_json_value(e) for e in v]
-    return v
-
 
 @dataclass(eq=False)
 class Dense(Layer):
@@ -191,7 +158,6 @@ class Dense(Layer):
 
     W: Tensor
     b: Tensor
-    tag = "dense"
 
     def __post_init__(self):
         self.W = as_tensor(self.W)
@@ -237,7 +203,6 @@ class Conv(Layer):
     stride: tuple[int, int]
     padding: str
     in_shape: tuple[int, int, int]
-    tag = "conv"
 
     def __post_init__(self):
         self.filters = as_tensor(self.filters)
@@ -312,10 +277,8 @@ class Activation(Layer):
     kind: str
     dim: int
     nu: float = 0.01
-    tag = "activation"
     selector = True
     pieces = 2  # region 0 is the inactive branch
-    _json_names = {"kind": "activation"}
 
     def __post_init__(self):
         self.dim = int(as_ints(self.dim, "activation dim"))
@@ -434,7 +397,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class MaxPool(_Pool):
     """Max over explicit index regions of the flat input."""
 
-    tag = "maxpool"
     selector = True
 
     def forward(self, Z, beta=None, batch_stats=False):
@@ -488,8 +450,6 @@ class AvgPool(_Pool):
     """Mean over explicit index regions of the flat input; an index listed
     twice counts twice."""
 
-    tag = "avgpool"
-
     def forward(self, Z, beta=None, batch_stats=False):
         # the max pool's region-major gather; the repeated indices that pad
         # short regions get weight 0
@@ -518,7 +478,6 @@ class BatchNorm(Layer):
     scale: Tensor
     shift: Tensor
     epsilon: float = 1e-5
-    tag = "batchnorm"
 
     def __post_init__(self):
         self.mean = as_tensor(self.mean)
@@ -592,7 +551,6 @@ class SkipBlock(Layer):
     activation: Activation
     skip: Conv
     skip_bias: Tensor
-    tag = "skip"
     selector = True
     pieces = 2  # the activation's two branches
 

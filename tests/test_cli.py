@@ -41,6 +41,29 @@ def skip_net(seed=0):
     return L.Network([block(), block(), head], (1, 3, 3), 2)
 
 
+def every_kind_net(seed=0):
+    """Every layer kind on a 1x3x3 input: a skip block, then conv, batch
+    norm, lrelu, max pool, average pool and a dense head."""
+    rng = np.random.default_rng(seed)
+    conv = L.Conv(rng.standard_normal((2, 1, 2, 2)), rng.standard_normal(2), (1, 1), "valid", (1, 3, 3))
+    layers = [
+        skip_net(seed).layers[0],
+        conv,
+        L.BatchNorm(rng.standard_normal(8), rng.uniform(0.5, 2.0, 8),
+                    rng.standard_normal(8), rng.standard_normal(8)),
+        L.Activation("lrelu", 8, nu=0.1),
+        L.MaxPool(((0, 1), (2, 3), (4, 5), (6, 7)), 8),
+        L.AvgPool(((0, 1, 2), (3,)), 4),
+        L.Dense(rng.standard_normal((2, 2)), rng.standard_normal(2)),
+    ]
+    return L.Network(layers, (1, 3, 3), 2)
+
+
+def _nested(depth):
+    """A JSON array nested depth deep around one 0."""
+    return "[" * depth + "0" + "]" * depth
+
+
 def read_csv(path):
     lines = [l for l in open(path).read().splitlines() if l]
     header = lines[0].split(",")
@@ -406,8 +429,12 @@ def test_non_integer_network_fields_exit_2(tmp_path, capsys, edit, named):
     (lambda doc: {**doc, "layers": False}, "layers must be an array, got a boolean"),
     (lambda doc: {**doc, "layers": None}, "layers must be an array, got null"),
     (lambda doc: {**doc, "class_count": [2]}, "class_count must be an integer, got an array"),
+    # numpy's ValueError for these used to escape as an internal error
+    (lambda doc: {**doc, "input_shape": [2, []]}, "setting an array element with a sequence"),
+    (lambda doc: {**doc, "input_shape": json.loads(_nested(70))}, "setting an array element with a sequence"),
 ], ids=["top-array", "top-number", "top-null", "input_shape-number", "input_shape-bool",
-        "input_shape-null", "layers-number", "layers-bool", "layers-null", "class_count-list"])
+        "input_shape-null", "layers-number", "layers-bool", "layers-null", "class_count-list",
+        "input_shape-ragged", "input_shape-70-deep"])
 def test_network_file_containers_of_the_wrong_type_exit_2(tmp_path, capsys, edit, named):
     p = tmp_path / "net.json"
     cli.save_network(L.make_mlp([2, 4, 2], seed=0), str(p))
@@ -455,6 +482,98 @@ def test_act_table_maso_file_booleans_exit_2(tmp_path, capsys, doc, named):
     assert cli.main(["act-table", "--net", str(p), "--resolution", "3"]) == 2
     err = capsys.readouterr().err
     assert f"{p}: {named}" in err and "internal error" not in err
+
+
+def test_layer_objects_are_the_tag_then_the_fields_in_order(tmp_path):
+    p = tmp_path / "net.json"
+    cli.save_network(every_kind_net(), str(p))
+    layers = json.loads(p.read_text())["layers"]
+    pool = ["kind", "regions", "in_dim"]
+    keys = {
+        "skip": ["kind", "conv", "activation", "skip", "skip_bias"],
+        "conv": ["kind", "filters", "bias", "stride", "padding", "in_shape"],
+        "batchnorm": ["kind", "mean", "var", "scale", "shift", "epsilon"],
+        "activation": ["kind", "activation", "dim", "nu"],  # the field `kind` is stored as "activation"
+        "maxpool": pool,
+        "avgpool": pool,
+        "dense": ["kind", "W", "b"],
+    }
+    assert [obj["kind"] for obj in layers] == list(keys)
+    assert [list(obj) for obj in layers] == list(keys.values())
+    skip = layers[0]
+    assert [list(skip[part]) for part in ("conv", "activation", "skip")] == [
+        keys["conv"], keys["activation"], keys["conv"]
+    ]
+    assert (layers[3]["activation"], skip["activation"]["activation"]) == ("lrelu", "relu")
+
+
+def test_saved_network_reloads_and_saves_byte_identically(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    cli.save_network(every_kind_net(), str(first))
+    cli.save_network(cli.load_network(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _rename_nu(doc):
+    doc["layers"][1]["slope"] = doc["layers"][1].pop("nu")
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_rename_nu, "layer 1: unknown field 'slope'"),
+    (lambda doc: doc["layers"][0].update(extra={"kind": "bogus"}), "layer 0: unknown field 'extra'"),
+], ids=["activation-slope", "dense-extra-object"])
+def test_unknown_field_in_a_layer_object_exits_2(tmp_path, capsys, edit, named):
+    # a misspelt optional field used to load with its default
+    p = tmp_path / "net.json"
+    cli.save_network(L.make_mlp([2, 4, 2], kind="lrelu", nu=0.2, seed=0), str(p))
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    blob_csv(tmp_path / "d.csv")
+    assert cli.main(["eval", "--net", str(p), "--data", str(tmp_path / "d.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {p}: {named}\n"
+
+
+def test_top_level_keys_of_a_network_file_are_not_checked(tmp_path):
+    p = tmp_path / "net.json"
+    cli.save_network(L.make_mlp([2, 4, 2], seed=0), str(p))
+    p.write_text(json.dumps({"comment": "any note", **json.loads(p.read_text())}))
+    assert cli.load_network(str(p)).dims == (2, 4, 4, 2)
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"B": [[0.0, 0.0]]}, "missing field 'A'"),
+    ({"A": [[[1.0], [0.5]]]}, "missing field 'B'"),
+    ({"A": [[[1.0], [0.5]]], "B": [[0.0, 0.0]], "C": 1}, "unknown field 'C'"),
+    ({"A": "x", "B": [[0.0, 0.0]]}, "could not convert string to float: 'x'"),
+    ({"A": [[1.0, 0.5]], "B": [[0.0, 0.0]]}, "A must be K x R x D, got shape (1, 2)"),
+], ids=["no-A", "no-B", "unknown-C", "string-A", "2-D-A"])
+def test_act_table_maso_file_errors_name_the_field(tmp_path, capsys, doc, named):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["act-table", "--net", str(p), "--resolution", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {p}: {named}\n"
+
+
+@pytest.mark.parametrize("depth,named", [
+    (900, "layer 0: "),  # decodes; numpy refuses that many dimensions
+    (995, "arrays or objects nested too deeply"),  # past json.load's recursion limit
+], ids=["900-deep", "995-deep"])
+def test_deeply_nested_network_file_exits_2(tmp_path, capsys, depth, named):
+    p = tmp_path / "net.json"
+    p.write_text('{"input_shape": [2], "class_count": 2, "layers": [{"kind": "dense", "W": %s, "b": [0]}]}'
+                 % _nested(depth))
+    blob_csv(tmp_path / "d.csv")
+    assert cli.main(["eval", "--net", str(p), "--data", str(tmp_path / "d.csv")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {p}: {named}")
+
+
+def test_deeply_nested_maso_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_text(_nested(100_000))
+    assert cli.main(["act-table", "--net", str(p), "--resolution", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {p}: arrays or objects nested too deeply\n"
 
 
 def test_save_dataset_rejects_fractional_labels(tmp_path):
@@ -582,7 +701,7 @@ def test_skip_block_with_dense_part_is_a_validation_error(tmp_path, capsys, rng)
     cli.save_network(skip_net(), str(p))
     doc = json.loads(p.read_text())
     # a dense part as wide as the block, so every width check passes
-    doc["layers"][0]["conv"] = L.Dense(np.eye(9), np.zeros(9)).to_json()
+    doc["layers"][0]["conv"] = {"kind": "dense", "W": np.eye(9).tolist(), "b": [0.0] * 9}
     p.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="layer 0"):
         cli.load_network(str(p))
@@ -590,6 +709,96 @@ def test_skip_block_with_dense_part_is_a_validation_error(tmp_path, capsys, rng)
     cli.save_dataset_csv(str(data), rng.standard_normal((3, 9)), np.zeros(3, dtype=np.int64))
     assert cli.main(["norms", "--net", str(p), "--data", str(data)]) == 2
     assert "internal error" not in capsys.readouterr().err
+
+
+# --- fuzzing the file decoders ---------------------------------------------------
+
+MASO_FILE = {"A": [[[1.0], [0.5]]], "B": [[0.0, 0.25]]}  # act-table's K = 1 form
+_PAST_JSON_LIMIT = "@nested@"  # written out as an array nested 2,000 deep
+_VALUES = [None, True, False, "x", "dense", 0, 1, -1, 3, 0.5, -2.5, 1e6, [], {},
+           json.loads(_nested(70)), _PAST_JSON_LIMIT]
+
+
+def _paths(node, path=()):
+    """The path of every value below a JSON document's root, where an
+    array's entries are its first and its last."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = [(i, node[i]) for i in sorted({0, len(node) - 1})] if isinstance(node, list) and node else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutations(doc):
+    """One edit of doc: a value replaced, a field or entry deleted, or an
+    unknown key added to an object."""
+    paths = list(_paths(doc))
+    objects = [p for p in [()] + paths if isinstance(_at(doc, p), dict)]
+    return st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(paths), st.sampled_from(_VALUES)),
+        st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+        st.tuples(st.just("add"), st.sampled_from(objects), st.none()),
+    )
+
+
+def write_mutated(path, doc, mutation):
+    op, where, value = mutation
+    doc = json.loads(json.dumps(doc))
+    if op == "add":
+        _at(doc, where)["unknown"] = 0
+    elif op == "delete":
+        del _at(doc, where[:-1])[where[-1]]
+    else:
+        _at(doc, where[:-1])[where[-1]] = value
+    path.write_text(json.dumps(doc).replace(json.dumps(_PAST_JSON_LIMIT), _nested(2000)))
+
+
+def assert_exits_0_or_2_naming(path, argv, capsys):
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: ")
+
+
+@pytest.fixture(scope="module")
+def every_kind_file(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    cli.save_network(every_kind_net(), str(d / "net.json"))
+    rng = np.random.default_rng(0)
+    cli.save_dataset_csv(str(d / "d.csv"), rng.standard_normal((4, 9)), np.array([0, 1, 1, 0]))
+    return json.loads((d / "net.json").read_text()), d / "d.csv"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_network_file_exits_0_or_2(tmp_path, capsys, every_kind_file, data):
+    doc, csv = every_kind_file
+    p = tmp_path / "net.json"
+    write_mutated(p, doc, data.draw(mutations(doc)))
+    assert_exits_0_or_2_naming(p, ["eval", "--net", str(p), "--data", str(csv)], capsys)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations(MASO_FILE))
+def test_fuzzed_maso_file_exits_0_or_2(tmp_path, capsys, mutation):
+    p = tmp_path / "m.json"
+    write_mutated(p, MASO_FILE, mutation)
+    assert_exits_0_or_2_naming(p, ["act-table", "--net", str(p), "--resolution", "3"], capsys)
 
 
 # --- per-command flags ------------------------------------------------------------
