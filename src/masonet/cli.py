@@ -21,6 +21,7 @@ stored under "activation".  act-table's MASO file is {"A", "B"}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -365,7 +366,7 @@ def load_network(path: str) -> L.Network:
     layers = [_layer(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])]
     try:
         return L.Network(layers, tuple(doc["input_shape"]), doc["class_count"])
-    except (MasonetError, ValueError) as exc:  # a ragged or too deep input_shape
+    except MasonetError as exc:
         raise ValidationError(f"{path}: {exc}")
 
 
@@ -689,6 +690,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # built once per process; no handler changes args, so shared list defaults stay put
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="masonet",

@@ -169,7 +169,9 @@ class Dense(Layer):
         return self.W.shape[1], self.W.shape[0]
 
     def forward(self, Z, beta=None, batch_stats=False):
-        return Z @ self.W.T + self.b, {"Z": Z}
+        out = Z @ self.W.T
+        out += self.b  # in place: one (n, out) array per forward, not two
+        return out, {"Z": Z}
 
     def backward(self, cache, G):
         return self.pull(cache, G), {"W": G.T @ cache["Z"], "b": G.sum(axis=0)}, None
@@ -237,7 +239,9 @@ class Conv(Layer):
 
     def forward(self, Z, beta=None, batch_stats=False):
         M = self.matrix()
-        return Z @ M.T + self.bias_flat(), {"Z": Z, "M": M}
+        out = Z @ M.T
+        out += self.bias_flat()
+        return out, {"Z": Z, "M": M}
 
     def backward(self, cache, G):
         """Input gradient through the lowered matrix; each filter entry's

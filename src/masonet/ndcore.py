@@ -71,9 +71,24 @@ class ValidationError(MasonetError):
     """Bad user-supplied input (files, CLI arguments); exit code 2."""
 
 
+def _rectangular(x, what: str) -> np.ndarray:
+    """np.asarray(x); a ragged list, or one nested past numpy's dimension
+    limit, raises ShapeError naming what (with no dtype to convert to,
+    numpy raises ValueError only for the nesting)."""
+    try:
+        return np.asarray(x)
+    except ValueError as exc:
+        raise ShapeError(f"{what} is not a rectangular array: {exc}") from None
+
+
 def as_tensor(x) -> Tensor:
-    """Coerce to a float64 array, rejecting non-finite entries."""
-    a = np.asarray(x, dtype=np.float64)
+    """Coerce to a float64 array, rejecting non-finite entries; a ragged
+    or over-deep nesting raises ShapeError."""
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except ValueError:
+        _rectangular(x, "value")  # raises ShapeError if the nesting is at fault
+        raise  # a value that is not a number
     if a.size and not np.all(np.isfinite(a)):
         raise DomainError("non-finite entries are not allowed here")
     return a
@@ -84,9 +99,10 @@ def as_ints(x, field: str) -> np.ndarray:
 
     Integers and integral floats such as 3.0 pass; a fractional or
     non-finite value, a bool, a string or anything else raises DomainError
-    naming field and the first bad value, instead of being cut down.
+    naming field and the first bad value, instead of being cut down; a
+    ragged or over-deep nesting raises ShapeError naming field.
     """
-    a = np.asarray(x)
+    a = _rectangular(x, field)
     if a.dtype.kind == "f":
         bad = ~((np.abs(a) < 2.0**63) & (a == np.trunc(a)))
     else:

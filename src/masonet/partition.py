@@ -6,8 +6,11 @@ lattices and datasets for the distinct codes they touch, counts region
 occupancy, and measures closeness of two inputs by the fraction of units
 whose codes disagree (a normalized Hamming distance, hence a
 pseudometric; two inputs at distance 0 share every selected region).
-Every scan packs its codes one byte per selector unit (see _code_matrix)
-and forwards only through the layer prefix it asks about.
+A neighbor query costs one forward over the dataset, then a linear-time
+selection of the rows within the k-th smallest distance and a sort of
+those rows only.  Every scan packs its codes one byte per selector unit
+(see _code_matrix) and forwards only through the layer prefix it asks
+about.
 """
 
 from __future__ import annotations
@@ -198,7 +201,9 @@ def nearest_neighbors(
     """Indices of the k nearest dataset points in code distance at a layer.
 
     Ties are broken by input-space Euclidean distance, then by index; the
-    query point itself is excluded.
+    query point itself is excluded.  Cost: one forward over the dataset to
+    the prefix, a linear-time selection of the k-th smallest code distance,
+    and Euclidean distances and a sort for the rows within it only.
     """
     X = as_tensor(dataset)
     if X.ndim != 2:
@@ -209,10 +214,14 @@ def nearest_neighbors(
     if not 0 <= k <= n - 1:
         raise DomainError(f"asked for {k} neighbors among {n - 1} candidates")
     mat = _code_matrix(net, X, layer)
-    if mat.shape[1]:
-        dist = np.mean(mat != mat[query_index], axis=1)
-    else:
-        dist = np.zeros(n)
-    euclid = np.linalg.norm(X - X[query_index], axis=1)
-    order = np.lexsort((np.arange(n), euclid, dist))
+    # differing units, which order rows as their fraction does
+    counts = np.count_nonzero(mat != mat[query_index], axis=1)
+    # the query's own 0 is the smallest count, so this is the k-th smallest
+    # among the other rows, and no row above it can be among the k
+    cand = np.flatnonzero(counts <= np.partition(counts, k)[k])
+    # the gathered rows are C-ordered, so each distance sums its terms in
+    # one order whatever X's layout
+    euclid = np.linalg.norm(X[cand] - X[query_index], axis=1)
+    # lexsort is stable and cand ascends, so the index breaks the last ties
+    order = cand[np.lexsort((euclid, counts[cand]))]
     return order[order != query_index][:k].tolist()

@@ -430,8 +430,10 @@ def test_non_integer_network_fields_exit_2(tmp_path, capsys, edit, named):
     (lambda doc: {**doc, "layers": None}, "layers must be an array, got null"),
     (lambda doc: {**doc, "class_count": [2]}, "class_count must be an integer, got an array"),
     # numpy's ValueError for these used to escape as an internal error
-    (lambda doc: {**doc, "input_shape": [2, []]}, "setting an array element with a sequence"),
-    (lambda doc: {**doc, "input_shape": json.loads(_nested(70))}, "setting an array element with a sequence"),
+    (lambda doc: {**doc, "input_shape": [2, []]},
+     "input_shape is not a rectangular array: setting an array element with a sequence"),
+    (lambda doc: {**doc, "input_shape": json.loads(_nested(70))},
+     "input_shape is not a rectangular array: setting an array element with a sequence"),
 ], ids=["top-array", "top-number", "top-null", "input_shape-number", "input_shape-bool",
         "input_shape-null", "layers-number", "layers-bool", "layers-null", "class_count-list",
         "input_shape-ragged", "input_shape-70-deep"])
@@ -898,6 +900,19 @@ ACT_DEFAULTS = dict(net=None, out=None, mode="relu", beta=[0.5], bounds=[-10.0, 
 def test_pipeline_command_lines_parse(line, values):
     argv = line.split()
     assert vars(cli._build_parser().parse_args(argv)) == dict(values, command=argv[0])
+
+
+def test_parser_is_built_once_per_process_and_keeps_its_list_defaults(tmp_path):
+    cli._build_parser.cache_clear()
+    act = ["act-table", "--out", str(tmp_path / "act.csv")]
+    part = ["partition", "--net", "mlp:2-4-2", "--bounds=-1,1", "--out", str(tmp_path / "part.csv")]
+    assert cli.main(act) == 0 and cli.main(part) == 0
+    first = (tmp_path / "act.csv").read_text()
+    assert cli.main(act) == 0 and (tmp_path / "act.csv").read_text() == first
+    assert cli._build_parser.cache_info().misses == 1
+    parser = cli._build_parser()
+    assert parser.parse_args(act).beta == [0.5] and parser.parse_args(act).bounds == [-10.0, 10.0]
+    assert parser.parse_args(part).resolution == [101]
 
 
 # --- training pipeline ------------------------------------------------------------

@@ -123,6 +123,18 @@ def test_integer_fields_reject_non_integers(build, field):
         build()
 
 
+@pytest.mark.parametrize("build,named", [
+    (lambda: L.Network([], [2, []], 2), "input_shape is not a rectangular array"),
+    (lambda: L.Dense([[1.0], [1.0, 2.0]], [0, 0]), "value is not a rectangular array"),
+    (lambda: L.MaxPool([[0, [1]]], 2), "pool region index is not a rectangular array"),
+    (lambda: L.Dense(eval("[" * 70 + "0.0" + "]" * 70), [0.0]), "value is not a rectangular array"),
+], ids=["input_shape", "dense-W", "pool-region", "dense-W-70-deep"])
+def test_ragged_fields_raise_shape_error(build, named):
+    # numpy's bare ValueError used to escape here
+    with pytest.raises(ShapeError, match=f"^{named}: "):
+        build()
+
+
 def test_integer_fields_accept_integral_floats():
     conv = L.Conv(_CONV_F, np.zeros(2), (2.0, 1.0), "valid", (1.0, 8.0, 8.0))
     assert conv.stride == (2, 1) and conv.in_shape == (1, 8, 8)

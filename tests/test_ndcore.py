@@ -45,6 +45,14 @@ def test_as_ints_names_the_field_and_the_bad_value(value, shown):
         as_ints(value, "width")
 
 
+def test_as_tensor_keeps_numpy_error_for_a_non_number():
+    # only a ragged nesting becomes ShapeError; a string stays numpy's ValueError
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        as_tensor([[1.0, "x"]])
+    with pytest.raises(ShapeError, match="^value is not a rectangular array: "):
+        as_tensor([[1.0, "x"], [2.0]])
+
+
 def test_row_softmax_quarter_three_quarters():
     # exp(0) : exp(ln 3) = 1 : 3
     out = row_softmax(np.array([[0.0, np.log(3.0)]]))

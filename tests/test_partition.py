@@ -18,6 +18,7 @@ from masonet.partition import (
     vq_distance,
 )
 from masonet.partition import _code_dtype, _code_matrix, _tabulate
+from test_analysis import every_kind_net
 
 
 def tiny_net(seed=0):
@@ -329,3 +330,63 @@ def test_nearest_neighbors_validation(rng):
         nearest_neighbors(net, 2, 0, X, 5)
     with pytest.raises(DomainError):
         nearest_neighbors(net, 2, 9, X, 2)
+
+
+def reference_neighbors(net, layer, q, X, k):
+    """Brute force: rank every row by (fraction of differing codes,
+    Euclidean distance, index), then drop the query."""
+    mat = layer_codes_batch(net, X, layer)
+    dist = np.mean(mat != mat[q], axis=1) if mat.shape[1] else np.zeros(len(X))
+    euclid = np.linalg.norm(X - X[q], axis=1)
+    order = np.lexsort((np.arange(len(X)), euclid, dist))
+    return order[order != q][:k].tolist()
+
+
+def wide_pool_net():
+    """A 300-entry max-pool window, codes up to 299 (two bytes), and a
+    two-entry one."""
+    return L.Network([L.MaxPool((tuple(range(300)), (0, 1)), 300)], (300,), 2)
+
+
+@st.composite
+def neighbor_queries(draw):
+    """(net, prefix, query, dataset, k) over random MLPs, every-kind conv
+    nets and a wide max pool, at any prefix (0 and a lone dense layer have
+    no selector unit); rows repeat, so codes and distances tie exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mlp", "every-kind", "wide-pool"]))
+    if kind == "mlp":
+        widths = [2] + draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)) + [3]
+        net = L.make_mlp(widths, kind=draw(st.sampled_from(["relu", "lrelu", "abs"])),
+                         seed=int(rng.integers(2**31)))
+    else:
+        net = every_kind_net(rng) if kind == "every-kind" else wide_pool_net()
+    distinct = draw(st.integers(1, 12))
+    base = rng.standard_normal((distinct, net.dims[0]))
+    if kind == "wide-pool":
+        base[:, 256 + rng.integers(44, size=distinct)] += 5.0  # winners past one byte
+    n = draw(st.integers(2, 30))
+    X = base[rng.integers(distinct, size=n)]
+    k = draw(st.sampled_from([0, 1, n - 1]))
+    return net, draw(st.integers(0, len(net.layers))), draw(st.integers(0, n - 1)), X, k
+
+
+@given(neighbor_queries())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_nearest_neighbors_match_full_ranking(case):
+    net, prefix, q, X, k = case
+    assert nearest_neighbors(net, prefix, q, X, k) == reference_neighbors(net, prefix, q, X, k)
+
+
+def test_nearest_neighbors_ignore_memory_layout(rng):
+    # every row is a permutation of the same offsets from the query, so all
+    # Euclidean distances tie in exact arithmetic and their order is set
+    # by how each sum rounds; with no selector unit in the prefix, those
+    # sums alone order the neighbors
+    net = L.make_mlp([432, 3, 2], seed=0)
+    v = rng.standard_normal(432) * np.logspace(-3, 3, 432)
+    X = np.vstack([np.zeros(432)] + [rng.permutation(v) for _ in range(200)])
+    C, F = np.ascontiguousarray(X), np.asfortranarray(X)
+    for prefix in (0, len(net.layers)):
+        assert nearest_neighbors(net, prefix, 0, C, 200) == nearest_neighbors(net, prefix, 0, F, 200)
+    assert nearest_neighbors(net, 0, 0, C, 200) == reference_neighbors(net, 0, 0, C, 200)
