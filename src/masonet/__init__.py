@@ -46,20 +46,14 @@ from .learn import (
     train,
 )
 from .maso import (
-    BetaParam,
-    HardSelection,
     MasoParams,
-    SoftSelection,
-    beta_vq_infer,
     codes_from_offset_perturbation,
     entropy_objective,
-    forward_hard,
-    forward_with_selection,
+    forward,
     kmeans_codes,
     region_prior,
     scores,
     selection_to_affine,
-    svq_infer,
 )
 from .ndcore import (
     AmbiguityError,
@@ -77,10 +71,8 @@ from .ndcore import (
     row_softmax,
 )
 from .partition import (
-    LayerCode,
     RegionTable,
     grid_scan,
-    layer_code,
     layer_codes_batch,
     nearest_neighbors,
     region_stats,

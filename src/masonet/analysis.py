@@ -9,12 +9,18 @@ products, and an empirical midpoint-convexity probe.
 
 Every view runs the network's hard forward on the one input and reads
 each layer's selected map from that forward's caches, so `decompose` uses
-the very codes that `network_forward` and the partition tools report:
-inputs with equal codes get the identical (A, b).  The whole network's
-map, which has only one row per output, is built from the head: the last
-layer's selected map is pulled back through the earlier layers
-(`Layer.pull`, the step the hard backward takes), and each layer's
-offset enters through the rows pulled back to its output.  A prefix map,
+the very codes that `network_forward` reports: inputs with equal codes
+get the identical (A, b).  The partition tools run the same forward on
+batches, and a one-row `Z @ W.T` may round differently from the same row
+in a larger batch, so an input within that rounding of a region boundary
+(`Layer.near_boundary` at a gap of 1e-9 catches it) can read other codes
+in a scan than here.
+
+The whole network's map, which has only one row per output, is built
+from the head: the last layer's selected map is pulled back through the
+earlier layers (`Layer.pull`, the step the hard backward takes), and each
+layer's offset enters through the rows pulled back to its output.  A
+prefix map,
 as wide as the hidden layer it ends at, is walked from the input instead
 (`Layer.push`).  Either way each step costs one matrix product per
 affine layer (dense, conv, average pool, skip block): activations and

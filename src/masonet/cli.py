@@ -106,7 +106,7 @@ def _write_csv(path: str | None, header, columns) -> None:
 
 
 def save_dataset_csv(path: str, X, y) -> None:
-    X = as_tensor(X)
+    X = as_tensor(X, "features")
     y = as_ints(y, "label")
     header = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
     _write_csv(path, header, [*X.T, y])
@@ -278,10 +278,10 @@ def _layer(obj, where: str):
 
 def _decode(cls, obj: dict, where: str):
     """The dataclass cls built from the fields of a JSON object; objects
-    nested in a layer are layers (a skip block's parts).  A boolean, an
-    unknown or missing field, or a value cls rejects is a ValidationError
-    naming where and the field."""
-    _reject_booleans(obj, where)
+    nested in a layer are layers (a skip block's parts).  An unknown or
+    missing field, or a value cls rejects (a boolean among them: the
+    library takes only real numbers), is a ValidationError naming where
+    and the field."""
     by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
     args = {}
     for key, value in obj.items():
@@ -313,28 +313,6 @@ def _json_kind(value) -> str:
             list: "an array", dict: "an object"}[type(value)]
 
 
-def _holds_boolean(value) -> bool:
-    # an explicit stack, since a file may nest arrays deeper than Python
-    # recurses; only a list holding a boolean or a list is opened
-    stack = [value]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, bool):
-            return True
-        if isinstance(top, list) and not {bool, list}.isdisjoint(map(type, top)):
-            stack.extend(top)
-    return False
-
-
-def _reject_booleans(doc: dict, where: str) -> None:
-    """Raise unless no field of a JSON object holds a boolean, alone or
-    inside arrays: numpy reads true as 1, so number fields would take it.
-    Nested objects are checked where they are decoded."""
-    for key, value in doc.items():
-        if _holds_boolean(value):
-            raise ValidationError(f"{where}: field {key!r} holds a boolean")
-
-
 def _read_json(path: str) -> dict:
     """A JSON file's top-level object; a file that does not decode, or whose
     top level is not an object, is a ValidationError naming the file."""
@@ -362,7 +340,6 @@ def load_network(path: str) -> L.Network:
         raise ValidationError(
             f"{path}: class_count must be an integer, got {_json_kind(doc['class_count'])}"
         )
-    _reject_booleans(doc, path)
     layers = [_layer(obj, f"{path}: layer {i}") for i, obj in enumerate(doc["layers"])]
     try:
         return L.Network(layers, tuple(doc["input_shape"]), doc["class_count"])
@@ -395,7 +372,7 @@ def emit_activation_table(kind, beta_list, u_grid) -> tuple:
     for b in betas:
         if not 0.0 < b < 1.0:
             raise ValidationError(f"beta {b} outside the open interval (0, 1)")
-    u = as_tensor(u_grid).reshape(-1)
+    u = as_tensor(u_grid, "grid").reshape(-1)
     # one row of R scores per grid point, selected by the maso kernel
     s = scores(p, u[:, None])[:, 0]
     # scaled scores must stay within half the float64 range, so that the
@@ -578,8 +555,7 @@ def _cmd_nn(args) -> int:
     idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
     # the query's code row, then the neighbours': one forward of k + 1 rows
     codes = partition.layer_codes_batch(net, X[[args.query, *idx]], prefix)
-    # vq_distance's fraction of differing units, 0.0 when the prefix has none
-    dists = np.mean(codes[1:] != codes[0], axis=1) if codes.shape[1] else np.zeros(len(idx))
+    dists = partition.vq_distance(codes[1:], codes[0])
     print("neighbors:", " ".join(str(i) for i in idx))
     if args.out:
         _write_csv(args.out, ["rank", "index", "vq_distance"], [np.arange(1, len(idx) + 1), idx, dists])
@@ -672,12 +648,23 @@ def _comma_list(convert):
 
 _ints, _floats = _comma_list(int), _comma_list(float)
 
+
+def _seed(text: str) -> int:
+    """argparse type: a seed, which numpy's generators take only when non-negative."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_seed.__name__ = "non-negative int"  # named in argparse errors
+
 # flags several subcommands read with one meaning
 _SHARED = {
     "--net": dict(required=True, help="network JSON file, or inline mlp:D-...-C[:kind[:slope]]"),
     "--data": dict(required=True, help="CSV of feature columns, then the label (splinefit: the value f)"),
     "--out": dict(help="output file"),
-    "--seed": dict(type=int, default=0, help="seed of the data, inline net or training"),
+    "--seed": dict(type=_seed, default=0, help="seed of the data, inline net or training"),
     "--layer": dict(type=int, help="layer-prefix length (default: the whole network)"),
 }
 _ROW = dict(type=int, default=0, help="dataset row to analyse (default 0)")
@@ -688,6 +675,25 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's, except that unknown flags are reported before missing
+        required arguments (argparse checks the required ones first)."""
+        try:
+            return super().parse_known_args(args, namespace)
+        except ValidationError:
+            # parse again with nothing required, only to look for unknown flags
+            required = [a for a in self._actions if a.required]
+            for a in required:
+                a.required = False
+            try:
+                extras = super().parse_known_args(args, namespace)[1]
+            finally:
+                for a in required:
+                    a.required = True
+            if extras:
+                raise ValidationError(f"unrecognized arguments: {' '.join(extras)}") from None
+            raise
 
 
 @functools.cache  # built once per process; no handler changes args, so shared list defaults stay put

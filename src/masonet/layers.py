@@ -15,12 +15,15 @@ inference forward), the matching backward, the map a hard forward
 selected (as `pull`, `selected_offset` and `push`; the dense map and
 the MASO form derive from `pull`, see `Layer`) and its trainable
 arrays.  Selection is `maso.select` (and its backward), except the
-activation's hard forward, whose z > 0 test gives the same codes.  A region is chosen only in the forward: the hard backward, the
-selected affine map and the decomposition steps all read the codes of
-the forward's cache, so the training, partition and decomposition views
-of an input agree.  The MASO form, selected by `maso.select` from its
-own scores, picks the same regions (exact ties of a skip block's
-pre-activation aside).
+activation's hard forward, whose z > 0 test gives the same codes.
+
+A region is chosen only in the forward: the hard backward, the selected
+affine map and the decomposition steps all read the codes of the
+forward's cache, so the training, partition and decomposition views of
+an input agree when they run it in the same batch.  The MASO form,
+selected by `maso.select` from its own scores, picks the same regions
+(exact ties of a skip block's pre-activation aside).
+
 Convolution is applied through its explicit matrix form, lowered afresh
 from the current filters on every use, so the matrix route and the
 forward route are the same arithmetic and no lowered copy can go stale.
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maso import HardSelection, MasoParams, select, select_backward
+from .maso import MasoParams, select, select_backward
 from .ndcore import (
     DomainError,
     ShapeError,
@@ -160,8 +163,8 @@ class Dense(Layer):
     b: Tensor
 
     def __post_init__(self):
-        self.W = as_tensor(self.W)
-        self.b = as_tensor(self.b)
+        self.W = as_tensor(self.W, "dense W")
+        self.b = as_tensor(self.b, "dense b")
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
             raise ShapeError(f"dense shapes disagree: W {self.W.shape}, b {self.b.shape}")
 
@@ -207,8 +210,8 @@ class Conv(Layer):
     in_shape: tuple[int, int, int]
 
     def __post_init__(self):
-        self.filters = as_tensor(self.filters)
-        self.bias = as_tensor(self.bias)
+        self.filters = as_tensor(self.filters, "conv filters")
+        self.bias = as_tensor(self.bias, "conv bias")
         if self.filters.ndim != 4:
             raise ShapeError(f"filters must be 4-D, got shape {self.filters.shape}")
         if self.bias.shape != (self.filters.shape[0],):
@@ -274,6 +277,14 @@ ACTIVATION_SLOPES = {
 }
 
 
+def _number(x, field: str) -> float:
+    """x as one finite float; a bool, a string or an array raises."""
+    v = as_tensor(x, field)
+    if v.ndim:
+        raise ShapeError(f"{field} must be one number, got shape {v.shape}")
+    return float(v)
+
+
 @dataclass(eq=False)
 class Activation(Layer):
     """Elementwise two-region nonlinearity: relu, lrelu(nu) or abs."""
@@ -286,7 +297,7 @@ class Activation(Layer):
 
     def __post_init__(self):
         self.dim = int(as_ints(self.dim, "activation dim"))
-        self.nu = float(self.nu)
+        self.nu = _number(self.nu, "activation nu")
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
         # lrelu(nu) is max(nu z, z) only for nu < 1: past 1 it is concave, and
@@ -484,11 +495,11 @@ class BatchNorm(Layer):
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        self.mean = as_tensor(self.mean)
-        self.var = as_tensor(self.var)
-        self.scale = as_tensor(self.scale)
-        self.shift = as_tensor(self.shift)
-        self.epsilon = float(self.epsilon)
+        self.mean = as_tensor(self.mean, "batch-norm mean")
+        self.var = as_tensor(self.var, "batch-norm var")
+        self.scale = as_tensor(self.scale, "batch-norm scale")
+        self.shift = as_tensor(self.shift, "batch-norm shift")
+        self.epsilon = _number(self.epsilon, "batch-norm epsilon")
         shapes = {self.mean.shape, self.var.shape, self.scale.shape, self.shift.shape}
         if len(shapes) != 1 or self.mean.ndim != 1:
             raise ShapeError("batch-norm fields must be equal-length vectors")
@@ -565,7 +576,7 @@ class SkipBlock(Layer):
                 raise StructureError(
                     f"skip block part {type(part).__name__} is not a {cls.__name__}"
                 )
-        self.skip_bias = as_tensor(self.skip_bias)
+        self.skip_bias = as_tensor(self.skip_bias, "skip bias")
         out_dim = self.conv.dims()[1]
         if self.activation.dim != out_dim:
             raise ShapeError("activation width must match conv output")
@@ -761,7 +772,7 @@ def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_
     "codes": uint8 on/off bits for an activation (a skip block's activation
     speaks for the block), int64 window positions for a max pool.
     """
-    Z = as_tensor(X)
+    Z = as_tensor(X, "batch")
     if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
     if upto is not None and not 0 <= upto <= len(net.layers):
@@ -775,15 +786,16 @@ def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_
 
 
 def network_forward(net: Network, x: Tensor):
-    """Single-input hard forward: logits and one HardSelection per layer.
+    """Single-input hard forward: logits and each layer's cached code row.
 
-    Entries are None for purely affine layers, which select nothing.
+    Entries are None for purely affine layers, which select nothing.  This
+    is a one-row batch, and a one-row `Z @ W.T` may round differently from
+    the same row inside a larger batch, so an input within that rounding
+    of a region boundary can get other codes here than in a batched scan
+    (see `analysis`).
     """
     logits, caches = network_forward_batch(net, np.reshape(x, (1, -1)))
-    return logits[0], [
-        HardSelection(c["codes"][0]) if layer.selector else None
-        for layer, c in zip(net.layers, caches)
-    ]
+    return logits[0], [c["codes"][0] if layer.selector else None for layer, c in zip(net.layers, caches)]
 
 
 def bn_fold_affine(bn: BatchNorm) -> tuple[Tensor, Tensor]:
@@ -805,8 +817,8 @@ def apodized_reconstruct(z: Tensor, patch_shape, window: Tensor) -> Tensor:
     full-coverage interior must have unit coverage within 1e-9 or the
     window is rejected.
     """
-    z = as_tensor(z)
-    window = as_tensor(window)
+    z = as_tensor(z, "image")
+    window = as_tensor(window, "window")
     ph, pw = (int(s) for s in patch_shape)
     if z.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {z.shape}")

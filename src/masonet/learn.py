@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .maso import HardSelection, MasoParams, forward_hard
+from .maso import MasoParams, forward
 from .ndcore import (
     DivergenceError,
     DomainError,
@@ -102,7 +102,7 @@ class AdamState:
 
 def cross_entropy(logits: Tensor, label: int) -> float:
     """-logits[label] + logsumexp(logits), stabilized by the max shift."""
-    logits = as_tensor(logits).reshape(-1)
+    logits = as_tensor(logits, "logits").reshape(-1)
     label = int(as_ints(label, "label"))
     if not 0 <= label < logits.shape[0]:
         raise DomainError(f"label {label} out of range for {logits.shape[0]} classes")
@@ -179,7 +179,7 @@ def forward_loss(
 def _as_batch(net: L.Network, X, labels):
     """X as a 2-D batch (a 1-D x is one row) and its labels, checked;
     the forward checks X's width."""
-    X = np.atleast_2d(as_tensor(X))
+    X = np.atleast_2d(as_tensor(X, "batch"))
     if X.shape[0] == 0:
         raise ShapeError("empty batch: need at least one input row")
     labels = np.atleast_1d(as_ints(labels, "label"))
@@ -244,7 +244,7 @@ def ortho_penalty_templates(W_last: Tensor, gamma: float) -> tuple[float, Tensor
     The filter penalty of the classifier rows, one unit each: returns the
     penalty and its gradient with respect to W_last.
     """
-    W = as_tensor(W_last)
+    W = as_tensor(W_last, "classifier matrix")
     if W.ndim != 2:
         raise ShapeError(f"expected a 2-D classifier matrix, got shape {W.shape}")
     return ortho_penalty_filters(W, gamma)
@@ -256,7 +256,7 @@ def ortho_penalty_filters(p, lam: float) -> tuple[float, Tensor]:
     Accepts MasoParams (K x R x D slopes) or a plain 2-D weight matrix
     (rows = units, R = 1).  The gradient matches the input's slope shape.
     """
-    A = p.A if isinstance(p, MasoParams) else as_tensor(p)
+    A = p.A if isinstance(p, MasoParams) else as_tensor(p, "weights")
     if A.ndim not in (2, 3):
         raise ShapeError(f"expected K x R x D slopes or a K x D matrix, got shape {A.shape}")
     F, Gm = _cross_unit_gram(A if A.ndim == 3 else A[:, None, :])
@@ -280,7 +280,7 @@ def gram_schmidt(M: Tensor) -> Tensor:
     already-processed rows q_j.  Rows are NOT renormalized, so
     already-orthogonal inputs pass through unchanged.
     """
-    M = as_tensor(M)
+    M = as_tensor(M, "rows")
     if M.ndim != 2:
         raise ShapeError(f"expected a matrix of rows, got shape {M.shape}")
     Q = M.copy()
@@ -426,7 +426,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
 # factorial joint MAP
 # ---------------------------------------------------------------------------
 
-def joint_map_factorial(p: MasoParams, z: Tensor) -> HardSelection:
+def joint_map_factorial(p: MasoParams, z: Tensor) -> np.ndarray:
     """Joint argmax over all R^K region configurations, computed unit by unit.
 
     Valid when slopes of different units are mutually orthogonal: the joint
@@ -439,5 +439,4 @@ def joint_map_factorial(p: MasoParams, z: Tensor) -> HardSelection:
         raise PreconditionError(
             f"cross-unit slopes are not orthogonal (max inner product {worst:.3e})"
         )
-    _, sel = forward_hard(p, z)
-    return sel
+    return forward(p, z)[1]

@@ -10,7 +10,12 @@ eta = beta/(1-beta) before the softmax interpolates between the uniform
 selection (beta -> 0), soft VQ (beta = 1/2), and hard VQ (beta -> 1).
 
 `select` defines the three regimes once, over the last axis of a batch of
-`scores`; the functions here, `layers` and the CLI all call it.  Scores
+`scores`; `forward` runs it on a MASO, and `layers` and the CLI call it
+directly.  Everything here takes and returns plain arrays over any
+leading batch shape: inputs (..., D), hard codes as int64 (..., K), a
+selection T as (..., K, R), and beta as one value or one per unit.  Each
+function checks the array it takes: `scores` the input width, `forward`
+beta, `selection_to_affine` the codes and `entropy_objective` T.  Scores
 keep the logical shape (..., K, R) with the region axis R outermost in
 memory (`ndcore.region_major`); `select` brings its input into that
 layout and the selection T it returns keeps it.
@@ -23,7 +28,7 @@ nearest-centroid (K-means) assignment of z to the slope vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .ndcore import (
     PreconditionError,
     ShapeError,
     Tensor,
+    as_ints,
     as_tensor,
     region_major,
     row_argmax,
@@ -41,13 +47,7 @@ from .ndcore import (
 
 __all__ = [
     "MasoParams",
-    "HardSelection",
-    "SoftSelection",
-    "BetaParam",
-    "forward_hard",
-    "svq_infer",
-    "beta_vq_infer",
-    "forward_with_selection",
+    "forward",
     "selection_to_affine",
     "entropy_objective",
     "region_prior",
@@ -71,8 +71,8 @@ class MasoParams:
     B: Tensor
 
     def __post_init__(self):
-        A = as_tensor(self.A)
-        B = as_tensor(self.B)
+        A = as_tensor(self.A, "maso A")
+        B = as_tensor(self.B, "maso B")
         if A.ndim != 3:
             raise ShapeError(f"A must be K x R x D, got shape {A.shape}")
         if B.shape != A.shape[:2]:
@@ -95,68 +95,9 @@ class MasoParams:
         return self.A.shape[2]
 
 
-@dataclass(frozen=True)
-class HardSelection:
-    """One region index per unit, each in [0, R)."""
-
-    codes: np.ndarray
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        if codes.ndim != 1:
-            raise ShapeError(f"codes must be a 1-D index list, got shape {codes.shape}")
-        if codes.size and codes.min() < 0:
-            raise DomainError("negative region code")
-        object.__setattr__(self, "codes", codes)
-
-
-@dataclass(frozen=True)
-class SoftSelection:
-    """K x R selection matrix with rows on the probability simplex."""
-
-    T: Tensor
-
-    def __post_init__(self):
-        T = as_tensor(self.T)
-        if T.ndim != 2:
-            raise ShapeError(f"T must be K x R, got shape {T.shape}")
-        if T.size:
-            if T.min() < -1e-12 or T.max() > 1 + 1e-12:
-                raise DomainError("selection entries must lie in [0, 1]")
-            if np.max(np.abs(T.sum(axis=1) - 1.0)) > 1e-10:
-                raise DomainError("selection rows must sum to 1 within 1e-10")
-        object.__setattr__(self, "T", T)
-
-
-@dataclass(frozen=True)
-class BetaParam:
-    """Per-unit beta in the open interval (0, 1), or one shared scalar."""
-
-    beta: Tensor | float
-
-    def __post_init__(self):
-        b = np.asarray(self.beta, dtype=np.float64)
-        if b.ndim > 1:
-            raise ShapeError("beta must be a scalar or a 1-D per-unit vector")
-        if b.size == 0 or np.any(b <= 0.0) or np.any(b >= 1.0):
-            raise DomainError("beta must lie strictly inside (0, 1)")
-        object.__setattr__(self, "beta", b)
-
-    def values(self, K: int) -> Tensor:
-        """Per-unit beta vector of length K (broadcast a shared scalar)."""
-        b = np.asarray(self.beta, dtype=np.float64)
-        if b.ndim == 0:
-            return np.full(K, float(b))
-        if b.shape[0] != K:
-            raise ShapeError(f"beta has {b.shape[0]} entries for {K} units")
-        return b
-
-
 def scores(p: MasoParams, z: Tensor) -> Tensor:
     """(..., K, R) affine scores <A[k,r,:], z> + B[k,r] of inputs z (..., D)."""
-    z = as_tensor(z)
-    if z.ndim == 0 or z.shape[-1] != p.D:
-        raise ShapeError(f"input has shape {z.shape}, expected (..., {p.D})")
+    z = _inputs(p, z)
     return (p.A @ z[..., None, :, None])[..., 0] + p.B
 
 
@@ -196,73 +137,61 @@ def _sum_to_shape(a: Tensor, shape: tuple) -> Tensor:
     return a.sum(axis=tuple(i for i, n in enumerate(shape) if n == 1), keepdims=True)
 
 
-def forward_hard(p: MasoParams, z: Tensor) -> tuple[Tensor, HardSelection]:
-    """Max over regions per unit; returns the outputs and the winning codes."""
-    out, codes = select(scores(p, _one_input(p, z)))
-    return out, HardSelection(codes)
+def forward(p: MasoParams, Z: Tensor, beta=None) -> tuple[Tensor, Tensor]:
+    """The MASO on inputs Z (..., D): (out, codes) when beta is None, else
+    (out, T), with out (..., K).
 
-
-def svq_infer(p: MasoParams, z: Tensor) -> SoftSelection:
-    """Soft VQ: per-unit softmax over the R affine scores."""
-    return SoftSelection(select(scores(p, _one_input(p, z)), 0.5)[1])
-
-
-def beta_vq_infer(p: MasoParams, z: Tensor, b: BetaParam) -> SoftSelection:
-    """Beta VQ: per-unit softmax of the scores scaled by beta/(1-beta).
-
-    beta = 1/2 reproduces svq_infer; beta -> 0 tends to the uniform row
-    1/R; beta -> 1 concentrates on the hard VQ code.
+    This is `select` of the `scores`: codes are the int64 region indices
+    (ties to the lowest), T the (..., K, R) selection softmax(eta s) and
+    out its weighted score sum.  beta is one value or one per unit, inside
+    the open interval (0, 1).
     """
-    return SoftSelection(select(scores(p, _one_input(p, z)), b.values(p.K)[:, None])[1])
+    s = scores(p, Z)
+    if beta is None:
+        return select(s)
+    return select(s, _beta(beta, p.K, open_interval=True).reshape(-1, 1))
 
 
-def forward_with_selection(
-    p: MasoParams, z: Tensor, sel: SoftSelection | HardSelection
-) -> Tensor:
-    """Selection-weighted output sum_r T[k,r] * (<A[k,r,:], z> + B[k,r]).
+def selection_to_affine(p: MasoParams, codes) -> tuple[Tensor, Tensor]:
+    """The affine map that hard codes (..., K) pick out: slopes (..., K, D)
+    and offsets (..., K).
 
-    With the HardSelection produced by forward_hard this reproduces the
-    hard output exactly (same score arithmetic, one term per unit).
+    Row k of the slopes is A[k, codes[k], :] and offset k is B[k, codes[k]].
+    On the input that produced the codes, this map reproduces the hard
+    output.  Codes are integers in [0, R), one per unit.
     """
-    s = scores(p, _one_input(p, z))
-    if isinstance(sel, HardSelection):
-        codes = _checked_codes(p, sel)
-        return s[np.arange(p.K), codes]
-    if sel.T.shape != (p.K, p.R):
-        raise ShapeError(f"selection shape {sel.T.shape} does not match (K,R)=({p.K},{p.R})")
-    return np.sum(sel.T * s, axis=1)
-
-
-def selection_to_affine(p: MasoParams, sel: HardSelection) -> tuple[Tensor, Tensor]:
-    """Collapse a hard selection into the affine map it picks out.
-
-    Row k of the returned matrix is A[k, codes[k], :]; the offset vector is
-    B[k, codes[k]].  On the input that produced the selection, this affine
-    map reproduces the hard forward output.
-    """
-    codes = _checked_codes(p, sel)
+    codes = as_ints(codes, "codes")
+    if codes.shape[-1:] != (p.K,):
+        raise ShapeError(f"codes of shape {codes.shape} for {p.K} units")
+    bad = codes[(codes < 0) | (codes >= p.R)]
+    if bad.size:
+        raise DomainError(f"region code {bad[0]} out of range for R={p.R}")
     idx = np.arange(p.K)
-    return p.A[idx, codes, :].copy(), p.B[idx, codes].copy()
+    return p.A[idx, codes], p.B[idx, codes]
 
 
-def entropy_objective(
-    p: MasoParams, z: Tensor, T: SoftSelection, b: BetaParam | float | Tensor
-) -> Tensor:
-    """Per-unit value of beta * <T, scores> + (1 - beta) * H(T).
+def entropy_objective(p: MasoParams, z: Tensor, T: Tensor, beta) -> Tensor:
+    """Per-unit value (..., K) of beta * <T, scores> + (1 - beta) * H(T).
 
-    H is the natural-log entropy with 0*log 0 := 0.  beta may be given as
-    a BetaParam or directly as value(s) in the closed interval [0, 1]; the
-    endpoints are meaningful for the objective (pure score / pure entropy)
-    even though beta-VQ inference itself requires the open interval.
+    z is (..., D) and T a (..., K, R) selection whose rows lie on the
+    probability simplex; H is the natural-log entropy with 0*log 0 := 0.
+    beta is one value or one per unit in the closed interval [0, 1]: the
+    endpoints are meaningful for the objective (pure score / pure
+    entropy) even though `forward` requires the open interval.
     """
-    s = scores(p, _one_input(p, z))
-    if T.T.shape != s.shape:
-        raise ShapeError(f"selection shape {T.T.shape} does not match (K,R)=({p.K},{p.R})")
-    beta = _beta_closed(b, p.K)
-    fit = np.sum(T.T * s, axis=1)
+    s = scores(p, z)
+    T = as_tensor(T, "selection")
+    if T.shape != s.shape:
+        raise ShapeError(f"selection shape {T.shape} does not match the scores' {s.shape}")
+    if T.size and (T.min() < -1e-12 or T.max() > 1 + 1e-12):
+        raise DomainError("selection entries must lie in [0, 1]")
+    if T.size and np.max(np.abs(T.sum(axis=-1) - 1.0)) > 1e-10:
+        raise DomainError("selection rows must sum to 1 within 1e-10")
+    beta = _beta(beta, p.K, open_interval=False)
+    fit = np.sum(T * s, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(T.T > 0.0, T.T * np.log(np.where(T.T > 0.0, T.T, 1.0)), 0.0)
-    ent = -plogp.sum(axis=1)
+        plogp = np.where(T > 0.0, T * np.log(np.where(T > 0.0, T, 1.0)), 0.0)
+    ent = -plogp.sum(axis=-1)
     return beta * fit + (1.0 - beta) * ent
 
 
@@ -272,86 +201,74 @@ def region_prior(p: MasoParams) -> Tensor:
     return row_softmax(m)
 
 
-def kmeans_codes(p: MasoParams, z: Tensor) -> HardSelection:
-    """Nearest-centroid codes, valid when offsets satisfy B = -||A||^2/2.
+def kmeans_codes(p: MasoParams, z: Tensor) -> np.ndarray:
+    """Nearest-centroid codes (..., K) of inputs z (..., D), valid when
+    offsets satisfy B = -||A||^2/2.
 
     Under that bias condition the affine score ordering coincides with the
     negative squared distance ordering to the slope vectors, so the codes
     returned here equal the hard VQ codes.
     """
-    z = _one_input(p, z)
+    z = _inputs(p, z)
     resid = p.B + 0.5 * np.sum(p.A * p.A, axis=2)
     if np.max(np.abs(resid)) > 1e-9:
         raise PreconditionError(
             "offsets deviate from -||A||^2/2 by "
             f"{np.max(np.abs(resid)):.3e}; the K-means reading does not apply"
         )
-    d2 = np.sum((p.A - z[None, None, :]) ** 2, axis=2)
-    return HardSelection(np.argmin(d2, axis=1))
+    d2 = np.sum((p.A - z[..., None, None, :]) ** 2, axis=-1)
+    return np.argmin(d2, axis=-1)
 
 
-def codes_from_offset_perturbation(
-    p: MasoParams, z: Tensor, eps: float = 1e-6
-) -> HardSelection:
-    """Identify codes by nudging one offset at a time.
+def codes_from_offset_perturbation(p: MasoParams, z: Tensor, eps: float = 1e-6) -> np.ndarray:
+    """Identify the codes (..., K) of inputs z (..., D) by nudging one
+    offset at a time.
 
     The active region of unit k is the unique r for which adding eps to
     B[k,r] moves output k by eps; offsets of losing regions leave the max
     untouched.  Requires every unit's top-two score gap to exceed 2*eps,
     otherwise the answer would depend on the nudge.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
-    s = scores(p, _one_input(p, z))
-    if p.R > 1:
-        top2 = np.sort(s, axis=1)[:, -2:]
-        gaps = top2[:, 1] - top2[:, 0]
-        if np.min(gaps) <= 2.0 * eps:
-            k_bad = int(np.argmin(gaps))
+    s = scores(p, z)
+    if p.R > 1 and s.size:
+        top2 = np.sort(s, axis=-1)[..., -2:]
+        gaps = top2[..., 1] - top2[..., 0]
+        worst = np.unravel_index(np.argmin(gaps), gaps.shape)
+        if gaps[worst] <= 2.0 * eps:
             raise AmbiguityError(
-                f"unit {k_bad} sits within {gaps[k_bad]:.3e} of a region "
+                f"unit {worst[-1]} sits within {gaps[worst]:.3e} of a region "
                 f"boundary; need a score gap above {2.0 * eps:.3e}"
             )
-    base = s.max(axis=1)
-    codes = np.empty(p.K, dtype=np.int64)
-    for k in range(p.K):
-        hits = []
-        for r in range(p.R):
-            bumped = s[k].copy()
-            bumped[r] += eps
-            if abs(bumped.max() - base[k] - eps) <= 1e-12 * max(1.0, abs(base[k])):
-                hits.append(r)
-        if len(hits) != 1:
-            raise AmbiguityError(f"unit {k}: {len(hits)} regions respond to the nudge")
-        codes[k] = hits[0]
-    return HardSelection(codes)
+    base = s.max(axis=-1)
+    hits = np.empty(s.shape, dtype=bool)
+    for r in range(p.R):
+        bumped = s.copy()
+        bumped[..., r] += eps
+        hits[..., r] = np.abs(bumped.max(axis=-1) - base - eps) <= 1e-12 * np.maximum(1.0, np.abs(base))
+    counts = hits.sum(axis=-1)
+    if np.any(counts != 1):
+        bad = np.unravel_index(np.argmax(counts != 1), counts.shape)
+        raise AmbiguityError(f"unit {bad[-1]}: {counts[bad]} regions respond to the nudge")
+    return np.argmax(hits, axis=-1)
 
 
-def _one_input(p: MasoParams, z: Tensor) -> Tensor:
-    z = as_tensor(z)
-    if z.shape != (p.D,):
-        raise ShapeError(f"input has shape {z.shape}, expected ({p.D},)")
+def _inputs(p: MasoParams, z) -> Tensor:
+    """z as a float64 (..., D) array of inputs to p."""
+    z = as_tensor(z, "input")
+    if z.ndim == 0 or z.shape[-1] != p.D:
+        raise ShapeError(f"input has shape {z.shape}, expected (..., {p.D})")
     return z
 
 
-def _checked_codes(p: MasoParams, sel: HardSelection) -> np.ndarray:
-    codes = sel.codes
-    if codes.shape != (p.K,):
-        raise ShapeError(f"selection has {codes.shape[0]} codes for {p.K} units")
-    if codes.size and codes.max() >= p.R:
-        raise DomainError(f"region code {codes.max()} out of range for R={p.R}")
-    return codes
-
-
-def _beta_closed(b, K: int) -> Tensor:
-    """Beta value(s) in [0, 1] for objective evaluation."""
-    if isinstance(b, BetaParam):
-        return b.values(K)
-    v = np.asarray(b, dtype=np.float64)
-    if v.ndim == 0:
-        v = np.full(K, float(v))
-    if v.shape != (K,):
-        raise ShapeError(f"beta has shape {v.shape}, expected scalar or ({K},)")
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise DomainError("beta must lie in [0, 1]")
+def _beta(b, K: int, open_interval: bool) -> Tensor:
+    """beta as one float64 value or K per-unit values, each inside (0, 1),
+    or inside [0, 1] when not open_interval."""
+    v = as_tensor(b, "beta")
+    if v.shape not in ((), (K,)):
+        raise ShapeError(f"beta has shape {v.shape}, expected one value or ({K},)")
+    inside = (0.0 < v) & (v < 1.0) if open_interval else (0.0 <= v) & (v <= 1.0)
+    if not inside.all():
+        raise DomainError(f"beta must lie in {'(0, 1)' if open_interval else '[0, 1]'}")
     return v

@@ -24,6 +24,8 @@ is pairwise and rounds differently in the last bits.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Alias used in signatures throughout the package.  A Tensor is a float64
@@ -81,16 +83,21 @@ def _rectangular(x, what: str) -> np.ndarray:
         raise ShapeError(f"{what} is not a rectangular array: {exc}") from None
 
 
-def as_tensor(x) -> Tensor:
-    """Coerce to a float64 array, rejecting non-finite entries; a ragged
-    or over-deep nesting raises ShapeError."""
-    try:
-        a = np.asarray(x, dtype=np.float64)
-    except ValueError:
-        _rectangular(x, "value")  # raises ShapeError if the nesting is at fault
-        raise  # a value that is not a number
+def as_tensor(x, field: str) -> Tensor:
+    """x as a float64 array of finite real numbers.
+
+    A bool, a string, a non-finite value or any other entry that is not a
+    finite real number raises DomainError naming field and the entry; a
+    ragged or over-deep nesting raises ShapeError naming field.  An
+    ndarray is judged by its dtype, with no walk over its entries.
+    """
+    a = _rectangular(x, field)
+    bad = [*itertools.islice(_non_reals(x), 1)]
+    if bad:
+        raise DomainError(f"{field} must be a real number, got {bad[0]}")
+    a = a.astype(np.float64, copy=False)
     if a.size and not np.all(np.isfinite(a)):
-        raise DomainError("non-finite entries are not allowed here")
+        raise DomainError(f"{field} must be finite, got {a[~np.isfinite(a)][0]}")
     return a
 
 
@@ -103,13 +110,37 @@ def as_ints(x, field: str) -> np.ndarray:
     ragged or over-deep nesting raises ShapeError naming field.
     """
     a = _rectangular(x, field)
-    if a.dtype.kind == "f":
-        bad = ~((np.abs(a) < 2.0**63) & (a == np.trunc(a)))
-    else:
-        bad = np.full(a.shape, a.dtype.kind not in "iu")
-    if bad.any():
-        raise DomainError(f"{field} must be an integer, got {a[bad].flat[0]}")
+    bad = [*itertools.islice(_non_reals(x), 1)]
+    if not bad and a.dtype.kind == "f":
+        bad = a[~((np.abs(a) < 2.0**63) & (a == np.trunc(a)))][:1].tolist()
+    if bad:
+        raise DomainError(f"{field} must be an integer, got {bad[0]}")
     return a.astype(np.int64, copy=False)
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _non_reals(x):
+    """Yield, in order, the entries of x that are not real numbers.
+
+    A bool is not one, though numpy would read it among numbers as 0 or 1.
+    An ndarray counts by its dtype (all of its entries, or none), so a
+    numeric array costs no walk.  Nested lists are walked with an explicit
+    stack, since they may nest deeper than Python recurses, and a list of
+    plain ints and floats is passed over whole.
+    """
+    stack = [x]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, (list, tuple)):
+            if not _PLAIN_NUMBERS.issuperset(map(type, top)):
+                stack.extend(reversed(top))
+        elif isinstance(top, np.ndarray):
+            if top.dtype.kind not in "iuf":
+                yield from top.flat
+        elif isinstance(top, (bool, np.bool_)) or not isinstance(top, (int, float, np.integer, np.floating)):
+            yield top
 
 
 def region_major(m: Tensor) -> Tensor:

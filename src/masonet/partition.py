@@ -20,38 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Network, network_forward_batch
-from .maso import HardSelection
 from .ndcore import DomainError, ShapeError, Tensor, as_tensor
 
 __all__ = [
-    "LayerCode",
     "RegionTable",
     "layer_codes_batch",
-    "layer_code",
     "grid_scan",
     "region_stats",
     "vq_distance",
     "nearest_neighbors",
 ]
-
-
-@dataclass(frozen=True)
-class LayerCode:
-    """Hard selections of the selector layers inside one layer prefix."""
-
-    codes: tuple
-
-    def __post_init__(self):
-        entries = tuple(
-            c if isinstance(c, HardSelection) else HardSelection(np.asarray(c))
-            for c in self.codes
-        )
-        object.__setattr__(self, "codes", entries)
-
-    def flat(self) -> np.ndarray:
-        if not self.codes:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([c.codes for c in self.codes])
 
 
 @dataclass
@@ -113,12 +91,6 @@ def layer_codes_batch(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
     return _code_matrix(net, X, layer_prefix)
 
 
-def layer_code(net: Network, x: Tensor, layer_prefix: int) -> LayerCode:
-    """The LayerCode of one input under the first `layer_prefix` layers."""
-    codes = _prefix_codes(net, np.reshape(x, (1, -1)), layer_prefix)
-    return LayerCode(tuple(HardSelection(c[0]) for c in codes))
-
-
 def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
     """Joint codes on a rectangular lattice.
 
@@ -176,7 +148,7 @@ def _tabulate(mat: np.ndarray) -> tuple[RegionTable, np.ndarray]:
 
 def region_stats(net: Network, dataset: Tensor, layer_prefix: int) -> dict:
     """Distinct-code count and descending occupancy histogram of a dataset."""
-    X = as_tensor(dataset)
+    X = as_tensor(dataset, "dataset")
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError("dataset must be a nonempty (n, D) array")
     mat = _code_matrix(net, X, layer_prefix)
@@ -185,14 +157,19 @@ def region_stats(net: Network, dataset: Tensor, layer_prefix: int) -> dict:
     return {"nonempty_count": len(table.entries), "histogram": hist}
 
 
-def vq_distance(c1: LayerCode, c2: LayerCode) -> float:
-    """Fraction of units whose codes differ; 0 iff every code agrees."""
-    a, b = c1.flat(), c2.flat()
-    if a.shape != b.shape:
+def vq_distance(a, b):
+    """Fraction of units whose codes differ, over the last axis of two code
+    arrays (one flat code row each, or rows broadcast against each other);
+    0 iff every code agrees, and 0.0 when there are no units."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ShapeError(f"code shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.mean(a != b))
+    try:
+        differ = np.not_equal(a, b)
+    except ValueError:
+        raise ShapeError(f"code rows do not broadcast: {a.shape} vs {b.shape}") from None
+    # a count over a width, which equals the mean of the 0/1 flags
+    return np.count_nonzero(differ, axis=-1) / max(a.shape[-1], 1)
 
 
 def nearest_neighbors(
@@ -205,7 +182,7 @@ def nearest_neighbors(
     the prefix, a linear-time selection of the k-th smallest code distance,
     and Euclidean distances and a sort for the rows within it only.
     """
-    X = as_tensor(dataset)
+    X = as_tensor(dataset, "dataset")
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-D dataset, got shape {X.shape}")
     n = X.shape[0]

@@ -33,12 +33,12 @@ class FitProblem:
     seed: int = 0
 
     def __post_init__(self):
-        x = as_tensor(self.x)
+        x = as_tensor(self.x, "samples")
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2:
             raise ShapeError(f"samples must be (n,) or (n, d), got shape {x.shape}")
-        y = as_tensor(self.y).reshape(-1)
+        y = as_tensor(self.y, "targets").reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise ShapeError("one target per sample required")
         if self.R < 1:
@@ -121,8 +121,8 @@ def fit_max_affine(prob: FitProblem, init=None) -> MasoParams:
     best pass is kept, and a warm start is never made worse).
     """
     if init is not None:
-        A = as_tensor(init[0]).reshape(prob.R, prob.x.shape[1]).copy()
-        b = as_tensor(init[1]).reshape(prob.R).copy()
+        A = as_tensor(init[0], "init slopes").reshape(prob.R, prob.x.shape[1]).copy()
+        b = as_tensor(init[1], "init offsets").reshape(prob.R).copy()
     elif prob.x.shape[1] == 1:
         A, b = _init_secant(prob)
     else:
@@ -163,10 +163,10 @@ def fit_max_affine(prob: FitProblem, init=None) -> MasoParams:
 
 def sup_error(x: Tensor, y: Tensor, spline: MasoParams) -> float:
     """Largest absolute deviation of the spline from the samples."""
-    x = as_tensor(x)
+    x = as_tensor(x, "samples")
     if x.ndim == 1:
         x = x[:, None]
-    y = as_tensor(y).reshape(-1)
+    y = as_tensor(y, "targets").reshape(-1)
     if spline.K != 1 or spline.D != x.shape[1]:
         raise ShapeError(
             f"spline is K={spline.K}, D={spline.D}; samples are {x.shape[1]}-dimensional"

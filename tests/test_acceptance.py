@@ -16,18 +16,8 @@ import pytest
 from conftest import record_acceptance
 from masonet import analysis, cli, learn, partition, splinefit
 from masonet import layers as L
-from masonet.maso import (
-    BetaParam,
-    MasoParams,
-    beta_vq_infer,
-    entropy_objective,
-    forward_hard,
-    forward_with_selection,
-    kmeans_codes,
-    scores,
-)
-from masonet.partition import LayerCode, vq_distance
-from masonet.maso import HardSelection
+from masonet.maso import MasoParams, entropy_objective, forward, kmeans_codes, scores
+from masonet.partition import vq_distance
 from test_learn import orthogonal_unit_params
 
 
@@ -143,7 +133,7 @@ def test_criterion_02_every_layer_pair_is_one_maso():
     for lin, tail, X in pairs:
         maso = L.compose_layer_maso(lin.as_maso(), tail.as_maso())
         expect = tail.forward(lin.forward(X)[0])[0]
-        got = np.array([forward_hard(maso, x)[0] for x in X])
+        got = forward(maso, X)[0]
         worst = max(worst, float(np.max(np.abs(got - expect))))
     ok = worst <= 1e-10 and L.compose_layer_maso(dense.as_maso(), maxout.as_maso()).R == 4
     record_acceptance(2, "dense/conv then each of the 7 layer kinds, and a maxout group, "
@@ -157,9 +147,7 @@ def test_criterion_03_beta_vq_relu_is_swish():
     worst = worst_siglu = 0.0
     for b in (0.25, 0.5, 0.75):
         eta = b / (1.0 - b)
-        bp = BetaParam(b)
-        got = np.array([forward_with_selection(p, np.array([u]), beta_vq_infer(p, np.array([u]), bp))[0]
-                        for u in grid])
+        got = forward(p, grid[:, None], b)[0][:, 0]
         swish = grid * sigmoid(eta * grid)
         worst = max(worst, float(np.max(np.abs(got - swish))))
         if b == 0.5:
@@ -186,10 +174,10 @@ def test_criterion_04_beta_limits():
             B = B.copy()
             B[0, int(np.argmax(s))] += 0.1 - gap + 0.05
         p = MasoParams(A, B)
-        T_lo = beta_vq_infer(p, z, BetaParam(1e-6)).T
+        T_lo = forward(p, z, 1e-6)[1]
         uniform_dev = max(uniform_dev, float(np.max(np.abs(T_lo - 1.0 / R))))
-        T_hi = beta_vq_infer(p, z, BetaParam(0.999)).T
-        if int(np.argmax(T_hi[0])) == int(forward_hard(p, z)[1].codes[0]):
+        T_hi = forward(p, z, 0.999)[1]
+        if int(np.argmax(T_hi[0])) == int(forward(p, z)[1][0]):
             hard_matches += 1
     ok = uniform_dev <= 1e-5 and hard_matches == 1000
     record_acceptance(4, "beta endpoints: uniform at 1e-6, argmax-hard at 0.999",
@@ -220,9 +208,9 @@ def test_criterion_05_closed_form_maximizes_entropy_objective():
         z = rng.standard_normal(3)
         b = float(rng.uniform(0.05, 0.95))
         s = scores(p, z)[0]
-        T = beta_vq_infer(p, z, BetaParam(b))
-        closed = float(entropy_objective(p, z, T, BetaParam(b))[0])
-        assert abs(closed - objective(T.T[0], s, b)) < 1e-12
+        T = forward(p, z, b)[1]
+        closed = float(entropy_objective(p, z, T, b)[0])
+        assert abs(closed - objective(T[0], s, b)) < 1e-12
 
         cands = rng.dirichlet(np.ones(R), size=10_000)
         best = float(np.max(objective(cands, s, b)))
@@ -246,9 +234,9 @@ def test_criterion_06_kmeans_equivalence():
         B = -0.5 * np.sum(A * A, axis=2)
         p = MasoParams(A, B)
         z = rng.standard_normal(5)
-        hvq = forward_hard(p, z)[1].codes
+        hvq = forward(p, z)[1]
         oracle = np.argmin(np.sum((A - z) ** 2, axis=2), axis=1)
-        lib = kmeans_codes(p, z).codes
+        lib = kmeans_codes(p, z)
         if np.array_equal(hvq, oracle) and np.array_equal(lib, oracle):
             matches += 1
     ok = matches == 1000
@@ -266,13 +254,13 @@ def test_criterion_07_factorial_joint_map():
         D = int(rng.integers(K * R, 13))
         p = orthogonal_unit_params(rng, K, R, D)
         z = rng.standard_normal(D)
-        sel = learn.joint_map_factorial(p, z)
+        codes = learn.joint_map_factorial(p, z)
         best, best_cfg = -np.inf, None
         for cfg in itertools.product(range(R), repeat=K):
             v = sum(float(p.A[k, cfg[k]] @ z + p.B[k, cfg[k]]) for k in range(K))
             if v > best:
                 best, best_cfg = v, cfg
-        if tuple(sel.codes) == best_cfg:
+        if tuple(codes) == best_cfg:
             matches += 1
     ok = matches == 500
     record_acceptance(7, "per-unit codes solve the joint R^K argmax",
@@ -505,17 +493,11 @@ def test_criterion_15_convexity():
 def test_criterion_16_vq_distance_pseudometric():
     rng = np.random.default_rng(37)
     m = 16  # power-of-two unit count keeps Hamming fractions exact
-    codes = rng.integers(0, 3, size=(10_000, 3, m))
-    failures = 0
-    for a_raw, b_raw, c_raw in codes:
-        a, b, c = (LayerCode((HardSelection(v),)) for v in (a_raw, b_raw, c_raw))
-        dab = vq_distance(a, b)
-        ok = (
-            dab == vq_distance(b, a)
-            and vq_distance(a, a) == 0.0
-            and vq_distance(a, c) <= dab + vq_distance(b, c)
-        )
-        failures += not ok
+    a, b, c = np.moveaxis(rng.integers(0, 3, size=(10_000, 3, m)), 1, 0)
+    # one distance per triple: vq_distance runs over the leading rows
+    dab = vq_distance(a, b)
+    holds = (dab == vq_distance(b, a)) & (vq_distance(a, a) == 0.0) & (vq_distance(a, c) <= dab + vq_distance(b, c))
+    failures = int(np.count_nonzero(~holds))
     ok = failures == 0
     record_acceptance(16, "code distance: symmetric, reflexive, triangle",
                       ok, f"{10_000 - failures}/10000 triples")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from masonet import cli, partition
 from masonet import layers as L
-from masonet.maso import BetaParam, MasoParams, beta_vq_infer, forward_hard, forward_with_selection, svq_infer
+from masonet.maso import MasoParams, forward
 from masonet.ndcore import MasonetError, ValidationError
 
 
@@ -452,13 +452,18 @@ def _set_true(rows, i):
 
 
 @pytest.mark.parametrize("edit,named", [
-    (lambda doc: _set_true(doc["layers"][0]["W"][1], 0), "layer 0: field 'W' holds a boolean"),
-    (lambda doc: doc["layers"][0].update(b=[True, False, True, True]), "layer 0: field 'b' holds a boolean"),
-    (lambda doc: doc.update(input_shape=[2, True]), "field 'input_shape' holds a boolean"),
-    (lambda doc: _set_true(doc["layers"][2]["regions"][0], 1), "layer 2: field 'regions' holds a boolean"),
-], ids=["W-entry", "b", "input_shape", "maxpool-region"])
+    (lambda doc: _set_true(doc["layers"][0]["W"][1], 0), "layer 0: dense W must be a real number, got True"),
+    (lambda doc: doc["layers"][0].update(b=[True, False, True, True]),
+     "layer 0: dense b must be a real number, got True"),
+    (lambda doc: doc.update(input_shape=[2, True]), "input_shape must be an integer, got True"),
+    (lambda doc: _set_true(doc["layers"][2]["regions"][0], 1),
+     "layer 2: pool region index must be an integer, got True"),
+    (lambda doc: doc["layers"][1].update(nu=True), "layer 1: activation nu must be a real number, got True"),
+    (lambda doc: doc["layers"][1].update(dim=False), "layer 1: activation dim must be an integer, got False"),
+], ids=["W-entry", "b", "input_shape", "maxpool-region", "activation-nu", "activation-dim"])
 def test_booleans_in_a_network_file_exit_2(tmp_path, capsys, edit, named):
-    # json true would otherwise load as the number 1
+    # json true would otherwise load as the number 1; the library's field
+    # checks refuse it, so the message is theirs
     mlp = L.make_mlp([2, 4, 3], seed=0)
     net = L.Network(mlp.layers[:2] + [L.MaxPool(((0, 1), (2, 3)), 4), L.Dense(np.eye(2), np.zeros(2))],
                     (2,), 2)
@@ -474,8 +479,8 @@ def test_booleans_in_a_network_file_exit_2(tmp_path, capsys, edit, named):
 
 
 @pytest.mark.parametrize("doc,named", [
-    ({"A": [[[1.0], [True]]], "B": [[0.0, 0.0]]}, "field 'A' holds a boolean"),
-    ({"A": [[[1.0], [0.5]]], "B": [[False, 0.0]]}, "field 'B' holds a boolean"),
+    ({"A": [[[1.0], [True]]], "B": [[0.0, 0.0]]}, "maso A must be a real number, got True"),
+    ({"A": [[[1.0], [0.5]]], "B": [[False, 0.0]]}, "maso B must be a real number, got False"),
     ([1.0], "the top level must be an object, got an array"),
 ], ids=["A-entry", "B-entry", "top-array"])
 def test_act_table_maso_file_booleans_exit_2(tmp_path, capsys, doc, named):
@@ -547,7 +552,7 @@ def test_top_level_keys_of_a_network_file_are_not_checked(tmp_path):
     ({"B": [[0.0, 0.0]]}, "missing field 'A'"),
     ({"A": [[[1.0], [0.5]]]}, "missing field 'B'"),
     ({"A": [[[1.0], [0.5]]], "B": [[0.0, 0.0]], "C": 1}, "unknown field 'C'"),
-    ({"A": "x", "B": [[0.0, 0.0]]}, "could not convert string to float: 'x'"),
+    ({"A": "x", "B": [[0.0, 0.0]]}, "maso A must be a real number, got x"),
     ({"A": [[1.0, 0.5]], "B": [[0.0, 0.0]]}, "A must be K x R x D, got shape (1, 2)"),
 ], ids=["no-A", "no-B", "unknown-C", "string-A", "2-D-A"])
 def test_act_table_maso_file_errors_name_the_field(tmp_path, capsys, doc, named):
@@ -558,7 +563,7 @@ def test_act_table_maso_file_errors_name_the_field(tmp_path, capsys, doc, named)
 
 
 @pytest.mark.parametrize("depth,named", [
-    (900, "layer 0: "),  # decodes; numpy refuses that many dimensions
+    (900, "layer 0: dense W is not a rectangular array"),  # decodes; numpy refuses that many dimensions
     (995, "arrays or objects nested too deeply"),  # past json.load's recursion limit
 ], ids=["900-deep", "995-deep"])
 def test_deeply_nested_network_file_exits_2(tmp_path, capsys, depth, named):
@@ -660,6 +665,11 @@ def test_bad_values_exit_2(tmp_path, capsys, argv):
     (["partition", "--net", "mlp:2-4-4"], "--bounds"),
     (["splinefit", "--data", "d.csv"], "--k"),
     (["splinefit", "--k", "2"], "--data"),
+    # an unknown flag is named even when a required one is missing too
+    (["gen-data", "--bogus"], "unrecognized arguments: --bogus"),
+    (["nn", "--bogus", "3"], "unrecognized arguments: --bogus"),
+    (["train", "--net", "mlp:2-4-4", "--epox", "3", "--lr", "0.1"], "unrecognized arguments: --epox 3"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_command_lines_exit_2_with_one_line(capsys, argv, named):
     # the parser's errors take the handlers' path: a return value, not SystemExit
@@ -801,6 +811,98 @@ def test_fuzzed_maso_file_exits_0_or_2(tmp_path, capsys, mutation):
     p = tmp_path / "m.json"
     write_mutated(p, MASO_FILE, mutation)
     assert_exits_0_or_2_naming(p, ["act-table", "--net", str(p), "--resolution", "3"], capsys)
+
+
+# --- fuzzing the command line and the CSV readers ---------------------------------
+
+# one valid command line per subcommand; every flag is written --flag=value,
+# so a value may be empty or start with '-'
+_NET = "--net=mlp:2-3-2"
+FUZZ_COMMANDS = {
+    "gen-data": ["--out={tmp}/toy.csv", "--seed=0"],
+    "train": [_NET, "--data={data}", "--out={tmp}/n.json", "--epochs=1", "--lr=0.01", "--batch=4",
+              "--gamma=0", "--lambda=0", "--beta=0.5", "--mode=beta", "--seed=0"],
+    "eval": [_NET, "--data={data}", "--out={tmp}/e.csv", "--seed=0"],
+    "decompose": [_NET, "--data={data}", "--out={tmp}/a.csv", "--seed=0", "--layer=2", "--k=1"],
+    "templates": [_NET, "--data={data}", "--out={tmp}/t.csv", "--seed=0", "--k=1"],
+    "partition": [_NET, "--out={tmp}/p.csv", "--seed=0", "--layer=2", "--bounds=-1,1", "--resolution=5"],
+    "stats": [_NET, "--data={data}", "--out={tmp}/s.csv", "--seed=0", "--layer=2"],
+    "nn": ["3", _NET, "--data={data}", "--out={tmp}/nn.csv", "--seed=0", "--layer=2", "--k=2"],
+    "norms": [_NET, "--data={data}", "--out={tmp}/no.csv", "--seed=0", "--k=1"],
+    "ensemble": ["--net={skip}", "--data={data9}", "--out={tmp}/en.csv", "--seed=0", "--k=1"],
+    "splinefit": ["--data={quad}", "--out={tmp}/sf.csv", "--seed=0", "--k=2,3"],
+    "act-table": ["--out={tmp}/act.csv", "--mode=abs", "--beta=0.25,0.5", "--bounds=-2,2", "--resolution=5"],
+}
+# small numbers only: a large epoch count or resolution is valid, just slow
+_FLAG_VALUES = ["", "x", " ", "nan", "inf", "-inf", "1e999", "-1", "0", "1", "2", "0.5", "-0", "1,2",
+                "2,,3", "-2,2", "3,-3", "mlp:", "mlp:2-0-2", "mlp:3-3-2", "mlp:2-3-2:tanh",
+                "mlp:2-3-2:lrelu:2", "{tmp}", "{tmp}/missing.csv", "{quad}", "{data}", "soft", "learnable"]
+_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e400", "-0", "0.5", "-1", "1", "7", "1e18",
+          "99999999999999999999", "1_0", "0x1", "True", "é", '"1"', "1,2"]
+# the files each command reads that the fuzz edits
+_CSV_OF = {"eval": "data", "stats": "data", "nn": "data", "splinefit": "quad"}
+
+
+@st.composite
+def fuzzed_command_lines(draw):
+    """(command, argv, csv edit): one flag value replaced, or one edit of
+    the dataset or splinefit CSV the command reads."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = [command, *FUZZ_COMMANDS[command]]
+    edit = None
+    if command in _CSV_OF and draw(st.booleans()):
+        edit = (draw(st.sampled_from(["cell", "delete", "repeat", "widen", "blank"])),
+                draw(st.integers(0, 12)), draw(st.integers(0, 2)), draw(st.sampled_from(_CELLS)))
+    else:
+        i = draw(st.sampled_from([i for i, a in enumerate(argv) if a.startswith("--")]))
+        argv[i] = argv[i].split("=")[0] + "=" + draw(st.sampled_from(_FLAG_VALUES))
+    return command, argv, edit
+
+
+def edited_csv(text, edit):
+    op, line, cell, value = edit
+    lines = text.split("\n")
+    line %= len(lines)
+    cells = lines[line].split(",")
+    if op == "cell":
+        cells[cell % len(cells)] = value
+    elif op == "widen":
+        cells.append(value)
+    lines[line] = ",".join(cells)
+    if op == "delete":
+        del lines[line]
+    elif op == "repeat":
+        lines.insert(line, lines[line])
+    elif op == "blank":
+        lines.insert(line, value if not value.strip() else "")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_command_lines())
+def test_fuzzed_command_lines_and_csv_files_exit_0_or_2(tmp_path, capsys, monkeypatch, case):
+    command, argv, edit = case
+    monkeypatch.chdir(tmp_path)  # a mutated --out may name a relative path
+    rng = np.random.default_rng(0)
+    cli.save_dataset_csv(str(tmp_path / "data.csv"), rng.standard_normal((10, 2)), np.arange(10) % 2)
+    cli.save_dataset_csv(str(tmp_path / "data9.csv"), rng.standard_normal((3, 9)), np.array([0, 1, 0]))
+    cli.save_network(skip_net(), str(tmp_path / "skip.json"))
+    (tmp_path / "quad.csv").write_text("x,f\n" + "".join(f"{v!r},{v * v!r}\n" for v in np.linspace(-1, 1, 9).tolist()))
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("data", "data9", "quad")}
+    paths |= {"tmp": str(tmp_path), "skip": str(tmp_path / "skip.json")}
+    if edit is not None:
+        target = tmp_path / f"{_CSV_OF[command]}.csv"
+        target.write_text(edited_csv(target.read_text(), edit))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 2), err
+    if code == 2:
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
 
 
 # --- per-command flags ------------------------------------------------------------
@@ -1002,10 +1104,10 @@ def test_nn_runs_one_dataset_forward(tmp_path, forward_calls):
         # one dataset-wide forward for the ranking, then one of the query and
         # its neighbours, both stopping at the prefix
         assert sorted(forward_calls) == [(4, prefix), (60, prefix)]
-        query = partition.layer_code(net, X[4], prefix)
+        query = partition.layer_codes_batch(net, X[[4]], prefix)[0]
         _, rows = read_csv(str(out))
         for _, index, dist in rows:
-            code = partition.layer_code(net, X[int(index)], prefix)
+            code = partition.layer_codes_batch(net, X[[int(index)]], prefix)[0]
             assert float(dist) == partition.vq_distance(code, query)
 
 
@@ -1114,9 +1216,9 @@ def test_act_table_rows_match_per_input_maso_functions():
     for i, row in enumerate(zip(*(c.tolist() for c in columns))):
         z = grid[i // len(betas)][None]
         b = betas[i % len(betas)]
-        hard, _ = forward_hard(p, z)
-        soft = forward_with_selection(p, z, svq_infer(p, z))
-        bv = forward_with_selection(p, z, beta_vq_infer(p, z, BetaParam(b)))
+        hard, _ = forward(p, z)
+        soft, _ = forward(p, z, 0.5)
+        bv, _ = forward(p, z, b)
         assert repr(row) == repr((float(z[0]), b, float(hard[0]), float(soft[0]), float(bv[0])))
 
 

@@ -15,7 +15,6 @@ from masonet.learn import backward, forward_loss
 from masonet.ndcore import ShapeError
 from masonet.partition import (
     grid_scan,
-    layer_code,
     layer_codes_batch,
     nearest_neighbors,
     region_stats,
@@ -49,7 +48,7 @@ def test_each_scan_runs_one_forward_per_chunk(rng, forward_calls, monkeypatch):
         grid_scan(net, ((-1.0, 1.0), (-1.0, 1.0)), 5, prefix)  # 25 points
         assert forward_calls == [(7, prefix)] * 3 + [(4, prefix)]
         forward_calls.clear()
-        layer_code(net, rng.standard_normal(2), prefix)
+        layer_codes_batch(net, rng.standard_normal((1, 2)), prefix)
         assert forward_calls == [(1, prefix)]
 
 
@@ -76,15 +75,14 @@ def test_every_entry_point_checks_width_and_prefix():
         "decompose": lambda X, p: decompose(net, X[0], p),
         "class_templates": lambda X, p: class_templates(net, X[0]),
         "partial_product_norms": lambda X, p: partial_product_norms(net, X[0]),
-        "layer_code": lambda X, p: layer_code(net, X[0], p),
         "layer_codes_batch": lambda X, p: layer_codes_batch(net, X, p),
         "region_stats": lambda X, p: region_stats(net, X, p),
         "nearest_neighbors": lambda X, p: nearest_neighbors(net, p, 0, X, 1),
         "forward_loss": lambda X, p: forward_loss(net, X, np.zeros(len(X), dtype=int)),
         "backward": lambda X, p: backward(net, X, np.zeros(len(X), dtype=int)),
     }
-    takes_prefix = {"network_forward_batch", "decompose", "layer_code", "layer_codes_batch",
-                    "region_stats", "nearest_neighbors"}
+    takes_prefix = {"network_forward_batch", "decompose", "layer_codes_batch", "region_stats",
+                    "nearest_neighbors"}
     for name, call in calls.items():
         with pytest.raises(ShapeError, match="does not match input dim 3"):
             call(wide, depth)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from masonet import layers as L
 from masonet import learn
 from masonet.analysis import decompose
-from masonet.maso import HardSelection, forward_hard, scores, select, selection_to_affine
+from masonet.maso import forward, scores, select, selection_to_affine
 from masonet.ndcore import DomainError, ShapeError, WindowError
 from test_analysis import every_kind_net, maso_selected_affine
 
@@ -125,13 +125,38 @@ def test_integer_fields_reject_non_integers(build, field):
 
 @pytest.mark.parametrize("build,named", [
     (lambda: L.Network([], [2, []], 2), "input_shape is not a rectangular array"),
-    (lambda: L.Dense([[1.0], [1.0, 2.0]], [0, 0]), "value is not a rectangular array"),
+    (lambda: L.Dense([[1.0], [1.0, 2.0]], [0, 0]), "dense W is not a rectangular array"),
     (lambda: L.MaxPool([[0, [1]]], 2), "pool region index is not a rectangular array"),
-    (lambda: L.Dense(eval("[" * 70 + "0.0" + "]" * 70), [0.0]), "value is not a rectangular array"),
+    (lambda: L.Dense(eval("[" * 70 + "0.0" + "]" * 70), [0.0]), "dense W is not a rectangular array"),
 ], ids=["input_shape", "dense-W", "pool-region", "dense-W-70-deep"])
 def test_ragged_fields_raise_shape_error(build, named):
     # numpy's bare ValueError used to escape here
     with pytest.raises(ShapeError, match=f"^{named}: "):
+        build()
+
+
+_BN = dict(mean=np.zeros(2), var=np.ones(2), scale=np.ones(2), shift=np.zeros(2))
+
+
+@pytest.mark.parametrize("build,error,named", [
+    (lambda: L.Dense([["a"]], [0.0]), DomainError, "dense W must be a real number, got a"),
+    (lambda: L.Dense([[True]], [0.0]), DomainError, "dense W must be a real number, got True"),
+    (lambda: L.Dense([[0.5, True]], [0.0]), DomainError, "dense W must be a real number, got True"),
+    (lambda: L.Dense(np.ones((1, 1), dtype=bool), [0.0]), DomainError, "dense W must be a real number"),
+    (lambda: L.Conv(_CONV_F, ["0", 0.0], (1, 1), "valid", (1, 8, 8)), DomainError,
+     "conv bias must be a real number, got 0"),
+    (lambda: L.BatchNorm(**{**_BN, "var": [1.0, False]}), DomainError, "batch-norm var must be a real number"),
+    (lambda: L.Activation("relu", 3, nu=True), DomainError, "activation nu must be a real number, got True"),
+    (lambda: L.Activation("lrelu", 3, nu="0.1"), DomainError, "activation nu must be a real number, got 0.1"),
+    (lambda: L.Activation("lrelu", 3, nu=[0.1]), ShapeError, "activation nu must be one number"),
+    (lambda: L.BatchNorm(**_BN, epsilon=True), DomainError, "batch-norm epsilon must be a real number"),
+    (lambda: L.BatchNorm(**_BN, epsilon=float("nan")), DomainError, "batch-norm epsilon must be finite"),
+], ids=["dense-W-string", "dense-W-bool", "dense-W-bool-among-floats", "dense-W-bool-array", "conv-bias-string",
+        "batchnorm-var-bool", "activation-nu-bool", "activation-nu-string", "activation-nu-list",
+        "batchnorm-epsilon-bool", "batchnorm-epsilon-nan"])
+def test_float_fields_take_only_real_numbers(build, error, named):
+    # a string used to escape as numpy's bare ValueError, and a bool to pass as 0 or 1
+    with pytest.raises(error, match=f"^{named}"):
         build()
 
 
@@ -153,7 +178,7 @@ def test_dense_as_maso_is_the_affine_map(rng):
     p = L.Dense(W, b).as_maso()
     assert p.R == 1
     z = rng.standard_normal(6)
-    out, _ = forward_hard(p, z)
+    out, _ = forward(p, z)
     assert np.allclose(out, W @ z + b, atol=1e-14)
 
 
@@ -166,7 +191,7 @@ def test_activation_as_maso_matches_elementwise(rng, kind, fn):
     p = L.Activation(kind, 7, nu=0.05).as_maso()
     for _ in range(20):
         z = rng.standard_normal(7)
-        out, _ = forward_hard(p, z)
+        out, _ = forward(p, z)
         assert np.allclose(out, fn(z, 0.05), atol=1e-14)
 
 
@@ -176,7 +201,7 @@ def test_maxpool_as_maso_matches_direct_max(rng):
     assert p.R == 3  # padded to the largest region
     for _ in range(20):
         z = rng.standard_normal(6)
-        out, _ = forward_hard(p, z)
+        out, _ = forward(p, z)
         assert np.allclose(out, [z[:3].max(), z[3:5].max(), z[5]], atol=1e-14)
 
 
@@ -185,7 +210,7 @@ def test_avgpool_as_maso_matches_direct_mean(rng):
     p = L.AvgPool(regions, 5).as_maso()
     assert p.R == 1
     z = rng.standard_normal(5)
-    out, _ = forward_hard(p, z)
+    out, _ = forward(p, z)
     assert np.allclose(out, [z[:2].mean(), z[2:].mean()], atol=1e-14)
 
 
@@ -196,7 +221,7 @@ def test_compose_dense_then_relu(rng):
     composed = L.compose_layer_maso(lin, act)
     for _ in range(100):
         z = rng.standard_normal(3)
-        out, _ = forward_hard(composed, z)
+        out, _ = forward(composed, z)
         assert np.allclose(out, np.maximum(W @ z + b, 0.0), atol=1e-12)
 
 
@@ -291,7 +316,7 @@ def test_conv_then_maxpool_composes_to_one_maso(rng):
         x = rng.standard_normal(25)
         direct = conv.matrix() @ x + conv.bias_flat()
         pooled = np.array([direct[list(r)].max() for r in regions])
-        got, _ = forward_hard(composed, x)
+        got, _ = forward(composed, x)
         assert np.max(np.abs(got - pooled)) < 1e-10
 
 
@@ -347,6 +372,22 @@ def test_network_forward_batch_agrees_with_single(rng):
         # BLAS may pick different kernels per batch shape; agreement is
         # to rounding, not bitwise
         assert np.allclose(batch_out[i], single, rtol=1e-12, atol=1e-14)
+
+
+def test_one_row_and_batched_codes_differ_only_near_a_boundary():
+    # a one-row Z @ W.T may round unlike the same row in a batch, so the
+    # codes may differ, but only for a unit within that rounding of a tie
+    net = L.make_mlp([2, 45, 3, 4], seed=0)
+    rng = np.random.default_rng(0)
+    W = net.layers[0].W  # make_mlp's biases are zero, so these rows sit on first-layer boundaries
+    units, t = rng.integers(0, 45, 100), rng.standard_normal(100)
+    X = np.vstack([rng.standard_normal((100, 2)), t[:, None] * np.stack([-W[units, 1], W[units, 0]], axis=1)])
+    _, batched = L.network_forward_batch(net, X)
+    for i in range(len(X)):
+        _, single = L.network_forward_batch(net, X[i : i + 1])
+        for layer, one, many in zip(net.layers, single, batched):
+            if layer.selector and not np.array_equal(one["codes"][0], many["codes"][i]):
+                assert layer.near_boundary(one, 1e-9), i
 
 
 def test_bn_fold_matches_normalization(rng):
@@ -521,7 +562,7 @@ def test_maso_form_equals_the_inference_forward(seed):
             assert np.array_equal(codes[~tied], cache["codes"][~tied]), name
             codes = np.where(tied, cache["codes"], codes)
         for i in range(Z.shape[0]):
-            A, b = selection_to_affine(p, HardSelection(codes[i]))
+            A, b = selection_to_affine(p, codes[i])
             Asel, bsel = layer.selected_affine(layer.forward(Z[i : i + 1])[1])
             assert np.array_equal(A, Asel) and np.array_equal(b, bsel), name
 

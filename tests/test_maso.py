@@ -4,22 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masonet.maso import (
-    BetaParam,
-    HardSelection,
     MasoParams,
-    SoftSelection,
-    beta_vq_infer,
     codes_from_offset_perturbation,
     entropy_objective,
-    forward_hard,
-    forward_with_selection,
+    forward,
     kmeans_codes,
     region_prior,
     scores,
     select,
     select_backward,
     selection_to_affine,
-    svq_infer,
 )
 from masonet.ndcore import (
     AmbiguityError,
@@ -49,27 +43,37 @@ def test_maso_params_shape_mismatch():
         MasoParams(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
-def test_hard_selection_rejects_negative_codes():
-    with pytest.raises(DomainError):
-        HardSelection(np.array([0, -1]))
+def test_hard_selection_rejects_negative_codes(rng):
+    p = random_params(rng, K=2)
+    with pytest.raises(DomainError, match="region code -1 out of range"):
+        selection_to_affine(p, np.array([0, -1]))
+    # a code must be an integer, not a bool or a fraction cut down
+    for bad in ([0, 1.5], [True, 0]):
+        with pytest.raises(DomainError, match="codes must be an integer"):
+            selection_to_affine(p, bad)
 
 
 def test_soft_selection_rows_must_be_stochastic():
-    with pytest.raises(DomainError):
-        SoftSelection(np.array([[0.5, 0.6]]))
-    with pytest.raises(DomainError):
-        SoftSelection(np.array([[1.2, -0.2]]))
-
-
-def test_beta_param_open_interval():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            BetaParam(bad)
-    assert np.array_equal(BetaParam(0.75).values(3), [0.75] * 3)
-    per_unit = BetaParam(np.array([0.2, 0.8]))
-    assert np.allclose(per_unit.values(2), [0.2, 0.8])
+    p, z = offsets_only([[0.0, 1.0]])
+    with pytest.raises(DomainError, match="sum to 1"):
+        entropy_objective(p, z, np.array([[0.5, 0.6]]), 0.5)
+    with pytest.raises(DomainError, match=r"in \[0, 1\]"):
+        entropy_objective(p, z, np.array([[1.2, -0.2]]), 0.5)
     with pytest.raises(ShapeError):
-        per_unit.values(3)
+        entropy_objective(p, z, np.array([0.5, 0.5]), 0.5)
+
+
+def test_beta_param_open_interval(rng):
+    p = random_params(rng, K=3)
+    z = rng.standard_normal(p.D)
+    for bad in (0.0, 1.0, -0.1, 1.1, np.nan, True, [0.5, 1.0, 0.5]):
+        with pytest.raises(DomainError):
+            forward(p, z, bad)
+    # one shared beta equals the same value given per unit
+    assert np.array_equal(forward(p, z, 0.75)[1], forward(p, z, np.full(3, 0.75))[1])
+    for bad in ([0.2, 0.8], np.full((3, 1), 0.5)):
+        with pytest.raises(ShapeError):
+            forward(p, z, bad)
 
 
 # --- hard forward -----------------------------------------------------------
@@ -85,16 +89,16 @@ def test_scores_known_values():
 def test_forward_hard_picks_max_and_codes():
     A = np.array([[[1.0], [2.0]]])
     B = np.array([[0.0, -0.5]])
-    out, sel = forward_hard(MasoParams(A, B), np.array([1.0]))
+    out, codes = forward(MasoParams(A, B), np.array([1.0]))
     # scores 1.0 vs 1.5
-    assert out[0] == 1.5 and sel.codes[0] == 1
+    assert out[0] == 1.5 and codes[0] == 1 and codes.dtype == np.int64
 
 
 def test_forward_hard_tie_takes_lowest_region():
     A = np.zeros((1, 3, 1))
     B = np.array([[7.0, 7.0, 7.0]])
-    _, sel = forward_hard(MasoParams(A, B), np.array([0.0]))
-    assert sel.codes[0] == 0
+    _, codes = forward(MasoParams(A, B), np.array([0.0]))
+    assert codes[0] == 0
 
 
 def test_relu_shaped_params_reproduce_relu():
@@ -102,9 +106,9 @@ def test_relu_shaped_params_reproduce_relu():
     B = np.zeros((1, 2))
     p = MasoParams(A, B)
     for u in (-2.0, -0.3, 0.4, 5.0):
-        out, sel = forward_hard(p, np.array([u]))
+        out, codes = forward(p, np.array([u]))
         assert out[0] == max(u, 0.0)
-        assert sel.codes[0] == (1 if u > 0 else 0)
+        assert codes[0] == (1 if u > 0 else 0)
 
 
 # --- soft and beta inference ------------------------------------------------
@@ -113,7 +117,7 @@ def test_svq_matches_softmax_of_scores(rng):
     p = random_params(rng)
     z = rng.standard_normal(p.D)
     s = scores(p, z)
-    T = svq_infer(p, z).T
+    _, T = forward(p, z, 0.5)
     ref = np.exp(s - s.max(axis=1, keepdims=True))
     ref /= ref.sum(axis=1, keepdims=True)
     assert np.allclose(T, ref, atol=1e-15)
@@ -122,59 +126,70 @@ def test_svq_matches_softmax_of_scores(rng):
 def test_beta_half_is_svq(rng):
     p = random_params(rng)
     z = rng.standard_normal(p.D)
-    assert np.allclose(beta_vq_infer(p, z, BetaParam(0.5)).T, svq_infer(p, z).T, atol=1e-15)
+    assert np.allclose(forward(p, z, np.full(p.K, 0.5))[1], forward(p, z, 0.5)[1], atol=1e-15)
 
 
 def test_beta_limits(rng):
     p = random_params(rng, K=3, R=4)
     z = rng.standard_normal(p.D)
-    near_zero = beta_vq_infer(p, z, BetaParam(1e-9)).T
+    near_zero = forward(p, z, 1e-9)[1]
     assert np.allclose(near_zero, 0.25, atol=1e-6)
-    near_one = beta_vq_infer(p, z, BetaParam(1 - 1e-9)).T
-    _, sel = forward_hard(p, z)
-    assert np.array_equal(np.argmax(near_one, axis=1), sel.codes)
+    near_one = forward(p, z, 1 - 1e-9)[1]
+    _, codes = forward(p, z)
+    assert np.array_equal(np.argmax(near_one, axis=1), codes)
 
 
 def test_per_unit_beta_rows(rng):
     p = random_params(rng, K=2, R=3)
     z = rng.standard_normal(p.D)
-    mixed = beta_vq_infer(p, z, BetaParam(np.array([0.2, 0.9]))).T
-    lo = beta_vq_infer(p, z, BetaParam(0.2)).T
-    hi = beta_vq_infer(p, z, BetaParam(0.9)).T
+    mixed = forward(p, z, np.array([0.2, 0.9]))[1]
+    lo = forward(p, z, 0.2)[1]
+    hi = forward(p, z, 0.9)[1]
     assert np.allclose(mixed[0], lo[0]) and np.allclose(mixed[1], hi[1])
 
 
 def test_forward_with_hard_selection_matches_forward_hard_exactly(rng):
     p = random_params(rng)
-    z = rng.standard_normal(p.D)
-    out, sel = forward_hard(p, z)
-    assert np.array_equal(forward_with_selection(p, z, sel), out)
+    Z = rng.standard_normal((5, p.D))
+    out, codes = forward(p, Z)
+    # the output is the score each code picks, bit for bit
+    assert np.array_equal(np.take_along_axis(scores(p, Z), codes[..., None], -1)[..., 0], out)
 
 
 def test_forward_with_soft_selection_is_score_average(rng):
     p = random_params(rng, K=2, R=2)
     z = rng.standard_normal(p.D)
-    T = SoftSelection(np.full((2, 2), 0.5))
-    assert np.allclose(forward_with_selection(p, z, T), scores(p, z).mean(axis=1))
+    out, T = forward(p, z, 0.5)
+    assert np.allclose(out, np.sum(T * scores(p, z), axis=-1), atol=1e-15)
+    # near beta = 0 the selection is uniform, so the output is the score average
+    assert np.allclose(forward(p, z, 1e-12)[0], scores(p, z).mean(axis=1))
 
 
 def test_forward_with_selection_rejects_mismatched_codes(rng):
     p = random_params(rng, K=2, R=2)
-    z = rng.standard_normal(p.D)
     with pytest.raises(ShapeError):
-        forward_with_selection(p, z, HardSelection(np.array([0])))
+        selection_to_affine(p, np.array([0]))
+    with pytest.raises(ShapeError):
+        selection_to_affine(p, np.array(0))
     with pytest.raises(DomainError):
-        forward_with_selection(p, z, HardSelection(np.array([0, 5])))
+        selection_to_affine(p, np.array([0, 5]))
 
 
 def test_selection_to_affine_reproduces_output(rng):
     p = random_params(rng)
     z = rng.standard_normal(p.D)
-    out, sel = forward_hard(p, z)
-    Asel, bsel = selection_to_affine(p, sel)
+    out, codes = forward(p, z)
+    Asel, bsel = selection_to_affine(p, codes)
     assert np.allclose(Asel @ z + bsel, out, atol=1e-15)
     # the collapsed map is affine: exact on a second input under the same codes
     assert Asel.shape == (p.K, p.D) and bsel.shape == (p.K,)
+    # a batch of code rows gives one map per row
+    Z = rng.standard_normal((3, p.D))
+    A3, b3 = selection_to_affine(p, forward(p, Z)[1])
+    assert A3.shape == (3, p.K, p.D) and b3.shape == (3, p.K)
+    for i in range(3):
+        Ai, bi = selection_to_affine(p, forward(p, Z[i])[1])
+        assert np.array_equal(A3[i], Ai) and np.array_equal(b3[i], bi)
 
 
 # --- entropy objective ------------------------------------------------------
@@ -186,8 +201,8 @@ def offsets_only(score_rows):
 
 def test_entropy_objective_frozen_values():
     p, z = offsets_only([[0.0, np.log(3.0)]])
-    uniform = SoftSelection(np.array([[0.5, 0.5]]))
-    hard = SoftSelection(np.array([[0.0, 1.0]]))
+    uniform = np.array([[0.5, 0.5]])
+    hard = np.array([[0.0, 1.0]])
     # beta=0: pure natural-log entropy
     assert np.allclose(entropy_objective(p, z, uniform, 0.0), np.log(2.0))
     assert np.allclose(entropy_objective(p, z, hard, 0.0), 0.0)
@@ -200,7 +215,7 @@ def test_entropy_objective_frozen_values():
 
 def test_entropy_objective_zero_probability_contributes_zero():
     p, z = offsets_only([[5.0, -1000.0]])
-    hard = SoftSelection(np.array([[1.0, 0.0]]))
+    hard = np.array([[1.0, 0.0]])
     # 0 * log 0 must not poison the entropy term
     val = entropy_objective(p, z, hard, 0.3)
     assert np.allclose(val, 0.3 * 5.0)
@@ -210,21 +225,25 @@ def test_entropy_objective_maximized_by_scaled_softmax(rng):
     # closed-form optimum: softmax of eta*scores
     p = random_params(rng, K=3, R=4)
     z = rng.standard_normal(p.D)
-    b = BetaParam(0.7)
-    Topt = beta_vq_infer(p, z, b)
+    _, Topt = forward(p, z, 0.7)
     base = entropy_objective(p, z, Topt, 0.7)
     for _ in range(200):
         raw = rng.random((3, 4))
-        cand = SoftSelection(raw / raw.sum(axis=1, keepdims=True))
+        cand = raw / raw.sum(axis=1, keepdims=True)
         val = entropy_objective(p, z, cand, 0.7)
         assert np.all(val <= base + 1e-9)
 
 
 def test_entropy_objective_rejects_beta_outside_closed_interval(rng):
     p = random_params(rng, K=1, R=2)
-    T = svq_infer(p, np.zeros(p.D))
-    with pytest.raises(DomainError):
-        entropy_objective(p, np.zeros(p.D), T, 1.5)
+    _, T = forward(p, np.zeros(p.D), 0.5)
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(DomainError):
+            entropy_objective(p, np.zeros(p.D), T, bad)
+    # the closed interval: the endpoints are the pure score and the pure entropy
+    assert np.all(np.isfinite(entropy_objective(p, np.zeros(p.D), T, [1.0])))
+    with pytest.raises(ShapeError):
+        entropy_objective(p, np.zeros(p.D), T, [0.5, 0.5])
 
 
 # --- region prior -----------------------------------------------------------
@@ -252,11 +271,11 @@ def test_region_prior_rows_sum_to_one(rng):
 def test_kmeans_codes_nearest_centroid():
     A = np.array([[[1.0, 0.0], [0.0, 1.0]]])
     p = MasoParams(A, -0.5 * np.sum(A * A, axis=2))
-    sel = kmeans_codes(p, np.array([0.9, 0.2]))
+    codes = kmeans_codes(p, np.array([0.9, 0.2]))
     # squared distances 0.05 vs 1.45
-    assert sel.codes[0] == 0
-    _, hard = forward_hard(p, np.array([0.9, 0.2]))
-    assert np.array_equal(sel.codes, hard.codes)
+    assert codes[0] == 0 and codes.dtype == np.int64
+    _, hard = forward(p, np.array([0.9, 0.2]))
+    assert np.array_equal(codes, hard)
 
 
 def test_kmeans_codes_requires_tied_offsets(rng):
@@ -270,8 +289,8 @@ def test_kmeans_equals_hard_codes_randomly(rng):
         A = rng.standard_normal((3, 4, 5))
         p = MasoParams(A, -0.5 * np.sum(A * A, axis=2))
         z = rng.standard_normal(5)
-        _, hard = forward_hard(p, z)
-        assert np.array_equal(kmeans_codes(p, z).codes, hard.codes)
+        _, hard = forward(p, z)
+        assert np.array_equal(kmeans_codes(p, z), hard)
 
 
 # --- offset-perturbation code identification --------------------------------
@@ -284,9 +303,9 @@ def test_offset_perturbation_matches_hard_codes(rng):
         top2 = np.sort(s, axis=1)[:, -2:]
         if np.min(top2[:, 1] - top2[:, 0]) <= 2e-6:
             continue
-        sel = codes_from_offset_perturbation(p, z, eps=1e-7)
-        _, hard = forward_hard(p, z)
-        assert np.array_equal(sel.codes, hard.codes)
+        codes = codes_from_offset_perturbation(p, z, eps=1e-7)
+        _, hard = forward(p, z)
+        assert np.array_equal(codes, hard) and codes.dtype == np.int64
 
 
 def test_offset_perturbation_flags_boundary():
@@ -298,8 +317,9 @@ def test_offset_perturbation_flags_boundary():
 
 def test_offset_perturbation_rejects_nonpositive_eps(rng):
     p = random_params(rng)
-    with pytest.raises(DomainError):
-        codes_from_offset_perturbation(p, np.zeros(p.D), eps=0.0)
+    for eps in (0.0, -1e-6, np.nan):
+        with pytest.raises(DomainError):
+            codes_from_offset_perturbation(p, np.zeros(p.D), eps=eps)
 
 
 # --- properties -------------------------------------------------------------
@@ -310,11 +330,12 @@ def test_hard_output_upper_bounds_every_selection(seed, K, R, D):
     rng = np.random.default_rng(seed)
     p = MasoParams(rng.standard_normal((K, R, D)), rng.standard_normal((K, R)))
     z = rng.standard_normal(D)
-    out, _ = forward_hard(p, z)
+    out, _ = forward(p, z)
     raw = rng.random((K, R)) + 1e-9
-    T = SoftSelection(raw / raw.sum(axis=1, keepdims=True))
+    T = raw / raw.sum(axis=1, keepdims=True)
     # a convex combination of scores can never beat the max
-    assert np.all(forward_with_selection(p, z, T) <= out + 1e-12)
+    assert np.all(np.sum(T * scores(p, z), axis=-1) <= out + 1e-12)
+    assert np.all(forward(p, z, rng.uniform(0.01, 0.99, K))[0] <= out + 1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -325,8 +346,8 @@ def test_offset_shift_moves_output_uniformly(seed):
     z = rng.standard_normal(4)
     c = float(rng.standard_normal())
     shifted = MasoParams(p.A, p.B + c)
-    out, _ = forward_hard(p, z)
-    out2, _ = forward_hard(shifted, z)
+    out, _ = forward(p, z)
+    out2, _ = forward(shifted, z)
     assert np.allclose(out2, out + c, atol=1e-12)
 
 
@@ -357,26 +378,31 @@ def test_batched_selection_rows_equal_the_per_input_regimes(seed, n, K, R, D):
     assert np.array_equal(codes, np.argmax(s == s.max(axis=-1, keepdims=True), axis=-1))
     assert bit_equal(T, row_softmax(s)) and bit_equal(Tb, row_softmax(beta[:, None] / (1 - beta[:, None]) * s))
     assert bit_equal(weighted, np.sum(Tb * s, axis=-1))
+    # forward is select of the scores, batched or one input at a time
+    assert bit_equal(forward(p, Z)[0], hard) and bit_equal(forward(p, Z)[1], codes)
+    assert bit_equal(forward(p, Z, beta)[1], Tb)
     for i in range(n):
         assert bit_equal(s[i], scores(p, Z[i]))
-        out, sel = forward_hard(p, Z[i])
-        assert bit_equal(hard[i], out) and bit_equal(codes[i], sel.codes)
-        assert bit_equal(T[i], svq_infer(p, Z[i]).T)
-        assert bit_equal(soft[i], forward_with_selection(p, Z[i], svq_infer(p, Z[i])))
-        assert bit_equal(Tb[i], beta_vq_infer(p, Z[i], BetaParam(beta)).T)
+        out, row_codes = forward(p, Z[i])
+        assert bit_equal(hard[i], out) and bit_equal(codes[i], row_codes)
+        assert bit_equal(soft[i], forward(p, Z[i], 0.5)[0]) and bit_equal(T[i], forward(p, Z[i], 0.5)[1])
+        assert bit_equal(weighted[i], forward(p, Z[i], beta)[0]) and bit_equal(Tb[i], forward(p, Z[i], beta)[1])
 
 
-def test_per_input_functions_reject_batched_inputs(rng):
+def test_code_functions_take_batches_and_check_the_input_width(rng):
     p = random_params(rng)
-    with pytest.raises(ShapeError):
-        scores(p, np.zeros(()))
-    with pytest.raises(ShapeError):
-        scores(p, np.zeros((2, p.D + 1)))
-    for fn in (forward_hard, svq_infer, kmeans_codes, codes_from_offset_perturbation):
-        with pytest.raises(ShapeError):
-            fn(p, np.zeros((p.K, p.D)))
-    with pytest.raises(ShapeError):
-        forward_with_selection(p, np.zeros((p.K, p.D)), HardSelection(np.zeros(p.K, dtype=int)))
+    tied = MasoParams(p.A, -0.5 * np.sum(p.A * p.A, axis=2))
+    Z = rng.standard_normal((2, 3, p.D))
+    hard = forward(tied, Z)[1]
+    assert hard.shape == (2, 3, p.K)
+    assert np.array_equal(kmeans_codes(tied, Z), hard)
+    assert np.array_equal(codes_from_offset_perturbation(tied, Z, eps=1e-9), hard)
+    for fn in (scores, forward, kmeans_codes, codes_from_offset_perturbation):
+        for bad in (np.zeros(()), np.zeros((2, p.D + 1)), np.zeros(p.D - 1)):
+            with pytest.raises(ShapeError):
+                fn(tied, bad)
+        with pytest.raises(DomainError):
+            fn(tied, [True] * p.D)
 
 
 @pytest.mark.parametrize("per_unit", [False, True])

@@ -17,16 +17,16 @@ from masonet.ndcore import (
 
 
 def test_as_tensor_coerces_to_float64():
-    a = as_tensor([[1, 2], [3, 4]])
+    a = as_tensor([[1, 2], [3, 4]], "x")
     assert a.dtype == np.float64
     assert a.shape == (2, 2)
 
 
 def test_as_tensor_rejects_nan_and_inf():
-    with pytest.raises(DomainError):
-        as_tensor([1.0, np.nan])
-    with pytest.raises(DomainError):
-        as_tensor([np.inf])
+    with pytest.raises(DomainError, match="^x must be finite, got nan$"):
+        as_tensor([1.0, np.nan], "x")
+    with pytest.raises(DomainError, match="^x must be finite, got inf$"):
+        as_tensor(np.array([np.inf]), "x")
 
 
 def test_as_ints_accepts_integers_and_integral_floats():
@@ -45,12 +45,41 @@ def test_as_ints_names_the_field_and_the_bad_value(value, shown):
         as_ints(value, "width")
 
 
-def test_as_tensor_keeps_numpy_error_for_a_non_number():
-    # only a ragged nesting becomes ShapeError; a string stays numpy's ValueError
-    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
-        as_tensor([[1.0, "x"]])
-    with pytest.raises(ShapeError, match="^value is not a rectangular array: "):
-        as_tensor([[1.0, "x"], [2.0]])
+@pytest.mark.parametrize("value,shown", [
+    ([[1.0, "x"]], "x"), ("1.5", "1.5"), ([None], "None"), ([{}], "{}"), ([1j], "1j"),
+    (True, "True"), ([[0.5, 1.0], [True, 2.0]], "True"), ([np.float64(0.5), np.True_], "True"),
+    ([np.zeros(2), np.array([False, True])], "False"), (np.array([True, False]), "True"),
+    (np.array(["1.0"]), "1.0"), (np.array([1.0], dtype=object), "1.0"),
+], ids=["string-in-a-list", "string", "none", "dict", "complex", "bool", "bool-among-floats",
+        "numpy-bool-among-floats", "bool-array-in-a-list", "bool-array", "string-array", "object-array"])
+def test_as_tensor_names_the_field_and_the_first_non_real_entry(value, shown):
+    # strings and booleans used to pass as numbers (numpy parses '1.5' and reads
+    # True as 1) or to escape as numpy's bare ValueError
+    with pytest.raises(DomainError, match=f"^W must be a real number, got {re.escape(shown)}$"):
+        as_tensor(value, "W")
+    with pytest.raises(ShapeError, match="^W is not a rectangular array: "):
+        as_tensor([[1.0, "x"], [2.0]], "W")
+
+
+class _NoWalk(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("an ndarray's entries were walked")
+
+
+def test_as_tensor_judges_an_ndarray_by_its_dtype():
+    a = np.arange(6.0).reshape(2, 3)
+    assert as_tensor(a, "x") is a
+    assert as_tensor(np.arange(3), "x").dtype == np.float64
+    # no Python loop over an ndarray's entries, at the top or inside a list
+    rows = np.arange(6.0).reshape(2, 3).view(_NoWalk)
+    assert as_tensor(rows, "x").tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert as_tensor([rows[0], rows[1]], "x").shape == (2, 3)
+
+
+def test_as_ints_rejects_a_bool_among_integers():
+    # numpy reads [2, True] as the integers [2, 1]
+    with pytest.raises(DomainError, match="^shape must be an integer, got True$"):
+        as_ints([2, True], "shape")
 
 
 def test_row_softmax_quarter_three_quarters():

@@ -6,12 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from masonet import layers as L
 from masonet import partition
-from masonet.maso import HardSelection
 from masonet.ndcore import DomainError, ShapeError
 from masonet.partition import (
-    LayerCode,
     grid_scan,
-    layer_code,
     layer_codes_batch,
     nearest_neighbors,
     region_stats,
@@ -29,26 +26,25 @@ def tiny_net(seed=0):
 
 def test_layer_code_collects_selector_layers_only(rng):
     net = tiny_net()
-    x = rng.standard_normal(2)
-    code = layer_code(net, x, len(net.layers))
-    # two relu layers select; dense layers do not
-    assert len(code.codes) == 2
-    assert code.flat().shape == (8,)  # widths 5 and 3
+    x = rng.standard_normal((1, 2))
+    # two relu layers select, widths 5 and 3; dense layers do not
+    assert layer_codes_batch(net, x, len(net.layers)).shape == (1, 8)
+    assert layer_codes_batch(net, x, 2).shape == (1, 5)
+    assert layer_codes_batch(net, x, 3).shape == (1, 5)
 
 
 def test_layer_code_zero_prefix_is_empty(rng):
     net = tiny_net()
-    code = layer_code(net, rng.standard_normal(2), 0)
-    assert code.flat().size == 0
+    assert layer_codes_batch(net, rng.standard_normal((3, 2)), 0).shape == (3, 0)
 
 
 def test_layer_code_matches_forward_selections(rng):
     net = tiny_net()
     x = rng.standard_normal(2)
-    code = layer_code(net, x, len(net.layers))
-    _, sels = L.network_forward(net, x)
-    picked = [s.codes for s in sels if s is not None]
-    assert np.array_equal(code.flat(), np.concatenate(picked))
+    code = layer_codes_batch(net, x[None, :], len(net.layers))[0]
+    _, rows = L.network_forward(net, x)
+    assert [r is None for r in rows] == [True, False, True, False, True]
+    assert np.array_equal(code, np.concatenate([r for r in rows if r is not None]))
 
 
 def test_layer_codes_batch_rows_match_single(rng):
@@ -57,12 +53,12 @@ def test_layer_codes_batch_rows_match_single(rng):
     mat = layer_codes_batch(net, X, len(net.layers))
     assert mat.shape == (7, 8)
     for i in range(7):
-        assert np.array_equal(mat[i], layer_code(net, X[i], len(net.layers)).flat())
+        assert np.array_equal(mat[i], layer_codes_batch(net, X[i : i + 1], len(net.layers))[0])
 
 
 def test_layer_code_prefix_out_of_range(rng):
     with pytest.raises(ShapeError):
-        layer_code(tiny_net(), rng.standard_normal(2), 9)
+        layer_codes_batch(tiny_net(), rng.standard_normal((1, 2)), 9)
 
 
 # --- grid scan --------------------------------------------------------------------
@@ -246,24 +242,26 @@ def test_region_stats_distinguishes_known_split():
 
 # --- code distance ----------------------------------------------------------------------
 
-def as_code(values):
-    return LayerCode((HardSelection(np.asarray(values, dtype=np.int64)),))
-
-
 def test_vq_distance_counts_disagreements():
-    a = as_code([0, 1, 1, 0])
-    b = as_code([0, 1, 0, 1])
+    a = np.array([0, 1, 1, 0])
+    b = np.array([0, 1, 0, 1])
     assert vq_distance(a, b) == 0.5
     assert vq_distance(a, a) == 0.0
+    # leading rows broadcast: one distance per row
+    rows = np.array([[0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1]])
+    assert vq_distance(rows, a).tolist() == [0.0, 0.5, 1.0]
+    assert vq_distance(rows[:, None], rows).shape == (3, 3)
 
 
 def test_vq_distance_empty_codes_are_identical():
-    assert vq_distance(LayerCode(()), LayerCode(())) == 0.0
+    assert vq_distance(np.zeros(0, np.int64), np.zeros(0, np.int64)) == 0.0
+    assert vq_distance(np.zeros((4, 0)), np.zeros(0)).tolist() == [0.0] * 4
 
 
 def test_vq_distance_shape_mismatch():
-    with pytest.raises(ShapeError):
-        vq_distance(as_code([0, 1]), as_code([0, 1, 0]))
+    for a, b in (([0, 1], [0, 1, 0]), ([0], [0, 1]), (0, 0), (np.zeros((2, 3)), np.zeros((4, 3)))):
+        with pytest.raises(ShapeError):
+            vq_distance(np.asarray(a), np.asarray(b))
 
 
 @given(
@@ -277,7 +275,7 @@ def test_vq_distance_shape_mismatch():
 )
 @settings(max_examples=200)
 def test_vq_distance_is_a_pseudometric(triple):
-    a, b, c = (as_code(v) for v in triple)
+    a, b, c = (np.asarray(v) for v in triple)
     dab, dba = vq_distance(a, b), vq_distance(b, a)
     assert dab == dba
     assert vq_distance(a, a) == 0.0

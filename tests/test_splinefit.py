@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from masonet.maso import MasoParams, forward_hard
+from masonet.maso import MasoParams, forward
 from masonet.ndcore import DomainError, ShapeError
 from masonet.splinefit import FitProblem, fit_max_affine, sup_error, universality_curve
 
@@ -84,7 +84,7 @@ def test_fit_returns_single_unit_maso():
     assert (spline.K, spline.R, spline.D) == (1, 4, 1)
     # the spline evaluates through the standard hard max path
     grid = np.linspace(-1, 1, 17)
-    out = np.array([forward_hard(spline, np.array([g]))[0][0] for g in grid])
+    out = np.array([forward(spline, np.array([g]))[0][0] for g in grid])
     manual = np.max(grid[:, None] * spline.A[0].T + spline.B[0], axis=1)
     assert np.allclose(out, manual)
 
