@@ -4,7 +4,11 @@ Within one partition region, each skip block applies (C_skip + A_act C),
 so a chain of blocks multiplies out into 2^blocks products: every term
 picks either the skip path or the conv path at each block.  Their sum is
 exactly the slope matrix of the collapsed affine map at that input.
+The script exits nonzero when the printed residual exceeds criterion 1's
+bound 1e-6 (1 + |f|), with f the decomposed slope.
 """
+
+import sys
 
 import numpy as np
 
@@ -44,9 +48,12 @@ print(f"{len(terms)} path terms from 3 blocks "
 for i, t in enumerate(terms):
     bits = format(i, "03b")[::-1]
     print(f"  term {i} (paths {bits}): frobenius norm {np.linalg.norm(t):9.4f}")
-dev = np.max(np.abs(sum(terms) - form.A))
-print(f"|sum of terms - decomposed slope| = {dev:.2e}")
+residual = np.abs(sum(terms) - form.A)
+print(f"|sum of terms - decomposed slope| = {np.max(residual):.2e}")
+ok = np.all(residual <= 1e-6 * (1.0 + np.abs(form.A)))
 
 # depth profile of the collapsed products, shallow to deep
 norms = partial_product_norms(net, x)
 print("\npartial product norms by depth:", [f"{v:.3f}" for v in norms])
+if not ok:
+    sys.exit("the sum of terms misses the decomposed slope by more than criterion 1's bound 1e-6 (1 + |f|)")

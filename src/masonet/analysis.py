@@ -23,10 +23,10 @@ layer's offset enters through the rows pulled back to its output.  A
 prefix map,
 as wide as the hidden layer it ends at, is walked from the input instead
 (`Layer.push`).  Either way each step costs one matrix product per
-affine layer (dense, conv, average pool, skip block): activations and
-batch norm scale the running map's rows or columns, and max pooling
-gathers or scatter-adds them, instead of multiplying by a D x D diagonal
-or one-hot matrix.
+affine layer (dense, conv, skip block): activations and batch norm scale
+the running map's rows or columns, and both pools gather or scatter-add
+them (average pooling with its weights), instead of multiplying by a
+D x D diagonal, one-hot or averaging matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Dense, Network, SkipBlock, network_forward_batch
-from .ndcore import DomainError, StructureError, Tensor
+from .ndcore import DomainError, StructureError, Tensor, as_seed
 
 __all__ = [
     "AffineForm",
@@ -165,7 +165,7 @@ def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9
     """
     if samples < 1:
         raise DomainError("need at least one probe pair")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed, "probe seed"))
     d = net.dims[0]
     U = rng.standard_normal((samples, d))
     V = rng.standard_normal((samples, d))

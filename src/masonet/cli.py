@@ -33,7 +33,7 @@ import numpy as np
 from . import analysis, learn, partition, splinefit
 from . import layers as L
 from .maso import MasoParams, scores, select
-from .ndcore import MasonetError, ValidationError, as_ints, as_tensor
+from .ndcore import DomainError, MasonetError, ValidationError, as_ints, as_seed, as_tensor
 
 __all__ = [
     "generate_toy_dataset",
@@ -61,7 +61,7 @@ def generate_toy_dataset(seed: int = 0):
     stretched along the ring tangent.  Points falling outside the box are
     resampled, so every coordinate lies in [-2, 2].  Deterministic per seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed, "dataset seed"))
     X = np.zeros((_TOY_CLASSES * _TOY_POINTS_PER_CLASS, 2))
     y = np.repeat(np.arange(_TOY_CLASSES), _TOY_POINTS_PER_CLASS)
     angles = np.deg2rad([45.0, 135.0, 225.0, 315.0])
@@ -650,11 +650,12 @@ _ints, _floats = _comma_list(int), _comma_list(float)
 
 
 def _seed(text: str) -> int:
-    """argparse type: a seed, which numpy's generators take only when non-negative."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
+    """argparse type: a seed as `as_seed` takes it; argparse reports the
+    ValueError as a bad --seed value."""
+    try:
+        return as_seed(int(text))
+    except DomainError:
+        raise ValueError(text) from None
 
 
 _seed.__name__ = "non-negative int"  # named in argparse errors
@@ -698,15 +699,18 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache  # built once per process; no handler changes args, so shared list defaults stay put
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a typed prefix such as --epoch is an unknown flag,
+    # not silently --epochs
     parser = _Parser(
         prog="masonet",
+        allow_abbrev=False,
         description="Max-affine spline view of deep networks: training, "
         "decomposition, partition analytics, spline fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text, *shared):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in shared:
             p.add_argument(flag, **_SHARED[flag])
         return p

@@ -24,20 +24,24 @@ an input agree when they run it in the same batch.  The MASO form,
 selected by `maso.select` from its own scores, picks the same regions
 (exact ties of a skip block's pre-activation aside).
 
-Convolution is applied through its explicit matrix form, lowered afresh
-from the current filters on every use, so the matrix route and the
-forward route are the same arithmetic and no lowered copy can go stale.
-Its geometry is stated once, as the tap index `_conv_taps` that both the
-lowering and the filter gradient read; both pools gather their input
-through one padded index matrix and scatter onto it.  Index arrays that
-depend only on geometry are computed once per shape and shared
-read-only; the lowering still scatters the current filter values on
-every call.
+Convolution runs by gathered windows (im2col): the forward, the filter
+gradient and `pull` gather through two index arrays and make one matrix
+product each, over row chunks of a fixed entry budget, so no (out x in)
+array is formed.  The explicit matrix form is lowered from the current
+filters only where it is the answer: `conv_to_matrix`, the selected map
+and so the first step of a prefix walk, the MASO form and a skip block's
+branches; no lowered copy is kept, so none can go stale.  The geometry
+is stated once, as the tap index `_conv_taps` that the lowering scatters
+the filters through and that both gather indexes are read from; both
+pools gather their input through one padded index matrix and scatter
+onto it.  Index arrays that depend only on geometry are computed once
+per shape and shared read-only.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ from .ndcore import (
     Tensor,
     WindowError,
     as_ints,
+    as_seed,
     as_tensor,
 )
 
@@ -103,8 +108,9 @@ class Layer:
     step from the input, (Asel A, Asel b + bsel) for a one-row cache,
     one step of an exact decomposition walk.  Derived from these:
     selected_affine(cache), the dense (Asel, bsel) of a one-row cache,
-    is the identity pulled through the layer (dense, conv and skip
-    block return the matrix they hold instead, which costs no product),
+    is the identity pulled through the layer (dense and skip block
+    return the matrix they hold instead, and conv lowers its filters,
+    which costs no product),
     and as_maso(), the MASO whose hard forward is the inference forward,
     has as region r the map selected by the cache of the zero input with
     every code set to r, for each of the `pieces` regions.
@@ -136,6 +142,8 @@ class Layer:
         Activations and batch norm override this to scale A's rows, and max
         pooling to gather them, in place of a product with a diagonal or
         one-hot matrix; the results equal the product entry for entry.
+        Average pooling gathers them with its weights, which sums in
+        another order than the product: equal to rounding, not bit for bit.
         """
         Asel, bsel = self.selected_affine(cache)
         return Asel @ A, Asel @ b + bsel
@@ -197,10 +205,14 @@ class Conv(Layer):
     """2-D convolution, stride pair, 'valid' or zero-padded 'same' boundary.
 
     filters: (out_ch, in_ch, kh, kw); bias: per-out-channel.  in_shape is
-    the (C, H, W) the layer expects.  matrix() lowers the current filters
-    on every call; a forward keeps its lowered matrix in the cache for the
-    backward of the same step, which gathers the filter gradient through
-    the same tap index the lowering scatters the filters with.
+    the (C, H, W) the layer expects.  The forward gathers each output
+    position's input window and makes one product with the flattened
+    filters; the filter gradient is G's channel rows times the same
+    windows, and `pull` gathers, for each input location, the output
+    positions that read it and makes one product with the filters
+    transposed.  None of them forms the (out x in) matrix: matrix() and
+    selected_affine lower the current filters when asked.  Gathered
+    arrays keep the batch axis last, so each index copies a run of rows.
     """
 
     filters: Tensor
@@ -240,27 +252,53 @@ class Conv(Layer):
     def dims(self) -> tuple[int, int]:
         return int(np.prod(self.in_shape)), int(np.prod(conv_out_shape(self)))
 
+    def _windows(self, Z) -> Tensor:
+        """(T, P, n) windows of the n rows of Z: entry [t, p, i] is what row
+        i feeds output position p through filter tap t (0 on the border)."""
+        Zt = np.zeros((Z.shape[1] + 1, Z.shape[0]))  # the last row is the border
+        Zt[:-1] = Z.T
+        return np.take(Zt, _conv_windows(self)[0], axis=0)
+
     def forward(self, Z, beta=None, batch_stats=False):
-        M = self.matrix()
-        out = Z @ M.T
-        out += self.bias_flat()
-        return out, {"Z": Z, "M": M}
+        c_out, (T, P) = self.filters.shape[0], _conv_windows(self)[0].shape
+        F = self.filters.reshape(c_out, T)
+        out = np.empty((Z.shape[0], c_out, P))
+        for rows in _chunks(Z.shape[0], T * P):
+            n = rows.stop - rows.start
+            product = F @ self._windows(Z[rows]).reshape(T, P * n)
+            out[rows] = product.reshape(c_out, P, n).transpose(2, 0, 1)
+        out += self.bias[:, None]
+        return out.reshape(Z.shape[0], c_out * P), {"Z": Z}
 
     def backward(self, cache, G):
-        """Input gradient through the lowered matrix; each filter entry's
-        gradient sums d loss / d M = G^T Z over the entries its taps fill."""
-        rows, cols, taps = _conv_taps(self)
-        dM = G.T @ cache["Z"]
-        dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
-        c_out = self.bias.shape[0]
-        dbias = G.reshape(G.shape[0], c_out, G.shape[1] // c_out).sum(axis=(0, 2))
-        return self.pull(cache, G), {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
+        Z = cache["Z"]
+        c_out, (T, P) = self.filters.shape[0], _conv_windows(self)[0].shape
+        G3 = G.reshape(G.shape[0], c_out, P)
+        dfil = np.zeros((c_out, T))
+        for rows in _chunks(Z.shape[0], T * P):
+            n = rows.stop - rows.start
+            Gc = G3[rows].transpose(1, 2, 0).reshape(c_out, P * n)  # the windows' (P, n) order
+            dfil += Gc @ self._windows(Z[rows]).reshape(T, P * n).T
+        grads = {"filters": dfil.reshape(self.filters.shape), "bias": G3.sum(axis=(0, 2))}
+        return self.pull(cache, G), grads, None
 
     def pull(self, cache, G):
-        return G @ cache["M"]
+        win, back = _conv_windows(self)
+        c_out, c_in = self.filters.shape[:2]
+        P, (taps, L) = win.shape[1], back.shape
+        Ft = self.filters.transpose(1, 0, 2, 3).reshape(c_in, c_out * taps)
+        G3 = G.reshape(math.prod(G.shape[:-1]), c_out, P)
+        out = np.empty((G3.shape[0], c_in, L))
+        for rows in _chunks(G3.shape[0], c_out * taps * L):
+            n = rows.stop - rows.start
+            Gt = np.zeros((c_out, P + 1, n))  # position P is the border, which no output reads
+            Gt[:, :P] = G3[rows].transpose(1, 2, 0)
+            met = np.take(Gt, back, axis=1).reshape(c_out * taps, L * n)
+            out[rows] = (Ft @ met).reshape(c_in, L, n).transpose(2, 0, 1)
+        return out.reshape(G.shape[:-1] + (c_in * L,))
 
     def selected_affine(self, cache):
-        return cache["M"], self.bias_flat()
+        return conv_to_matrix(self), self.bias_flat()
 
     def selected_offset(self, cache):
         return self.bias_flat()
@@ -474,6 +512,13 @@ class AvgPool(_Pool):
     def pull(self, cache, G):
         idx, weights = _pool_geometry(self.regions)
         return self._scatter(idx, G[..., None] * weights, G.ndim - 1)
+
+    def push(self, cache, A, b):
+        # the forward's weighted gather, applied to A's rows; it sums a
+        # region's rows in another order than the product with the
+        # averaging matrix, so the two agree to rounding, not bit for bit
+        idx, weights = _pool_geometry(self.regions)
+        return np.einsum("kr,krm->km", weights, A[idx]), (weights * b[idx]).sum(axis=1)
 
 
 @dataclass(eq=False)
@@ -746,11 +791,51 @@ def _taps_for(fshape, stride, padding, input_shape):
     return _read_only(rows[inside]), _read_only(cols[inside]), _read_only(taps[inside])
 
 
+def _conv_windows(conv: Conv) -> tuple[np.ndarray, np.ndarray]:
+    """The two gather indexes of the convolution, read from `_conv_taps`.
+
+    win (T, P): the input entry that output position p (of P = H_out *
+    W_out) reads through filter tap t (of T = in_ch * kh * kw, in filter
+    order), or in_dim where the tap falls on the zero border.  back (kh *
+    kw, H * W): the output position that reads input location l through
+    spatial tap t, the same for every channel, or P where none does.
+    Built once per geometry and shared read-only, like the tap index.
+    """
+    return _windows_for(*_geometry(conv))
+
+
+@functools.lru_cache(maxsize=32)
+def _windows_for(fshape, stride, padding, input_shape):
+    rows, cols, taps = _taps_for(fshape, stride, padding, input_shape)
+    c_in, h, w = input_shape
+    _, h_out, w_out = _out_shape(fshape, stride, padding, input_shape)
+    P, T, spatial = h_out * w_out, c_in * fshape[2] * fshape[3], fshape[2] * fshape[3]
+    first = rows < P  # output channel 0 reads through every tap of its filter
+    win = np.full((T, P), c_in * h * w)
+    win[taps[first], rows[first]] = cols[first]
+    first &= taps < spatial  # and input channel 0 through every spatial tap
+    back = np.full((spatial, h * w), P)
+    back[taps[first], cols[first]] = rows[first]
+    return _read_only(win), _read_only(back)
+
+
+# gathered arrays hold at most about this many entries (2 MB) at once; the
+# conv forward, backward and pull run over row chunks of that size
+_GATHER_ENTRIES = 1 << 18
+
+
+def _chunks(n: int, width: int):
+    """Slices of range(n) for rows `width` gathered entries wide."""
+    step = max(1, _GATHER_ENTRIES // max(width, 1))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def conv_to_matrix(conv: Conv) -> Tensor:
     """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
 
     The filter entries are scattered through the tap index `_conv_taps`,
-    which `Conv.backward` reads too, so the geometry is stated once.
+    from which the gather indexes of `Conv`'s forward, backward and pull
+    are read too, so the geometry is stated once.
     """
     rows, cols, taps = _conv_taps(conv)
     M = np.zeros(conv.dims()[::-1])
@@ -888,7 +973,7 @@ def make_mlp(dims, kind: str = "relu", nu: float = 0.01, seed: int = 0) -> Netwo
     dims = as_ints(dims, "mlp width").tolist()
     if len(dims) < 2:
         raise DomainError("need at least input and output widths")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_seed(seed, "mlp seed"))
     layers: list = []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]

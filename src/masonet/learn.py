@@ -39,6 +39,7 @@ from .ndcore import (
     StructureError,
     Tensor,
     as_ints,
+    as_seed,
     as_tensor,
 )
 
@@ -87,6 +88,7 @@ class TrainConfig:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "beta" and not 0.0 < self.beta < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
+        self.seed = as_seed(self.seed, "training seed")
 
 
 @dataclass

@@ -118,6 +118,17 @@ def as_ints(x, field: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def as_seed(seed, field: str = "seed") -> int:
+    """seed as a Python int that numpy's generators take.
+
+    A bool, a value that is not an integer (3.0 included) or a negative
+    integer raises DomainError naming field.
+    """
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"{field} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 _PLAIN_NUMBERS = frozenset((int, float))
 
 

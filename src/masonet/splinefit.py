@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maso import MasoParams
-from .ndcore import DomainError, ShapeError, Tensor, as_tensor
+from .ndcore import DomainError, ShapeError, Tensor, as_seed, as_tensor
 
 __all__ = ["FitProblem", "fit_max_affine", "sup_error", "universality_curve"]
 
@@ -45,6 +45,7 @@ class FitProblem:
             raise DomainError("piece budget must be at least 1")
         if self.max_iterations < 1:
             raise DomainError("need at least one iteration")
+        self.seed = as_seed(self.seed, "fit seed")
         if np.unique(x, axis=0).shape[0] < self.R:
             raise DomainError(
                 f"only {np.unique(x, axis=0).shape[0]} distinct samples for R={self.R}"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masonet import layers as L
+from masonet import learn
 from masonet.analysis import (
     AffineForm,
     class_templates,
@@ -123,11 +124,21 @@ def test_walks_equal_the_product_reference(seed):
     for form in (decompose(net, x), AffineForm(*class_templates(net, x))):
         assert np.all(np.abs(form.A - A) <= 1e-12 * (1.0 + np.abs(A)))
         assert np.all(np.abs(form.b - b) <= 1e-12 * (1.0 + np.abs(b)))
-    # prefixes are walked from the input, the reference's own order
-    for depth, (A, b) in enumerate(steps[:-1], start=1):
+    # prefixes are walked from the input, the reference's own order, except
+    # that the average pool (the last prefix layer) gathers its rows and
+    # sums them in another order than the product; its weights are convex,
+    # so the rows it averages bound the terms' magnitudes
+    for depth, (A, b) in enumerate(steps[:-2], start=1):
         form = decompose(net, x, upto_layer=depth)
         assert np.array_equal(form.A, A) and np.array_equal(form.b, b)
-    assert partial_product_norms(net, x) == [float(np.linalg.norm(A)) for A, _ in steps[:-1]]
+    assert isinstance(net.layers[-2], L.AvgPool)
+    (A_in, b_in), (A, b) = steps[-3:-1]
+    form = decompose(net, x, upto_layer=len(net.layers) - 1)
+    assert np.all(np.abs(form.A - A) <= 1e-15 * np.abs(A_in).max(axis=0))
+    assert np.all(np.abs(form.b - b) <= 1e-15 * np.abs(b_in).max())
+    norms = [float(np.linalg.norm(A)) for A, _ in steps[:-1]]
+    assert partial_product_norms(net, x)[:-1] == norms[:-1]
+    assert abs(partial_product_norms(net, x)[-1] - norms[-1]) <= 1e-15 * norms[-1]
 
 
 def test_decompose_builds_no_diagonal_or_one_hot_map_past_the_first_layer(rng, monkeypatch):
@@ -299,6 +310,79 @@ def test_class_templates_need_dense_head(rng):
                      L.Activation("relu", 4)], (3,), 4)
     with pytest.raises(StructureError):
         class_templates(net, rng.standard_normal(3))
+
+
+# --- the gathered convolution against the lowered matrix -----------------------
+
+def conv_analysis_net(rng):
+    """conv -> relu -> max pool -> batch norm -> skip block -> avg pool ->
+    dense on 3x12x12 images: the benchmark's conv net."""
+    def conv(c_out, shape, k, bias=True):
+        return L.Conv(rng.standard_normal((c_out, shape[0], k, k)) * np.sqrt(2.0 / (shape[0] * k * k)),
+                      rng.standard_normal(c_out) * 0.1 if bias else np.zeros(c_out),
+                      (1, 1), "same-zero", shape)
+
+    max_regions, pooled = L.pool_regions_2d((4, 12, 12), (2, 2))
+    d = int(np.prod(pooled))
+    avg_regions, _ = L.pool_regions_2d(pooled, (2, 2))
+    block = L.SkipBlock(conv(4, pooled, 3), L.Activation("relu", d), conv(4, pooled, 1, bias=False),
+                        0.1 * rng.standard_normal(d))
+    bn = L.BatchNorm(rng.standard_normal(d) * 0.1, 0.5 + rng.random(d),
+                     1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d))
+    head = L.Dense(rng.standard_normal((10, len(avg_regions))) * 0.3, np.zeros(10))
+    layers = [conv(4, (3, 12, 12), 3), L.Activation("relu", 576), L.MaxPool(max_regions, 576), bn,
+              block, L.AvgPool(avg_regions, d), head]
+    return L.Network(layers, (3, 12, 12), 10)
+
+
+def lowered_conv_route(mp):
+    """Point Conv's forward, backward and pull at the lowered matrix."""
+    def forward(self, Z, beta=None, batch_stats=False):
+        return Z @ L.conv_to_matrix(self).T + self.bias_flat(), {"Z": Z}
+
+    def backward(self, cache, G):
+        rows, cols, taps = L._conv_taps(self)
+        dM = G.T @ cache["Z"]
+        dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
+        dbias = G.reshape(G.shape[0], self.bias.shape[0], -1).sum(axis=(0, 2))
+        return self.pull(cache, G), {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
+
+    def pull(self, cache, G):
+        return G @ L.conv_to_matrix(self)
+
+    for name, method in (("forward", forward), ("backward", backward), ("pull", pull)):
+        mp.setattr(L.Conv, name, method)
+
+
+def conv_views(net, X):
+    """Every result a convolution feeds: logits, soft-mode gradients, the
+    decomposition at each prefix, templates, norms and ensemble terms."""
+    views = {"logits": L.network_forward_batch(net, X)[0]}
+    views.update(learn.backward(net, X, np.arange(len(X)) % net.class_count, mode="soft")[1])
+    for depth in range(len(net.layers) + 1):
+        form = decompose(net, X[0], upto_layer=depth)
+        views[f"A{depth}"], views[f"b{depth}"] = form.A, form.b
+    if isinstance(net.layers[-1], L.Dense):
+        views["templates"] = class_templates(net, X[0])[0]
+    views["norms"] = np.array(partial_product_norms(net, X[0]))
+    if all(isinstance(layer, L.SkipBlock) for layer in net.layers[:-1]):
+        views["terms"] = np.array(resnet_ensemble_terms(net, X[0]))
+    return views
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_gathered_convs_give_the_lowered_results(seed):
+    rng = np.random.default_rng(seed)
+    for net in (every_kind_net(rng), conv_analysis_net(rng), make_skip_chain(rng, blocks=3)):
+        X = rng.standard_normal((3, net.dims[0]))
+        got = conv_views(net, X)
+        with pytest.MonkeyPatch.context() as mp:
+            lowered_conv_route(mp)
+            want = conv_views(net, X)
+        assert got.keys() == want.keys()
+        for key, w in want.items():
+            assert np.all(np.abs(got[key] - w) <= 1e-12 * (1.0 + np.abs(w))), key
 
 
 # --- residual ensemble ------------------------------------------------------------

@@ -680,6 +680,19 @@ def test_bad_command_lines_exit_2_with_one_line(capsys, argv, named):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, typed", [
+    (["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--epoch", "3"], "--epoch"),
+    (["decompose", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/a.csv", "--lay", "2"], "--lay"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_abbreviated_flags_are_unknown(tmp_path, capsys, argv, typed):
+    # argparse would read a unique prefix as the whole flag (--epochs, --layer)
+    blob_csv(tmp_path / "blobs.csv")
+    assert cli.main([a.format(blobs=tmp_path / "blobs.csv", tmp=tmp_path) for a in argv]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: unrecognized arguments:") and typed in line.split()
+    assert not (tmp_path / "n.json").exists() and not (tmp_path / "a.csv").exists()
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,133 @@ def test_conv_same_zero_geometry():
     x = np.ones(49)
     out = conv.matrix() @ x
     assert out[0] == 4.0  # (3-1)//2 = 1 pad row/col of zeros at the corner
+
+
+def within_rounding(got, want, scale, tol=1e-15):
+    """|got - want| <= tol * scale in every entry, with scale the summed
+    magnitudes of the terms behind want: a relative bound on reordered sums
+    that cancellation cannot break."""
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= tol * scale))
+
+
+def within(got, want, tol=1e-12):
+    """Same shape, and |got - want| <= tol (1 + |want|) in every entry."""
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))))
+
+
+def lowered_filter_gradient(conv, Z, G):
+    """d loss / d filters through the lowered matrix: each filter entry sums
+    d loss / d M = G^T Z over the matrix entries its taps fill."""
+    rows, cols, taps = L._conv_taps(conv)
+    dM = G.T @ Z
+    return np.bincount(taps, weights=dM[rows, cols], minlength=conv.filters.size).reshape(conv.filters.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gathered_conv_equals_the_lowered_matrix(data):
+    # forward, backward, pull with extra leading axes and the selected map
+    # against conv_to_matrix; the gathers sum in another order than the
+    # matrix products, so they agree to rounding
+    c_in, c_out, kh, kw = (data.draw(st.integers(1, n)) for n in (3, 3, 4, 4))
+    padding = data.draw(st.sampled_from(["valid", "same-zero"]))
+    h, w = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    if padding == "valid":
+        h, w = h + kh - 1, w + kw - 1
+    stride = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    conv = L.Conv(rng.standard_normal((c_out, c_in, kh, kw)), rng.standard_normal(c_out), stride,
+                  padding, (c_in, h, w))
+    M = L.conv_to_matrix(conv)
+    d_in, d_out = conv.dims()
+    # an entry budget of `step` forward rows, and a batch on either side of it
+    step = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(max(step - 1, 1), 2 * step + 1))
+    Z = rng.standard_normal((n, d_in))
+    G = rng.standard_normal((n, d_out))
+    G4 = rng.standard_normal((n, 2, 3, d_out))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "_GATHER_ENTRIES", step * L._conv_windows(conv)[0].size)
+        out, cache = conv.forward(Z)
+        G_in, grads, dbeta = conv.backward(cache, G)
+        pulled = conv.pull(cache, G4)
+        A, b = conv.selected_affine(conv.forward(Z[:1])[1])
+    assert set(cache) == {"Z"}
+    assert within(out, Z @ M.T + conv.bias_flat())
+    assert within(G_in, G @ M)
+    assert within(grads["filters"], lowered_filter_gradient(conv, Z, G))
+    assert within(grads["bias"], G.reshape(n, c_out, -1).sum(axis=(0, 2)))
+    assert dbeta is None
+    assert within(pulled, G4 @ M)
+    assert np.array_equal(A, M) and np.array_equal(b, conv.bias_flat())
+
+
+@pytest.mark.parametrize("filters, stride, padding, in_shape", [
+    ((0, 2, 3, 3), (1, 1), "same-zero", (2, 4, 4)),  # no output channel
+    ((2, 1, 3, 3), (2, 1), "same-zero", (1, 0, 5)),  # an empty image
+    ((2, 1, 0, 2), (1, 1), "valid", (1, 3, 3)),  # an empty kernel
+], ids=str)
+def test_zero_size_convs_equal_the_lowered_matrix(filters, stride, padding, in_shape):
+    rng = np.random.default_rng(0)
+    conv = L.Conv(rng.standard_normal(filters), rng.standard_normal(filters[0]), stride, padding, in_shape)
+    M = L.conv_to_matrix(conv)
+    for n in (0, 2):
+        Z = rng.standard_normal((n, M.shape[1]))
+        G = rng.standard_normal((n, 3, M.shape[0]))
+        out, cache = conv.forward(Z)
+        assert within(out, Z @ M.T + conv.bias_flat())
+        assert within(conv.pull(cache, G), G @ M)
+        assert within(conv.backward(cache, G[:, 0])[1]["filters"], lowered_filter_gradient(conv, Z, G[:, 0]))
+
+
+def test_avgpool_push_gathers_weighted_rows(rng, monkeypatch):
+    # ragged, overlapping and duplicate-index regions; the push builds no
+    # (K, in) averaging matrix, so nothing is scattered through the pool
+    pool = L.AvgPool(((0, 1, 2), (2, 3), (4, 4, 1), (5,), (0, 5, 5, 5, 2)), 6)
+    Asel = pool.selected_affine(pool.forward(np.zeros((1, 6)))[1])[0]
+    assert np.allclose(Asel[[2, 4], [4, 5]], [2 / 3, 3 / 5])  # a listed-twice index counts twice
+    monkeypatch.setattr(L._Pool, "_scatter", None)
+    for _ in range(20):
+        A, b = rng.standard_normal((6, 7)), rng.standard_normal(6)
+        A2, b2 = pool.push({}, A, b)
+        assert within_rounding(A2, Asel @ A, np.abs(Asel) @ np.abs(A))
+        assert within_rounding(b2, Asel @ b, np.abs(Asel) @ np.abs(b))
+
+
+def test_conv_forward_backward_and_pull_lower_nothing(rng, monkeypatch):
+    # only the selected map and the prefix walk lower a convolution
+    def refuse(conv):
+        raise AssertionError("a convolution was lowered")
+
+    monkeypatch.setattr(L, "conv_to_matrix", refuse)
+    net = every_kind_net(rng)
+    X = rng.standard_normal((4, net.dims[0]))
+    learn.backward(net, X, np.arange(4) % 3, mode="soft")
+    decompose(net, X[0])
+    _, caches = L.network_forward_batch(net, X)
+    assert set(caches[0]) == {"Z"}
+    assert all(set(caches[3][part]) == {"Z"} for part in ("conv", "skip"))
+
+
+def test_conv_training_step_memory_is_bounded():
+    # one hard step on 64 images of 3x32x32: the lowered matrix alone would
+    # take 403 MB; the gathered windows come in chunks of _GATHER_ENTRIES
+    rng = np.random.default_rng(0)
+    shape = (3, 32, 32)
+    conv = L.Conv(rng.standard_normal((16, 3, 3, 3)) * 0.3, np.zeros(16), (1, 1), "same-zero", shape)
+    d = conv.dims()[1]
+    head = L.Dense(rng.standard_normal((10, d)) * 0.01, np.zeros(10))
+    net = L.Network([conv, L.Activation("relu", d), head], shape, 10)
+    X = rng.standard_normal((64, 3 * 32 * 32))
+    y = rng.integers(0, 10, 64)
+    tracemalloc.start()
+    try:
+        _, grads = learn.backward(net, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads["0.filters"].shape == conv.filters.shape
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def conv_skip_net(conv_filters, block_filters, skip_filters):
@@ -608,8 +737,14 @@ def test_push_equals_the_selected_product(seed):
         A = rng.standard_normal((z.shape[0], int(rng.integers(2, 6))))
         b = rng.standard_normal(z.shape[0])
         A2, b2 = layer.push(cache, A, b)
-        assert np.array_equal(A2, Asel @ A), name
-        assert np.array_equal(b2, Asel @ b + bsel), name
+        if isinstance(layer, L.AvgPool):
+            # a weighted row gather: it sums each region's rows in another
+            # order than the product, so the two agree to rounding
+            assert within_rounding(A2, Asel @ A, np.abs(Asel) @ np.abs(A)), name
+            assert within_rounding(b2, Asel @ b + bsel, np.abs(Asel) @ np.abs(b) + np.abs(bsel)), name
+        else:
+            assert np.array_equal(A2, Asel @ A), name
+            assert np.array_equal(b2, Asel @ b + bsel), name
         # the first step of a walk takes the layer's own selected map
         A1, b1 = layer.selected_affine(cache)
         assert np.array_equal(A1, Asel) and np.array_equal(b1, bsel), name
@@ -656,9 +791,12 @@ def test_conv_taps_are_shared_read_only_and_never_stale(rng):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         taps[0][0] = 0
-    # another conv of the same geometry shares the index, whatever its filters
+    # another conv of the same geometry shares the index, whatever its filters;
+    # so do the gather indexes read from it
     twin = L.Conv(rng.standard_normal((2, 2, 3, 3)), np.zeros(2), (1, 1), "same-zero", shape)
     assert all(a is t for a, t in zip(L._conv_taps(twin), taps))
+    windows = L._conv_windows(conv)
+    assert all(a is w and not a.flags.writeable for a, w in zip(L._conv_windows(twin), windows))
     # a different stride or padding gets its own index, and lowers correctly
     x = rng.standard_normal(50)
     for stride, padding in (((2, 1), "same-zero"), ((1, 1), "valid")):

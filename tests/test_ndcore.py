@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import masonet as M
+from masonet.cli import generate_toy_dataset
 from masonet.ndcore import (
     DomainError,
     ShapeError,
     as_ints,
+    as_seed,
     as_tensor,
     row_argmax,
     row_softmax,
@@ -167,3 +170,40 @@ def test_row_argmax_picks_a_maximum(m):
         assert m[i, j] == m[i].max()
         # first occurrence of the max
         assert np.all(m[i, : j] < m[i, j]) or j == 0
+
+
+# --- seeds --------------------------------------------------------------------
+
+def test_as_seed_takes_non_negative_integers():
+    assert as_seed(0) == 0
+    assert as_seed(np.int64(7)) == 7 and type(as_seed(np.uint8(3))) is int
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, 2.0, True, np.bool_(False), "3", None])
+def test_as_seed_rejects_negative_non_integer_and_boolean_seeds(seed):
+    with pytest.raises(DomainError, match="^run seed must be a non-negative integer"):
+        as_seed(seed, "run seed")
+
+
+def _train_with_seed(seed):
+    X, y = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1])
+    M.train(M.make_mlp([2, 2]), (X, y), M.TrainConfig(epochs=1, seed=seed))
+
+
+def _fit_with_seed(seed):
+    x = np.linspace(-1.0, 1.0, 9)
+    M.fit_max_affine(M.FitProblem(x, x**2, 2, seed=seed))
+
+
+# each entry point that seeds a generator: numpy's own ValueError is no MasonetError
+@pytest.mark.parametrize("call", [
+    lambda seed: M.make_mlp([2, 3, 2], seed=seed),
+    generate_toy_dataset,
+    _train_with_seed,
+    lambda seed: M.convexity_probe(M.make_mlp([2, 3, 2]), 4, seed=seed),
+    _fit_with_seed,
+], ids=["make_mlp", "generate_toy_dataset", "train", "convexity_probe", "FitProblem"])
+@pytest.mark.parametrize("seed", [-1, True])
+def test_library_seeds_are_checked(call, seed):
+    with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+        call(seed)
