@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Dense, Network, SkipBlock, network_forward_batch
-from .ndcore import DomainError, StructureError, Tensor, as_seed
+from .ndcore import DomainError, StructureError, Tensor, as_int, as_seed
 
 __all__ = [
     "AffineForm",
@@ -94,6 +94,8 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
     up to float accumulation; inputs whose hard forward codes match x's
     get the identical (A, b).
     """
+    if upto_layer is not None:  # checked before it picks the path
+        upto_layer = as_int(upto_layer, "layer prefix")
     if net.layers and upto_layer in (None, len(net.layers)):
         _, caches = network_forward_batch(net, np.reshape(x, (1, -1)))
         A, b = net.layers[-1].selected_affine(caches[-1])
@@ -163,6 +165,7 @@ def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9
     for every output is what a network with nonnegative slopes beyond its
     first layer must produce; fractions below 1.0 witness non-convexity.
     """
+    samples = as_int(samples, "probe pair count")
     if samples < 1:
         raise DomainError("need at least one probe pair")
     rng = np.random.default_rng(as_seed(seed, "probe seed"))

@@ -31,11 +31,11 @@ array is formed.  The explicit matrix form is lowered from the current
 filters only where it is the answer: `conv_to_matrix`, the selected map
 and so the first step of a prefix walk, the MASO form and a skip block's
 branches; no lowered copy is kept, so none can go stale.  The geometry
-is stated once, as the tap index `_conv_taps` that the lowering scatters
-the filters through and that both gather indexes are read from; both
-pools gather their input through one padded index matrix and scatter
-onto it.  Index arrays that depend only on geometry are computed once
-per shape and shared read-only.
+is stated once, as the window index `_conv_windows` that the forward,
+backward, `pull` and `conv_to_matrix` read; both pools gather their
+input through one padded index matrix and scatter onto it.  Index
+arrays that depend only on geometry are computed once per shape and
+shared read-only.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .ndcore import (
     StructureError,
     Tensor,
     WindowError,
+    as_int,
     as_ints,
     as_seed,
     as_tensor,
@@ -210,9 +211,10 @@ class Conv(Layer):
     filters; the filter gradient is G's channel rows times the same
     windows, and `pull` gathers, for each input location, the output
     positions that read it and makes one product with the filters
-    transposed.  None of them forms the (out x in) matrix: matrix() and
-    selected_affine lower the current filters when asked.  Gathered
-    arrays keep the batch axis last, so each index copies a run of rows.
+    transposed.  None of them forms the (out x in) matrix:
+    `conv_to_matrix` and selected_affine lower the current filters when
+    asked.  Gathered arrays keep the batch axis last, so each index
+    copies a run of rows.
     """
 
     filters: Tensor
@@ -241,9 +243,6 @@ class Conv(Layer):
             )
         # raises on impossible geometry (kernel larger than 'valid' input)
         conv_out_shape(self)
-
-    def matrix(self) -> Tensor:
-        return conv_to_matrix(self)
 
     def bias_flat(self) -> Tensor:
         _, ho, wo = conv_out_shape(self)
@@ -334,7 +333,7 @@ class Activation(Layer):
     pieces = 2  # region 0 is the inactive branch
 
     def __post_init__(self):
-        self.dim = int(as_ints(self.dim, "activation dim"))
+        self.dim = as_int(self.dim, "activation dim")
         self.nu = _number(self.nu, "activation nu")
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
@@ -401,7 +400,7 @@ class _Pool(Layer):
     in_dim: int
 
     def __post_init__(self):
-        self.in_dim = int(as_ints(self.in_dim, "pool in_dim"))
+        self.in_dim = as_int(self.in_dim, "pool in_dim")
         regs = tuple(tuple(as_ints(r, "pool region index").tolist()) for r in self.regions)
         if not regs:
             raise DomainError("pooling needs at least one region")
@@ -689,7 +688,7 @@ class Network:
 
     def __post_init__(self):
         self.input_shape = tuple(as_ints(self.input_shape, "input_shape").tolist())
-        self.class_count = int(as_ints(self.class_count, "class_count"))
+        self.class_count = as_int(self.class_count, "class_count")
         self.layers = list(self.layers)
         dim = int(np.prod(self.input_shape))
         dims = [dim]
@@ -742,7 +741,7 @@ def conv_out_shape(conv: Conv) -> tuple[int, int, int]:
 
 
 def _geometry(conv: Conv) -> tuple:
-    """The values a lowering's index depends on: (filter shape, stride,
+    """The values the window index depends on: (filter shape, stride,
     padding, input shape), hashable."""
     return conv.filters.shape, tuple(conv.stride), conv.padding, tuple(conv.in_shape)
 
@@ -761,61 +760,37 @@ def _out_shape(fshape, stride, padding, input_shape) -> tuple[int, int, int]:
     return c_out, (h - 1) // sh + 1, (w - 1) // sw + 1
 
 
-def _conv_taps(conv: Conv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tap index of the lowering: (rows, cols, taps), one entry per tap.
-
-    Entry j says output rows[j] reads input entry cols[j] through filter
-    entry taps[j] (an index into filters.ravel()).  Taps that fall on the
-    zero border under 'same-zero' padding read nothing and have no entry;
-    no two taps of one output read the same input entry.  The index
-    depends only on the geometry, so it is built once per geometry and
-    the arrays are shared read-only.
-    """
-    return _taps_for(*_geometry(conv))
-
-
-@functools.lru_cache(maxsize=32)
-def _taps_for(fshape, stride, padding, input_shape):
-    # every (output, channel, tap) triple is placed at once on a broadcast grid
-    c_in, h, w = input_shape
-    c_out, h_out, w_out = _out_shape(fshape, stride, padding, input_shape)
-    kh, kw = fshape[2], fshape[3]
-    sh, sw = stride
-    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same-zero" else (0, 0)
-    o, y, x, i, p, q = np.ix_(*(np.arange(n) for n in (c_out, h_out, w_out, c_in, kh, kw)))
-    yy, xx = y * sh + p - ph, x * sw + q - pw
-    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-    rows, cols, taps, inside = np.broadcast_arrays(
-        (o * h_out + y) * w_out + x, (i * h + yy) * w + xx, ((o * c_in + i) * kh + p) * kw + q, inside
-    )
-    return _read_only(rows[inside]), _read_only(cols[inside]), _read_only(taps[inside])
-
-
 def _conv_windows(conv: Conv) -> tuple[np.ndarray, np.ndarray]:
-    """The two gather indexes of the convolution, read from `_conv_taps`.
+    """The two gather indexes of the convolution, its one statement of
+    the geometry.
 
     win (T, P): the input entry that output position p (of P = H_out *
     W_out) reads through filter tap t (of T = in_ch * kh * kw, in filter
     order), or in_dim where the tap falls on the zero border.  back (kh *
     kw, H * W): the output position that reads input location l through
     spatial tap t, the same for every channel, or P where none does.
-    Built once per geometry and shared read-only, like the tap index.
+    The forward, backward, pull and `conv_to_matrix` all read them.  They
+    depend only on the geometry, so they are built once per geometry and
+    shared read-only.
     """
     return _windows_for(*_geometry(conv))
 
 
 @functools.lru_cache(maxsize=32)
 def _windows_for(fshape, stride, padding, input_shape):
-    rows, cols, taps = _taps_for(fshape, stride, padding, input_shape)
+    # every (tap, output position) pair is placed at once on a broadcast grid
     c_in, h, w = input_shape
     _, h_out, w_out = _out_shape(fshape, stride, padding, input_shape)
-    P, T, spatial = h_out * w_out, c_in * fshape[2] * fshape[3], fshape[2] * fshape[3]
-    first = rows < P  # output channel 0 reads through every tap of its filter
-    win = np.full((T, P), c_in * h * w)
-    win[taps[first], rows[first]] = cols[first]
-    first &= taps < spatial  # and input channel 0 through every spatial tap
-    back = np.full((spatial, h * w), P)
-    back[taps[first], cols[first]] = rows[first]
+    kh, kw = fshape[2], fshape[3]
+    sh, sw = stride
+    ph, pw = ((kh - 1) // 2, (kw - 1) // 2) if padding == "same-zero" else (0, 0)
+    i, p, q, y, x = np.ix_(*(np.arange(n) for n in (c_in, kh, kw, h_out, w_out)))
+    yy, xx = y * sh + p - ph, x * sw + q - pw
+    inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+    win = np.where(inside, (i * h + yy) * w + xx, c_in * h * w).reshape(c_in * kh * kw, h_out * w_out)
+    tap, loc, pos, inside = np.broadcast_arrays(p * kw + q, yy * w + xx, y * w_out + x, inside)
+    back = np.full((kh * kw, h * w), h_out * w_out)
+    back[tap[inside], loc[inside]] = pos[inside]
     return _read_only(win), _read_only(back)
 
 
@@ -833,14 +808,18 @@ def _chunks(n: int, width: int):
 def conv_to_matrix(conv: Conv) -> Tensor:
     """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
 
-    The filter entries are scattered through the tap index `_conv_taps`,
-    from which the gather indexes of `Conv`'s forward, backward and pull
-    are read too, so the geometry is stated once.
+    The filter entries are scattered through the window index of
+    `_conv_windows`, the one the forward, backward and pull gather
+    through: filter o's tap t fills row o * P + p at column win[t, p].
     """
-    rows, cols, taps = _conv_taps(conv)
-    M = np.zeros(conv.dims()[::-1])
-    M[rows, cols] = conv.filters.ravel()[taps]
-    return M
+    win = _conv_windows(conv)[0]
+    c_out, (T, P), d_in = conv.filters.shape[0], win.shape, conv.dims()[0]
+    size = c_out * P * d_in
+    # a tap on the zero border lands in one spare entry past the matrix
+    flat = np.where(win < d_in, np.arange(c_out * P).reshape(c_out, 1, P) * d_in + win, size)
+    M = np.zeros(size + 1)
+    M[flat] = conv.filters.reshape(c_out, T, 1)
+    return M[:size].reshape(c_out * P, d_in)
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +839,10 @@ def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_
     Z = as_tensor(X, "batch")
     if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
-    if upto is not None and not 0 <= upto <= len(net.layers):
-        raise ShapeError(f"layer prefix {upto} out of range for {len(net.layers)} layers")
+    if upto is not None:
+        upto = as_int(upto, "layer prefix")
+        if not 0 <= upto <= len(net.layers):
+            raise ShapeError(f"layer prefix {upto} out of range for {len(net.layers)} layers")
     betas = betas or {}
     caches = []
     for i, layer in enumerate(net.layers[:upto]):
@@ -952,9 +933,11 @@ def pool_regions_2d(shape, window, stride=None):
     stride (defaults to the window, i.e. non-overlapping); partial windows
     at the border are dropped, matching 'valid' pooling.
     """
-    c, h, w = (int(s) for s in shape)
-    wh, ww = (int(s) for s in window)
-    sh, sw = (wh, ww) if stride is None else (int(stride[0]), int(stride[1]))
+    c, h, w = as_ints(shape, "pooled shape").tolist()
+    wh, ww = as_ints(window, "pooling window").tolist()
+    sh, sw = (wh, ww) if stride is None else as_ints(stride, "pooling stride").tolist()
+    if min(wh, ww, sh, sw) < 1:
+        raise DomainError("pooling window and stride must be positive")
     if wh > h or ww > w:
         raise DomainError("pooling window exceeds input")
     h_out = (h - wh) // sh + 1

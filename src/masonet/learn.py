@@ -38,6 +38,7 @@ from .ndcore import (
     ShapeError,
     StructureError,
     Tensor,
+    as_int,
     as_ints,
     as_seed,
     as_tensor,
@@ -76,8 +77,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite([self.learning_rate, self.gamma, self.lam]).all():
-            raise DomainError("learning rate, gamma and lam must be finite")
+        self.learning_rate = L._number(self.learning_rate, "learning rate")
+        self.gamma, self.lam = L._number(self.gamma, "gamma"), L._number(self.lam, "lam")
+        self.epochs = as_int(self.epochs, "epoch count")
+        self.batch_size = as_int(self.batch_size, "batch size")
         if self.learning_rate <= 0:
             raise DomainError("learning rate must be positive")
         if self.epochs < 1:
@@ -86,7 +89,7 @@ class TrainConfig:
             raise DomainError("batch size must be at least 1, gamma and lam nonnegative")
         if self.beta_mode not in _MODES:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.beta_mode == "beta" and not 0.0 < self.beta < 1.0:
+        if self.beta_mode == "beta" and not 0.0 < L._number(self.beta, "beta") < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
         self.seed = as_seed(self.seed, "training seed")
 
@@ -105,7 +108,7 @@ class AdamState:
 def cross_entropy(logits: Tensor, label: int) -> float:
     """-logits[label] + logsumexp(logits), stabilized by the max shift."""
     logits = as_tensor(logits, "logits").reshape(-1)
-    label = int(as_ints(label, "label"))
+    label = as_int(label, "label")
     if not 0 <= label < logits.shape[0]:
         raise DomainError(f"label {label} out of range for {logits.shape[0]} classes")
     return _cross_entropy_batch(logits[None, :], [label])[0]
@@ -132,8 +135,9 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     """Beta of each selector layer, keyed by layer index, for a regime name.
 
     The one place a regime becomes betas: {} for hard (every layer then
-    selects hard), 1/2 for soft, and for beta the given value or
-    {layer index: value} dict.
+    selects hard), 1/2 for soft, and for beta the given number or a
+    {layer index: number} dict with one entry per selector layer.
+    `train` calls it once; its learnable betas are their logits' sigmoids.
     """
     if mode not in _MODES:
         raise DomainError(f"unknown selection mode {mode!r}; expected one of {_MODES}")
@@ -141,13 +145,20 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
         return {}
     if mode == "beta" and beta is None:
         raise DomainError("beta mode needs a beta value")
+    selectors = [i for i, layer in enumerate(net.layers) if layer.selector]
+    if not isinstance(beta, dict) or mode == "soft":
+        beta = dict.fromkeys(selectors, 0.5 if mode == "soft" else beta)
+    stray = [key for key in beta if key not in selectors]
+    if stray:
+        raise DomainError(f"layer {stray[0]!r} does not select and takes no beta")
     out = {}
-    for i, layer in enumerate(net.layers):
-        if layer.selector:
-            b = 0.5 if mode == "soft" else float(beta[i] if isinstance(beta, dict) else beta)
-            if not 0.0 < b < 1.0:
-                raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
-            out[i] = b
+    for i in selectors:
+        if i not in beta:
+            raise DomainError(f"layer {i} selects but the beta dict gives it no value")
+        b = L._number(beta[i], f"layer {i} beta")
+        if not 0.0 < b < 1.0:
+            raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
+        out[i] = b
     return out
 
 
@@ -382,12 +393,13 @@ def train(net: L.Network, dataset, config: TrainConfig):
 
     state = AdamState()
     history = []
+    betas = _beta_for_layers(net, config.beta_mode, config.beta)
     for epoch in range(config.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], config.batch_size):
             idx = order[start : start + config.batch_size]
-            beta = {i: _sigmoid(t) for i, t in beta_logits.items()} or config.beta
-            betas = _beta_for_layers(net, config.beta_mode, beta)
+            if beta_logits:
+                betas = {i: _sigmoid(t) for i, t in beta_logits.items()}
             logits, caches = L.network_forward_batch(net, X[idx], betas=betas, batch_stats=True)
             loss, grads = _backprop(net, caches, logits, y[idx], bool(beta_logits))
             if not np.isfinite(loss):

@@ -118,6 +118,15 @@ def as_ints(x, field: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def as_int(x, field: str) -> int:
+    """x as one Python int, checked as `as_ints` checks it; an array
+    raises ShapeError naming field."""
+    a = as_ints(x, field)
+    if a.ndim:
+        raise ShapeError(f"{field} must be one integer, got shape {a.shape}")
+    return int(a)
+
+
 def as_seed(seed, field: str = "seed") -> int:
     """seed as a Python int that numpy's generators take.
 

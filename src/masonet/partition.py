@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Network, network_forward_batch
-from .ndcore import DomainError, ShapeError, Tensor, as_tensor
+from .ndcore import DomainError, ShapeError, Tensor, as_int, as_ints, as_tensor
 
 __all__ = [
     "RegionTable",
@@ -113,7 +113,7 @@ def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
         raise DomainError(f"grid scans support 1 to 3 input dimensions, got {d}")
     if d != net.dims[0]:
         raise ShapeError(f"network expects {net.dims[0]} input dims, bounds give {d}")
-    res = np.asarray(resolution, dtype=np.int64).reshape(-1)
+    res = as_ints(resolution, "grid resolution").reshape(-1)
     if res.size not in (1, d):
         raise ShapeError(f"{res.size} resolutions for {d} input dimensions (give 1 or {d})")
     res = np.broadcast_to(res, (d,))
@@ -186,6 +186,7 @@ def nearest_neighbors(
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-D dataset, got shape {X.shape}")
     n = X.shape[0]
+    query_index, k = as_int(query_index, "query index"), as_int(k, "neighbour count")
     if not 0 <= query_index < n:
         raise DomainError(f"query index {query_index} out of range")
     if not 0 <= k <= n - 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maso import MasoParams
-from .ndcore import DomainError, ShapeError, Tensor, as_seed, as_tensor
+from .ndcore import DomainError, ShapeError, Tensor, as_int, as_seed, as_tensor
 
 __all__ = ["FitProblem", "fit_max_affine", "sup_error", "universality_curve"]
 
@@ -41,6 +41,8 @@ class FitProblem:
         y = as_tensor(self.y, "targets").reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise ShapeError("one target per sample required")
+        self.R = as_int(self.R, "piece budget")
+        self.max_iterations = as_int(self.max_iterations, "iteration cap")
         if self.R < 1:
             raise DomainError("piece budget must be at least 1")
         if self.max_iterations < 1:

@@ -335,17 +335,26 @@ def conv_analysis_net(rng):
     return L.Network(layers, (3, 12, 12), 10)
 
 
+def lowered_filter_gradient(conv, Z, G):
+    """d loss / d filters through the lowered matrix: filter entry (o, t)
+    sums d loss / d M = G^T Z over the entries that tap t fills in output
+    channel o's rows, one per output position the window index gives it."""
+    win = L._conv_windows(conv)[0]
+    c_out, (T, P), d_in = conv.filters.shape[0], win.shape, Z.shape[1]
+    dM = np.zeros((c_out, P, d_in + 1))  # the last column is the border, which no tap fills
+    dM[:, :, :d_in] = (G.T @ Z).reshape(c_out, P, d_in)
+    return dM[:, np.arange(P), win].sum(axis=2).reshape(conv.filters.shape)
+
+
 def lowered_conv_route(mp):
     """Point Conv's forward, backward and pull at the lowered matrix."""
     def forward(self, Z, beta=None, batch_stats=False):
         return Z @ L.conv_to_matrix(self).T + self.bias_flat(), {"Z": Z}
 
     def backward(self, cache, G):
-        rows, cols, taps = L._conv_taps(self)
-        dM = G.T @ cache["Z"]
-        dfil = np.bincount(taps, weights=dM[rows, cols], minlength=self.filters.size)
         dbias = G.reshape(G.shape[0], self.bias.shape[0], -1).sum(axis=(0, 2))
-        return self.pull(cache, G), {"filters": dfil.reshape(self.filters.shape), "bias": dbias}, None
+        grads = {"filters": lowered_filter_gradient(self, cache["Z"], G), "bias": dbias}
+        return self.pull(cache, G), grads, None
 
     def pull(self, cache, G):
         return G @ L.conv_to_matrix(self)
@@ -403,10 +412,10 @@ def test_ensemble_single_block_brute_force(rng):
     x = rng.standard_normal(18)
     terms = resnet_ensemble_terms(net, x)
     assert len(terms) == 2
-    pre = blk.conv.matrix() @ x + blk.conv.bias_flat()
+    pre = L.conv_to_matrix(blk.conv) @ x + blk.conv.bias_flat()
     Aact = np.diag((pre > 0).astype(np.float64))
-    assert np.allclose(terms[0], blk.skip.matrix(), atol=1e-12)
-    assert np.allclose(terms[1], Aact @ blk.conv.matrix(), atol=1e-12)
+    assert np.allclose(terms[0], L.conv_to_matrix(blk.skip), atol=1e-12)
+    assert np.allclose(terms[1], Aact @ L.conv_to_matrix(blk.conv), atol=1e-12)
 
 
 def test_ensemble_zero_skips_leave_plain_chain(rng):
@@ -426,15 +435,15 @@ def test_ensemble_term_ordering_first_block_least_significant(rng):
     x = rng.standard_normal(18)
     terms = resnet_ensemble_terms(net, x)
     b0, b1 = net.layers
-    pre0 = b0.conv.matrix() @ x + b0.conv.bias_flat()
-    A0 = np.diag((pre0 > 0).astype(np.float64)) @ b0.conv.matrix()
+    pre0 = L.conv_to_matrix(b0.conv) @ x + b0.conv.bias_flat()
+    A0 = np.diag((pre0 > 0).astype(np.float64)) @ L.conv_to_matrix(b0.conv)
     z1 = b0.forward(x[None, :])[0][0]
-    pre1 = b1.conv.matrix() @ z1 + b1.conv.bias_flat()
-    A1 = np.diag((pre1 > 0).astype(np.float64)) @ b1.conv.matrix()
+    pre1 = L.conv_to_matrix(b1.conv) @ z1 + b1.conv.bias_flat()
+    A1 = np.diag((pre1 > 0).astype(np.float64)) @ L.conv_to_matrix(b1.conv)
     # choice tuple (c0, c1) lands at index c0 + 2*c1
-    assert np.allclose(terms[0], b1.skip.matrix() @ b0.skip.matrix(), atol=1e-12)
-    assert np.allclose(terms[1], b1.skip.matrix() @ A0, atol=1e-12)
-    assert np.allclose(terms[2], A1 @ b0.skip.matrix(), atol=1e-12)
+    assert np.allclose(terms[0], L.conv_to_matrix(b1.skip) @ L.conv_to_matrix(b0.skip), atol=1e-12)
+    assert np.allclose(terms[1], L.conv_to_matrix(b1.skip) @ A0, atol=1e-12)
+    assert np.allclose(terms[2], A1 @ L.conv_to_matrix(b0.skip), atol=1e-12)
     assert np.allclose(terms[3], A1 @ A0, atol=1e-12)
 
 

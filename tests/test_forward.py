@@ -12,7 +12,7 @@ from masonet.analysis import (
     resnet_ensemble_terms,
 )
 from masonet.learn import backward, forward_loss
-from masonet.ndcore import ShapeError
+from masonet.ndcore import DomainError, ShapeError
 from masonet.partition import (
     grid_scan,
     layer_codes_batch,
@@ -80,21 +80,29 @@ def test_every_entry_point_checks_width_and_prefix():
         "nearest_neighbors": lambda X, p: nearest_neighbors(net, p, 0, X, 1),
         "forward_loss": lambda X, p: forward_loss(net, X, np.zeros(len(X), dtype=int)),
         "backward": lambda X, p: backward(net, X, np.zeros(len(X), dtype=int)),
+        # a lattice box with one side per column of X, and two for the wide X
+        "grid_scan": lambda X, p: grid_scan(net, ((0, 1),) * (3 if X.shape[1] == 3 else 2), 2, p),
     }
     takes_prefix = {"network_forward_batch", "decompose", "layer_codes_batch", "region_stats",
-                    "nearest_neighbors"}
+                    "nearest_neighbors", "grid_scan"}
+    # a fractional, boolean or string prefix used to raise a bare TypeError or
+    # to run one layer
+    bad_prefixes = (1.5, True, "1")
     for name, call in calls.items():
-        with pytest.raises(ShapeError, match="does not match input dim 3"):
+        with pytest.raises(ShapeError, match="does not match input dim 3|expects 3 input dims"):
             call(wide, depth)
         if name in takes_prefix:
             for prefix in (-1, depth + 1):
                 with pytest.raises(ShapeError, match=f"layer prefix {prefix} out of range"):
                     call(np.zeros((4, 3)), prefix)
-    with pytest.raises(ShapeError, match="expects 3 input dims"):
-        grid_scan(net, ((0, 1), (0, 1)), 2, depth)
-    for prefix in (-1, depth + 1):
-        with pytest.raises(ShapeError, match=f"layer prefix {prefix} out of range"):
-            grid_scan(net, ((0, 1), (0, 1), (0, 1)), 2, prefix)
+            for prefix in bad_prefixes:
+                with pytest.raises(DomainError, match=f"layer prefix must be an integer, got {prefix}"):
+                    call(np.zeros((4, 3)), prefix)
+    # decompose picks its path from the prefix before it runs the forward
+    one_layer = L.Network([L.Dense(np.eye(3), np.zeros(3))], (3,), 3)
+    for prefix in bad_prefixes:
+        with pytest.raises(DomainError, match="layer prefix must be an integer"):
+            decompose(one_layer, np.zeros(3), prefix)
     chain = make_skip_chain(np.random.default_rng(0))
     with pytest.raises(ShapeError, match="does not match input dim 18"):
         resnet_ensemble_terms(chain, row)

@@ -10,7 +10,7 @@ from masonet import learn
 from masonet.analysis import decompose
 from masonet.maso import forward, scores, select, selection_to_affine
 from masonet.ndcore import DomainError, ShapeError, WindowError
-from test_analysis import every_kind_net, maso_selected_affine
+from test_analysis import every_kind_net, lowered_filter_gradient, maso_selected_affine
 
 
 def conv_reference(filters, bias, stride, padding, x_img):
@@ -250,7 +250,7 @@ def test_conv_matrix_equals_sliding_window(rng, padding, stride):
     )
     x = rng.standard_normal(2 * 6 * 7)
     ref = conv_reference(conv.filters, conv.bias, stride, padding, x.reshape(2, 6, 7))
-    got = conv.matrix() @ x + conv.bias_flat()
+    got = L.conv_to_matrix(conv) @ x + conv.bias_flat()
     assert got.shape == ref.reshape(-1).shape
     assert np.max(np.abs(got - ref.reshape(-1))) < 1e-10
 
@@ -258,7 +258,7 @@ def test_conv_matrix_equals_sliding_window(rng, padding, stride):
 def test_conv_known_1d_style_values():
     # single row image, kernel [1, 2]: valid outputs are x[i] + 2 x[i+1]
     conv = L.Conv(np.array([[[[1.0, 2.0]]]]), np.zeros(1), (1, 1), "valid", (1, 1, 3))
-    M = conv.matrix()
+    M = L.conv_to_matrix(conv)
     assert np.array_equal(M, np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0]]))
 
 
@@ -267,7 +267,7 @@ def test_conv_same_zero_geometry():
     assert L.conv_out_shape(conv) == (1, 4, 4)  # ceil(7/2)
     # corner output reads only the four in-range taps of the all-ones kernel
     x = np.ones(49)
-    out = conv.matrix() @ x
+    out = L.conv_to_matrix(conv) @ x
     assert out[0] == 4.0  # (3-1)//2 = 1 pad row/col of zeros at the corner
 
 
@@ -281,14 +281,6 @@ def within_rounding(got, want, scale, tol=1e-15):
 def within(got, want, tol=1e-12):
     """Same shape, and |got - want| <= tol (1 + |want|) in every entry."""
     return got.shape == want.shape and bool(np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))))
-
-
-def lowered_filter_gradient(conv, Z, G):
-    """d loss / d filters through the lowered matrix: each filter entry sums
-    d loss / d M = G^T Z over the matrix entries its taps fill."""
-    rows, cols, taps = L._conv_taps(conv)
-    dM = G.T @ Z
-    return np.bincount(taps, weights=dM[rows, cols], minlength=conv.filters.size).reshape(conv.filters.shape)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,6 +313,9 @@ def test_gathered_conv_equals_the_lowered_matrix(data):
         pulled = conv.pull(cache, G4)
         A, b = conv.selected_affine(conv.forward(Z[:1])[1])
     assert set(cache) == {"Z"}
+    # the geometry itself against the loops, which read no library index
+    ref = conv_reference(conv.filters, conv.bias, stride, padding, Z[0].reshape(c_in, h, w))
+    assert within(M @ Z[0] + conv.bias_flat(), ref.ravel())
     assert within(out, Z @ M.T + conv.bias_flat())
     assert within(G_in, G @ M)
     assert within(grads["filters"], lowered_filter_gradient(conv, Z, G))
@@ -334,6 +329,7 @@ def test_gathered_conv_equals_the_lowered_matrix(data):
     ((0, 2, 3, 3), (1, 1), "same-zero", (2, 4, 4)),  # no output channel
     ((2, 1, 3, 3), (2, 1), "same-zero", (1, 0, 5)),  # an empty image
     ((2, 1, 0, 2), (1, 1), "valid", (1, 3, 3)),  # an empty kernel
+    ((2, 0, 3, 3), (1, 2), "same-zero", (0, 4, 4)),  # no input channel
 ], ids=str)
 def test_zero_size_convs_equal_the_lowered_matrix(filters, stride, padding, in_shape):
     rng = np.random.default_rng(0)
@@ -443,7 +439,7 @@ def test_conv_then_maxpool_composes_to_one_maso(rng):
     composed = L.compose_layer_maso(conv.as_maso(), pool.as_maso())
     for _ in range(100):
         x = rng.standard_normal(25)
-        direct = conv.matrix() @ x + conv.bias_flat()
+        direct = L.conv_to_matrix(conv) @ x + conv.bias_flat()
         pooled = np.array([direct[list(r)].max() for r in regions])
         got, _ = forward(composed, x)
         assert np.max(np.abs(got - pooled)) < 1e-10
@@ -570,8 +566,8 @@ def test_skip_block_forward_by_hand(rng):
     blk = make_skip_block(rng)
     z = rng.standard_normal(32)
     expect = (
-        blk.skip.matrix() @ z
-        + np.maximum(blk.conv.matrix() @ z + blk.conv.bias_flat(), 0.0)
+        L.conv_to_matrix(blk.skip) @ z
+        + np.maximum(L.conv_to_matrix(blk.conv) @ z + blk.conv.bias_flat(), 0.0)
         + blk.skip_bias
     )
     assert np.allclose(blk.forward(z[None, :])[0][0], expect, atol=1e-12)
@@ -782,33 +778,29 @@ def test_pull_is_the_transposed_selected_map_of_each_row(seed):
         assert np.array_equal(layer.backward(cache, G)[0], layer.pull(cache, G)), name
 
 
-def test_conv_taps_are_shared_read_only_and_never_stale(rng):
+def test_conv_windows_are_shared_read_only_and_never_stale(rng):
     shape = (2, 5, 5)
     conv = L.Conv(rng.standard_normal((2, 2, 3, 3)), rng.standard_normal(2), (1, 1),
                   "same-zero", shape)
-    taps = L._conv_taps(conv)
-    for a in taps:
+    windows = L._conv_windows(conv)
+    for a in windows:
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        taps[0][0] = 0
-    # another conv of the same geometry shares the index, whatever its filters;
-    # so do the gather indexes read from it
+        windows[0][0, 0] = 0
+    # another conv of the same geometry shares both indexes, whatever its filters
     twin = L.Conv(rng.standard_normal((2, 2, 3, 3)), np.zeros(2), (1, 1), "same-zero", shape)
-    assert all(a is t for a, t in zip(L._conv_taps(twin), taps))
-    windows = L._conv_windows(conv)
-    assert all(a is w and not a.flags.writeable for a, w in zip(L._conv_windows(twin), windows))
+    assert all(a is w for a, w in zip(L._conv_windows(twin), windows))
     # a different stride or padding gets its own index, and lowers correctly
     x = rng.standard_normal(50)
     for stride, padding in (((2, 1), "same-zero"), ((1, 1), "valid")):
         other = L.Conv(conv.filters, conv.bias, stride, padding, shape)
-        other_taps = L._conv_taps(other)
-        assert not all(np.array_equal(a, t) for a, t in zip(other_taps, taps))
+        assert not all(np.array_equal(a, w) for a, w in zip(L._conv_windows(other), windows))
         expect = conv_reference(conv.filters, conv.bias, stride, padding, x.reshape(shape))
-        assert np.allclose(other.matrix() @ x + other.bias_flat(), expect.ravel(), atol=1e-12)
+        assert np.allclose(L.conv_to_matrix(other) @ x + other.bias_flat(), expect.ravel(), atol=1e-12)
     # filters edited in place reach the next lowering: nothing lowered is kept
-    before = conv.matrix()
+    before = L.conv_to_matrix(conv)
     conv.filters[1, 0, 1, 1] += 1.0
-    after = conv.matrix()
+    after = L.conv_to_matrix(conv)
     assert not np.array_equal(before, after)
     expect = conv_reference(conv.filters, conv.bias, (1, 1), "same-zero", x.reshape(shape))
     assert np.allclose(after @ x + conv.bias_flat(), expect.ravel(), atol=1e-12)

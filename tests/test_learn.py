@@ -95,6 +95,27 @@ def test_train_config_rejects_non_finite_weights(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("beta, error, message", [
+    ({0: 0.5}, DomainError, "layer 0 does not select"),
+    ({}, DomainError, "layer 1 selects but the beta dict gives it no value"),
+    ({1: 0.5, 2: 0.5}, DomainError, "layer 2 does not select"),
+    ([0.5], ShapeError, "layer 1 beta must be one number"),
+    ("0.5", DomainError, "layer 1 beta must be a real number"),
+    ({1: "0.5"}, DomainError, "layer 1 beta must be a real number"),
+], ids=["non-selector", "missing-selector", "extra-key", "list", "string", "string-in-dict"])
+def test_betas_are_checked(beta, error, message):
+    # these raised a bare KeyError or TypeError, or read "0.5" as 0.5
+    with pytest.raises(error, match=message):
+        backward(L.make_mlp([2, 5, 3]), np.zeros(2), 0, "beta", beta)
+
+
+@pytest.mark.parametrize("field, value", [("beta", "0.5"), ("learning_rate", "0.1"), ("gamma", "0"),
+                                          ("lam", [0.1])])
+def test_train_config_reads_numbers_only(field, value):
+    with pytest.raises((DomainError, ShapeError), match="must be"):
+        TrainConfig(beta_mode="beta", **{field: value})
+
+
 def test_forward_loss_is_mean_of_singles(rng):
     net = L.make_mlp([3, 5, 2], seed=2)
     X = rng.standard_normal((6, 3))

@@ -207,3 +207,50 @@ def _fit_with_seed(seed):
 def test_library_seeds_are_checked(call, seed):
     with pytest.raises(DomainError, match="seed must be a non-negative integer"):
         call(seed)
+
+
+def _neighbours(query_index=0, k=1):
+    return M.nearest_neighbors(M.make_mlp([2, 3, 2]), 2, query_index, np.arange(10.0).reshape(5, 2), k)
+
+
+_SAMPLES = np.linspace(-1.0, 1.0, 9)
+
+
+# each count or index the library takes: a fraction, a bool or a string used
+# to be cut down, read as 1, or escape as a bare TypeError or IndexError
+@pytest.mark.parametrize("call, field", [
+    (lambda v: _neighbours(k=v), "neighbour count"),
+    (lambda v: _neighbours(query_index=v), "query index"),
+    (lambda v: M.convexity_probe(M.make_mlp([2, 3, 2]), v), "probe pair count"),
+    (lambda v: M.TrainConfig(epochs=v), "epoch count"),
+    (lambda v: M.TrainConfig(batch_size=v), "batch size"),
+    (lambda v: M.FitProblem(_SAMPLES, _SAMPLES**2, v), "piece budget"),
+    (lambda v: M.FitProblem(_SAMPLES, _SAMPLES**2, 2, max_iterations=v), "iteration cap"),
+    (lambda v: M.grid_scan(M.make_mlp([2, 3, 2]), ((0, 1), (0, 1)), v, 1), "grid resolution"),
+    (lambda v: M.pool_regions_2d((1, 4, 4), (v, 2)), "pooling window"),
+], ids=["nn-k", "nn-query", "convexity_probe", "epochs", "batch_size", "R", "max_iterations",
+        "grid_scan", "pool_regions_2d"])
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+def test_library_counts_and_indices_are_checked(call, field, value):
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value}$"):
+        call(value)
+
+
+# int() of a one-entry array raises numpy's bare TypeError
+@pytest.mark.parametrize("call, field", [
+    (lambda v: M.Activation("relu", v), "activation dim"),
+    (lambda v: M.MaxPool(((0,),), v), "pool in_dim"),
+    (lambda v: M.Network([M.Dense(np.eye(2), np.zeros(2))], (2,), v), "class_count"),
+    (lambda v: M.cross_entropy(np.zeros(3), v), "label"),
+    (lambda v: _neighbours(k=v), "neighbour count"),
+], ids=["activation", "pool", "network", "cross_entropy", "nn-k"])
+def test_library_single_integers_reject_arrays(call, field):
+    with pytest.raises(ShapeError, match=rf"^{field} must be one integer, got shape \(1,\)$"):
+        call([1])
+
+
+@pytest.mark.parametrize("window, stride", [((0, 2), None), ((2, 2), (2, 0))])
+def test_pool_regions_need_positive_windows_and_strides(window, stride):
+    # a zero window or stride used to divide by zero
+    with pytest.raises(DomainError, match="pooling window and stride must be positive"):
+        M.pool_regions_2d((1, 4, 4), window, stride)
