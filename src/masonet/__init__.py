@@ -38,6 +38,7 @@ from .learn import (
     accuracy,
     backward,
     cross_entropy,
+    evaluate,
     forward_loss,
     gram_schmidt,
     joint_map_factorial,

@@ -490,8 +490,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     net = _resolve_net(args)
     X, y = load_dataset_csv(args.data, net.class_count)
-    acc = learn.accuracy(net, X, y)
-    loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
+    loss, acc = learn.evaluate(net, X, y)
     print(f"loss={loss:.6f} accuracy={acc:.4f} on {X.shape[0]} points")
     if args.out:
         _write_csv(args.out, ["loss", "accuracy", "points"], [[loss], [acc], [X.shape[0]]])

@@ -826,6 +826,17 @@ def conv_to_matrix(conv: Conv) -> Tensor:
 # forward evaluation
 # ---------------------------------------------------------------------------
 
+def prefix_length(net: Network, upto) -> int:
+    """The number of layers the prefix `upto` runs (all when None); any
+    value but an integer in [0, depth] raises."""
+    if upto is None:
+        return len(net.layers)
+    upto = as_int(upto, "layer prefix")
+    if not 0 <= upto <= len(net.layers):
+        raise ShapeError(f"layer prefix {upto} out of range for {len(net.layers)} layers")
+    return upto
+
+
 def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_stats=False):
     """Forward of a batch through the first `upto` layers (all when None):
     (n, D) -> ((n, out), one cache per layer run).
@@ -839,10 +850,7 @@ def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_
     Z = as_tensor(X, "batch")
     if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
-    if upto is not None:
-        upto = as_int(upto, "layer prefix")
-        if not 0 <= upto <= len(net.layers):
-            raise ShapeError(f"layer prefix {upto} out of range for {len(net.layers)} layers")
+    upto = prefix_length(net, upto)
     betas = betas or {}
     caches = []
     for i, layer in enumerate(net.layers[:upto]):
@@ -885,7 +893,7 @@ def apodized_reconstruct(z: Tensor, patch_shape, window: Tensor) -> Tensor:
     """
     z = as_tensor(z, "image")
     window = as_tensor(window, "window")
-    ph, pw = (int(s) for s in patch_shape)
+    ph, pw = _int_list(patch_shape, 2, "patch shape")
     if z.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {z.shape}")
     if window.shape != (ph, pw):
@@ -908,10 +916,18 @@ def apodized_reconstruct(z: Tensor, patch_shape, window: Tensor) -> Tensor:
     return recon
 
 
+def _int_list(shape, n: int, field: str) -> list:
+    """n integers, such as a (height, width) pair, checked by `as_ints`."""
+    shape = as_ints(shape, field)
+    if shape.shape != (n,):
+        raise ShapeError(f"{field} must have {n} entries, got shape {shape.shape}")
+    return shape.tolist()
+
+
 def interior_mask(image_shape, patch_shape) -> np.ndarray:
     """Boolean mask of pixels touched by every offset of the sliding patch."""
-    h, w = (int(s) for s in image_shape)
-    ph, pw = (int(s) for s in patch_shape)
+    h, w = _int_list(image_shape, 2, "image shape")
+    ph, pw = _int_list(patch_shape, 2, "patch shape")
     mask = np.zeros((h, w), dtype=bool)
     mask[ph - 1 : h - ph + 1, pw - 1 : w - pw + 1] = True
     return mask
@@ -933,9 +949,9 @@ def pool_regions_2d(shape, window, stride=None):
     stride (defaults to the window, i.e. non-overlapping); partial windows
     at the border are dropped, matching 'valid' pooling.
     """
-    c, h, w = as_ints(shape, "pooled shape").tolist()
-    wh, ww = as_ints(window, "pooling window").tolist()
-    sh, sw = (wh, ww) if stride is None else as_ints(stride, "pooling stride").tolist()
+    c, h, w = _int_list(shape, 3, "pooled shape")
+    wh, ww = _int_list(window, 2, "pooling window")
+    sh, sw = (wh, ww) if stride is None else _int_list(stride, 2, "pooling stride")
     if min(wh, ww, sh, sw) < 1:
         raise DomainError("pooling window and stride must be positive")
     if wh > h or ww > w:

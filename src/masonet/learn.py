@@ -56,6 +56,7 @@ __all__ = [
     "adam_step",
     "train",
     "joint_map_factorial",
+    "evaluate",
     "accuracy",
 ]
 
@@ -333,12 +334,25 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
+def _loss_and_accuracy(logits: Tensor, labels: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy of a batch's logits and the share of rows whose
+    largest logit is at their label."""
+    return _cross_entropy_batch(logits, labels)[0], float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def evaluate(net: L.Network, X: Tensor, y: np.ndarray) -> tuple[float, float]:
+    """Inference loss and accuracy of a batch from one hard forward, batch
+    norm on its stored statistics: the loss is `forward_loss` in hard mode
+    without batch statistics.  X and y are checked like its batch."""
+    X, y = _as_batch(net, X, y)
+    logits, _ = L.network_forward_batch(net, X)
+    return _loss_and_accuracy(logits, y)
+
+
 def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
     """Share of rows of X whose largest logit is at their label; X and y
     are checked like `forward_loss`'s batch."""
-    X, y = _as_batch(net, X, y)
-    logits, _ = L.network_forward_batch(net, X)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    return evaluate(net, X, y)[1]
 
 
 def _ortho_penalty(W: Tensor, weight: float) -> tuple[float, Tensor]:
@@ -423,10 +437,11 @@ def train(net: L.Network, dataset, config: TrainConfig):
             Z = layer.forward(Z)[0]
         penalties = {key: _ortho_penalty(params[key], weight)[0] for key, weight in ortho.items()}
         template_penalty = penalties.pop(head, 0.0)
+        loss, acc = _loss_and_accuracy(Z, y)
         entry = {
             "epoch": epoch,
-            "loss": _cross_entropy_batch(Z, y)[0],
-            "accuracy": float(np.mean(np.argmax(Z, axis=1) == y)),
+            "loss": loss,
+            "accuracy": acc,
             "template_penalty": template_penalty,
             "filter_penalty": sum(penalties.values(), 0.0),
         }

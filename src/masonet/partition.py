@@ -9,8 +9,9 @@ pseudometric; two inputs at distance 0 share every selected region).
 A neighbor query costs one forward over the dataset, then a linear-time
 selection of the rows within the k-th smallest distance and a sort of
 those rows only.  Every scan packs its codes one byte per selector unit
-(see _code_matrix) and forwards only through the layer prefix it asks
-about.
+(see _code_matrix), and its forward stops at the last selector within
+the layer prefix it asks about: the affine layers after that selector
+add no code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Network, network_forward_batch
+from .layers import Network, network_forward_batch, prefix_length
 from .ndcore import DomainError, ShapeError, Tensor, as_int, as_ints, as_tensor
 
 __all__ = [
@@ -48,11 +49,12 @@ class RegionTable:
 _CHUNK_ROWS = 4096  # rows per forward: bounds the layer caches and keeps them in CPU cache
 
 
-def _prefix_codes(net: Network, Z: Tensor, layer_prefix: int) -> list:
-    """The (n, K) codes of each selector among the first `layer_prefix`
-    layers, in layer order, from one forward that stops at the prefix."""
-    _, caches = network_forward_batch(net, Z, layer_prefix)
-    return [c["codes"] for layer, c in zip(net.layers, caches) if layer.selector]
+def _code_stop(net: Network, layer_prefix: int) -> int:
+    """How many layers a code forward runs for a layer prefix, checked as
+    the forward checks it: through the prefix's last selector (none when
+    it holds no selector), since the affine layers after it add no code."""
+    upto = prefix_length(net, layer_prefix)
+    return max((i + 1 for i, layer in enumerate(net.layers[:upto]) if layer.selector), default=0)
 
 
 def _code_dtype(top: int) -> np.dtype:
@@ -66,12 +68,15 @@ def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
 
     One byte per unit (uint8) unless some code exceeds 255; comparing two
     rows' bytes then orders them like their code tuples.  The forward
-    stops at the prefix and runs _CHUNK_ROWS rows at a time.
+    stops at the prefix's last selector (see _code_stop) and runs
+    _CHUNK_ROWS rows at a time.
     """
     n = len(X)
+    stop = _code_stop(net, layer_prefix)
     mat = None
     for start in range(0, max(n, 1), _CHUNK_ROWS):
-        blocks = _prefix_codes(net, X[start : start + _CHUNK_ROWS], layer_prefix)
+        _, caches = network_forward_batch(net, X[start : start + _CHUNK_ROWS], stop)
+        blocks = [c["codes"] for layer, c in zip(net.layers, caches) if layer.selector]
         if mat is None:
             mat = np.empty((n, sum(c.shape[1] for c in blocks)), dtype=np.uint8)
         col = 0
@@ -128,22 +133,34 @@ def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
 
 
 def _tabulate(mat: np.ndarray) -> tuple[RegionTable, np.ndarray]:
+    """The region table of a packed code matrix and each row's code id.
+
+    Rows that repeat the row before them share its code, so only run
+    heads (rows that differ from the row before them) are sorted: a
+    lattice crosses few boundaries per line, and most of its rows repeat.
+    Each run takes its head's id through a cumulative sum of the head
+    mask, the counts are a bincount of the ids, and a code's
+    representative is its first head, the lowest row that has the code.
+    """
     n = mat.shape[0]
     if mat.shape[1] == 0:
         entries = {(): {"count": n, "representative": 0}}
         return RegionTable(entries, n), np.zeros(n, dtype=np.int64)
     mat = np.ascontiguousarray(mat)
     rows = mat.view(np.dtype((np.void, mat.dtype.itemsize * mat.shape[1]))).reshape(n)
+    head = np.ones(n, dtype=bool)
+    head[1:] = rows[1:] != rows[:-1]
+    heads = np.flatnonzero(head)
     # void rows sort bytewise, which for packed codes is lexicographic order
-    uniq, ids, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    first = np.full(uniq.shape[0], n, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(n))
+    uniq, first, head_ids = np.unique(rows[heads], return_index=True, return_inverse=True)
+    ids = head_ids[np.cumsum(head) - 1].astype(np.int64, copy=False)
+    counts = np.bincount(ids, minlength=uniq.shape[0])
     keys = uniq.view(mat.dtype).reshape(uniq.shape[0], mat.shape[1]).tolist()
     entries = {
         tuple(key): {"count": c, "representative": r}
-        for key, c, r in zip(keys, counts.tolist(), first.tolist())
+        for key, c, r in zip(keys, counts.tolist(), heads[first].tolist())
     }
-    return RegionTable(entries, n), ids.astype(np.int64)
+    return RegionTable(entries, n), ids
 
 
 def region_stats(net: Network, dataset: Tensor, layer_prefix: int) -> dict:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from masonet import cli, partition
+from masonet import cli, learn, partition
 from masonet import layers as L
 from masonet.maso import MasoParams, forward
 from masonet.ndcore import MasonetError, ValidationError
@@ -1103,20 +1103,37 @@ def test_partition_stats_nn_commands(tmp_path, capsys):
     assert all(int(r[1]) != 4 for r in rows)
 
 
+def test_eval_runs_one_dataset_forward(tmp_path, capsys, forward_calls):
+    data = tmp_path / "blobs.csv"
+    X, y = blob_csv(data, n=60)
+    net = L.make_mlp([2, 5, 2], seed=0)
+    out = tmp_path / "eval.csv"
+    assert cli.main(["eval", "--net", "mlp:2-5-2", "--data", str(data), "--out", str(out)]) == 0
+    # the loss and the accuracy come from one forward over the dataset
+    assert forward_calls == [(60, len(net.layers))]
+    loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
+    acc = learn.accuracy(net, X, y)
+    assert capsys.readouterr().out == f"loss={loss:.6f} accuracy={acc:.4f} on 60 points\n"
+    header, rows = read_csv(str(out))
+    assert header == ["loss", "accuracy", "points"]
+    assert [[float(v) for v in row] for row in rows] == [[loss, acc, 60.0]]
+
+
 def test_nn_runs_one_dataset_forward(tmp_path, forward_calls):
     data = tmp_path / "blobs.csv"
     blob_csv(data, n=60)
     X, _ = cli.load_dataset_csv(str(data))
     net = L.make_mlp([2, 5, 2], seed=0)
-    # the full net, then a prefix holding no selector units (distance 0.0)
-    for prefix in (len(net.layers), 1):
+    # the full net, then a prefix holding no selector units (distance 0.0);
+    # each forward stops at the prefix's last selector: the relu, or none
+    for prefix, stop in ((len(net.layers), 2), (1, 0)):
         forward_calls.clear()
         out = tmp_path / "nn.csv"
         assert cli.main(["nn", "4", "--net", "mlp:2-5-2", "--data", str(data),
                          "--k", "3", "--layer", str(prefix), "--out", str(out)]) == 0
         # one dataset-wide forward for the ranking, then one of the query and
-        # its neighbours, both stopping at the prefix
-        assert sorted(forward_calls) == [(4, prefix), (60, prefix)]
+        # its neighbours
+        assert sorted(forward_calls) == [(4, stop), (60, stop)]
         query = partition.layer_codes_batch(net, X[[4]], prefix)[0]
         _, rows = read_csv(str(out))
         for _, index, dist in rows:

@@ -42,14 +42,16 @@ def test_each_walk_runs_one_forward(rng, forward_calls):
 
 def test_each_scan_runs_one_forward_per_chunk(rng, forward_calls, monkeypatch):
     monkeypatch.setattr(partition, "_CHUNK_ROWS", 7)
-    net = L.make_mlp([2, 6, 5, 3], seed=1)
-    for prefix in (0, 2, len(net.layers)):
+    net = L.make_mlp([2, 6, 5, 3], seed=1)  # dense, relu, dense, relu, dense
+    # the forward stops at the prefix's last selector: a dense layer after
+    # it adds no code
+    for prefix, stop in ((0, 0), (1, 0), (2, 2), (3, 2), (len(net.layers), 4)):
         forward_calls.clear()
         grid_scan(net, ((-1.0, 1.0), (-1.0, 1.0)), 5, prefix)  # 25 points
-        assert forward_calls == [(7, prefix)] * 3 + [(4, prefix)]
+        assert forward_calls == [(7, stop)] * 3 + [(4, stop)]
         forward_calls.clear()
         layer_codes_batch(net, rng.standard_normal((1, 2)), prefix)
-        assert forward_calls == [(1, prefix)]
+        assert forward_calls == [(1, stop)]
 
 
 def test_loss_and_gradients_run_one_forward(rng, forward_calls):

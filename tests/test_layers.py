@@ -857,6 +857,30 @@ def test_apodized_rejects_negative_window(rng):
         L.apodized_reconstruct(z, (3, 3), win)
 
 
+@pytest.mark.parametrize("call", [
+    lambda shape: L.interior_mask((5, 5), shape),
+    lambda shape: L.interior_mask(shape, (2, 2)),
+    lambda shape: L.apodized_reconstruct(np.zeros((5, 5)), shape, np.full((2, 2), 0.25)),
+], ids=["interior-patch", "interior-image", "apodized-patch"])
+def test_patch_shapes_are_checked(call):
+    # a fractional entry used to be cut down, (2.5, 2) giving the (2, 2)
+    # result, and a string entry to be read as a number
+    for shape in ((2.5, 2), ("3", 2), (2, True)):
+        with pytest.raises(DomainError, match="shape must be an integer"):
+            call(shape)
+    for shape in ((2,), (2, 2, 1), 2):
+        with pytest.raises(ShapeError, match="shape must have 2 entries"):
+            call(shape)
+
+
+def test_pool_region_shapes_need_their_entry_counts():
+    # a wrong entry count used to raise a bare unpacking ValueError
+    for args, field in [(((4, 4), (2, 2)), "pooled shape"), (((1, 4, 4), (2, 2, 2)), "pooling window"),
+                        (((1, 4, 4), (2, 2), (1,)), "pooling stride")]:
+        with pytest.raises(ShapeError, match=f"{field} must have"):
+            L.pool_regions_2d(*args)
+
+
 # --- misc helpers ---------------------------------------------------------------
 
 def test_slope_nonnegativity():

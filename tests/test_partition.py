@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,96 @@ def test_wide_maxpool_codes_widen_big_endian(rng, monkeypatch):
     entries, ref_ids = _reference_table(codes)
     table, ids = _tabulate(mat)
     assert table.entries == entries and np.array_equal(ids, ref_ids)
+
+
+def _brute_table(mat):
+    """RegionTable entries and ids by brute force: a dict keyed by row
+    tuples, its keys sorted, each with its first row index and its count."""
+    first, counts = {}, {}
+    for i, row in enumerate(map(tuple, mat.tolist())):
+        first.setdefault(row, i)
+        counts[row] = counts.get(row, 0) + 1
+    keys = sorted(first)
+    rank = {key: r for r, key in enumerate(keys)}
+    entries = {key: {"count": counts[key], "representative": first[key]} for key in keys}
+    return entries, np.array([rank[row] for row in map(tuple, mat.tolist())], dtype=np.int64)
+
+
+@st.composite
+def ordered_code_matrices(draw):
+    """Packed code matrices (uint8, or big-endian 2- or 4-byte codes) in
+    lattice order (runs of equal rows, where a code may come back),
+    shuffled, with every row equal, or of one row."""
+    dtype = np.dtype(draw(st.sampled_from(["u1", ">u2", ">u4"])))
+    top = int(np.iinfo(dtype).max)
+    width = draw(st.integers(1, 5))
+    codes = draw(arrays(np.int64, (draw(st.integers(1, 5)), width),
+                        elements=st.sampled_from([0, 1, 2, top - 1, top])))
+    order = draw(st.sampled_from(["lattice", "shuffled", "equal", "one"]))
+    if order == "one":
+        return codes[:1].astype(dtype)
+    if order == "equal":
+        return np.repeat(codes[:1], draw(st.integers(2, 20)), axis=0).astype(dtype)
+    runs = draw(st.lists(st.integers(0, len(codes) - 1), min_size=1, max_size=10))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=len(runs), max_size=len(runs)))
+    mat = np.repeat(codes[runs], lengths, axis=0)
+    if order == "shuffled":
+        mat = mat[draw(st.permutations(range(len(mat))))]
+    return mat.astype(dtype)
+
+
+@given(ordered_code_matrices())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tabulate_matches_a_brute_force_table(mat):
+    table, ids = _tabulate(mat)
+    entries, ref_ids = _brute_table(mat)
+    assert table.total == mat.shape[0]
+    assert list(table.entries.items()) == list(entries.items())  # sorted keys, in order
+    assert all(type(v) is int for e in table.entries.values() for v in e.values())
+    assert ids.dtype == np.int64 and np.array_equal(ids, ref_ids)
+
+
+def _selector_stop(net, prefix):
+    """The layer count through the last selector among the first `prefix`."""
+    return max((i + 1 for i, layer in enumerate(net.layers[:prefix]) if layer.selector), default=0)
+
+
+def test_scans_at_a_prefix_equal_their_last_selector_stop(rng):
+    mlp = L.make_mlp([2, 45, 3, 4], seed=0)
+    conv = every_kind_net(rng)
+    for net in (mlp, conv):
+        X = rng.standard_normal((60, net.dims[0]))
+        for p in range(len(net.layers) + 1):
+            stop = _selector_stop(net, p)
+            codes = layer_codes_batch(net, X, p)
+            assert np.array_equal(codes, layer_codes_batch(net, X, stop))
+            # the codes a forward through all p layers caches
+            caches = L.network_forward_batch(net, X, p)[1]
+            blocks = [c["codes"] for layer, c in zip(net.layers, caches) if layer.selector]
+            assert np.array_equal(codes, np.concatenate([np.zeros((60, 0)), *blocks], axis=1))
+            assert region_stats(net, X, p) == region_stats(net, X, stop)
+            for q in (0, 17):
+                assert nearest_neighbors(net, p, q, X, 7) == nearest_neighbors(net, stop, q, X, 7)
+    # a lattice scan takes at most 3 input dimensions: the mlp only
+    for p in range(len(mlp.layers) + 1):
+        table, _, ids = grid_scan(mlp, ((-2, 2), (-2, 2)), 41, p)
+        at_stop, _, stop_ids = grid_scan(mlp, ((-2, 2), (-2, 2)), 41, _selector_stop(mlp, p))
+        assert list(table.entries.items()) == list(at_stop.entries.items())
+        assert np.array_equal(ids, stop_ids)
+
+
+def test_grid_scan_memory_peak():
+    # a 1001^2 scan holds its lattice (16 MB), its packed codes (48 MB) and
+    # the ids, about 93 MiB at peak; a table that sorted every row's code
+    # would take it to about 192 MiB
+    net = L.make_mlp([2, 45, 3, 4], seed=0)
+    tracemalloc.start()
+    try:
+        grid_scan(net, ((-2, 2), (-2, 2)), 1001, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- region statistics ---------------------------------------------------------------
