@@ -35,15 +35,11 @@ from .layers import (
 )
 from .learn import (
     TrainConfig,
-    accuracy,
-    backward,
-    cross_entropy,
     evaluate,
-    forward_loss,
+    gradients,
     gram_schmidt,
     joint_map_factorial,
     ortho_penalty_filters,
-    ortho_penalty_templates,
     train,
 )
 from .maso import (

@@ -434,16 +434,6 @@ def _bound_pairs(vals, dim: int):
     return pairs
 
 
-def _prefix(args, net: L.Network) -> int:
-    if args.layer is None:
-        return len(net.layers)
-    if not 0 <= args.layer <= len(net.layers):
-        raise ValidationError(
-            f"--layer {args.layer} out of range (network has {len(net.layers)} layers)"
-        )
-    return args.layer
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -528,7 +518,7 @@ def _cmd_partition(args) -> int:
     net = _resolve_net(args)
     dim = net.dims[0]
     bounds = _bound_pairs(args.bounds, dim)
-    table, points, ids = partition.grid_scan(net, bounds, args.resolution, _prefix(args, net))
+    table, points, ids = partition.grid_scan(net, bounds, args.resolution, args.layer)
     print(f"{len(table.entries)} distinct codes over {table.total} grid points")
     if args.out:
         header = [f"x{j + 1}" for j in range(dim)] + ["code_id"]
@@ -539,7 +529,7 @@ def _cmd_partition(args) -> int:
 def _cmd_stats(args) -> int:
     net = _resolve_net(args)
     X, _ = load_dataset_csv(args.data)
-    stats = partition.region_stats(net, X, _prefix(args, net))
+    stats = partition.region_stats(net, X, args.layer)
     print(f"nonempty regions: {stats['nonempty_count']}")
     if args.out:
         hist = stats["histogram"]
@@ -550,10 +540,9 @@ def _cmd_stats(args) -> int:
 def _cmd_nn(args) -> int:
     net = _resolve_net(args)
     X, _ = load_dataset_csv(args.data)
-    prefix = _prefix(args, net)
-    idx = partition.nearest_neighbors(net, prefix, args.query, X, args.k)
+    idx = partition.nearest_neighbors(net, args.layer, args.query, X, args.k)
     # the query's code row, then the neighbours': one forward of k + 1 rows
-    codes = partition.layer_codes_batch(net, X[[args.query, *idx]], prefix)
+    codes = partition.layer_codes_batch(net, X[[args.query, *idx]], args.layer)
     dists = partition.vq_distance(codes[1:], codes[0])
     print("neighbors:", " ".join(str(i) for i in idx))
     if args.out:

@@ -1,11 +1,16 @@
 """Training machinery: loss, exact gradients, Adam, orthogonality tools.
 
+Two functions reach the loss: `evaluate` gives the inference loss and
+accuracy (one hard forward, batch norm on its stored statistics), and
+`gradients` the training-view loss and its exact gradients (one forward
+in any regime, batch norm on batch statistics).
+
 Gradients are computed analytically, by each layer kind's backward in
 `layers`, in three selection regimes:
 
 * hard  -- the selection found at the forward pass is frozen and the
            gradient of the resulting affine map is returned (exact almost
-           everywhere, one-sided on region boundaries, which `backward`
+           everywhere, one-sided on region boundaries, which `gradients`
            warns about and `train`'s steps do not scan for),
 * soft  -- selections are per-unit softmaxes of the affine scores and the
            gradient flows through them,
@@ -47,17 +52,13 @@ from .ndcore import (
 __all__ = [
     "TrainConfig",
     "AdamState",
-    "cross_entropy",
-    "forward_loss",
-    "backward",
-    "ortho_penalty_templates",
+    "evaluate",
+    "gradients",
     "ortho_penalty_filters",
     "gram_schmidt",
     "adam_step",
     "train",
     "joint_map_factorial",
-    "evaluate",
-    "accuracy",
 ]
 
 _BOUNDARY_GAP = 1e-7
@@ -92,6 +93,8 @@ class TrainConfig:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "beta" and not 0.0 < L._number(self.beta, "beta") < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
+        if self.beta_learnable and self.beta_mode != "beta":
+            raise DomainError(f"a learnable beta needs beta_mode 'beta', not {self.beta_mode!r}")
         self.seed = as_seed(self.seed, "training seed")
 
 
@@ -106,15 +109,6 @@ class AdamState:
 # loss
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, label: int) -> float:
-    """-logits[label] + logsumexp(logits), stabilized by the max shift."""
-    logits = as_tensor(logits, "logits").reshape(-1)
-    label = as_int(label, "label")
-    if not 0 <= label < logits.shape[0]:
-        raise DomainError(f"label {label} out of range for {logits.shape[0]} classes")
-    return _cross_entropy_batch(logits[None, :], [label])[0]
-
-
 def _cross_entropy_batch(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:
     """Mean loss over the batch and its gradient w.r.t. the logits."""
     n = logits.shape[0]
@@ -126,6 +120,12 @@ def _cross_entropy_batch(logits: Tensor, labels: np.ndarray) -> tuple[float, Ten
     g = p.copy()
     g[rows, labels] -= 1.0
     return float(losses.mean()), g / n
+
+
+def _loss_and_accuracy(logits: Tensor, labels: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy of a batch's logits and the share of rows whose
+    largest logit is at their label."""
+    return _cross_entropy_batch(logits, labels)[0], float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +163,8 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     return out
 
 
-def forward_loss(
-    net: L.Network,
-    X: Tensor,
-    labels,
-    mode: str = "hard",
-    beta=None,
-    bn_batch_stats: bool = True,
-) -> float:
-    """Mean cross-entropy of a batch under the given selection regime.
-
-    This is exactly the function whose gradients `backward` returns, which
-    makes it the reference for finite-difference checks.  Batch-norm uses
-    batch statistics here (training view) unless bn_batch_stats is off;
-    a hard-mode forward without them is the inference forward that
-    `network_forward` runs.
-    """
-    X, labels = _as_batch(net, X, labels)
-    betas = _beta_for_layers(net, mode, beta)
-    logits, _ = L.network_forward_batch(net, X, betas=betas, batch_stats=bn_batch_stats)
-    loss, _ = _cross_entropy_batch(logits, labels)
-    return loss
-
-
 # ---------------------------------------------------------------------------
-# backward
+# the loss surface: inference loss and accuracy, training loss and gradients
 # ---------------------------------------------------------------------------
 
 def _as_batch(net: L.Network, X, labels):
@@ -204,15 +181,29 @@ def _as_batch(net: L.Network, X, labels):
     return X, labels
 
 
-def backward(
+def evaluate(net: L.Network, X: Tensor, y: np.ndarray) -> tuple[float, float]:
+    """Inference loss and accuracy of a batch from one hard forward, batch
+    norm on its stored statistics.  X may be one 1-D input with an integer
+    label; labels must be integers (an integral float is read as one) in
+    [0, class_count)."""
+    X, y = _as_batch(net, X, y)
+    logits, _ = L.network_forward_batch(net, X)
+    return _loss_and_accuracy(logits, y)
+
+
+def gradients(
     net: L.Network,
     x: Tensor,
     label,
     mode: str = "hard",
     beta=None,
 ) -> tuple[float, dict]:
-    """Loss and analytic gradients of `forward_loss` at (x, label), batch
-    norm on batch statistics.
+    """Training-view loss at (x, label) and its analytic gradients: one
+    forward in the given regime with batch norm on batch statistics.
+
+    The loss is the function the gradients differentiate, which makes it
+    the reference for finite-difference checks; in hard mode on a net
+    without batch norm it equals `evaluate`'s loss.
 
     Accepts a single input (1-D x, int label) or a batch.  In hard mode
     inputs close to a region boundary trigger a resample warning; the
@@ -251,18 +242,6 @@ def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_b
 # ---------------------------------------------------------------------------
 # orthogonality
 # ---------------------------------------------------------------------------
-
-def ortho_penalty_templates(W_last: Tensor, gamma: float) -> tuple[float, Tensor]:
-    """gamma * sum over ordered class pairs c1 != c2 of <W_c1, W_c2>^2.
-
-    The filter penalty of the classifier rows, one unit each: returns the
-    penalty and its gradient with respect to W_last.
-    """
-    W = as_tensor(W_last, "classifier matrix")
-    if W.ndim != 2:
-        raise ShapeError(f"expected a 2-D classifier matrix, got shape {W.shape}")
-    return ortho_penalty_filters(W, gamma)
-
 
 def ortho_penalty_filters(p, lam: float) -> tuple[float, Tensor]:
     """lam * cross-unit slope inner-product energy, same-unit pairs excluded.
@@ -334,27 +313,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def _loss_and_accuracy(logits: Tensor, labels: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy of a batch's logits and the share of rows whose
-    largest logit is at their label."""
-    return _cross_entropy_batch(logits, labels)[0], float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def evaluate(net: L.Network, X: Tensor, y: np.ndarray) -> tuple[float, float]:
-    """Inference loss and accuracy of a batch from one hard forward, batch
-    norm on its stored statistics: the loss is `forward_loss` in hard mode
-    without batch statistics.  X and y are checked like its batch."""
-    X, y = _as_batch(net, X, y)
-    logits, _ = L.network_forward_batch(net, X)
-    return _loss_and_accuracy(logits, y)
-
-
-def accuracy(net: L.Network, X: Tensor, y: np.ndarray) -> float:
-    """Share of rows of X whose largest logit is at their label; X and y
-    are checked like `forward_loss`'s batch."""
-    return evaluate(net, X, y)[1]
-
-
 def _ortho_penalty(W: Tensor, weight: float) -> tuple[float, Tensor]:
     """Orthogonality penalty of a weight array with one row per output unit
     (a conv's filters flatten to one row per output channel) and its
@@ -383,8 +341,8 @@ def train(net: L.Network, dataset, config: TrainConfig):
     Steps run the configured regime with batch statistics.  Each epoch
     ends with one inference forward over the dataset that first sets each
     batch norm's mean and var to the biased statistics of its input; its
-    loss and accuracy are the history's (`forward_loss` with bn_batch_stats
-    off, and `accuracy`).  No warning is filtered.  The input network is
+    loss and accuracy are the history's, equal to `evaluate` on the
+    trained network.  No warning is filtered.  The input network is
     left untouched; batch order is drawn from the config seed.
     """
     X, y = _as_batch(net, *dataset)
@@ -392,7 +350,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     params = {f"{i}.{k}": a for i, layer in enumerate(net.layers) for k, a in layer.params().items()}
     beta_logits = {}  # learnable betas: selector layer -> logit, beta = sigmoid(logit)
-    if config.beta_mode == "beta" and config.beta_learnable:
+    if config.beta_learnable:
         for i, layer in enumerate(net.layers):
             if layer.selector:
                 beta_logits[i] = np.array(np.log(config.beta / (1.0 - config.beta)))

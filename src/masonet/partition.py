@@ -11,7 +11,8 @@ selection of the rows within the k-th smallest distance and a sort of
 those rows only.  Every scan packs its codes one byte per selector unit
 (see _code_matrix), and its forward stops at the last selector within
 the layer prefix it asks about: the affine layers after that selector
-add no code.
+add no code.  A layer prefix is a layer count in [0, depth], or None for
+the whole network; any other value raises ShapeError.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class RegionTable:
 _CHUNK_ROWS = 4096  # rows per forward: bounds the layer caches and keeps them in CPU cache
 
 
-def _code_stop(net: Network, layer_prefix: int) -> int:
+def _code_stop(net: Network, layer_prefix: int | None) -> int:
     """How many layers a code forward runs for a layer prefix, checked as
     the forward checks it: through the prefix's last selector (none when
     it holds no selector), since the affine layers after it add no code."""
@@ -63,7 +64,7 @@ def _code_dtype(top: int) -> np.dtype:
     return np.min_scalar_type(top).newbyteorder(">")
 
 
-def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
+def _code_matrix(net: Network, X: Tensor, layer_prefix: int | None) -> np.ndarray:
     """(n, total units) packed matrix of selector codes within the prefix.
 
     One byte per unit (uint8) unless some code exceeds 255; comparing two
@@ -89,14 +90,14 @@ def _code_matrix(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
     return mat
 
 
-def layer_codes_batch(net: Network, X: Tensor, layer_prefix: int) -> np.ndarray:
+def layer_codes_batch(net: Network, X: Tensor, layer_prefix: int | None) -> np.ndarray:
     """Concatenated selector codes per row of X, within the layer prefix,
     packed as in the partition scans: uint8, or a wider big-endian unsigned
     dtype when some code exceeds 255."""
     return _code_matrix(net, X, layer_prefix)
 
 
-def grid_scan(net: Network, bounds, resolution, layer_prefix: int):
+def grid_scan(net: Network, bounds, resolution, layer_prefix: int | None):
     """Joint codes on a rectangular lattice.
 
     bounds is one [lo, hi] pair per input dimension (at most 3 dimensions,
@@ -163,7 +164,7 @@ def _tabulate(mat: np.ndarray) -> tuple[RegionTable, np.ndarray]:
     return RegionTable(entries, n), ids
 
 
-def region_stats(net: Network, dataset: Tensor, layer_prefix: int) -> dict:
+def region_stats(net: Network, dataset: Tensor, layer_prefix: int | None) -> dict:
     """Distinct-code count and descending occupancy histogram of a dataset."""
     X = as_tensor(dataset, "dataset")
     if X.ndim != 2 or X.shape[0] < 1:
@@ -190,7 +191,7 @@ def vq_distance(a, b):
 
 
 def nearest_neighbors(
-    net: Network, layer: int, query_index: int, dataset: Tensor, k: int
+    net: Network, layer: int | None, query_index: int, dataset: Tensor, k: int
 ) -> list:
     """Indices of the k nearest dataset points in code distance at a layer.
 

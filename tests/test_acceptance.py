@@ -317,7 +317,7 @@ def grad_check_nets(rng):
 
 def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
     """Worst relative deviation of analytic gradients from central FD."""
-    _, g = learn.backward(net, X, y, mode=mode, beta=beta)
+    _, g = learn.gradients(net, X, y, mode=mode, beta=beta)
     worst, checked = 0.0, 0
     for key, G in g.items():
         if key.endswith(".beta"):
@@ -335,9 +335,9 @@ def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
                 target = getattr(target, part)
             arr = getattr(target, field.split(".")[-1])
             arr[idx] += h
-            lp = learn.forward_loss(net2, X, y, mode=mode, beta=beta)
+            lp = learn.gradients(net2, X, y, mode=mode, beta=beta)[0]
             arr[idx] -= 2 * h
-            lm = learn.forward_loss(net2, X, y, mode=mode, beta=beta)
+            lm = learn.gradients(net2, X, y, mode=mode, beta=beta)[0]
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(G[idx] - fd) / max(abs(fd), 1e-8))
             checked += 1
@@ -345,8 +345,8 @@ def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
         beta_keys = [k for k in g if k.endswith(".beta")]
         if beta_keys:
             analytic = sum(float(g[k]) for k in beta_keys)
-            lp = learn.forward_loss(net, X, y, mode=mode, beta=beta + h)
-            lm = learn.forward_loss(net, X, y, mode=mode, beta=beta - h)
+            lp = learn.gradients(net, X, y, mode=mode, beta=beta + h)[0]
+            lm = learn.gradients(net, X, y, mode=mode, beta=beta - h)[0]
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-8))
             checked += 1

@@ -601,6 +601,18 @@ def test_train_gamma_without_dense_head_exits_2(tmp_path, capsys):
     assert cli.main(argv + ["--lambda", "0.1"]) == 0
 
 
+@pytest.mark.parametrize("command", ["decompose", "partition", "stats", "nn"])
+def test_layer_out_of_range_reads_alike_on_every_command(tmp_path, capsys, command):
+    data = str(tmp_path / "d.csv")
+    blob_csv(data, n=20)
+    rest = {"decompose": ["--data", data], "partition": ["--bounds=-1,1", "--resolution=5"],
+            "stats": ["--data", data], "nn": ["3", "--data", data, "--k", "2"]}[command]
+    depth = 5  # dense, relu, dense, relu, dense
+    for layer in (-1, depth + 1):
+        assert cli.main([command, "--net", "mlp:2-5-3-2", f"--layer={layer}", *rest]) == 2
+        assert capsys.readouterr().err == f"error: layer prefix {layer} out of range for {depth} layers\n"
+
+
 # --- exit codes -------------------------------------------------------------------
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -641,6 +653,10 @@ def test_bad_arch_string_exits_2(tmp_path, capsys):
     ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--lambda", "nan"],
     ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--gamma", "inf"],
     ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--lr", "nan"],
+    # a learnable beta outside beta mode used to train no beta and exit 0
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json", "--beta", "learnable"],
+    ["train", "--net", "mlp:2-4-4", "--data", "{blobs}", "--out", "{tmp}/n.json",
+     "--mode", "soft", "--beta", "learnable"],
 ], ids=" ".join)
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     blob_csv(tmp_path / "blobs.csv")
@@ -1111,8 +1127,7 @@ def test_eval_runs_one_dataset_forward(tmp_path, capsys, forward_calls):
     assert cli.main(["eval", "--net", "mlp:2-5-2", "--data", str(data), "--out", str(out)]) == 0
     # the loss and the accuracy come from one forward over the dataset
     assert forward_calls == [(60, len(net.layers))]
-    loss = learn.forward_loss(net, X, y, mode="hard", bn_batch_stats=False)
-    acc = learn.accuracy(net, X, y)
+    loss, acc = learn.evaluate(net, X, y)
     assert capsys.readouterr().out == f"loss={loss:.6f} accuracy={acc:.4f} on 60 points\n"
     header, rows = read_csv(str(out))
     assert header == ["loss", "accuracy", "points"]

@@ -11,7 +11,7 @@ from masonet.analysis import (
     partial_product_norms,
     resnet_ensemble_terms,
 )
-from masonet.learn import backward, forward_loss
+from masonet.learn import evaluate, gradients
 from masonet.ndcore import DomainError, ShapeError
 from masonet.partition import (
     grid_scan,
@@ -58,12 +58,14 @@ def test_loss_and_gradients_run_one_forward(rng, forward_calls):
     net = every_kind_net(rng)
     X = rng.standard_normal((5, net.dims[0]))
     y = rng.integers(0, net.class_count, 5)
+    evaluate(net, X, y)
+    assert forward_calls == [(5, len(net.layers))]
     for mode in ("hard", "soft", "beta"):
         forward_calls.clear()
-        forward_loss(net, X, y, mode, beta=0.3)
+        gradients(net, X, y, mode, beta=0.3)
         assert forward_calls == [(5, len(net.layers))], mode
         forward_calls.clear()
-        backward(net, X[0], y[0], mode, beta=0.3)
+        gradients(net, X[0], y[0], mode, beta=0.3)
         assert forward_calls == [(1, len(net.layers))], mode
 
 
@@ -80,8 +82,8 @@ def test_every_entry_point_checks_width_and_prefix():
         "layer_codes_batch": lambda X, p: layer_codes_batch(net, X, p),
         "region_stats": lambda X, p: region_stats(net, X, p),
         "nearest_neighbors": lambda X, p: nearest_neighbors(net, p, 0, X, 1),
-        "forward_loss": lambda X, p: forward_loss(net, X, np.zeros(len(X), dtype=int)),
-        "backward": lambda X, p: backward(net, X, np.zeros(len(X), dtype=int)),
+        "evaluate": lambda X, p: evaluate(net, X, np.zeros(len(X), dtype=int)),
+        "gradients": lambda X, p: gradients(net, X, np.zeros(len(X), dtype=int)),
         # a lattice box with one side per column of X, and two for the wide X
         "grid_scan": lambda X, p: grid_scan(net, ((0, 1),) * (3 if X.shape[1] == 3 else 2), 2, p),
     }

@@ -366,7 +366,7 @@ def test_conv_forward_backward_and_pull_lower_nothing(rng, monkeypatch):
     monkeypatch.setattr(L, "conv_to_matrix", refuse)
     net = every_kind_net(rng)
     X = rng.standard_normal((4, net.dims[0]))
-    learn.backward(net, X, np.arange(4) % 3, mode="soft")
+    learn.gradients(net, X, np.arange(4) % 3, mode="soft")
     decompose(net, X[0])
     _, caches = L.network_forward_batch(net, X)
     assert set(caches[0]) == {"Z"}
@@ -386,7 +386,7 @@ def test_conv_training_step_memory_is_bounded():
     y = rng.integers(0, 10, 64)
     tracemalloc.start()
     try:
-        _, grads = learn.backward(net, X, y)
+        _, grads = learn.gradients(net, X, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,7 +418,7 @@ def test_forward_sees_filters_edited_in_place(rng):
 
     def results(n):
         form = decompose(n, X[0])
-        return L.network_forward(n, X[0])[0], form.A, form.b, learn.forward_loss(n, X, y)
+        return L.network_forward(n, X[0])[0], form.A, form.b, learn.gradients(n, X, y)[0]
 
     block = net.layers[2]
     for filters in (net.layers[0].filters, block.conv.filters, block.skip.filters):

@@ -11,15 +11,12 @@ from masonet import learn
 from masonet.learn import (
     AdamState,
     TrainConfig,
-    accuracy,
     adam_step,
-    backward,
-    cross_entropy,
-    forward_loss,
+    evaluate,
+    gradients,
     gram_schmidt,
     joint_map_factorial,
     ortho_penalty_filters,
-    ortho_penalty_templates,
     train,
 )
 from masonet.maso import MasoParams
@@ -35,8 +32,9 @@ from test_analysis import every_kind_net
 
 
 def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
-    """Central finite differences against the analytic gradients."""
-    loss, g = backward(net, X, y, mode=mode, beta=beta)
+    """Central finite differences of the loss `gradients` returns against
+    its analytic gradients."""
+    loss, g = gradients(net, X, y, mode=mode, beta=beta)
     for key in keys:
         li, field = key.split(".", 1)
         li = int(li)
@@ -52,14 +50,21 @@ def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
                 target = getattr(target, part)
             arr = getattr(target, field.split(".")[-1])
             arr[idx] += h
-            lp = forward_loss(net2, X, y, mode=mode, beta=beta)
+            lp = gradients(net2, X, y, mode=mode, beta=beta)[0]
             arr[idx] -= 2 * h
-            lm = forward_loss(net2, X, y, mode=mode, beta=beta)
+            lm = gradients(net2, X, y, mode=mode, beta=beta)[0]
             fd = (lp - lm) / (2 * h)
             assert abs(G[idx] - fd) <= rtol * max(abs(fd), 1e-8), (key, idx, G[idx], fd)
 
 
 # --- loss ---------------------------------------------------------------------
+
+def cross_entropy(logits, label):
+    """`evaluate`'s loss on a net whose logits are its inputs: the
+    cross-entropy of one row of logits."""
+    C = len(logits)
+    return evaluate(L.Network([L.Dense(np.eye(C), np.zeros(C))], (C,), C), logits, label)[0]
+
 
 def test_cross_entropy_frozen_values():
     # log(1 + e^-10) and 10 + log(1 + e^-10), computed independently
@@ -83,7 +88,7 @@ def test_cross_entropy_handles_extreme_logits():
 
 
 def test_cross_entropy_label_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="label out of range"):
         cross_entropy(np.zeros(3), 3)
 
 
@@ -106,7 +111,7 @@ def test_train_config_rejects_non_finite_weights(field, value):
 def test_betas_are_checked(beta, error, message):
     # these raised a bare KeyError or TypeError, or read "0.5" as 0.5
     with pytest.raises(error, match=message):
-        backward(L.make_mlp([2, 5, 3]), np.zeros(2), 0, "beta", beta)
+        gradients(L.make_mlp([2, 5, 3]), np.zeros(2), 0, "beta", beta)
 
 
 @pytest.mark.parametrize("field, value", [("beta", "0.5"), ("learning_rate", "0.1"), ("gamma", "0"),
@@ -124,8 +129,17 @@ def test_forward_loss_is_mean_of_singles(rng):
     for i in range(6):
         logits, _ = L.network_forward(net, X[i])
         singles.append(cross_entropy(logits, y[i]))
-    got = forward_loss(net, X, y, mode="hard")
+    got = gradients(net, X, y, mode="hard")[0]
     assert abs(got - np.mean(singles)) < 1e-10
+
+
+def test_training_loss_is_the_inference_loss_without_batch_norm(rng):
+    # with no batch norm, batch statistics change nothing: a hard-mode
+    # training loss is the inference loss, bit for bit
+    for net, d, classes in ((L.make_mlp([3, 6, 4, 2], seed=1), 3, 2), (conv_pool_net(rng), 36, 3)):
+        X = rng.standard_normal((5, d))
+        y = rng.integers(0, classes, size=5)
+        assert gradients(net, X, y)[0] == evaluate(net, X, y)[0]
 
 
 # --- gradients ------------------------------------------------------------------
@@ -143,12 +157,12 @@ def test_beta_gradient_matches_fd(rng):
     net = L.make_mlp([3, 5, 2], seed=4)
     X = rng.standard_normal((4, 3))
     y = rng.integers(0, 2, size=4)
-    _, g = backward(net, X, y, mode="beta", beta=0.6)
+    _, g = gradients(net, X, y, mode="beta", beta=0.6)
     total = sum(float(v) for k, v in g.items() if k.endswith(".beta"))
     h = 1e-6
     fd = (
-        forward_loss(net, X, y, mode="beta", beta=0.6 + h)
-        - forward_loss(net, X, y, mode="beta", beta=0.6 - h)
+        gradients(net, X, y, mode="beta", beta=0.6 + h)[0]
+        - gradients(net, X, y, mode="beta", beta=0.6 - h)[0]
     ) / (2 * h)
     assert abs(total - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
@@ -184,12 +198,12 @@ def test_maxpool_boundary_warning_ignores_relu_zero_ties(rng):
     assert np.any(np.sum(windows == 0, axis=-1) >= 2)  # relu zeros do tie
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        backward(net, X, y)
+        gradients(net, X, y)
     # a tie of two nonzero window entries is a real boundary and still warns
     pool = L.MaxPool(((0, 1), (2, 3)), 4)
     tied = L.Network([pool, L.Dense(np.eye(2), np.zeros(2))], (4,), 2)
     with pytest.warns(RuntimeWarning, match="layer 0"):
-        backward(tied, np.array([[0.5, 0.5, -1.0, 2.0]]), np.array([0]))
+        gradients(tied, np.array([[0.5, 0.5, -1.0, 2.0]]), np.array([0]))
     assert not pool.near_boundary(pool.forward(np.array([[0.0, 0.0, -1.0, 2.0]]))[1], 1e-7)
 
 
@@ -319,7 +333,7 @@ def test_every_kind_gradients_match_finite_differences(seed):
     betas = {i: float(rng.uniform(0.2, 0.8)) for i, layer in enumerate(net.layers) if layer.selector}
     h = 1e-6
     for mode, beta in (("hard", None), ("soft", None), ("beta", betas)):
-        _, grads = backward(net, X, y, mode=mode, beta=beta)
+        _, grads = gradients(net, X, y, mode=mode, beta=beta)
         assert sorted(grads) == sorted(
             [f"{i}.{k}" for i, layer in enumerate(net.layers) for k in layer.params()]
             + ([f"{i}.beta" for i in betas] if mode == "beta" else [])
@@ -328,7 +342,7 @@ def test_every_kind_gradients_match_finite_differences(seed):
             i, field = key.split(".", 1)
             i = int(i)
             if field == "beta":
-                lp, lm = (forward_loss(net, X, y, mode="beta", beta={**betas, i: betas[i] + d})
+                lp, lm = (gradients(net, X, y, mode="beta", beta={**betas, i: betas[i] + d})[0]
                           for d in (h, -h))
                 fd = (lp - lm) / (2 * h)
                 assert abs(G - fd) <= 1e-7 + 1e-5 * abs(fd), (key, G, fd)
@@ -340,7 +354,7 @@ def test_every_kind_gradients_match_finite_differences(seed):
                 losses, crossed = [], False
                 for d in (h, -h):
                     arr[idx] = orig + d
-                    losses.append(forward_loss(net, X, y, mode=mode, beta=beta))
+                    losses.append(gradients(net, X, y, mode=mode, beta=beta)[0])
                     crossed |= mode == "hard" and not all(
                         np.array_equal(a, b) for a, b in zip(_hard_codes(net, X), codes)
                     )
@@ -358,18 +372,18 @@ def test_hard_mode_warns_on_region_boundary():
         (2,), 2,
     )
     with pytest.warns(RuntimeWarning):
-        backward(net, np.array([0.0, 1.0]), 0, mode="hard")
+        gradients(net, np.array([0.0, 1.0]), 0, mode="hard")
 
 
 def test_backward_accepts_single_input(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
-    loss, g = backward(net, rng.standard_normal(3), 1)
+    loss, g = gradients(net, rng.standard_normal(3), 1)
     assert np.isfinite(loss) and "0.W" in g
 
 
 def test_backward_returns_a_plain_dict(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
-    _, g = backward(net, rng.standard_normal((2, 3)), [0, 1])
+    _, g = gradients(net, rng.standard_normal((2, 3)), [0, 1])
     assert type(g) is dict
     assert set(g) == {"0.W", "0.b", "2.W", "2.b"}
 
@@ -379,9 +393,9 @@ def test_fractional_or_non_integer_labels_are_rejected(rng, labels):
     net = L.make_mlp([3, 4, 2], seed=0)
     X = rng.standard_normal((2, 3))
     with pytest.raises(DomainError, match="label must be an integer"):
-        forward_loss(net, X, labels)
+        evaluate(net, X, labels)
     with pytest.raises(DomainError, match="label must be an integer"):
-        backward(net, X, labels)
+        gradients(net, X, labels)
     with pytest.raises(DomainError, match="label must be an integer"):
         train(net, (X, labels), TrainConfig(epochs=1))
 
@@ -389,7 +403,8 @@ def test_fractional_or_non_integer_labels_are_rejected(rng, labels):
 def test_integral_float_labels_are_accepted(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
     X = rng.standard_normal((2, 3))
-    assert forward_loss(net, X, [0.0, 1.0]) == forward_loss(net, X, [0, 1])
+    assert evaluate(net, X, [0.0, 1.0]) == evaluate(net, X, [0, 1])
+    assert gradients(net, X, [0.0, 1.0])[0] == gradients(net, X, [0, 1])[0]
     assert cross_entropy(np.array([0.3, -0.2]), 1.0) == cross_entropy(np.array([0.3, -0.2]), 1)
 
 
@@ -401,7 +416,7 @@ def test_cross_entropy_rejects_a_fractional_label():
 def test_backward_rejects_bad_labels(rng):
     net = L.make_mlp([3, 4, 2], seed=0)
     with pytest.raises(DomainError):
-        backward(net, rng.standard_normal((2, 3)), np.array([0, 5]))
+        gradients(net, rng.standard_normal((2, 3)), np.array([0, 5]))
 
 
 # --- orthogonality ---------------------------------------------------------------
@@ -410,25 +425,25 @@ def test_template_penalty_frozen_value():
     # two identical unit rows: the two ordered off-diagonal pairs each
     # contribute 1^2, so the energy is 2
     W = np.array([[1.0, 0.0], [1.0, 0.0]])
-    pen, grad = ortho_penalty_templates(W, 1.0)
+    pen, grad = ortho_penalty_filters(W, 1.0)
     assert abs(pen - 2.0) < 1e-12
     assert grad.shape == W.shape
 
 
 def test_template_penalty_zero_for_orthogonal_rows():
-    pen, grad = ortho_penalty_templates(np.eye(3), 1.0)
+    pen, grad = ortho_penalty_filters(np.eye(3), 1.0)
     assert pen == 0.0
     assert np.allclose(grad, 0.0)
 
 
 def test_template_penalty_gradient_fd(rng):
     W = rng.standard_normal((4, 6))
-    _, grad = ortho_penalty_templates(W, 0.7)
+    _, grad = ortho_penalty_filters(W, 0.7)
     h = 1e-6
     for idx in [(0, 0), (2, 3), (3, 5)]:
         Wp = W.copy(); Wp[idx] += h
         Wm = W.copy(); Wm[idx] -= h
-        fd = (ortho_penalty_templates(Wp, 0.7)[0] - ortho_penalty_templates(Wm, 0.7)[0]) / (2 * h)
+        fd = (ortho_penalty_filters(Wp, 0.7)[0] - ortho_penalty_filters(Wm, 0.7)[0]) / (2 * h)
         assert abs(grad[idx] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -458,21 +473,9 @@ def test_filter_penalty_accepts_plain_matrix(rng):
     M = rng.standard_normal((4, 6))
     pen, grad = ortho_penalty_filters(M, 1.0)
     assert grad.shape == M.shape
-    pen_t, _ = ortho_penalty_templates(M, 1.0)
-    # with R=1 every pair is cross-unit: same energy as the template form
-    assert abs(pen - pen_t) < 1e-12
-
-
-@settings(max_examples=200, deadline=None)
-@given(k=st.integers(1, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       weight=st.floats(0.0, 10.0))
-def test_template_penalty_is_the_filter_penalty(k, d, seed, weight):
-    W = np.random.default_rng(seed).standard_normal((k, d))
-    pen_t, grad_t = ortho_penalty_templates(W, weight)
-    pen_f, grad_f = ortho_penalty_filters(W, weight)
-    assert pen_t == pen_f
-    assert np.array_equal(grad_t, grad_f)
-    assert np.array_equal(np.signbit(grad_t), np.signbit(grad_f))
+    pen_u, _ = ortho_penalty_filters(MasoParams(M[:, None, :], np.zeros((4, 1))), 1.0)
+    # a matrix is K units of R=1 slopes, every pair cross-unit: the same energy
+    assert abs(pen - pen_u) < 1e-12
 
 
 def test_gram_schmidt_orthogonalizes_and_keeps_span(rng):
@@ -659,6 +662,10 @@ def test_train_config_validation():
         TrainConfig(beta_mode="warm")
     with pytest.raises(DomainError):
         TrainConfig(beta_mode="beta", beta=1.0)
+    # outside beta mode a learnable beta was accepted and nothing trained it
+    for mode in ("hard", "soft"):
+        with pytest.raises(DomainError, match=f"learnable beta needs beta_mode 'beta', not '{mode}'"):
+            TrainConfig(beta_mode=mode, beta_learnable=True)
 
 
 def test_train_config_rejects_bad_batch_and_penalties():
@@ -671,9 +678,9 @@ def test_unknown_regime_names_are_rejected(rng):
     net = L.make_mlp([2, 4, 2], seed=0)
     X, y = two_blob_data(rng, n=8)
     with pytest.raises(DomainError, match="hrad"):
-        forward_loss(net, X, y, mode="hrad", beta=0.7)
+        gradients(net, X, y, mode="hrad", beta=0.7)
     with pytest.raises(DomainError, match="Beta"):
-        backward(net, X, y, mode="Beta", beta=0.7)
+        gradients(net, X, y, mode="Beta", beta=0.7)
 
 
 def test_empty_dataset_fails_loudly():
@@ -682,9 +689,9 @@ def test_empty_dataset_fails_loudly():
     with pytest.raises(ShapeError):
         train(net, (X, y), TrainConfig(epochs=1))
     with pytest.raises(ShapeError):
-        forward_loss(net, X, y)
+        evaluate(net, X, y)
     with pytest.raises(ShapeError):
-        backward(net, X, y)
+        gradients(net, X, y)
 
 
 def bn_mlp(rng):
@@ -709,8 +716,7 @@ def test_history_is_the_inference_view(rng):
     )
     for net, cfg in runs:
         trained, history = train(net, (X, y), cfg)
-        assert history[-1]["loss"] == forward_loss(trained, X, y, mode="hard", bn_batch_stats=False)
-        assert history[-1]["accuracy"] == accuracy(trained, X, y)
+        assert (history[-1]["loss"], history[-1]["accuracy"]) == evaluate(trained, X, y)
 
 
 def test_history_runs_one_dataset_forward_per_epoch(rng, monkeypatch):
@@ -804,18 +810,18 @@ def test_joint_map_requires_orthogonality(rng):
 def test_accuracy_counts_argmax_wins():
     net = L.Network([L.Dense(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))], (2,), 2)
     X = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
-    assert accuracy(net, X, np.array([0, 1, 1])) == pytest.approx(2.0 / 3.0)
+    assert evaluate(net, X, np.array([0, 1, 1]))[1] == pytest.approx(2.0 / 3.0)
 
 
 def test_accuracy_checks_its_labels():
     net = L.make_mlp([2, 4, 2], seed=0)
     X = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
     with pytest.raises(DomainError, match="label must be an integer, got 0.9"):
-        accuracy(net, X, [0.9, 1.2, 0.1])
+        evaluate(net, X, [0.9, 1.2, 0.1])
     with pytest.raises(ShapeError, match="one label per input row"):
-        accuracy(net, X, [5])
+        evaluate(net, X, [5])
     with pytest.raises(DomainError, match="label out of range"):
-        accuracy(net, X, [0, 1, 5])
+        evaluate(net, X, [0, 1, 5])
 
 
 def test_train_recalibrates_batch_norm_statistics(rng):
@@ -827,6 +833,6 @@ def test_train_recalibrates_batch_norm_statistics(rng):
     bn_input = trained.layers[0].forward(X)[0]
     bn = trained.layers[1]
     assert np.array_equal(bn.mean, bn_input.mean(axis=0)) and np.array_equal(bn.var, bn_input.var(axis=0))
-    inference = forward_loss(trained, X, y, bn_batch_stats=False)
-    assert abs(inference - forward_loss(trained, X, y, bn_batch_stats=True)) < 1e-9
+    inference = evaluate(trained, X, y)[0]
+    assert abs(inference - gradients(trained, X, y)[0]) < 1e-9
     assert history[-1]["loss"] == inference
