@@ -19,14 +19,23 @@ in a scan than here.
 The whole network's map, which has only one row per output, is built
 from the head: the last layer's selected map is pulled back through the
 earlier layers (`Layer.pull`, the step the hard backward takes), and each
-layer's offset enters through the rows pulled back to its output.  A
-prefix map,
-as wide as the hidden layer it ends at, is walked from the input instead
-(`Layer.push`).  Either way each step costs one matrix product per
-affine layer (dense, conv, skip block): activations and batch norm scale
-the running map's rows or columns, and both pools gather or scatter-add
-them (average pooling with its weights), instead of multiplying by a
-D x D diagonal, one-hot or averaging matrix.
+layer's offset enters through the rows pulled back to its output.  Each
+step costs one matrix product per affine layer (dense, conv, skip
+block): activations and batch norm scale the running map's columns, and
+both pools scatter-add them (average pooling with its weights), instead
+of multiplying by a D x D diagonal, one-hot or averaging matrix.
+
+A prefix map, as wide as the hidden layer it ends at, is walked from the
+input instead.  An activation, batch norm or max pool only picks and
+scales rows of the map before it (`Layer.pick`), so across a run of them
+the walk holds the map as the last dense map M, the composed row pick
+and the pending scales.  It builds the matrix only where a dense, conv,
+skip-block or average-pool layer (`Layer.push`) or the caller needs it:
+M's kept rows are gathered first and scaled in layer order, the same
+factors in the same order as pushing each layer in turn, so the bits are
+the same.  A first convolution lowers only the rows kept, and norms need
+no matrix at all: they come from M's squared row norms, which a first
+convolution reads off its filters.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import Dense, Network, SkipBlock, network_forward_batch
+from .layers import Dense, Network, SkipBlock, network_forward_batch, pick_rows
 from .ndcore import DomainError, StructureError, Tensor, as_int, as_seed
 
 __all__ = [
@@ -59,19 +68,89 @@ class AffineForm:
         return self.A @ np.asarray(x, dtype=np.float64).reshape(-1) + self.b
 
 
+class _Prefix:
+    """The affine map (A, b) of the layers walked so far, A held lazily.
+
+    A is M[rows] with its rows multiplied by each of `scales` in turn: M
+    is the map up to the last layer without a row pick (`Layer.pick`),
+    and rows and scales compose the picks of the layers after it (rows
+    None keeps every row).  At the start M is the first layer's own map,
+    never built whole: only the rows a later pick keeps are.  b is kept
+    as each layer's push leaves it.
+    """
+
+    def __init__(self, rows_of, sqnorms_of, b):
+        # rows_of(rows): M's rows, a new array unless rows is None (M itself)
+        self._rows_of, self._sqnorms_of, self._sqnorms = rows_of, sqnorms_of, None
+        self.rows, self.scales, self.b = None, [], b
+
+    @classmethod
+    def first(cls, layer, cache):
+        return cls(
+            lambda rows: layer.selected_rows(cache, rows),
+            lambda: layer.selected_sqnorms(cache),
+            np.reshape(layer.selected_offset(cache), -1).copy(),  # the one row's bsel
+        )
+
+    @classmethod
+    def dense(cls, M, b):
+        return cls(lambda rows: M if rows is None else M[rows], lambda: np.einsum("ij,ij->i", M, M), b)
+
+    def step(self, layer, cache):
+        """The map once `layer` follows, under its one-row hard cache."""
+        pick = layer.pick(cache)
+        if pick is None:
+            return _Prefix.dense(*layer.push(cache, self.matrix(), self.b))
+        rows, scale, shift = pick
+        b = pick_rows(pick, self.b)
+        self.b = b if shift is None else b + shift
+        if rows is not None:
+            self.scales = [s[rows] for s in self.scales]
+            self.rows = rows if self.rows is None else self.rows[rows]
+        if scale is not None:
+            self.scales.append(scale)
+        return self
+
+    def matrix(self):
+        """A as an array, which the caller must not write to.
+
+        M's kept rows are gathered first and then scaled in layer order,
+        so each entry meets the same factors in the same order as when
+        every layer's push runs in turn: the bits are the same.
+        """
+        A = self._rows_of(self.rows)
+        for i, s in enumerate(self.scales):
+            if i == 0 and self.rows is None:
+                A = s[:, None] * A  # M itself is never written to
+            else:
+                A *= s[:, None]
+        return A
+
+    def norm(self) -> float:
+        """Frobenius norm of A, from M's squared row norms:
+        sqrt(sum of scale^2 * rownorm^2 over the kept rows)."""
+        if self._sqnorms is None:
+            self._sqnorms = self._sqnorms_of()
+        sq = self._sqnorms if self.rows is None else self._sqnorms[self.rows]
+        for s in self.scales:
+            sq = sq * (s * s)
+        return float(np.sqrt(sq.sum()))
+
+
 def _walk(net: Network, x: Tensor, n: int | None):
-    """Yield (A, b), the affine map of the layers so far, after each of
-    the first n layers (all when None) around x.
+    """Yield the map of the layers so far (a `_Prefix`, which the next
+    step may change) after each of the first n layers (all when None)
+    around x.
 
     The walk reads the caches of one hard forward of x as a one-row
     batch: each layer's map is the one its forward cache selected.  The
     first layer's map is taken as it is, not multiplied into an identity.
     """
     _, caches = network_forward_batch(net, np.reshape(x, (1, -1)), n)
-    A = b = None
+    prefix = None
     for layer, cache in zip(net.layers, caches):
-        A, b = layer.selected_affine(cache) if A is None else layer.push(cache, A, b)
-        yield A, b
+        prefix = _Prefix.first(layer, cache) if prefix is None else prefix.step(layer, cache)
+        yield prefix
 
 
 def _pull(layers, caches, A, b):
@@ -101,12 +180,12 @@ def decompose(net: Network, x: Tensor, upto_layer: int | None = None) -> AffineF
         A, b = net.layers[-1].selected_affine(caches[-1])
         A, b = _pull(net.layers[:-1], caches[:-1], A[None], b[None])
         return AffineForm(A[0], b[0])
-    A = b = None
-    for A, b in _walk(net, x, upto_layer):
+    prefix = None
+    for prefix in _walk(net, x, upto_layer):
         pass
-    if A is None:  # an empty prefix is the identity map
-        A, b = np.eye(net.dims[0]), np.zeros(net.dims[0])
-    return AffineForm(A, b)
+    if prefix is None:  # an empty prefix is the identity map
+        return AffineForm(np.eye(net.dims[0]), np.zeros(net.dims[0]))
+    return AffineForm(prefix.matrix(), prefix.b)
 
 
 def class_templates(net: Network, x: Tensor) -> tuple[Tensor, Tensor]:
@@ -153,8 +232,16 @@ def resnet_ensemble_terms(net: Network, x: Tensor) -> list:
 
 
 def partial_product_norms(net: Network, x: Tensor) -> list:
-    """Frobenius norms of the depth-d selected products, d = 1 .. L-1."""
-    return [float(np.linalg.norm(A)) for A, _ in _walk(net, x, max(len(net.layers) - 1, 0))]
+    """Frobenius norms of the depth-d selected products, d = 1 .. L-1.
+
+    Each norm is summed from squared row norms (see `_Prefix.norm`), so
+    a depth whose layers since the last dense, conv, skip-block or
+    average-pool layer only pick and scale rows builds no matrix, and a
+    first convolution is never lowered whole.  The norms agree with
+    `np.linalg.norm(decompose(net, x, upto_layer=d).A)` to rounding (they
+    sum in another order), not bit for bit.
+    """
+    return [prefix.norm() for prefix in _walk(net, x, max(len(net.layers) - 1, 0))]
 
 
 def convexity_probe(net: Network, samples: int, seed: int = 0, tol: float = 1e-9):

@@ -12,8 +12,9 @@ enter flattened and convolutions carry their expected (C, H, W) input
 shape.  Each layer kind is one class that owns its dimensions, its
 batched forward in the hard, soft and beta regimes (the hard one is the
 inference forward), the matching backward, the map a hard forward
-selected (as `pull`, `selected_offset` and `push`; the dense map and
-the MASO form derive from `pull`, see `Layer`) and its trainable
+selected (as `pull` and `selected_offset`, and as a row pick for the
+kinds that select one scaled input per unit; the dense map, `push` and
+the MASO form derive from these, see `Layer`) and its trainable
 arrays.  Selection is `maso.select` (and its backward), except the
 activation's hard forward, whose z > 0 test gives the same codes.
 
@@ -28,9 +29,10 @@ Convolution runs by gathered windows (im2col): the forward, the filter
 gradient and `pull` gather through two index arrays and make one matrix
 product each, over row chunks of a fixed entry budget, so no (out x in)
 array is formed.  The explicit matrix form is lowered from the current
-filters only where it is the answer: `conv_to_matrix`, the selected map
-and so the first step of a prefix walk, the MASO form and a skip block's
-branches; no lowered copy is kept, so none can go stale.  The geometry
+filters only where it is the answer: `conv_to_matrix`, the selected map,
+the MASO form and a skip block's branches, and in the first step of a
+prefix walk only the rows a later max pool keeps; no lowered copy is
+kept, so none can go stale.  The geometry
 is stated once, as the window index `_conv_windows` that the forward,
 backward, `pull` and `conv_to_matrix` read; both pools gather their
 input through one padded index matrix and scatter onto it.  Index
@@ -102,21 +104,24 @@ class Layer:
     d loss / d beta or None); dims() is (input width, output width).
 
     Each kind states the map (Asel, bsel) its hard cache selected in
-    three methods.  pull(cache, G) is the step from the output: for a
+    two methods.  pull(cache, G) is the step from the output: for a
     hard cache of n rows and G of shape (n, ..., out) it is G @ Asel of
     each row, shape (n, ..., in), and a hard cache's input gradient.
-    selected_offset(cache) is each row's bsel.  push(cache, A, b) is the
-    step from the input, (Asel A, Asel b + bsel) for a one-row cache,
-    one step of an exact decomposition walk.  Derived from these:
-    selected_affine(cache), the dense (Asel, bsel) of a one-row cache,
-    is the identity pulled through the layer (dense and skip block
-    return the matrix they hold instead, and conv lowers its filters,
-    which costs no product),
-    and as_maso(), the MASO whose hard forward is the inference forward,
-    has as region r the map selected by the cache of the zero input with
-    every code set to r, for each of the `pieces` regions.
-    `network_forward_batch` is the one loop that runs a network's
-    layers.
+    selected_offset(cache) is each row's bsel.  Activations, batch norm
+    and max pooling select one scaled input per output unit, and state
+    the map of a one-row cache a third time, as a row pick (`pick`).
+    Derived from these: selected_affine(cache), the dense (Asel, bsel)
+    of a one-row cache, is the identity pulled through the layer (dense
+    and skip block return the matrix they hold instead, and conv lowers
+    its filters, which costs no product); push(cache, A, b), the step
+    from the input, (Asel A, Asel b + bsel) for a one-row cache, gathers
+    and scales A's rows as the pick says, and multiplies by the dense
+    Asel where there is no pick (average pooling gathers with its
+    weights instead); and as_maso(), the MASO whose hard forward is the
+    inference forward, has as region r the map selected by the cache of
+    the zero input with every code set to r, for each of the `pieces`
+    regions.  `network_forward_batch` is the one loop that runs a
+    network's layers.
     """
 
     selector = False  # picks a region per unit: has codes and a beta
@@ -137,17 +142,43 @@ class Layer:
         """(Asel, bsel) of a one-row hard cache: the pulled identity."""
         return self.pull(cache, np.eye(self.dims()[1])[None])[0], self.selected_offset(cache)
 
+    def selected_rows(self, cache, rows=None):
+        """Rows `rows` of the Asel a one-row hard cache selected (every row
+        when None), as a new array; conv lowers only those rows."""
+        A = self.selected_affine(cache)[0]
+        return A if rows is None else A[rows]
+
+    def selected_sqnorms(self, cache):
+        """Squared Euclidean norms of the rows of that Asel."""
+        A = self.selected_affine(cache)[0]
+        return np.einsum("ij,ij->i", A, A)
+
+    def pick(self, cache):
+        """The map a one-row hard cache selected as a row pick, or None.
+
+        (rows, scale, shift): row i of Asel is scale[i] times unit row
+        rows[i], and bsel is shift.  rows None keeps every row, scale None
+        is 1 and shift None is no offset.  None for kinds whose map is not
+        one scaled input per output unit.
+        """
+        return None
+
     def push(self, cache, A, b):
         """(Asel A, Asel b + bsel) for the (Asel, bsel) the hard cache selected.
 
-        Activations and batch norm override this to scale A's rows, and max
-        pooling to gather them, in place of a product with a diagonal or
-        one-hot matrix; the results equal the product entry for entry.
-        Average pooling gathers them with its weights, which sums in
-        another order than the product: equal to rounding, not bit for bit.
+        A pick gathers and scales A's rows in place of a product with a
+        diagonal or one-hot matrix; the results equal the product entry
+        for entry.  Average pooling overrides this to gather rows with its
+        weights, which sums in another order than the product: equal to
+        rounding, not bit for bit.
         """
-        Asel, bsel = self.selected_affine(cache)
-        return Asel @ A, Asel @ b + bsel
+        pick = self.pick(cache)
+        if pick is None:
+            Asel, bsel = self.selected_affine(cache)
+            return Asel @ A, Asel @ b + bsel
+        shift = pick[2]
+        b = pick_rows(pick, b)
+        return pick_rows(pick, A), b if shift is None else b + shift
 
     def as_maso(self) -> MasoParams:
         """Region r of every unit: the map selected when each code reads r."""
@@ -299,6 +330,15 @@ class Conv(Layer):
     def selected_affine(self, cache):
         return conv_to_matrix(self), self.bias_flat()
 
+    def selected_rows(self, cache, rows=None):
+        return conv_to_matrix(self, rows)
+
+    def selected_sqnorms(self, cache):
+        # row o * P + p holds filter o's taps that fall inside the input
+        win = _conv_windows(self)[0]
+        F = self.filters.reshape(self.filters.shape[0], win.shape[0])
+        return ((F * F) @ (win < self.dims()[0])).reshape(-1)
+
     def selected_offset(self, cache):
         return self.bias_flat()
 
@@ -376,14 +416,21 @@ class Activation(Layer):
         lo, hi = self.slopes()
         return np.where(cache["codes"] == 1, hi, lo)
 
-    def push(self, cache, A, b):
+    def pick(self, cache):
         # diag(s) @ A has one nonzero term per entry, so scaling rows is exact
-        s = self.selected_slopes(cache)[0]
-        return s[:, None] * A, s * b
+        return None, self.selected_slopes(cache)[0], None
 
     def pull(self, cache, G):
         # likewise G @ diag(s) scales G's columns
         return G * _per_row(self.selected_slopes(cache), G)
+
+
+def pick_rows(pick, V):
+    """V's rows as a row pick (rows, scale, shift) takes them: scale * V[rows]
+    along V's first axis.  The shift is not added."""
+    rows, scale, _ = pick
+    V = V if rows is None else V[rows]
+    return V if scale is None else scale.reshape((-1,) + (1,) * (V.ndim - 1)) * V
 
 
 def _per_row(v, G):
@@ -486,10 +533,9 @@ class MaxPool(_Pool):
         idx = cache["idx"]
         return idx[np.arange(idx.shape[0]), cache["codes"]]
 
-    def push(self, cache, A, b):
+    def pick(self, cache):
         # one-hot rows select rows exactly
-        w = self._winners(cache)[0]
-        return A[w], b[w]
+        return self._winners(cache)[0], None, None
 
     @property
     def pieces(self) -> int:
@@ -583,9 +629,8 @@ class BatchNorm(Layer):
         Z = np.ascontiguousarray(Z)
         self.mean, self.var = Z.mean(axis=0), Z.var(axis=0)
 
-    def push(self, cache, A, b):
-        scale, shift = bn_fold_affine(self)
-        return scale[:, None] * A, scale * b + shift
+    def pick(self, cache):
+        return (None, *bn_fold_affine(self))
 
     def pull(self, cache, G):
         # the backward's grouping, so the inference-view gradient keeps its bits
@@ -805,8 +850,9 @@ def _chunks(n: int, width: int):
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def conv_to_matrix(conv: Conv) -> Tensor:
-    """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias.
+def conv_to_matrix(conv: Conv, rows=None) -> Tensor:
+    """Explicit (out_dim x in_dim) matrix M with conv(x) = M x + bias, or
+    only its rows `rows` (integers in [0, out_dim)), in that order.
 
     The filter entries are scattered through the window index of
     `_conv_windows`, the one the forward, backward and pull gather
@@ -814,12 +860,20 @@ def conv_to_matrix(conv: Conv) -> Tensor:
     """
     win = _conv_windows(conv)[0]
     c_out, (T, P), d_in = conv.filters.shape[0], win.shape, conv.dims()[0]
-    size = c_out * P * d_in
+    if rows is None:
+        rows = np.arange(c_out * P)
+    else:
+        rows = as_ints(rows, "conv matrix row")
+        if rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < c_out * P:
+            raise DomainError(f"conv matrix rows must be a list of integers in [0, {c_out * P})")
+    n = rows.shape[0]
+    o, p = np.divmod(rows, P)
+    cols = win[:, p]  # (T, n): the input entry each requested row reads through tap t
     # a tap on the zero border lands in one spare entry past the matrix
-    flat = np.where(win < d_in, np.arange(c_out * P).reshape(c_out, 1, P) * d_in + win, size)
-    M = np.zeros(size + 1)
-    M[flat] = conv.filters.reshape(c_out, T, 1)
-    return M[:size].reshape(c_out * P, d_in)
+    flat = np.where(cols < d_in, np.arange(n) * d_in + cols, n * d_in)
+    M = np.zeros(n * d_in + 1)
+    M[flat] = conv.filters.reshape(c_out, T)[o].T
+    return M[:-1].reshape(n, d_in)
 
 
 # ---------------------------------------------------------------------------

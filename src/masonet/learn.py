@@ -93,6 +93,9 @@ class TrainConfig:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "beta" and not 0.0 < L._number(self.beta, "beta") < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
+        if not isinstance(self.beta_learnable, (bool, np.bool_)):
+            raise DomainError(f"beta_learnable must be True or False, got {self.beta_learnable!r}")
+        self.beta_learnable = bool(self.beta_learnable)
         if self.beta_learnable and self.beta_mode != "beta":
             raise DomainError(f"a learnable beta needs beta_mode 'beta', not {self.beta_mode!r}")
         self.seed = as_seed(self.seed, "training seed")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,10 @@ def make_skip_chain(rng, blocks=2, with_head=True, shape=(2, 3, 3)):
 
 # --- decomposition ------------------------------------------------------------
 
-def every_kind_net(rng):
+def every_kind_net(rng, kind=None):
     """Random conv -> act -> batch norm -> skip block -> max pool -> avg pool
-    -> dense chain; conv padding, stride, kernel and activation vary."""
+    -> dense chain; conv padding, stride, kernel and activation (unless
+    `kind` names it) vary."""
     c, h, w = int(rng.integers(1, 3)), int(rng.integers(5, 8)), int(rng.integers(5, 8))
     padding = ("valid", "same-zero")[int(rng.integers(2))]
     stride = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
@@ -64,7 +67,7 @@ def every_kind_net(rng):
     return L.Network(
         [
             conv,
-            L.Activation(("relu", "lrelu", "abs")[int(rng.integers(3))], d1, nu=0.1),
+            L.Activation(kind or ("relu", "lrelu", "abs")[int(rng.integers(3))], d1, nu=0.1),
             bn,
             block,
             L.MaxPool(max_regions, d1),
@@ -87,8 +90,9 @@ def test_walks_reproduce_forward_for_every_layer_kind(seed):
     assert np.max(np.abs(decompose(net, x)(x) - f)) <= bound
     T, biases = class_templates(net, x)
     assert np.max(np.abs(T @ x + biases - f)) <= bound
-    expect = [np.linalg.norm(decompose(net, x, upto_layer=d).A) for d in range(1, 7)]
-    assert partial_product_norms(net, x) == expect
+    expect = np.array([np.linalg.norm(decompose(net, x, upto_layer=d).A) for d in range(1, 7)])
+    # the norms are summed from row norms, in another order than the matrix's
+    assert np.all(np.abs(np.array(partial_product_norms(net, x)) - expect) <= 1e-14 * expect)
 
 
 
@@ -136,9 +140,108 @@ def test_walks_equal_the_product_reference(seed):
     form = decompose(net, x, upto_layer=len(net.layers) - 1)
     assert np.all(np.abs(form.A - A) <= 1e-15 * np.abs(A_in).max(axis=0))
     assert np.all(np.abs(form.b - b) <= 1e-15 * np.abs(b_in).max())
-    norms = [float(np.linalg.norm(A)) for A, _ in steps[:-1]]
-    assert partial_product_norms(net, x)[:-1] == norms[:-1]
-    assert abs(partial_product_norms(net, x)[-1] - norms[-1]) <= 1e-15 * norms[-1]
+    norms = np.array([np.linalg.norm(A) for A, _ in steps[:-1]])
+    got = np.array(partial_product_norms(net, x))
+    assert np.all(np.abs(got[:-1] - norms[:-1]) <= 1e-14 * norms[:-1])
+    assert abs(got[-1] - norms[-1]) <= 1e-15 * norms[-1]
+
+
+def eager_walk(net, x):
+    """(A, b) after each layer: the first layer's own selected map, then
+    each later layer's push run on the whole running map in turn."""
+    _, caches = L.network_forward_batch(net, np.reshape(x, (1, -1)))
+    A = b = None
+    for layer, cache in zip(net.layers, caches):
+        A, b = layer.selected_affine(cache) if A is None else layer.push(cache, A, b)
+        yield A, b
+
+
+def back_to_back_net(rng, after):
+    """A net whose one-pick layers (activations, max pools and batch norms,
+    whose scales may be negative) run back to back after a "dense",
+    "conv" or "skip" block first layer, then after a dense layer."""
+    def bn(d):
+        return L.BatchNorm(rng.standard_normal(d) * 0.1, rng.random(d) + 0.5,
+                           rng.standard_normal(d), 0.1 * rng.standard_normal(d))
+
+    def conv(shape, k, bias=True):
+        return L.Conv(rng.standard_normal((2, shape[0], k, k)) * 0.5,
+                      rng.standard_normal(2) * 0.1 if bias else np.zeros(2), (1, 1), "same-zero", shape)
+
+    if after == "dense":
+        d = 8
+        head = [L.Dense(rng.standard_normal((d, 6)), rng.standard_normal(d) * 0.1),
+                L.Activation("abs", d), bn(d), L.MaxPool(tuple((i, i + 1) for i in range(d - 1)), d)]
+        in_shape, d = (6,), d - 1
+    else:
+        in_shape = (2, 5, 5)
+        d = 50
+        first = conv(in_shape, 3) if after == "conv" else L.SkipBlock(
+            conv(in_shape, 3), L.Activation("relu", d), conv(in_shape, 1, bias=False),
+            rng.standard_normal(d) * 0.1)
+        # overlapping windows: one row is picked twice
+        overlap, pooled = L.pool_regions_2d(in_shape, (2, 2), (1, 1))
+        halves, _ = L.pool_regions_2d(pooled, (2, 2))
+        head = [first, L.Activation("lrelu", d, nu=0.2), L.MaxPool(overlap, d), bn(len(overlap)),
+                L.MaxPool(halves, len(overlap))]
+        d = len(halves)
+    tail = [L.Dense(rng.standard_normal((5, d)), rng.standard_normal(5) * 0.1),
+            L.Activation("relu", 5), bn(5), L.Activation("abs", 5),
+            L.Dense(rng.standard_normal((3, 5)), np.zeros(3))]
+    return L.Network(head + tail, in_shape, 3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["relu", "lrelu", "abs", "dense", "conv", "skip"]))
+def test_prefix_walks_equal_the_eager_pushes_bit_for_bit(seed, which):
+    # the walk holds one-pick layers lazily, gathers rows before it scales
+    # them and lowers a first conv's kept rows only; every prefix map keeps
+    # the bits (signed zeros included) of pushing each layer in turn
+    rng = np.random.default_rng(seed)
+    net = every_kind_net(rng, which) if which in L.ACTIVATION_SLOPES else back_to_back_net(rng, which)
+    x = rng.standard_normal(net.dims[0])
+    eager = list(eager_walk(net, x))[:-1]
+    for depth, (A, b) in enumerate(eager, start=1):
+        form = decompose(net, x, upto_layer=depth)
+        assert form.A.shape == A.shape and form.A.tobytes() == A.tobytes(), depth
+        assert form.b.shape == b.shape and form.b.tobytes() == b.tobytes(), depth
+    # the norms are summed from row norms, in another order
+    norms = np.array([np.linalg.norm(A) for A, _ in eager])
+    assert np.all(np.abs(np.array(partial_product_norms(net, x)) - norms) <= 1e-14 * norms)
+
+
+def test_prefix_walks_lower_only_the_kept_conv_rows(monkeypatch):
+    # conv(8, 3, 3, 3) on 3x16x16 -> relu -> 2x2 max pool -> dense: the
+    # whole lowered conv is 2,048 x 768 (12.6 MB); the max pool keeps 512
+    # of its rows (3.1 MB), and the norms need none of them
+    rng = np.random.default_rng(0)
+    shape = (3, 16, 16)
+    conv = L.Conv(rng.standard_normal((8, 3, 3, 3)) * 0.3, rng.standard_normal(8) * 0.1,
+                  (1, 1), "same-zero", shape)
+    d = conv.dims()[1]
+    regions, _ = L.pool_regions_2d(L.conv_out_shape(conv), (2, 2))
+    net = L.Network([conv, L.Activation("relu", d), L.MaxPool(regions, d),
+                     L.Dense(rng.standard_normal((10, len(regions))) * 0.1, np.zeros(10))], shape, 10)
+    x = rng.standard_normal(net.dims[0])
+    lowered = []  # the row count of each lowering
+    lower = L.conv_to_matrix
+    monkeypatch.setattr(L, "conv_to_matrix", lambda conv, rows=None: lowered.append(
+        conv.dims()[1] if rows is None else len(rows)) or lower(conv, rows))
+
+    def peak(fn):
+        fn()  # builds the shared index arrays outside the measurement
+        lowered.clear()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    norms_peak = peak(lambda: partial_product_norms(net, x))
+    assert lowered == [] and norms_peak < 2**20, f"peak {norms_peak / 2**20:.2f} MiB"
+    prefix_peak = peak(lambda: decompose(net, x, upto_layer=3))
+    assert lowered == [512] and prefix_peak < 8 * 2**20, f"peak {prefix_peak / 2**20:.2f} MiB"
 
 
 def test_decompose_builds_no_diagonal_or_one_hot_map_past_the_first_layer(rng, monkeypatch):

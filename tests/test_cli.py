@@ -151,6 +151,18 @@ def test_non_finite_cell_exits_2_with_its_line(tmp_path, capsys):
     assert f"{p}:3: feature cell 'nan' is not finite" in capsys.readouterr().err
 
 
+def test_single_row_commands_check_the_whole_dataset(tmp_path, capsys):
+    # row --k is read only after the whole file has parsed: a bad line past it exits 2
+    skip = str(tmp_path / "skip.json")
+    cli.save_network(skip_net(), skip)
+    for command, net, width in (("decompose", "mlp:2-4-4", 2), ("templates", "mlp:2-4-4", 2),
+                                ("norms", "mlp:2-4-4", 2), ("ensemble", skip, 9)):
+        p = tmp_path / f"{command}.csv"
+        p.write_text(("0.5," * width + "0\n") * 3 + "x," * width + "1\n")
+        assert cli.main([command, "--net", net, "--data", str(p), "--k", "0"]) == 2, command
+        assert f"{p}:4: non-numeric feature cell" in capsys.readouterr().err, command
+
+
 def test_bulk_parse_warning_falls_back_to_the_line_scan(tmp_path, monkeypatch):
     """numpy 1.23-1.26 parse an integer cell '1.0' through float with a
     DeprecationWarning; the loader must then give int()'s verdict."""

@@ -323,6 +323,13 @@ def test_gathered_conv_equals_the_lowered_matrix(data):
     assert dbeta is None
     assert within(pulled, G4 @ M)
     assert np.array_equal(A, M) and np.array_equal(b, conv.bias_flat())
+    # any rows, repeated or none, lower bit for bit as in the whole matrix
+    rows = rng.integers(0, d_out, int(rng.integers(0, 2 * d_out + 1)))
+    assert np.array_equal(L.conv_to_matrix(conv, rows), M[rows])
+    assert within_rounding(conv.selected_sqnorms(None), (M * M).sum(axis=1), (M * M).sum(axis=1), 1e-14)
+    for bad in ([-1], [d_out], [[0]], [0.5]):
+        with pytest.raises(DomainError, match="conv matrix row"):
+            L.conv_to_matrix(conv, bad)
 
 
 @pytest.mark.parametrize("filters, stride, padding, in_shape", [
@@ -335,6 +342,7 @@ def test_zero_size_convs_equal_the_lowered_matrix(filters, stride, padding, in_s
     rng = np.random.default_rng(0)
     conv = L.Conv(rng.standard_normal(filters), rng.standard_normal(filters[0]), stride, padding, in_shape)
     M = L.conv_to_matrix(conv)
+    assert np.array_equal(L.conv_to_matrix(conv, np.arange(M.shape[0])), M)
     for n in (0, 2):
         Z = rng.standard_normal((n, M.shape[1]))
         G = rng.standard_normal((n, 3, M.shape[0]))

@@ -668,6 +668,21 @@ def test_train_config_validation():
             TrainConfig(beta_mode=mode, beta_learnable=True)
 
 
+def test_train_config_beta_learnable_is_a_bool(rng):
+    # a truthy non-bool turned learning on, and an array raised a bare ValueError
+    for bad in ("no", "yes", 1, 0, 1.0, None, np.array([1, 0]), np.array(True)):
+        with pytest.raises(DomainError, match="beta_learnable must be True or False"):
+            TrainConfig(beta_mode="beta", beta_learnable=bad)
+    for flag in (True, False, np.True_, np.False_):
+        config = TrainConfig(beta_mode="beta", beta_learnable=flag)
+        assert config.beta_learnable is bool(flag)
+    # a learnable beta moves; a fixed one is never reported
+    net = L.make_mlp([2, 4, 2], seed=0)
+    X, y = two_blob_data(rng, n=20)
+    _, fixed = train(net, (X, y), TrainConfig(epochs=1, beta_mode="beta", beta_learnable=np.False_))
+    assert "betas" not in fixed[-1]
+
+
 def test_train_config_rejects_bad_batch_and_penalties():
     for bad in ({"batch_size": 0}, {"gamma": -5.0}, {"lam": -0.1}):
         with pytest.raises(DomainError):
