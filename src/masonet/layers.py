@@ -15,8 +15,11 @@ inference forward), the matching backward, the map a hard forward
 selected (as `pull` and `selected_offset`, and as a row pick for the
 kinds that select one scaled input per unit; the dense map, `push` and
 the MASO form derive from these, see `Layer`) and its trainable
-arrays.  Selection is `maso.select` (and its backward), except the
-activation's hard forward, whose z > 0 test gives the same codes.
+arrays.  Max pooling selects through `maso.select` (and its backward).
+An activation has two regions and selects in closed form: hard by a
+z > 0 test, which gives the kernel's codes, and soft by a sigmoid gate of
+its score gap, the kernel's two-region softmax (the swish family), equal
+to it to rounding.
 
 A region is chosen only in the forward: the hard backward, the selected
 affine map and the decomposition steps all read the codes of the
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maso import MasoParams, select, select_backward
+from .maso import MasoParams, _beta, select, select_backward
 from .ndcore import (
     DomainError,
     ShapeError,
@@ -96,7 +99,11 @@ class Layer:
     forward(Z, beta, batch_stats) maps a batch (n, in) to (n, out) and
     returns (out, cache).  A selector selects hard exactly when beta is
     None and otherwise softly under that beta (1/2 is soft VQ); the other
-    kinds ignore beta.  The defaults, hard selection without batch
+    kinds ignore beta.  A selector's beta is checked as `maso.forward`
+    checks it: one value, or one per output unit (shape (K,) for K
+    outputs; a skip block's units are its activation's), each inside
+    (0, 1); another shape raises ShapeError, a value outside DomainError.
+    The defaults, hard selection without batch
     statistics, are the inference forward; a selector's hard cache holds
     its (n, K) region codes under "codes", which is how its backward tells
     the hard cache from the soft one.  backward(cache, G) returns
@@ -364,7 +371,17 @@ def _number(x, field: str) -> float:
 
 @dataclass(eq=False)
 class Activation(Layer):
-    """Elementwise two-region nonlinearity: relu, lrelu(nu) or abs."""
+    """Elementwise two-region nonlinearity: relu, lrelu(nu) or abs.
+
+    Region r of unit k scores a_r z with slopes (a_0, a_1) = (lo, hi).
+    Hard, z > 0 picks the region.  Softly under beta, the softmax of the
+    two scores scaled by eta = beta/(1-beta) is (1 - t, t) with t the
+    sigmoid of eta d z, d = hi - lo, so out = z (lo + d t): swish for
+    relu.  The soft cache holds Z, t and beta; the backward substitutes
+    T = (1 - t, t) into the kernel's formulas: the input gradient is the
+    output's slope lo + d t plus eta z d^2 t (1 - t), d^2 t (1 - t) being
+    the gate's variance of the two slopes.
+    """
 
     kind: str
     dim: int
@@ -397,16 +414,29 @@ class Activation(Layer):
             on = Z > 0
             out = np.maximum(Z, 0.0) if self.kind == "relu" else np.where(on, hi * Z, lo * Z)
             return out, {"Z": Z, "codes": on.view(np.uint8)}
-        s = np.stack([lo * Z, hi * Z]).transpose(1, 2, 0)  # region-major, see ndcore
-        out, T = select(s, beta)
-        return out, {"s": s, "T": T, "beta": beta}
+        # softmax(eta [lo z, hi z]) is (1 - t, t) with t = 1 / (1 + exp(-eta d z)),
+        # one gate per unit.  This form keeps t's relative precision where t is
+        # tiny, which 0.5 + 0.5 tanh(eta d z / 2) loses; capping exp's argument
+        # at 709 keeps it finite and moves only values of t below 1e-307
+        beta = _beta(beta, self.dim, open_interval=True)
+        t = np.minimum((lo - hi) * (beta / (1.0 - beta)) * Z, 709.0)
+        np.exp(t, out=t)
+        t += 1.0
+        np.reciprocal(t, out=t)
+        return Z * (lo + (hi - lo) * t), {"Z": Z, "t": t, "beta": beta}
 
     def backward(self, cache, G):
         if "codes" in cache:
             return self.pull(cache, G), {}, None
         lo, hi = self.slopes()
-        Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
-        return Gs[..., 0] * lo + Gs[..., 1] * hi, {}, dbeta
+        Z, t, beta = cache["Z"], cache["t"], cache["beta"]
+        d = hi - lo
+        # through the gate, d out / d (eta z) is z times the gate's variance
+        # of the two slopes, d^2 t (1 - t)
+        zv = Z * (t * (1.0 - t))
+        dZ = G * (lo + d * t + (d * d * beta / (1.0 - beta)) * zv)
+        dbeta = np.sum(G * Z * zv, axis=tuple(range(G.ndim - beta.ndim)))
+        return dZ, {}, (d * d) * dbeta / (1.0 - beta) ** 2
 
     def near_boundary(self, cache, gap):
         return bool(np.any(np.abs(cache["Z"]) < gap))
@@ -431,6 +461,12 @@ def pick_rows(pick, V):
     rows, scale, _ = pick
     V = V if rows is None else V[rows]
     return V if scale is None else scale.reshape((-1,) + (1,) * (V.ndim - 1)) * V
+
+
+def _per_unit(beta):
+    """A checked beta as `maso.select` reads it against (..., K, R) scores:
+    K per-unit values become a (K, 1) column."""
+    return beta[:, None] if beta.ndim else beta
 
 
 def _per_row(v, G):
@@ -501,14 +537,17 @@ class MaxPool(_Pool):
     def forward(self, Z, beta=None, batch_stats=False):
         idx = self.padded_indices()
         s = Z.T[idx.T].T  # region-major (F-ordered), see ndcore
-        out, sel = select(s, beta)
+        if beta is not None:
+            beta = _beta(beta, len(self.regions), open_interval=True)
+        out, sel = select(s, None if beta is None else _per_unit(beta))
         return out, {"idx": idx, "s": s, "beta": beta, ("codes" if beta is None else "T"): sel}
 
     def backward(self, cache, G):
         if "codes" in cache:
             return self.pull(cache, G), {}, None
-        Gs, dbeta = select_backward(G, cache["s"], cache["T"], cache["beta"])
-        return self._scatter(cache["idx"], Gs, 1), {}, dbeta
+        beta = cache["beta"]
+        Gs, dbeta = select_backward(G, cache["s"], cache["T"], _per_unit(beta))
+        return self._scatter(cache["idx"], Gs, 1), {}, dbeta.reshape(beta.shape)
 
     def pull(self, cache, G):
         # the transposed one-hot rows add G's columns onto the winners, which

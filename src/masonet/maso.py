@@ -10,9 +10,11 @@ eta = beta/(1-beta) before the softmax interpolates between the uniform
 selection (beta -> 0), soft VQ (beta = 1/2), and hard VQ (beta -> 1).
 
 `select` defines the three regimes once, over the last axis of a batch of
-`scores`; `forward` runs it on a MASO, and `layers` and the CLI call it
-directly.  Everything here takes and returns plain arrays over any
-leading batch shape: inputs (..., D), hard codes as int64 (..., K), a
+`scores`; `forward` runs it on a MASO, and the max pool and the CLI call
+it directly.  A two-region softmax is a sigmoid of the score gap, so the
+activation layers compute theirs in closed form instead (see `layers`).
+Everything here takes and returns plain arrays over any leading batch
+shape: inputs (..., D), hard codes as int64 (..., K), a
 selection T as (..., K, R), and beta as one value or one per unit.  Each
 function checks the array it takes: `scores` the input width, `forward`
 beta, `selection_to_affine` the codes and `entropy_objective` T.  Scores
@@ -106,8 +108,11 @@ def select(s: Tensor, beta=None) -> tuple[Tensor, Tensor]:
 
     Hard exactly when beta is None: the maximum and the region codes (ties
     to the lowest index).  Otherwise the T-weighted score sum and T =
-    softmax(eta s), eta = beta/(1-beta); beta may broadcast against s[..., :1].
+    softmax(eta s), eta = beta/(1-beta); beta may broadcast against s[..., :1],
+    so K per-unit values of (..., K, R) scores come as a (K, 1) column.
     The work runs on s in region-major layout (see `ndcore`), which T keeps.
+    For R = 2, T = (1 - t, t) with t = sigmoid(eta (s1 - s0)), the closed
+    form `layers.Activation` uses.
     """
     s = region_major(s)
     if beta is None:

@@ -96,7 +96,7 @@ def as_tensor(x, field: str) -> Tensor:
     if bad:
         raise DomainError(f"{field} must be a real number, got {bad[0]}")
     a = a.astype(np.float64, copy=False)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise DomainError(f"{field} must be finite, got {a[~np.isfinite(a)][0]}")
     return a
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from masonet import layers as L
 from masonet import learn
 from masonet.analysis import decompose
-from masonet.maso import forward, scores, select, selection_to_affine
+from masonet.maso import forward, scores, select, select_backward, selection_to_affine
 from masonet.ndcore import DomainError, ShapeError, WindowError
 from test_analysis import every_kind_net, lowered_filter_gradient, maso_selected_affine
 
@@ -988,10 +989,15 @@ def test_every_selection_goes_through_the_maso_kernel(monkeypatch, rng):
 
     Z = rng.standard_normal((3, 4))
     act, pool = L.Activation("lrelu", 4, nu=0.1), L.MaxPool(((0, 1), (2, 3)), 4)
-    for layer in (act, pool):
-        assert run(lambda: layer.forward(Z, 0.3)) == ["select"]
-        out, cache = layer.forward(Z, 0.3)
-        assert run(lambda: layer.backward(cache, np.ones_like(out))) == ["select_backward"]
+    assert run(lambda: pool.forward(Z, 0.3)) == ["select"]
+    out, cache = pool.forward(Z, 0.3)
+    assert run(lambda: pool.backward(cache, np.ones_like(out))) == ["select_backward"]
+    # the activation's two-region softmax is a sigmoid gate of its score gap,
+    # computed in closed form: its soft path calls the kernel as little as
+    # its hard one
+    assert run(lambda: act.forward(Z, 0.3)) == []
+    out, cache = act.forward(Z, 0.3)
+    assert run(lambda: act.backward(cache, np.ones_like(out))) == []
     assert run(lambda: pool.forward(Z)) == ["select"]
     # the hard forward is the only place a region is chosen: the steps that
     # read its cache select nothing again
@@ -1016,12 +1022,101 @@ def test_selector_scores_and_selections_are_region_major(rng):
 
     Z = rng.standard_normal((5, 6))
     act, pool = L.Activation("relu", 6), L.MaxPool(((0, 1), (2, 3), (4, 5)), 6)
-    for layer, K in ((act, 6), (pool, 3)):
-        for beta in (0.5, rng.uniform(0.2, 0.8, (K, 1))):
-            _, cache = layer.forward(Z, beta)
-            assert _region_outermost(cache["s"]) and _region_outermost(cache["T"])
+    for beta in (0.5, rng.uniform(0.2, 0.8, 3)):
+        _, cache = pool.forward(Z, beta)
+        assert _region_outermost(cache["s"]) and _region_outermost(cache["T"])
     assert _region_outermost(pool.forward(Z)[1]["s"])
-    # the activation stacks its two slabs in the C order of its input
-    assert np.moveaxis(act.forward(Z, 0.5)[1]["s"], -1, 0).flags.c_contiguous
+    # the activation stacks no scores: its soft cache holds the input and
+    # the gate t of the active region, in the input's shape
+    for beta in (0.5, rng.uniform(0.2, 0.8, 6)):
+        cache = act.forward(Z, beta)[1]
+        assert set(cache) == {"Z", "t", "beta"} and cache["Z"] is Z and cache["t"].shape == Z.shape
     assert _region_outermost(select(rng.standard_normal((5, 6, 3)), 0.5)[1])
     assert not _region_outermost(np.stack([Z, Z], axis=-1))
+
+
+def _kernel_activation(act, Z, G, beta):
+    """The activation's soft output, active-region selection T[..., 1],
+    input gradient and beta derivative by `maso.select` and
+    `select_backward` on the stacked scores [lo z, hi z], and the scale of
+    the kernel's E_T[s^2] - E_T[s]^2 cancellation per entry of beta:
+    1 + sum |G| E_T[s^2] / (1 - beta)^2."""
+    lo, hi = act.slopes()
+    s = np.stack([lo * Z, hi * Z], axis=-1)
+    b = beta[:, None] if np.ndim(beta) else beta
+    out, T = select(s, b)
+    Gs, dbeta = select_backward(G, s, T, b)
+    spread = np.abs(G) * np.sum(T * s * s, axis=-1) / (1.0 - beta) ** 2
+    scale = 1.0 + (spread.sum(axis=0) if np.ndim(beta) else spread.sum())
+    return out, T[..., 1], Gs[..., 0] * lo + Gs[..., 1] * hi, dbeta.reshape(np.shape(beta)), scale
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_activation_soft_closed_form_equals_the_kernel(data):
+    kind = data.draw(st.sampled_from(["relu", "lrelu", "abs"]), "kind")
+    nu = data.draw(st.sampled_from([0.01, 0.1, 0.3, 0.7, 0.99]), "nu")
+    K, n = data.draw(st.integers(1, 40), "K"), data.draw(st.integers(1, 8), "n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    beta = rng.uniform(0.02, 0.98, K) if data.draw(st.booleans(), "per unit") else rng.uniform(0.02, 0.98)
+    # |z| log-uniform on [1e-3, 300], saturated gates included, and exact zeros
+    Z = rng.choice([-1.0, 1.0], (n, K)) * np.exp(rng.uniform(np.log(1e-3), np.log(300.0), (n, K)))
+    Z[rng.random((n, K)) < 0.1] = 0.0
+    G = rng.standard_normal((n, K))
+    act = L.Activation(kind, K, nu=nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, cache = act.forward(Z, beta)
+        dZ, grads, dbeta = act.backward(cache, G)
+        want_out, gate, want_dZ, want_dbeta, scale = _kernel_activation(act, Z, G, beta)
+    assert grads == {} and np.shape(dbeta) == np.shape(beta)
+    assert np.all(np.abs(out - want_out) <= 1e-12 * (1.0 + np.abs(want_out)))
+    # the gate keeps its relative precision where it is tiny, down to where
+    # it leaves the normal floats, since the beta derivative weighs it by
+    # z^2; the kernel rounds the scaled scores eta a_r z (|a_r| <= 1) in its
+    # exponent, which scales the bound
+    eta_z = np.abs(beta / (1.0 - beta) * Z)
+    assert np.all(np.abs(cache["t"] - gate) <= 1e-14 * (1.0 + eta_z) * gate + 1e-300)
+    assert np.all(np.abs(dZ - want_dZ) <= 1e-12 * (1.0 + np.abs(want_dZ)))
+    assert np.all(np.abs(dbeta - want_dbeta) <= 1e-12 * scale)
+
+    # a skip block's soft path is its activation's, on the conv's output
+    block = make_skip_block(rng)
+    block.activation = L.Activation(kind, block.activation.dim, nu=nu)
+    X = rng.standard_normal((n, block.dims()[0]))
+    block_beta = rng.uniform(0.02, 0.98, block.activation.dim) if np.ndim(beta) else beta
+    G = rng.standard_normal((n, block.dims()[1]))
+    out, cache = block.forward(X, block_beta)
+    pre = block.conv.forward(X)[0]
+    act_out, act_cache = block.activation.forward(pre, block_beta)
+    assert np.array_equal(out, block.skip.forward(X)[0] + act_out + block.skip_bias)
+    Gpre, _, want_dbeta = block.activation.backward(act_cache, G)
+    G_in, _, dbeta = block.backward(cache, G)
+    assert np.array_equal(dbeta, want_dbeta) and np.shape(dbeta) == np.shape(block_beta)
+    assert np.array_equal(G_in, block.conv.pull(cache["conv"], Gpre) + block.skip.pull(cache["skip"], G))
+
+
+def test_selector_forwards_read_beta_per_unit_and_check_it(rng):
+    # a (K,) beta is one value per unit, as maso.forward reads it, on every
+    # selector layer; the layer's MASO form runs the same selection
+    Z = np.array([[1.0, -2.0], [0.5, 3.0]])
+    beta = np.array([0.3, 0.7])
+    for layer in (L.Activation("relu", 2), L.MaxPool(((0, 1), (1, 0)), 2)):
+        out = layer.forward(Z, beta)[0]
+        want = forward(layer.as_maso(), Z, beta)[0]
+        assert np.allclose(out, want, rtol=1e-14, atol=1e-15), (type(layer).__name__, out, want)
+    net = L.Network([L.Dense(np.eye(2), np.zeros(2)), L.Activation("lrelu", 2, nu=0.1),
+                     L.MaxPool(((0, 1),), 2)], (2,), 1)
+    for i in (1, 2):
+        for bad in (1.5, -0.5, 1.0, 0.0):
+            with pytest.raises(DomainError):
+                L.network_forward_batch(net, Z, betas={i: bad})
+        K = net.layers[i].dims()[1]
+        for bad in (np.full((K, 1), 0.5), np.full(K + 1, 0.5), np.full((2, K), 0.5)):
+            with pytest.raises(ShapeError):
+                L.network_forward_batch(net, Z, betas={i: bad})
+    block = make_skip_block(rng)
+    with pytest.raises(DomainError):
+        block.forward(rng.standard_normal((2, 32)), 1.0)
+    with pytest.raises(ShapeError):
+        block.forward(rng.standard_normal((2, 32)), np.full(2, 0.5))
