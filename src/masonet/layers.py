@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maso import MasoParams, _beta, select, select_backward
+from .maso import MasoParams, check_beta, select, select_backward
 from .ndcore import (
     DomainError,
     ShapeError,
@@ -99,8 +99,8 @@ class Layer:
     forward(Z, beta, batch_stats) maps a batch (n, in) to (n, out) and
     returns (out, cache).  A selector selects hard exactly when beta is
     None and otherwise softly under that beta (1/2 is soft VQ); the other
-    kinds ignore beta.  A selector's beta is checked as `maso.forward`
-    checks it: one value, or one per output unit (shape (K,) for K
+    kinds ignore beta.  A selector's beta goes through `maso.check_beta`,
+    as `maso.forward`'s does: one value, or one per output unit (shape (K,) for K
     outputs; a skip block's units are its activation's), each inside
     (0, 1); another shape raises ShapeError, a value outside DomainError.
     The defaults, hard selection without batch
@@ -418,7 +418,7 @@ class Activation(Layer):
         # one gate per unit.  This form keeps t's relative precision where t is
         # tiny, which 0.5 + 0.5 tanh(eta d z / 2) loses; capping exp's argument
         # at 709 keeps it finite and moves only values of t below 1e-307
-        beta = _beta(beta, self.dim, open_interval=True)
+        beta = check_beta(beta, self.dim, open_interval=True)
         t = np.minimum((lo - hi) * (beta / (1.0 - beta)) * Z, 709.0)
         np.exp(t, out=t)
         t += 1.0
@@ -461,12 +461,6 @@ def pick_rows(pick, V):
     rows, scale, _ = pick
     V = V if rows is None else V[rows]
     return V if scale is None else scale.reshape((-1,) + (1,) * (V.ndim - 1)) * V
-
-
-def _per_unit(beta):
-    """A checked beta as `maso.select` reads it against (..., K, R) scores:
-    K per-unit values become a (K, 1) column."""
-    return beta[:, None] if beta.ndim else beta
 
 
 def _per_row(v, G):
@@ -538,15 +532,15 @@ class MaxPool(_Pool):
         idx = self.padded_indices()
         s = Z.T[idx.T].T  # region-major (F-ordered), see ndcore
         if beta is not None:
-            beta = _beta(beta, len(self.regions), open_interval=True)
-        out, sel = select(s, None if beta is None else _per_unit(beta))
+            beta = check_beta(beta, len(self.regions), open_interval=True)
+        out, sel = select(s, None if beta is None else beta.reshape(-1, 1))
         return out, {"idx": idx, "s": s, "beta": beta, ("codes" if beta is None else "T"): sel}
 
     def backward(self, cache, G):
         if "codes" in cache:
             return self.pull(cache, G), {}, None
         beta = cache["beta"]
-        Gs, dbeta = select_backward(G, cache["s"], cache["T"], _per_unit(beta))
+        Gs, dbeta = select_backward(G, cache["s"], cache["T"], beta.reshape(-1, 1))
         return self._scatter(cache["idx"], Gs, 1), {}, dbeta.reshape(beta.shape)
 
     def pull(self, cache, G):

@@ -265,8 +265,10 @@ def _cross_unit_gram(A: Tensor) -> tuple[Tensor, Tensor]:
     the pairs of rows of one unit set to zero."""
     K, R, D = A.shape
     F = A.reshape(K * R, D)
-    unit = np.repeat(np.arange(K), R)
-    return F, np.where(unit[:, None] != unit[None, :], F @ F.T, 0.0)
+    Gm = F @ F.T
+    k = np.arange(K)
+    Gm.reshape(K, R, K, R)[k, :, k, :] = 0.0
+    return F, Gm
 
 
 def gram_schmidt(M: Tensor) -> Tensor:
@@ -316,21 +318,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def _ortho_penalty(W: Tensor, weight: float) -> float:
+def _ortho_penalty(W: Tensor, weight: float) -> tuple[float, Tensor]:
     """Orthogonality penalty of a weight array with one row per output unit
-    (a conv's filters flatten to one row per output channel)."""
-    return ortho_penalty_filters(W.reshape(W.shape[0], -1), weight)[0]
-
-
-def _ortho_gradient(W: Tensor, weight: float) -> Tensor:
-    """The gradient of `_ortho_penalty` in W's shape, bit for bit as
-    `ortho_penalty_filters` gives it, without the penalty value: with one
-    row per unit, the unit-diagonal blocks of the Gram matrix are its
-    diagonal, zeroed in place."""
-    F = W.reshape(W.shape[0], -1)
-    Gm = F @ F.T
-    np.fill_diagonal(Gm, 0.0)
-    return (weight * 4.0 * (Gm @ F)).reshape(W.shape)
+    (a conv's filters flatten to one row per output channel) and its
+    gradient in W's shape."""
+    penalty, grad = ortho_penalty_filters(W.reshape(W.shape[0], -1), weight)
+    return penalty, grad.reshape(W.shape)
 
 
 def _sigmoid(x):
@@ -390,7 +383,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             for key, weight in ortho.items():
                 if weight > 0:
-                    grads[key] = grads[key] + _ortho_gradient(params[key], weight)
+                    grads[key] = grads[key] + _ortho_penalty(params[key], weight)[1]
             for i in beta_logits:
                 b = betas[i]
                 grads[f"{i}.beta_raw"] = np.asarray(float(grads[f"{i}.beta"]) * b * (1.0 - b))
@@ -405,7 +398,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
             if isinstance(layer, L.BatchNorm):
                 layer.calibrate(Z)
             Z = layer.forward(Z)[0]
-        penalties = {key: _ortho_penalty(params[key], weight) for key, weight in ortho.items()}
+        penalties = {key: _ortho_penalty(params[key], weight)[0] for key, weight in ortho.items()}
         template_penalty = penalties.pop(head, 0.0)
         loss, acc = _loss_and_accuracy(Z, y)
         entry = {

@@ -58,6 +58,7 @@ __all__ = [
     "scores",
     "select",
     "select_backward",
+    "check_beta",
 ]
 
 
@@ -154,7 +155,7 @@ def forward(p: MasoParams, Z: Tensor, beta=None) -> tuple[Tensor, Tensor]:
     s = scores(p, Z)
     if beta is None:
         return select(s)
-    return select(s, _beta(beta, p.K, open_interval=True).reshape(-1, 1))
+    return select(s, check_beta(beta, p.K, open_interval=True).reshape(-1, 1))
 
 
 def selection_to_affine(p: MasoParams, codes) -> tuple[Tensor, Tensor]:
@@ -192,7 +193,7 @@ def entropy_objective(p: MasoParams, z: Tensor, T: Tensor, beta) -> Tensor:
         raise DomainError("selection entries must lie in [0, 1]")
     if T.size and np.max(np.abs(T.sum(axis=-1) - 1.0)) > 1e-10:
         raise DomainError("selection rows must sum to 1 within 1e-10")
-    beta = _beta(beta, p.K, open_interval=False)
+    beta = check_beta(beta, p.K, open_interval=False)
     fit = np.sum(T * s, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(T > 0.0, T * np.log(np.where(T > 0.0, T, 1.0)), 0.0)
@@ -267,9 +268,14 @@ def _inputs(p: MasoParams, z) -> Tensor:
     return z
 
 
-def _beta(b, K: int, open_interval: bool) -> Tensor:
+def check_beta(b, K: int, open_interval: bool) -> Tensor:
     """beta as one float64 value or K per-unit values, each inside (0, 1),
-    or inside [0, 1] when not open_interval."""
+    or inside [0, 1] when not open_interval.
+
+    `forward` and `entropy_objective` read beta through this check, and so
+    do the selector layers' forwards (`layers.Activation`, `layers.MaxPool`),
+    so a (K,) beta means one value per unit everywhere.  Other shapes raise
+    `ShapeError` and values outside the interval `DomainError`."""
     v = as_tensor(b, "beta")
     if v.shape not in ((), (K,)):
         raise ShapeError(f"beta has shape {v.shape}, expected one value or ({K},)")

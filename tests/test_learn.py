@@ -478,18 +478,6 @@ def test_filter_penalty_accepts_plain_matrix(rng):
     assert abs(pen - pen_u) < 1e-12
 
 
-def test_training_penalty_gradient_is_the_filter_penalty_gradient(rng):
-    # train's steps take only the gradient, from the Gram matrix with its
-    # diagonal zeroed in place; it must keep the bits of the full penalty's
-    from masonet.learn import _ortho_gradient
-
-    for shape in ((1, 3), (4, 6), (45, 2), (64, 64), (3, 45), (8, 3, 3, 3), (2, 2, 1, 1)):
-        W = rng.standard_normal(shape)
-        for weight in (0.01, 1.0, 0.7):
-            want = ortho_penalty_filters(W.reshape(shape[0], -1), weight)[1].reshape(shape)
-            assert _ortho_gradient(W, weight).tobytes() == want.tobytes(), (shape, weight)
-
-
 def test_gram_schmidt_orthogonalizes_and_keeps_span(rng):
     M = rng.standard_normal((5, 12))
     Q = gram_schmidt(M)
