@@ -64,8 +64,6 @@ from .ndcore import (
     ValidationError,
     WindowError,
     as_tensor,
-    row_argmax,
-    row_softmax,
 )
 from .partition import (
     RegionTable,

@@ -15,11 +15,12 @@ inference forward), the matching backward, the map a hard forward
 selected (as `pull` and `selected_offset`, and as a row pick for the
 kinds that select one scaled input per unit; the dense map, `push` and
 the MASO form derive from these, see `Layer`) and its trainable
-arrays.  Max pooling selects through `maso.select` (and its backward).
-An activation has two regions and selects in closed form: hard by a
-z > 0 test, which gives the kernel's codes, and soft by a sigmoid gate of
-its score gap, the kernel's two-region softmax (the swish family), equal
-to it to rounding.
+arrays.  Max pooling selects through the kernel, `maso.select` and
+`select_backward`, on scores gathered in the kernel's layout.  An
+activation has two regions and selects in closed form: hard by a z > 0
+test, which gives the kernel's codes, and soft by a sigmoid gate of its
+score gap, the kernel's two-region softmax (the swish family), equal to
+it to rounding.
 
 A region is chosen only in the forward: the hard backward, the selected
 affine map and the decomposition steps all read the codes of the
@@ -58,6 +59,7 @@ from .ndcore import (
     StructureError,
     Tensor,
     WindowError,
+    as_float,
     as_int,
     as_ints,
     as_seed,
@@ -361,14 +363,6 @@ ACTIVATION_SLOPES = {
 }
 
 
-def _number(x, field: str) -> float:
-    """x as one finite float; a bool, a string or an array raises."""
-    v = as_tensor(x, field)
-    if v.ndim:
-        raise ShapeError(f"{field} must be one number, got shape {v.shape}")
-    return float(v)
-
-
 @dataclass(eq=False)
 class Activation(Layer):
     """Elementwise two-region nonlinearity: relu, lrelu(nu) or abs.
@@ -377,10 +371,11 @@ class Activation(Layer):
     Hard, z > 0 picks the region.  Softly under beta, the softmax of the
     two scores scaled by eta = beta/(1-beta) is (1 - t, t) with t the
     sigmoid of eta d z, d = hi - lo, so out = z (lo + d t): swish for
-    relu.  The soft cache holds Z, t and beta; the backward substitutes
-    T = (1 - t, t) into the kernel's formulas: the input gradient is the
-    output's slope lo + d t plus eta z d^2 t (1 - t), d^2 t (1 - t) being
-    the gate's variance of the two slopes.
+    relu.  The soft cache holds Z, t, e = exp(-eta d z) and beta, and
+    1 - t is e t.  The backward substitutes T = (1 - t, t) into the
+    kernel's formulas: the input gradient is the output's slope lo + d t
+    plus eta z d^2 t (1 - t), d^2 t (1 - t) being the gate's variance of
+    the two slopes.
     """
 
     kind: str
@@ -391,7 +386,7 @@ class Activation(Layer):
 
     def __post_init__(self):
         self.dim = as_int(self.dim, "activation dim")
-        self.nu = _number(self.nu, "activation nu")
+        self.nu = as_float(self.nu, "activation nu")
         if self.kind not in ACTIVATION_SLOPES:
             raise DomainError(f"unknown activation kind {self.kind!r}")
         # lrelu(nu) is max(nu z, z) only for nu < 1: past 1 it is concave, and
@@ -417,13 +412,15 @@ class Activation(Layer):
         # softmax(eta [lo z, hi z]) is (1 - t, t) with t = 1 / (1 + exp(-eta d z)),
         # one gate per unit.  This form keeps t's relative precision where t is
         # tiny, which 0.5 + 0.5 tanh(eta d z / 2) loses; capping exp's argument
-        # at 709 keeps it finite and moves only values of t below 1e-307
+        # at 709 keeps it finite and moves only values of t below 1e-307.
+        # The cache keeps e = exp(-eta d z) for the backward, which reads
+        # 1 - t as e t: subtracting t from 1 rounds to 0 where the gate saturates
         beta = check_beta(beta, self.dim, open_interval=True)
-        t = np.minimum((lo - hi) * (beta / (1.0 - beta)) * Z, 709.0)
-        np.exp(t, out=t)
-        t += 1.0
+        e = (lo - hi) * (beta / (1.0 - beta)) * Z
+        np.exp(np.minimum(e, 709.0, out=e), out=e)
+        t = e + 1.0
         np.reciprocal(t, out=t)
-        return Z * (lo + (hi - lo) * t), {"Z": Z, "t": t, "beta": beta}
+        return Z * (lo + (hi - lo) * t), {"Z": Z, "t": t, "e": e, "beta": beta}
 
     def backward(self, cache, G):
         if "codes" in cache:
@@ -433,7 +430,9 @@ class Activation(Layer):
         d = hi - lo
         # through the gate, d out / d (eta z) is z times the gate's variance
         # of the two slopes, d^2 t (1 - t)
-        zv = Z * (t * (1.0 - t))
+        zv = cache["e"] * t
+        zv *= t
+        zv *= Z
         dZ = G * (lo + d * t + (d * d * beta / (1.0 - beta)) * zv)
         dbeta = np.sum(G * Z * zv, axis=tuple(range(G.ndim - beta.ndim)))
         return dZ, {}, (d * d) * dbeta / (1.0 - beta) ** 2
@@ -530,7 +529,7 @@ class MaxPool(_Pool):
 
     def forward(self, Z, beta=None, batch_stats=False):
         idx = self.padded_indices()
-        s = Z.T[idx.T].T  # region-major (F-ordered), see ndcore
+        s = Z.T[idx.T].T  # region-major (F-ordered), see maso
         if beta is not None:
             beta = check_beta(beta, len(self.regions), open_interval=True)
         out, sel = select(s, None if beta is None else beta.reshape(-1, 1))
@@ -622,7 +621,7 @@ class BatchNorm(Layer):
         self.var = as_tensor(self.var, "batch-norm var")
         self.scale = as_tensor(self.scale, "batch-norm scale")
         self.shift = as_tensor(self.shift, "batch-norm shift")
-        self.epsilon = _number(self.epsilon, "batch-norm epsilon")
+        self.epsilon = as_float(self.epsilon, "batch-norm epsilon")
         shapes = {self.mean.shape, self.var.shape, self.scale.shape, self.shift.shape}
         if len(shapes) != 1 or self.mean.ndim != 1:
             raise ShapeError("batch-norm fields must be equal-length vectors")

@@ -43,6 +43,7 @@ from .ndcore import (
     ShapeError,
     StructureError,
     Tensor,
+    as_float,
     as_int,
     as_ints,
     as_seed,
@@ -79,8 +80,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.learning_rate = L._number(self.learning_rate, "learning rate")
-        self.gamma, self.lam = L._number(self.gamma, "gamma"), L._number(self.lam, "lam")
+        self.learning_rate = as_float(self.learning_rate, "learning rate")
+        self.gamma, self.lam = as_float(self.gamma, "gamma"), as_float(self.lam, "lam")
         self.epochs = as_int(self.epochs, "epoch count")
         self.batch_size = as_int(self.batch_size, "batch size")
         if self.learning_rate <= 0:
@@ -91,7 +92,7 @@ class TrainConfig:
             raise DomainError("batch size must be at least 1, gamma and lam nonnegative")
         if self.beta_mode not in _MODES:
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.beta_mode == "beta" and not 0.0 < L._number(self.beta, "beta") < 1.0:
+        if self.beta_mode == "beta" and not 0.0 < as_float(self.beta, "beta") < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
         if not isinstance(self.beta_learnable, (bool, np.bool_)):
             raise DomainError(f"beta_learnable must be True or False, got {self.beta_learnable!r}")
@@ -159,7 +160,7 @@ def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
     for i in selectors:
         if i not in beta:
             raise DomainError(f"layer {i} selects but the beta dict gives it no value")
-        b = L._number(beta[i], f"layer {i} beta")
+        b = as_float(beta[i], f"layer {i} beta")
         if not 0.0 < b < 1.0:
             raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
         out[i] = b

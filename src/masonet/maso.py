@@ -10,17 +10,22 @@ eta = beta/(1-beta) before the softmax interpolates between the uniform
 selection (beta -> 0), soft VQ (beta = 1/2), and hard VQ (beta -> 1).
 
 `select` defines the three regimes once, over the last axis of a batch of
-`scores`; `forward` runs it on a MASO, and the max pool and the CLI call
-it directly.  A two-region softmax is a sigmoid of the score gap, so the
-activation layers compute theirs in closed form instead (see `layers`).
-Everything here takes and returns plain arrays over any leading batch
-shape: inputs (..., D), hard codes as int64 (..., K), a
-selection T as (..., K, R), and beta as one value or one per unit.  Each
-function checks the array it takes: `scores` the input width, `forward`
-beta, `selection_to_affine` the codes and `entropy_objective` T.  Scores
-keep the logical shape (..., K, R) with the region axis R outermost in
-memory (`ndcore.region_major`); `select` brings its input into that
-layout and the selection T it returns keeps it.
+`scores`; with its soft backward `select_backward` it is the whole
+selection kernel.  `forward` and `region_prior` run it on a MASO, and the
+max pool and the CLI call it directly.  A two-region softmax is a sigmoid
+of the score gap, so the activation layers compute theirs in closed form
+instead (see `layers`).  Everything here takes and returns plain arrays
+over any leading batch shape: inputs (..., D), hard codes as int64
+(..., K), a selection T as (..., K, R), and beta as one value or one per
+unit.  Each function checks the array it takes: `scores` the input width,
+`forward` beta, `selection_to_affine` the codes and `entropy_objective` T.
+
+The kernel works on a copy of the scores with the region axis R
+outermost in memory (none if it already is, as the max pool's gather
+is): each region's slab is one contiguous block, so reductions over R
+combine whole slabs instead of running one short reduction per unit, and
+add the regions in index order, as numpy's sum over a trailing axis does
+up to seven terms.  The T it returns keeps this layout.
 
 Under the Gaussian-mixture reading of a unit, the prior mass of region r is
 proportional to exp(B[k,r] + ||A[k,r,:]||^2 / 2), and when the offsets are
@@ -42,9 +47,6 @@ from .ndcore import (
     Tensor,
     as_ints,
     as_tensor,
-    region_major,
-    row_argmax,
-    row_softmax,
 )
 
 __all__ = [
@@ -105,35 +107,57 @@ def scores(p: MasoParams, z: Tensor) -> Tensor:
 
 
 def select(s: Tensor, beta=None) -> tuple[Tensor, Tensor]:
-    """(output, selection) over the last axis of scores s (..., R).
+    """(output, selection) over the last axis of scores s (..., R), R >= 1.
 
-    Hard exactly when beta is None: the maximum and the region codes (ties
-    to the lowest index).  Otherwise the T-weighted score sum and T =
-    softmax(eta s), eta = beta/(1-beta); beta may broadcast against s[..., :1],
-    so K per-unit values of (..., K, R) scores come as a (K, 1) column.
-    The work runs on s in region-major layout (see `ndcore`), which T keeps.
-    For R = 2, T = (1 - t, t) with t = sigmoid(eta (s1 - s0)), the closed
-    form `layers.Activation` uses.
+    Hard exactly when beta is None: the maximum and the region codes.  A
+    tie goes to the lowest index, and a unit whose scores hold NaN gets
+    its first NaN, as np.argmax does.  Otherwise the T-weighted score sum
+    and T = softmax(eta s), eta = beta/(1-beta); beta may broadcast against
+    s[..., :1], so K per-unit values of (..., K, R) scores come as a (K, 1)
+    column.  For R = 2, T = (1 - t, t) with t = sigmoid(eta (s1 - s0)), the
+    closed form `layers.Activation` uses.
     """
-    s = region_major(s)
+    s = _region_major(s)
     if beta is None:
-        return s.max(axis=-1), row_argmax(s)
-    T = row_softmax(beta / (1.0 - beta) * s)
+        out = s.max(axis=-1)
+        # np.argmax over a short axis is slow; instead each region slab that ties
+        # the maximum gets the weight R-1-r, so the largest one marks the lowest r
+        weights = np.arange(s.shape[-1] - 1, -1, -1, dtype=np.intp)
+        return out, (s.shape[-1] - 1) - (((s == out[..., None]) | np.isnan(s)) * weights).max(axis=-1)
+    m = _region_major(beta / (1.0 - beta) * s)
+    T = m - m.max(axis=-1, keepdims=True)  # a fresh array, so the steps below work in place
+    np.exp(T, out=T)
+    T /= T.sum(axis=-1, keepdims=True)
     return np.sum(T * s, axis=-1), T
 
 
 def select_backward(G: Tensor, s: Tensor, T: Tensor, beta) -> tuple[Tensor, Tensor]:
     """Backward of the soft `select`: (G pushed onto the scores s, d loss /
     d beta).  The beta derivative has beta's shape, summed over the units
-    and rows beta is broadcast along."""
-    s, T = region_major(s), region_major(T)
+    and rows beta is broadcast along.
+
+    With c = s - out, the score gradient is G T (1 + eta c) and d out / d
+    eta is E_T[c^2].  c is read as d - E_T[d] from the gaps d = s - max s,
+    which are exact where scores are close, rather than from s itself.
+    """
+    s, T = _region_major(s), _region_major(T)
     eta = beta / (1.0 - beta)
-    out = np.sum(T * s, axis=-1)
-    w = T * (1.0 + eta * (s - out[..., None]))
-    # d out / d eta = E_T[s^2] - (E_T[s])^2, per unit
-    dout_deta = np.sum(T * s * s, axis=-1) - out * out
-    deta = _sum_to_shape((G * dout_deta)[..., None], np.shape(beta))
-    return G[..., None] * w, deta / (1.0 - beta) ** 2
+    c = s - s.max(axis=-1, keepdims=True)
+    c -= np.sum(T * c, axis=-1, keepdims=True)
+    deta = _sum_to_shape((G * np.sum(T * c * c, axis=-1))[..., None], np.shape(beta))
+    return G[..., None] * (T * (1.0 + eta * c)), deta / (1.0 - beta) ** 2
+
+
+def _region_major(s) -> Tensor:
+    """s as a float64 (..., R) array, R >= 1, with its last axis outermost
+    in memory; no copy if it already is."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim < 2 or s.shape[-1] == 0:
+        raise ShapeError(f"select expects an (..., R) array with R >= 1, got shape {s.shape}")
+    if s.flags.f_contiguous:
+        return s
+    r = np.ascontiguousarray(s.transpose((s.ndim - 1, *range(s.ndim - 1))))  # (R, ...)
+    return r.transpose((*range(1, r.ndim), 0))
 
 
 def _sum_to_shape(a: Tensor, shape: tuple) -> Tensor:
@@ -202,9 +226,9 @@ def entropy_objective(p: MasoParams, z: Tensor, T: Tensor, beta) -> Tensor:
 
 
 def region_prior(p: MasoParams) -> Tensor:
-    """Per-unit categorical prior pi[k,r] proportional to exp(B + ||A||^2/2)."""
-    m = p.B + 0.5 * np.sum(p.A * p.A, axis=2)
-    return row_softmax(m)
+    """Per-unit categorical prior pi[k,r] proportional to exp(B + ||A||^2/2):
+    the soft selection of those masses, whose eta is exactly 1."""
+    return select(p.B + 0.5 * np.sum(p.A * p.A, axis=2), 0.5)[1]
 
 
 def kmeans_codes(p: MasoParams, z: Tensor) -> np.ndarray:

@@ -1,25 +1,11 @@
-"""Minimal dense numeric primitives shared by every other module.
+"""Input conversions and error types shared by every other module.
 
-Everything is a row-major float64 ndarray.  The helpers here exist so the
-rest of the package has one place that owns dtype policy, shape checking,
-and the tie-breaking / stabilization conventions:
-
-* 64-bit reals everywhere, no mixed precision,
-* argmax ties resolve to the lowest index,
-* softmax is log-sum-exp stabilized (subtract the row max);
-  both act on the last axis of an (..., R) array, as `maso.select` uses them.
-
-Region layout: score arrays have the logical shape (..., K, R), but the
-region axis R is outermost in memory.  Each region's (..., K) slab is one
-contiguous block, in C order, or in F order when the whole array is
-F-contiguous (the max-pool gather builds those).  Reductions over R (max,
-sum) then combine whole slabs elementwise instead of running one short
-reduction per unit, many times faster for R = 2 or 4.  `region_major`
-brings any (..., R) array into this layout, without a copy when it
-already is; the functions here and `maso.select` work in it and return
-results in it.  Slab-wise sums add the regions in index order, as numpy's
-sum over a trailing axis does up to seven terms; from eight on, that sum
-is pairwise and rounds differently in the last bits.
+Everything is a row-major float64 ndarray: 64-bit reals everywhere, no
+mixed precision.  The conversions here are the one place that owns that
+dtype policy and the checks on what a caller passes in (finite reals,
+integers, seeds), and the error classes are the ones the package raises
+on purpose.  The selection kernel's conventions (ties, stabilization,
+region layout) live with the kernel, in `maso.select`.
 """
 
 from __future__ import annotations
@@ -127,6 +113,15 @@ def as_int(x, field: str) -> int:
     return int(a)
 
 
+def as_float(x, field: str) -> float:
+    """x as one finite Python float, checked as `as_tensor` checks it; an
+    array raises ShapeError naming field."""
+    v = as_tensor(x, field)
+    if v.ndim:
+        raise ShapeError(f"{field} must be one number, got shape {v.shape}")
+    return float(v)
+
+
 def as_seed(seed, field: str = "seed") -> int:
     """seed as a Python int that numpy's generators take.
 
@@ -161,40 +156,3 @@ def _non_reals(x):
                 yield from top.flat
         elif isinstance(top, (bool, np.bool_)) or not isinstance(top, (int, float, np.integer, np.floating)):
             yield top
-
-
-def region_major(m: Tensor) -> Tensor:
-    """m (..., R) with its last axis outermost in memory; no copy if it already is."""
-    if m.flags.f_contiguous:
-        return m
-    r = np.ascontiguousarray(m.transpose((m.ndim - 1, *range(m.ndim - 1))))  # (R, ...)
-    return r.transpose((*range(1, r.ndim), 0))
-
-
-def row_softmax(m: Tensor) -> Tensor:
-    """Softmax of m over the last axis, stabilized by subtracting its max;
-    region-major."""
-    m = _rows(m, "row_softmax")
-    s = m - m.max(axis=-1, keepdims=True)  # a fresh array, so the steps below work in place
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
-
-
-def row_argmax(m: Tensor) -> np.ndarray:
-    """Index of the maximum along the last axis; ties go to the lowest index,
-    and a row holding NaN gives its first NaN, as np.argmax does."""
-    m = _rows(m, "row_argmax")
-    top = m.max(axis=-1, keepdims=True)
-    # np.argmax over a short axis is slow; instead each region slab that ties
-    # the maximum gets the weight R-1-r, so the largest one marks the lowest r
-    weights = np.arange(m.shape[-1] - 1, -1, -1, dtype=np.intp)
-    return (m.shape[-1] - 1) - (((m == top) | np.isnan(m)) * weights).max(axis=-1)
-
-
-def _rows(m, name: str) -> Tensor:
-    """m as a float64 (..., R) array, R >= 1, in region-major layout."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2 or m.shape[-1] == 0:
-        raise ShapeError(f"{name} expects an (..., R) array with R >= 1, got shape {m.shape}")
-    return region_major(m)

@@ -1026,11 +1026,13 @@ def test_selector_scores_and_selections_are_region_major(rng):
         _, cache = pool.forward(Z, beta)
         assert _region_outermost(cache["s"]) and _region_outermost(cache["T"])
     assert _region_outermost(pool.forward(Z)[1]["s"])
-    # the activation stacks no scores: its soft cache holds the input and
-    # the gate t of the active region, in the input's shape
+    # the activation stacks no scores: its soft cache holds the input, the
+    # gate t of the active region and e = exp(-eta d z), 1 - t = e t, in the
+    # input's shape
     for beta in (0.5, rng.uniform(0.2, 0.8, 6)):
         cache = act.forward(Z, beta)[1]
-        assert set(cache) == {"Z", "t", "beta"} and cache["Z"] is Z and cache["t"].shape == Z.shape
+        assert set(cache) == {"Z", "t", "e", "beta"} and cache["Z"] is Z
+        assert cache["t"].shape == cache["e"].shape == Z.shape
     assert _region_outermost(select(rng.standard_normal((5, 6, 3)), 0.5)[1])
     assert not _region_outermost(np.stack([Z, Z], axis=-1))
 
@@ -1094,6 +1096,21 @@ def test_activation_soft_closed_form_equals_the_kernel(data):
     G_in, _, dbeta = block.backward(cache, G)
     assert np.array_equal(dbeta, want_dbeta) and np.shape(dbeta) == np.shape(block_beta)
     assert np.array_equal(G_in, block.conv.pull(cache["conv"], Gpre) + block.skip.pull(cache["skip"], G))
+
+
+@pytest.mark.parametrize("kind, nu, z, beta, want", [
+    ("relu", 0.01, 5.0, 0.9, 7.1562964513734078379e-17),
+    ("lrelu", 0.99, 197.04, 0.949, 1.780767621611385721e-13),
+], ids=["relu", "lrelu"])
+def test_activation_beta_derivative_keeps_its_digits_where_the_gate_saturates(kind, nu, z, beta, want):
+    # the references are 60-digit mpmath values: mp.diff in beta of
+    # z (lo + d t), t = 1 / (1 + exp(-eta d z)), d = 1 - lo.  Forming 1 - t
+    # by subtraction rounded it to 0 or one ulp here, and the derivative
+    # came out 0.0 and 3.314e-13
+    act = L.Activation(kind, 1, nu=nu)
+    _, cache = act.forward(np.array([[z]]), beta)
+    dbeta = act.backward(cache, np.ones((1, 1)))[2]
+    assert abs(float(dbeta) - want) <= 1e-12 * want
 
 
 def test_selector_forwards_read_beta_per_unit_and_check_it(rng):

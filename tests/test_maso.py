@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from masonet.maso import (
     MasoParams,
@@ -15,14 +16,7 @@ from masonet.maso import (
     select_backward,
     selection_to_affine,
 )
-from masonet.ndcore import (
-    AmbiguityError,
-    DomainError,
-    PreconditionError,
-    ShapeError,
-    row_argmax,
-    row_softmax,
-)
+from masonet.ndcore import AmbiguityError, DomainError, PreconditionError, ShapeError
 
 
 def random_params(rng, K=4, R=3, D=5):
@@ -359,6 +353,77 @@ def bit_equal(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def softmax(m):
+    """Softmax over the last axis, shifted by each row's maximum."""
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_soft_selection_of_zero_and_log_three_is_a_quarter_and_three_quarters():
+    # exp(0) : exp(ln 3) = 1 : 3, and beta = 1/2 scales the scores by exactly 1
+    _, T = select(np.array([[0.0, np.log(3.0)]]), 0.5)
+    assert np.allclose(T, [[0.25, 0.75]], atol=1e-15)
+
+
+def test_soft_selection_handles_huge_scores():
+    _, T = select(np.array([[1000.0, 999.0]]), 0.5)
+    assert np.all(np.isfinite(T))
+    assert T[0, 0] > T[0, 1]
+
+
+def test_hard_codes_tie_low_and_give_the_first_nan():
+    m = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
+    assert select(m)[1].tolist() == [0, 1]
+    # a row holding NaN gives its first NaN, as np.argmax does
+    m = np.array([[np.nan, 1.0, 0.0], [1.0, np.nan, np.nan], [0.0, 2.0, np.nan], [-np.inf, -np.inf, -np.inf]])
+    assert select(m)[1].tolist() == np.argmax(m, axis=-1).tolist() == [0, 1, 2, 0]
+
+
+def test_selection_acts_on_the_last_axis_of_any_stack(rng):
+    m = rng.standard_normal((3, 4, 5))
+    for beta in (None, 0.5):
+        out, sel = select(m, beta)
+        assert all(np.array_equal(out[i], select(m[i], beta)[0]) for i in range(3))
+        assert all(np.array_equal(sel[i], select(m[i], beta)[1]) for i in range(3))
+        with pytest.raises(ShapeError):
+            select(np.zeros((2, 3, 0)), beta)
+        with pytest.raises(ShapeError):
+            select(np.zeros(4), beta)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=st.floats(-50, 50)))
+def test_soft_selection_rows_live_on_the_simplex(m):
+    _, T = select(m, 0.5)
+    assert np.all(T >= 0)
+    assert np.allclose(T.sum(axis=1), 1.0, atol=1e-12)
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)), elements=st.floats(-10, 10)),
+    st.floats(0.1, 10.0),
+)
+@settings(max_examples=50)
+def test_soft_selection_scale_preserves_ordering(m, scale):
+    # monotonicity is only observable where scores actually differ;
+    # near-ties round to equal probabilities and order arbitrarily
+    base = select(m, 0.5)[1]
+    scaled = select(scale * m, 0.5)[1]
+    for k in range(m.shape[0]):
+        for i in range(m.shape[1]):
+            for j in range(m.shape[1]):
+                if m[k, i] - m[k, j] > 1e-9:
+                    assert base[k, i] > base[k, j]
+                    assert scaled[k, i] > scaled[k, j]
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 5)), elements=st.floats(-100, 100)))
+def test_hard_codes_pick_the_first_maximum(m):
+    out, idx = select(m)
+    for i, j in enumerate(idx):
+        assert m[i, j] == m[i].max() == out[i]
+        assert np.all(m[i, :j] < m[i, j]) or j == 0
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 5),
        st.integers(1, 4))
 @settings(max_examples=80, deadline=None)
@@ -376,7 +441,7 @@ def test_batched_selection_rows_equal_the_per_input_regimes(seed, n, K, R, D):
     weighted, Tb = select(s, beta[:, None])
     # hard codes are the lowest-index maximum of each unit's scores
     assert np.array_equal(codes, np.argmax(s == s.max(axis=-1, keepdims=True), axis=-1))
-    assert bit_equal(T, row_softmax(s)) and bit_equal(Tb, row_softmax(beta[:, None] / (1 - beta[:, None]) * s))
+    assert bit_equal(T, softmax(s)) and bit_equal(Tb, softmax(beta[:, None] / (1 - beta[:, None]) * s))
     assert bit_equal(weighted, np.sum(Tb * s, axis=-1))
     # forward is select of the scores, batched or one input at a time
     assert bit_equal(forward(p, Z)[0], hard) and bit_equal(forward(p, Z)[1], codes)
@@ -439,6 +504,24 @@ def test_select_backward_matches_central_differences(per_unit):
     assert np.allclose(dbeta, fd_b, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("z, beta, want_dbeta, want_dz", [
+    (197.04, 0.949, 1.7807676216110576695e-13, 1.000000000000000042548),
+    (40.0, 0.98, 1.229951944270831814e-6, 1.000000000571927653991),
+], ids=["z=197.04", "z=40"])
+def test_select_backward_keeps_its_digits_at_large_scores(z, beta, want_dbeta, want_dz):
+    # the unit [0.99 z, z] with G = 1.  The references are 60-digit mpmath
+    # values (mp.dps = 60, mp.diff of the soft output sum_r T_r s_r, T the
+    # softmax of eta s): d/dbeta at the float64 scores passed here, d/dz with
+    # s = [0.99 z, z] exact.  Read off the raw scores, s - out and
+    # E_T[s^2] - E_T[s]^2 lost digits with |s|: d/dbeta came out 2.797e-9 at
+    # z = 197.04 and 1.1e-4 off at z = 40
+    s = np.array([[0.99 * z, z]])
+    _, T = select(s, beta)
+    Gs, dbeta = select_backward(np.ones(1), s, T, beta)
+    assert abs(float(dbeta) - want_dbeta) <= 1e-12 * want_dbeta
+    assert abs(float(Gs[0, 0] * 0.99 + Gs[0, 1]) - want_dz) <= 1e-15
+
+
 def _layouts(x):
     """x as C-ordered, as a region-major copy, F-ordered and as a negative-stride view."""
     flip = (slice(None, None, -1),) * x.ndim
@@ -461,7 +544,7 @@ def test_kernel_results_do_not_depend_on_layout(seed, n, K, R):
     per_unit = rng.uniform(0.05, 0.95, (K, 1))
 
     def kernel(s):
-        got = {"row_argmax": row_argmax(s), "row_softmax": row_softmax(s)}
+        got = {}
         got["hard"], got["codes"] = select(s)
         for name, beta in (("soft", 0.5), ("beta", 0.3), ("per-unit", per_unit)):
             got[name], T = select(s, beta)
@@ -472,7 +555,7 @@ def test_kernel_results_do_not_depend_on_layout(seed, n, K, R):
     base = kernel(_layouts(x)["C"])
     # hard codes are the lowest index among the maxima
     first = np.argmax(x == x.max(axis=-1, keepdims=True), axis=-1)
-    assert np.array_equal(base["codes"], first) and np.array_equal(base["row_argmax"], first)
+    assert np.array_equal(base["codes"], first)
     for layout, s in _layouts(x).items():
         for name, value in kernel(s).items():
             if R <= 7:

@@ -2,20 +2,17 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import masonet as M
 from masonet.cli import generate_toy_dataset
 from masonet.ndcore import (
     DomainError,
     ShapeError,
+    as_float,
+    as_int,
     as_ints,
     as_seed,
     as_tensor,
-    row_argmax,
-    row_softmax,
 )
 
 
@@ -79,97 +76,25 @@ def test_as_tensor_judges_an_ndarray_by_its_dtype():
     assert as_tensor([rows[0], rows[1]], "x").shape == (2, 3)
 
 
+def test_as_float_and_as_int_take_one_checked_number():
+    assert as_float(3, "lr") == 3.0 and type(as_float(np.float32(0.5), "lr")) is float
+    assert as_int(3.0, "n") == 3 and type(as_int(np.int32(2), "n")) is int
+    with pytest.raises(DomainError, match="^lr must be a real number, got True$"):
+        as_float(True, "lr")
+    with pytest.raises(DomainError, match="^lr must be a real number, got 0.1$"):
+        as_float("0.1", "lr")
+    with pytest.raises(DomainError, match="^lr must be finite, got nan$"):
+        as_float(np.nan, "lr")
+    with pytest.raises(ShapeError, match=r"^lr must be one number, got shape \(1,\)$"):
+        as_float([0.1], "lr")
+    with pytest.raises(ShapeError, match=r"^n must be one integer, got shape \(2,\)$"):
+        as_int([1, 2], "n")
+
+
 def test_as_ints_rejects_a_bool_among_integers():
     # numpy reads [2, True] as the integers [2, 1]
     with pytest.raises(DomainError, match="^shape must be an integer, got True$"):
         as_ints([2, True], "shape")
-
-
-def test_row_softmax_quarter_three_quarters():
-    # exp(0) : exp(ln 3) = 1 : 3
-    out = row_softmax(np.array([[0.0, np.log(3.0)]]))
-    assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
-
-
-def test_row_softmax_handles_huge_scores():
-    out = row_softmax(np.array([[1000.0, 999.0]]))
-    assert np.all(np.isfinite(out))
-    assert out[0, 0] > out[0, 1]
-
-
-def test_row_softmax_rejects_bad_scale_and_shape():
-    with pytest.raises(ShapeError):
-        row_softmax(np.zeros(3))
-
-
-def test_row_argmax_tie_goes_low():
-    m = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-    assert row_argmax(m).tolist() == [0, 1]
-    # a row holding NaN gives its first NaN, as np.argmax does
-    m = np.array([[np.nan, 1.0, 0.0], [1.0, np.nan, np.nan], [0.0, 2.0, np.nan], [-np.inf, -np.inf, -np.inf]])
-    assert row_argmax(m).tolist() == np.argmax(m, axis=-1).tolist() == [0, 1, 2, 0]
-
-
-def test_row_functions_act_on_the_last_axis_of_any_stack(rng):
-    m = rng.standard_normal((3, 4, 5))
-    for fn in (row_argmax, row_softmax):
-        stacked = fn(m)
-        assert all(np.array_equal(stacked[i], fn(m[i])) for i in range(3))
-        with pytest.raises(ShapeError):
-            fn(np.zeros((2, 3, 0)))
-        with pytest.raises(ShapeError):
-            fn(np.zeros(4))
-
-
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(1, 6), st.integers(1, 6)),
-        elements=st.floats(-50, 50),
-    )
-)
-def test_row_softmax_rows_live_on_the_simplex(m):
-    out = row_softmax(m)
-    assert np.all(out >= 0)
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(1, 5), st.integers(1, 5)),
-        elements=st.floats(-10, 10),
-    ),
-    st.floats(0.1, 10.0),
-)
-@settings(max_examples=50)
-def test_row_softmax_scale_preserves_ordering(m, scale):
-    # monotonicity is only observable where scores actually differ;
-    # near-ties round to equal probabilities and order arbitrarily.
-    # Callers scale the scores themselves, as maso.select does
-    base = row_softmax(m)
-    scaled = row_softmax(scale * m)
-    for k in range(m.shape[0]):
-        for i in range(m.shape[1]):
-            for j in range(m.shape[1]):
-                if m[k, i] - m[k, j] > 1e-9:
-                    assert base[k, i] > base[k, j]
-                    assert scaled[k, i] > scaled[k, j]
-
-
-@given(
-    arrays(
-        np.float64,
-        st.tuples(st.integers(1, 5), st.integers(2, 5)),
-        elements=st.floats(-100, 100),
-    )
-)
-def test_row_argmax_picks_a_maximum(m):
-    idx = row_argmax(m)
-    for i, j in enumerate(idx):
-        assert m[i, j] == m[i].max()
-        # first occurrence of the max
-        assert np.all(m[i, : j] < m[i, j]) or j == 0
 
 
 # --- seeds --------------------------------------------------------------------
