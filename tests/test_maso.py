@@ -379,18 +379,6 @@ def test_hard_codes_tie_low_and_give_the_first_nan():
     assert select(m)[1].tolist() == np.argmax(m, axis=-1).tolist() == [0, 1, 2, 0]
 
 
-def test_selection_acts_on_the_last_axis_of_any_stack(rng):
-    m = rng.standard_normal((3, 4, 5))
-    for beta in (None, 0.5):
-        out, sel = select(m, beta)
-        assert all(np.array_equal(out[i], select(m[i], beta)[0]) for i in range(3))
-        assert all(np.array_equal(sel[i], select(m[i], beta)[1]) for i in range(3))
-        with pytest.raises(ShapeError):
-            select(np.zeros((2, 3, 0)), beta)
-        with pytest.raises(ShapeError):
-            select(np.zeros(4), beta)
-
-
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=st.floats(-50, 50)))
 def test_soft_selection_rows_live_on_the_simplex(m):
     _, T = select(m, 0.5)

@@ -5,6 +5,7 @@ import pytest
 
 import masonet as M
 from masonet.cli import generate_toy_dataset
+from masonet.maso import MasoParams, forward, select
 from masonet.ndcore import (
     DomainError,
     ShapeError,
@@ -95,6 +96,29 @@ def test_as_ints_rejects_a_bool_among_integers():
     # numpy reads [2, True] as the integers [2, 1]
     with pytest.raises(DomainError, match="^shape must be an integer, got True$"):
         as_ints([2, True], "shape")
+
+
+# --- the row kernel: maso.select over the last axis ---------------------------
+
+def test_row_functions_act_on_the_last_axis_of_any_stack(rng):
+    m = rng.standard_normal((3, 4, 5))
+    for beta in (None, 0.5):
+        out, sel = select(m, beta)
+        assert all(np.array_equal(out[i], select(m[i], beta)[0]) for i in range(3))
+        assert all(np.array_equal(sel[i], select(m[i], beta)[1]) for i in range(3))
+
+
+def test_row_softmax_rejects_bad_scale_and_shape(rng):
+    for beta in (None, 0.5):
+        with pytest.raises(ShapeError, match=r"^select expects an \(\.\.\., R\) array with R >= 1, got shape \(4,\)$"):
+            select(np.zeros(4), beta)
+        with pytest.raises(ShapeError, match=r"got shape \(2, 3, 0\)$"):
+            select(np.zeros((2, 3, 0)), beta)
+    # the soft selection's scale eta = beta / (1 - beta) needs beta inside (0, 1)
+    p = MasoParams(rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3)))
+    for bad in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError):
+            forward(p, np.zeros(4), bad)
 
 
 # --- seeds --------------------------------------------------------------------
