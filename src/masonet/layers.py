@@ -653,7 +653,7 @@ class BatchNorm(Layer):
         n = G.shape[0]
         Zc = cache["Zc"]
         dvar = np.sum(dxhat * Zc, axis=0) * (-0.5) * denom**-3
-        dmu = -np.sum(dxhat, axis=0) / denom + dvar * (-2.0 / n) * Zc.sum(axis=0)
+        dmu = -np.sum(dxhat, axis=0) / denom  # Zc is centred: dvar's share of dmu is zero
         return dxhat / denom + dvar * 2.0 * Zc / n + dmu / n, grads, None
 
     def calibrate(self, Z):
@@ -929,15 +929,23 @@ def network_forward_batch(net: Network, X: Tensor, upto=None, betas=None, batch_
 
     The one loop that runs a network's layers.  Layer i gets beta
     betas.get(i) (hard selection when absent, the inference forward) and
-    batch_stats; a selector's hard cache holds its (n, K) codes under
-    "codes": uint8 on/off bits for an activation (a skip block's activation
-    speaks for the block), int64 window positions for a max pool.
+    batch_stats; a key of betas that is not the index of a selector among
+    the layers run raises DomainError.  A selector's hard cache holds its
+    (n, K) codes under "codes": uint8 on/off bits for an activation (a skip
+    block's activation speaks for the block), int64 window positions for a
+    max pool.
     """
     Z = as_tensor(X, "batch")
     if Z.ndim != 2 or Z.shape[1] != net.dims[0]:
         raise ShapeError(f"batch shape {Z.shape} does not match input dim {net.dims[0]}")
     upto = prefix_length(net, upto)
     betas = betas or {}
+    if betas:
+        run = {i for i, layer in enumerate(net.layers[:upto]) if layer.selector}
+        stray = [key for key in betas if key not in run]
+        if stray:
+            raise DomainError(f"layer {stray[0]!r} does not select among the {upto} layers run "
+                              "and takes no beta")
     caches = []
     for i, layer in enumerate(net.layers[:upto]):
         Z, cache = layer.forward(Z, betas.get(i), batch_stats)

@@ -3,20 +3,21 @@
 Two functions reach the loss: `evaluate` gives the inference loss and
 accuracy (one hard forward, batch norm on its stored statistics), and
 `gradients` the training-view loss and its exact gradients (one forward
-in any regime, batch norm on batch statistics).
+under any beta, batch norm on batch statistics).
 
 Gradients are computed analytically, by each layer kind's backward in
-`layers`, in three selection regimes:
+`layers`.  The regime is the paper's beta-VQ family, one beta argument:
 
-* hard  -- the selection found at the forward pass is frozen and the
-           gradient of the resulting affine map is returned (exact almost
-           everywhere, one-sided on region boundaries, which `gradients`
-           warns about and `train`'s steps do not scan for),
-* soft  -- selections are per-unit softmaxes of the affine scores and the
-           gradient flows through them,
-* beta  -- like soft but the scores are scaled by eta = beta/(1-beta);
-           the gradient with respect to beta itself is also produced so
-           beta can be learned through a logistic reparameterization.
+* None  -- hard VQ: the selection found at the forward pass is frozen and
+           the gradient of the resulting affine map is returned (exact
+           almost everywhere, one-sided on region boundaries, which
+           `gradients` warns about and `train`'s steps do not scan for),
+* 1/2   -- soft VQ: selections are per-unit softmaxes of the affine scores
+           and the gradient flows through them,
+* beta  -- any other value in (0, 1) scales the scores by
+           eta = beta/(1-beta), and approaches hard VQ as beta -> 1.
+           A beta that is not None also gets its own gradient, so beta
+           can be learned through a logistic reparameterization.
 
 Orthogonality comes as one penalty, a weight times the summed squared
 inner products of the slopes of distinct units, and a hard Gram-Schmidt
@@ -63,7 +64,6 @@ __all__ = [
 ]
 
 _BOUNDARY_GAP = 1e-7
-_MODES = ("hard", "soft", "beta")
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator guard
 
 
@@ -74,7 +74,7 @@ class TrainConfig:
     batch_size: int = 128
     gamma: float = 0.0          # orthogonality weight of a Dense final layer's rows
     lam: float = 0.0            # orthogonality weight of every other weight array
-    beta_mode: str = "hard"     # hard | soft | beta
+    beta_mode: str = "hard"     # hard | soft | beta: beta None, 1/2 or `beta`
     beta: float = 0.5           # shared beta value when beta_mode == "beta"
     beta_learnable: bool = False
     seed: int = 0
@@ -90,7 +90,7 @@ class TrainConfig:
             raise DomainError("need at least one epoch")
         if self.batch_size < 1 or self.gamma < 0 or self.lam < 0:
             raise DomainError("batch size must be at least 1, gamma and lam nonnegative")
-        if self.beta_mode not in _MODES:
+        if self.beta_mode not in ("hard", "soft", "beta"):
             raise DomainError(f"unknown beta_mode {self.beta_mode!r}")
         if self.beta_mode == "beta" and not 0.0 < as_float(self.beta, "beta") < 1.0:
             raise DomainError("beta must lie strictly inside (0, 1)")
@@ -136,34 +136,25 @@ def _loss_and_accuracy(logits: Tensor, labels: np.ndarray) -> tuple[float, float
 # forward with caches
 # ---------------------------------------------------------------------------
 
-def _beta_for_layers(net: L.Network, mode: str, beta) -> dict:
-    """Beta of each selector layer, keyed by layer index, for a regime name.
-
-    The one place a regime becomes betas: {} for hard (every layer then
-    selects hard), 1/2 for soft, and for beta the given number or a
-    {layer index: number} dict with one entry per selector layer.
+def _beta_for_layers(net: L.Network, beta) -> dict:
+    """Beta of each selector layer, keyed by layer index: {} for None (every
+    layer then selects hard), a number for every selector, or a {layer
+    index: number} dict with one entry per selector layer.  A key that is
+    no selector is passed on for `network_forward_batch` to reject.
     `train` calls it once; its learnable betas are their logits' sigmoids.
     """
-    if mode not in _MODES:
-        raise DomainError(f"unknown selection mode {mode!r}; expected one of {_MODES}")
-    if mode == "hard":
+    if beta is None:
         return {}
-    if mode == "beta" and beta is None:
-        raise DomainError("beta mode needs a beta value")
     selectors = [i for i, layer in enumerate(net.layers) if layer.selector]
-    if not isinstance(beta, dict) or mode == "soft":
-        beta = dict.fromkeys(selectors, 0.5 if mode == "soft" else beta)
-    stray = [key for key in beta if key not in selectors]
-    if stray:
-        raise DomainError(f"layer {stray[0]!r} does not select and takes no beta")
-    out = {}
+    if not isinstance(beta, dict):
+        beta = dict.fromkeys(selectors, beta)
+    out = dict(beta)
     for i in selectors:
         if i not in beta:
             raise DomainError(f"layer {i} selects but the beta dict gives it no value")
-        b = as_float(beta[i], f"layer {i} beta")
-        if not 0.0 < b < 1.0:
+        out[i] = as_float(beta[i], f"layer {i} beta")
+        if not 0.0 < out[i] < 1.0:
             raise DomainError(f"layer {i}: beta must lie strictly inside (0, 1)")
-        out[i] = b
     return out
 
 
@@ -195,30 +186,25 @@ def evaluate(net: L.Network, X: Tensor, y: np.ndarray) -> tuple[float, float]:
     return _loss_and_accuracy(logits, y)
 
 
-def gradients(
-    net: L.Network,
-    x: Tensor,
-    label,
-    mode: str = "hard",
-    beta=None,
-) -> tuple[float, dict]:
+def gradients(net: L.Network, x: Tensor, label, beta=None) -> tuple[float, dict]:
     """Training-view loss at (x, label) and its analytic gradients: one
-    forward in the given regime with batch norm on batch statistics.
+    forward under beta with batch norm on batch statistics.
 
-    The loss is the function the gradients differentiate, which makes it
-    the reference for finite-difference checks; in hard mode on a net
-    without batch norm it equals `evaluate`'s loss.
+    beta is None for hard VQ, 1/2 for soft VQ, another number in (0, 1)
+    for beta-VQ, or a {layer index: number} dict with one beta per
+    selector layer.  The loss is the function the gradients differentiate,
+    which makes it the reference for finite-difference checks; with beta
+    None on a net without batch norm it equals `evaluate`'s loss.
 
-    Accepts a single input (1-D x, int label) or a batch.  In hard mode
+    Accepts a single input (1-D x, int label) or a batch.  With beta None,
     inputs close to a region boundary trigger a resample warning; the
     returned gradient is the one-sided derivative of the selected region.
-    The gradients are a dict keyed '<layer_index>.<field>'; in beta mode
-    each selector layer additionally gets '<layer_index>.beta'.
+    The gradients are a dict keyed '<layer_index>.<field>'; when beta is
+    not None each selector layer additionally gets '<layer_index>.beta'.
     """
     X, labels = _as_batch(net, x, label)
-    betas = _beta_for_layers(net, mode, beta)
-    logits, caches = L.network_forward_batch(net, X, betas=betas, batch_stats=True)
-    if mode == "hard":
+    logits, caches = L.network_forward_batch(net, X, betas=_beta_for_layers(net, beta), batch_stats=True)
+    if beta is None:
         for i, (layer, cache) in enumerate(zip(net.layers, caches)):
             if layer.near_boundary(cache, _BOUNDARY_GAP):
                 warnings.warn(
@@ -226,19 +212,20 @@ def gradients(
                     "the hard-mode gradient is one-sided; consider resampling",
                     RuntimeWarning,
                 )
-    return _backprop(net, caches, logits, labels, mode == "beta")
+    return _backprop(net, caches, logits, labels)
 
 
-def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray, with_beta: bool):
+def _backprop(net: L.Network, caches, logits: Tensor, labels: np.ndarray):
     """Mean loss and the gradients keyed '<layer>.<field>', from the caches
-    of one `network_forward_batch`; with_beta adds each selector's '<layer>.beta'."""
+    of one `network_forward_batch`; each selector run under a beta adds its
+    '<layer>.beta'."""
     loss, G = _cross_entropy_batch(logits, labels)
     values: dict = {}
     for i in range(len(net.layers) - 1, -1, -1):
         G, grads, dbeta = net.layers[i].backward(caches[i], G)
         for name, g in grads.items():
             values[f"{i}.{name}"] = g
-        if with_beta and dbeta is not None:
+        if dbeta is not None:
             values[f"{i}.beta"] = np.asarray(dbeta)
     return loss, values
 
@@ -344,7 +331,8 @@ def train(net: L.Network, dataset, config: TrainConfig):
     dataset is (X, y).  Returns (trained network, history) where history
     holds one dict per epoch with keys epoch, loss, accuracy,
     template_penalty, filter_penalty (and betas when beta is learnable).
-    Steps run the configured regime with batch statistics.  Each epoch
+    Steps run with batch statistics under the beta that beta_mode names
+    (None for hard, 1/2 for soft, config.beta for beta).  Each epoch
     ends with one inference forward over the dataset that first sets each
     batch norm's mean and var to the biased statistics of its input; its
     loss and accuracy are the history's, equal to `evaluate` on the
@@ -371,7 +359,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
 
     state = AdamState()
     history = []
-    betas = _beta_for_layers(net, config.beta_mode, config.beta)
+    betas = _beta_for_layers(net, {"hard": None, "soft": 0.5, "beta": config.beta}[config.beta_mode])
     for epoch in range(config.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], config.batch_size):
@@ -379,7 +367,7 @@ def train(net: L.Network, dataset, config: TrainConfig):
             if beta_logits:
                 betas = {i: _sigmoid(t) for i, t in beta_logits.items()}
             logits, caches = L.network_forward_batch(net, X[idx], betas=betas, batch_stats=True)
-            loss, grads = _backprop(net, caches, logits, y[idx], bool(beta_logits))
+            loss, grads = _backprop(net, caches, logits, y[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"loss became non-finite at epoch {epoch}")
             for key, weight in ortho.items():

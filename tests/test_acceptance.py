@@ -315,9 +315,9 @@ def grad_check_nets(rng):
     return [mlp, convnet, avgnet, skipnet]
 
 
-def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
+def max_fd_error(net, X, y, beta=None, h=1e-5):
     """Worst relative deviation of analytic gradients from central FD."""
-    _, g = learn.gradients(net, X, y, mode=mode, beta=beta)
+    _, g = learn.gradients(net, X, y, beta=beta)
     worst, checked = 0.0, 0
     for key, G in g.items():
         if key.endswith(".beta"):
@@ -335,18 +335,18 @@ def max_fd_error(net, X, y, mode, beta=None, h=1e-5):
                 target = getattr(target, part)
             arr = getattr(target, field.split(".")[-1])
             arr[idx] += h
-            lp = learn.gradients(net2, X, y, mode=mode, beta=beta)[0]
+            lp = learn.gradients(net2, X, y, beta=beta)[0]
             arr[idx] -= 2 * h
-            lm = learn.gradients(net2, X, y, mode=mode, beta=beta)[0]
+            lm = learn.gradients(net2, X, y, beta=beta)[0]
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(G[idx] - fd) / max(abs(fd), 1e-8))
             checked += 1
-    if mode == "beta":
+    if beta is not None:
         beta_keys = [k for k in g if k.endswith(".beta")]
         if beta_keys:
             analytic = sum(float(g[k]) for k in beta_keys)
-            lp = learn.gradients(net, X, y, mode=mode, beta=beta + h)[0]
-            lm = learn.gradients(net, X, y, mode=mode, beta=beta - h)[0]
+            lp = learn.gradients(net, X, y, beta=beta + h)[0]
+            lm = learn.gradients(net, X, y, beta=beta - h)[0]
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(analytic - fd) / max(abs(fd), 1e-8))
             checked += 1
@@ -359,8 +359,8 @@ def test_criterion_08_gradients_match_finite_differences():
     for net in grad_check_nets(rng):
         X = rng.standard_normal((3, net.dims[0]))
         y = rng.integers(0, net.class_count, size=3)
-        for mode, beta in (("hard", None), ("soft", None), ("beta", 0.35)):
-            dev, n = max_fd_error(net, X, y, mode, beta)
+        for beta in (None, 0.5, 0.35):
+            dev, n = max_fd_error(net, X, y, beta)
             worst = max(worst, dev)
             total += n
     ok = worst <= 1e-4 and total > 0

@@ -470,7 +470,7 @@ def conv_views(net, X):
     """Every result a convolution feeds: logits, soft-mode gradients, the
     decomposition at each prefix, templates, norms and ensemble terms."""
     views = {"logits": L.network_forward_batch(net, X)[0]}
-    views.update(learn.gradients(net, X, np.arange(len(X)) % net.class_count, mode="soft")[1])
+    views.update(learn.gradients(net, X, np.arange(len(X)) % net.class_count, beta=0.5)[1])
     for depth in range(len(net.layers) + 1):
         form = decompose(net, X[0], upto_layer=depth)
         views[f"A{depth}"], views[f"b{depth}"] = form.A, form.b

@@ -60,13 +60,13 @@ def test_loss_and_gradients_run_one_forward(rng, forward_calls):
     y = rng.integers(0, net.class_count, 5)
     evaluate(net, X, y)
     assert forward_calls == [(5, len(net.layers))]
-    for mode in ("hard", "soft", "beta"):
+    for beta in (None, 0.5, 0.3):
         forward_calls.clear()
-        gradients(net, X, y, mode, beta=0.3)
-        assert forward_calls == [(5, len(net.layers))], mode
+        gradients(net, X, y, beta)
+        assert forward_calls == [(5, len(net.layers))], beta
         forward_calls.clear()
-        gradients(net, X[0], y[0], mode, beta=0.3)
-        assert forward_calls == [(1, len(net.layers))], mode
+        gradients(net, X[0], y[0], beta)
+        assert forward_calls == [(1, len(net.layers))], beta
 
 
 def test_every_entry_point_checks_width_and_prefix():

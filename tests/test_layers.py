@@ -375,7 +375,7 @@ def test_conv_forward_backward_and_pull_lower_nothing(rng, monkeypatch):
     monkeypatch.setattr(L, "conv_to_matrix", refuse)
     net = every_kind_net(rng)
     X = rng.standard_normal((4, net.dims[0]))
-    learn.gradients(net, X, np.arange(4) % 3, mode="soft")
+    learn.gradients(net, X, np.arange(4) % 3, beta=0.5)
     decompose(net, X[0])
     _, caches = L.network_forward_batch(net, X)
     assert set(caches[0]) == {"Z"}
@@ -559,6 +559,22 @@ def test_bn_statistics_do_not_depend_on_memory_order(rng):
     mean, var = bn.mean, bn.var
     bn.calibrate(np.asfortranarray(Z))
     assert np.array_equal(bn.mean, mean) and np.array_equal(bn.var, var)
+
+
+def test_bn_batch_statistics_on_one_row_and_on_one_feature(rng):
+    # one row has no batch variance, so it takes the stored statistics, as
+    # an epoch's last batch does when the row count is 1 more than a
+    # multiple of the batch size; one feature over several rows is
+    # normalized by that batch's own mean and variance
+    def bn(width):
+        return L.BatchNorm(rng.standard_normal(width) + 2.0, rng.random(width) + 2.0,
+                           rng.standard_normal(width), rng.standard_normal(width))
+    wide, narrow = bn(3), bn(1)
+    row = rng.standard_normal((1, 3))
+    assert np.array_equal(wide.forward(row, batch_stats=True)[0], wide.forward(row)[0])
+    Z = rng.standard_normal((6, 1))
+    want = narrow.scale * (Z - Z.mean()) / np.sqrt(Z.var() + narrow.epsilon) + narrow.shift
+    assert np.allclose(narrow.forward(Z, batch_stats=True)[0], want, rtol=1e-14, atol=1e-15)
 
 
 def make_skip_block(rng, shape=(2, 4, 4)):
@@ -1137,3 +1153,15 @@ def test_selector_forwards_read_beta_per_unit_and_check_it(rng):
         block.forward(rng.standard_normal((2, 32)), 1.0)
     with pytest.raises(ShapeError):
         block.forward(rng.standard_normal((2, 32)), np.full(2, 0.5))
+
+
+def test_forward_rejects_a_beta_no_layer_run_takes():
+    # a string key, a dense layer's index and a selector past upto were
+    # ignored without a word; a selector within upto takes its beta
+    net = L.make_mlp([2, 4, 3, 2], seed=0)  # dense, relu, dense, relu, dense
+    X = np.ones((2, 2))
+    for betas, upto, key in (({"1": 0.5}, None, "'1'"), ({1: 0.5, 0: 0.5}, None, "0"),
+                             ({1: 0.5, 3: 0.5}, 2, "3")):
+        with pytest.raises(DomainError, match=f"layer {key} does not select among the"):
+            L.network_forward_batch(net, X, upto, betas)
+    assert "t" in L.network_forward_batch(net, X, 2, {1: 0.5})[1][1]

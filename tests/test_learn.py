@@ -31,10 +31,10 @@ from masonet.ndcore import (
 from test_analysis import every_kind_net
 
 
-def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
+def fd_check(net, keys, X, y, beta=None, h=1e-5, rtol=1e-4):
     """Central finite differences of the loss `gradients` returns against
     its analytic gradients."""
-    loss, g = gradients(net, X, y, mode=mode, beta=beta)
+    loss, g = gradients(net, X, y, beta=beta)
     for key in keys:
         li, field = key.split(".", 1)
         li = int(li)
@@ -50,9 +50,9 @@ def fd_check(net, keys, X, y, mode="hard", beta=None, h=1e-5, rtol=1e-4):
                 target = getattr(target, part)
             arr = getattr(target, field.split(".")[-1])
             arr[idx] += h
-            lp = gradients(net2, X, y, mode=mode, beta=beta)[0]
+            lp = gradients(net2, X, y, beta=beta)[0]
             arr[idx] -= 2 * h
-            lm = gradients(net2, X, y, mode=mode, beta=beta)[0]
+            lm = gradients(net2, X, y, beta=beta)[0]
             fd = (lp - lm) / (2 * h)
             assert abs(G[idx] - fd) <= rtol * max(abs(fd), 1e-8), (key, idx, G[idx], fd)
 
@@ -101,7 +101,7 @@ def test_train_config_rejects_non_finite_weights(field, value):
 
 
 @pytest.mark.parametrize("beta, error, message", [
-    ({0: 0.5}, DomainError, "layer 0 does not select"),
+    ({0: 0.5, 1: 0.5}, DomainError, "layer 0 does not select"),
     ({}, DomainError, "layer 1 selects but the beta dict gives it no value"),
     ({1: 0.5, 2: 0.5}, DomainError, "layer 2 does not select"),
     ([0.5], ShapeError, "layer 1 beta must be one number"),
@@ -111,7 +111,7 @@ def test_train_config_rejects_non_finite_weights(field, value):
 def test_betas_are_checked(beta, error, message):
     # these raised a bare KeyError or TypeError, or read "0.5" as 0.5
     with pytest.raises(error, match=message):
-        gradients(L.make_mlp([2, 5, 3]), np.zeros(2), 0, "beta", beta)
+        gradients(L.make_mlp([2, 5, 3]), np.zeros(2), 0, beta)
 
 
 @pytest.mark.parametrize("field, value", [("beta", "0.5"), ("learning_rate", "0.1"), ("gamma", "0"),
@@ -129,7 +129,7 @@ def test_forward_loss_is_mean_of_singles(rng):
     for i in range(6):
         logits, _ = L.network_forward(net, X[i])
         singles.append(cross_entropy(logits, y[i]))
-    got = gradients(net, X, y, mode="hard")[0]
+    got = gradients(net, X, y)[0]
     assert abs(got - np.mean(singles)) < 1e-10
 
 
@@ -148,21 +148,21 @@ def test_dense_mlp_gradients_all_modes(rng):
     net = L.make_mlp([3, 6, 4, 2], seed=1)
     X = rng.standard_normal((5, 3))
     y = rng.integers(0, 2, size=5)
-    fd_check(net, ["0.W", "0.b", "2.W", "4.W", "4.b"], X, y, mode="hard")
-    fd_check(net, ["0.W", "0.b", "2.W", "4.W"], X, y, mode="soft")
-    fd_check(net, ["0.W", "2.W", "4.W"], X, y, mode="beta", beta=0.7)
+    fd_check(net, ["0.W", "0.b", "2.W", "4.W", "4.b"], X, y)
+    fd_check(net, ["0.W", "0.b", "2.W", "4.W"], X, y, beta=0.5)
+    fd_check(net, ["0.W", "2.W", "4.W"], X, y, beta=0.7)
 
 
 def test_beta_gradient_matches_fd(rng):
     net = L.make_mlp([3, 5, 2], seed=4)
     X = rng.standard_normal((4, 3))
     y = rng.integers(0, 2, size=4)
-    _, g = gradients(net, X, y, mode="beta", beta=0.6)
+    _, g = gradients(net, X, y, beta=0.6)
     total = sum(float(v) for k, v in g.items() if k.endswith(".beta"))
     h = 1e-6
     fd = (
-        gradients(net, X, y, mode="beta", beta=0.6 + h)[0]
-        - gradients(net, X, y, mode="beta", beta=0.6 - h)[0]
+        gradients(net, X, y, beta=0.6 + h)[0]
+        - gradients(net, X, y, beta=0.6 - h)[0]
     ) / (2 * h)
     assert abs(total - fd) <= 1e-4 * max(abs(fd), 1e-8)
 
@@ -185,8 +185,8 @@ def test_conv_pool_gradients(rng):
     net = conv_pool_net(rng)
     X = rng.standard_normal((3, 36))
     y = rng.integers(0, 3, size=3)
-    fd_check(net, ["0.filters", "0.bias", "3.W", "3.b"], X, y, mode="hard")
-    fd_check(net, ["0.filters", "0.bias"], X, y, mode="soft")
+    fd_check(net, ["0.filters", "0.bias", "3.W", "3.b"], X, y)
+    fd_check(net, ["0.filters", "0.bias"], X, y, beta=0.5)
 
 
 def test_maxpool_boundary_warning_ignores_relu_zero_ties(rng):
@@ -218,7 +218,7 @@ def test_strided_same_conv_gradients(rng):
     )
     X = rng.standard_normal((4, 25))
     y = rng.integers(0, 2, size=4)
-    fd_check(net, ["0.filters", "0.bias", "2.W"], X, y, mode="hard")
+    fd_check(net, ["0.filters", "0.bias", "2.W"], X, y)
 
 
 @st.composite
@@ -252,7 +252,7 @@ def test_conv_gradients_over_random_geometry(geom, seed):
     )
     X = rng.standard_normal((3, 2))
     y = rng.integers(0, 2, size=3)
-    fd_check(net, ["0.W", "1.filters", "1.bias"], X, y, mode="hard")
+    fd_check(net, ["0.W", "1.filters", "1.bias"], X, y)
 
 
 def test_batchnorm_gradients_batch_statistics(rng):
@@ -268,7 +268,7 @@ def test_batchnorm_gradients_batch_statistics(rng):
     )
     X = rng.standard_normal((6, 3))
     y = rng.integers(0, 2, size=6)
-    fd_check(net, ["0.W", "1.scale", "1.shift", "3.W"], X, y, mode="hard")
+    fd_check(net, ["0.W", "1.scale", "1.shift", "3.W"], X, y)
 
 
 def test_avgpool_and_abs_gradients(rng):
@@ -283,8 +283,8 @@ def test_avgpool_and_abs_gradients(rng):
     )
     X = rng.standard_normal((4, 3))
     y = rng.integers(0, 2, size=4)
-    fd_check(net, ["0.W", "0.b", "3.W"], X, y, mode="hard")
-    fd_check(net, ["0.W", "3.W"], X, y, mode="soft")
+    fd_check(net, ["0.W", "0.b", "3.W"], X, y)
+    fd_check(net, ["0.W", "3.W"], X, y, beta=0.5)
 
 
 def make_skip_net(rng):
@@ -308,8 +308,8 @@ def test_skip_block_gradients(rng):
     X = rng.standard_normal((3, 18))
     y = rng.integers(0, 2, size=3)
     fd_check(net, ["0.conv.filters", "0.conv.bias", "0.skip.filters", "0.skip_bias",
-                   "1.conv.filters", "2.W"], X, y, mode="hard")
-    fd_check(net, ["0.conv.filters", "0.skip.filters"], X, y, mode="beta", beta=0.6)
+                   "1.conv.filters", "2.W"], X, y)
+    fd_check(net, ["0.conv.filters", "0.skip.filters"], X, y, beta=0.6)
 
 
 def _hard_codes(net, X):
@@ -321,8 +321,9 @@ def _hard_codes(net, X):
 @given(st.integers(0, 2**32 - 1))
 def test_every_kind_gradients_match_finite_differences(seed):
     # a few entries of every parameter of an every_kind_net, and each
-    # selector's beta, in hard, soft and beta mode; a hard-mode difference
-    # is compared only where neither step leaves the forward's regions
+    # selector's beta, under beta None (hard), 1/2 (soft) and one beta per
+    # selector; a hard difference is compared only where neither step
+    # leaves the forward's regions
     rng = np.random.default_rng(seed)
     net = every_kind_net(rng)
     X = rng.standard_normal((3, net.dims[0]))
@@ -332,17 +333,18 @@ def test_every_kind_gradients_match_finite_differences(seed):
     codes = _hard_codes(net, X)
     betas = {i: float(rng.uniform(0.2, 0.8)) for i, layer in enumerate(net.layers) if layer.selector}
     h = 1e-6
-    for mode, beta in (("hard", None), ("soft", None), ("beta", betas)):
-        _, grads = gradients(net, X, y, mode=mode, beta=beta)
+    for beta in (None, 0.5, betas):
+        _, grads = gradients(net, X, y, beta=beta)
         assert sorted(grads) == sorted(
             [f"{i}.{k}" for i, layer in enumerate(net.layers) for k in layer.params()]
-            + ([f"{i}.beta" for i in betas] if mode == "beta" else [])
+            + ([f"{i}.beta" for i in betas] if beta is not None else [])
         )
+        base = beta if isinstance(beta, dict) else dict.fromkeys(betas, beta)
         for key, G in grads.items():
             i, field = key.split(".", 1)
             i = int(i)
             if field == "beta":
-                lp, lm = (gradients(net, X, y, mode="beta", beta={**betas, i: betas[i] + d})[0]
+                lp, lm = (gradients(net, X, y, beta={**base, i: base[i] + d})[0]
                           for d in (h, -h))
                 fd = (lp - lm) / (2 * h)
                 assert abs(G - fd) <= 1e-7 + 1e-5 * abs(fd), (key, G, fd)
@@ -354,15 +356,15 @@ def test_every_kind_gradients_match_finite_differences(seed):
                 losses, crossed = [], False
                 for d in (h, -h):
                     arr[idx] = orig + d
-                    losses.append(gradients(net, X, y, mode=mode, beta=beta)[0])
-                    crossed |= mode == "hard" and not all(
+                    losses.append(gradients(net, X, y, beta=beta)[0])
+                    crossed |= beta is None and not all(
                         np.array_equal(a, b) for a, b in zip(_hard_codes(net, X), codes)
                     )
                 arr[idx] = orig
                 if crossed:
                     continue
                 fd = (losses[0] - losses[1]) / (2 * h)
-                assert abs(G[idx] - fd) <= 1e-7 + 1e-5 * abs(fd), (mode, key, idx, G[idx], fd)
+                assert abs(G[idx] - fd) <= 1e-7 + 1e-5 * abs(fd), (beta, key, idx, G[idx], fd)
 
 
 def test_hard_mode_warns_on_region_boundary():
@@ -372,7 +374,7 @@ def test_hard_mode_warns_on_region_boundary():
         (2,), 2,
     )
     with pytest.warns(RuntimeWarning):
-        gradients(net, np.array([0.0, 1.0]), 0, mode="hard")
+        gradients(net, np.array([0.0, 1.0]), 0)
 
 
 def test_backward_accepts_single_input(rng):
@@ -690,12 +692,14 @@ def test_train_config_rejects_bad_batch_and_penalties():
 
 
 def test_unknown_regime_names_are_rejected(rng):
+    # the loss surface takes a beta; a regime name is no number
     net = L.make_mlp([2, 4, 2], seed=0)
     X, y = two_blob_data(rng, n=8)
-    with pytest.raises(DomainError, match="hrad"):
-        gradients(net, X, y, mode="hrad", beta=0.7)
-    with pytest.raises(DomainError, match="Beta"):
-        gradients(net, X, y, mode="Beta", beta=0.7)
+    for name in ("hard", "soft", "beta", "hrad", "Beta"):
+        with pytest.raises(DomainError, match="layer 1 beta must be a real number"):
+            gradients(net, X, y, beta=name)
+        with pytest.raises(DomainError, match="layer 1 beta must be a real number"):
+            gradients(net, X, y, beta={1: name})
 
 
 def test_empty_dataset_fails_loudly():
